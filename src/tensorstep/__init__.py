@@ -19,9 +19,6 @@ from .linalg import (
     dp_hess,
     dp_value,
     opnorm_mat,
-    t3_apply,
-    t3_apply2,
-    t3_apply3,
     t3_norm_estimate,
     zero_tensor3,
 )
@@ -71,7 +68,6 @@ from .methods import (
     IterationRecord,
     RunConfig,
     RunTrace,
-    alpha_schedule,
     exact_bundle,
     itm_run,
     iteration_budget,

@@ -15,33 +15,24 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
 from .methods import (
-    IterationRecord,
     RunConfig,
     RunTrace,
+    _outer_loop,
+    default_profile,
     itm_run,
     reference_solution,
     stm_run,
 )
-from .problems import (
-    LogisticProblem,
-    QuadraticProblem,
-    make_logistic,
-    make_online_logistic,
-    make_quadratic,
-    problem_from_dict,
-)
-from .sampling import plan_batches
-from .models import InexactnessBudget
-from .methods import default_profile, resolve_kappas
+from .problems import make_logistic, make_online_logistic, make_quadratic, problem_from_dict
 
 CONFIG_VERSION = 1
 
@@ -49,6 +40,13 @@ TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
                  "grad_calls", "hess_calls", "third_calls")
 
 VALID_METHODS = ("itm", "stm", "gd", "agd")
+
+#: Fields a generated problem cannot default.
+REQUIRED_PROBLEM_FIELDS = {
+    "quadratic-synthetic": ("n",),
+    "logistic-synthetic": ("n", "m"),
+    "online-logistic": ("n",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -98,39 +96,22 @@ def fit_rate(ks, gaps, p: int, drop_head: int = 2,
 def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
                 accelerated: bool = False, f_ref: float | None = None) -> RunTrace:
     """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps."""
-    profile = default_profile(problem, x0)
-    lip = profile.lip(1)
-    step = 1.0 / lip
-    x = np.asarray(x0, dtype=float).copy()
-    x_prev = x.copy()
-    trace = RunTrace(f_ref=f_ref)
-    calls = 0
-    for k in range(max_iter + 1):
-        fx = problem.value(x)
-        trace.x_final = x
-        if f_ref is not None and fx - f_ref <= eps:
-            trace.records.append(IterationRecord(
-                k, fx, 0.0, 0, (0, 0, 0), calls, 0, 0))
-            trace.status = "gap-target"
-            return trace
-        if k == max_iter:
-            trace.records.append(IterationRecord(
-                k, fx, 0.0, 0, (0, 0, 0), calls, 0, 0))
-            trace.status = "max-iter"
-            return trace
-        if accelerated and k > 0:
-            y = x + (k - 1.0) / (k + 2.0) * (x - x_prev)
-        else:
-            y = x
-        g = problem.gradient(y)
-        calls += problem.m
-        x_next = y - step * g
-        trace.records.append(IterationRecord(
-            k, fx, float(np.linalg.norm(x_next - x)), 0, (problem.m, 0, 0),
-            calls, 0, 0))
-        x_prev, x = x, x_next
-        trace.x_final = x
-    return trace
+    lr = 1.0 / default_profile(problem, x0).lip(1)
+    x_prev = np.asarray(x0, dtype=float)
+    used = (problem.m, 0, 0)
+
+    def oracle(k, x):
+        nonlocal x_prev
+        y = x + (k - 1.0) / (k + 2.0) * (x - x_prev) if accelerated and k > 0 else x
+        x_prev = x
+        return SimpleNamespace(x=y, grad=problem.gradient(y)), used, None
+
+    def step(x, bundle):
+        x_next = bundle.x - lr * bundle.grad
+        return x_next, float(np.linalg.norm(x_next - x)), 0
+
+    config = RunConfig(eps=eps, max_iter=max_iter)
+    return _outer_loop(problem, x0, config, f_ref, oracle, step)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +169,11 @@ class ExperimentConfig:
                 problems.append("kappa: explicit array needs p nonnegative entries")
         else:
             problems.append("kappa: must be a policy name or an array")
+        tau = data.get("tau", 4.0)
+        if not isinstance(tau, (int, float)):
+            problems.append(f"tau: must be a number, got {tau!r}")
+        elif method in ("itm", "stm") and tau <= 2:
+            problems.append(f"tau: must be > 2 for {method}, got {tau!r}")
         delta = data.get("delta", 0.1)
         if not 0 < delta <= 1:
             problems.append(f"delta: must be in (0, 1], got {delta!r}")
@@ -204,7 +190,7 @@ class ExperimentConfig:
             eps=tuple(float(e) for e in eps),
             seeds=tuple(int(s) for s in seeds),
             kappa=tuple(kappa) if isinstance(kappa, (list, tuple)) else kappa,
-            delta=float(delta), tau=float(data.get("tau", 4.0)),
+            delta=float(delta), tau=float(tau),
             max_iter=max_iter, diameter=diameter,
             x0_offset=float(data.get("x0_offset", 1.0)),
             out=data.get("out"),
@@ -227,6 +213,10 @@ def parse_config(path) -> ExperimentConfig:
 def build_problem(spec: dict):
     """Instantiate a problem from its config block (inline or generator)."""
     kind = spec.get("kind")
+    missing = [f"problem.{key}: required for kind {kind!r}"
+               for key in REQUIRED_PROBLEM_FIELDS.get(kind, ()) if key not in spec]
+    if missing:
+        raise ConfigError(missing)
     if kind == "quadratic" and "A" in spec:
         return problem_from_dict(spec)
     if kind == "logistic-finite-sum" and ("features" in spec or "generator" in spec):
@@ -390,10 +380,6 @@ class ComplexitySummary:
     q_hess: float
     clamped: bool
 
-    @property
-    def report_only(self):
-        return self.clamped
-
 
 def _fit_exponent(eps_values, totals) -> float:
     xs = np.log(1.0 / np.asarray(eps_values, dtype=float))
@@ -409,7 +395,7 @@ def complexity_sweep(problem, config: ExperimentConfig, f_ref=None,
     Totals and outer-iteration counts are averaged over the configured seeds
     before the log-log exponent fit. Offline problems can clamp batch sizes
     at the full component count, which flattens the exponents: clamping is
-    detected and flags the summary as report-only.
+    detected and reported as ``clamped``.
     """
     if config.method != "stm":
         raise ConfigError(["method: complexity_sweep requires method == 'stm'"])
@@ -443,13 +429,3 @@ def complexity_sweep(problem, config: ExperimentConfig, f_ref=None,
         q_hess=_fit_exponent(config.eps, hessians),
         clamped=clamped,
     )
-
-
-def plan_for_eps(problem, budget_eps: float, kappas, delta: float,
-                 profile=None, x0=None):
-    """The per-iteration batch plan at one accuracy (for scaling checks)."""
-    if profile is None:
-        x0 = np.zeros(problem.dim) if x0 is None else x0
-        profile = default_profile(problem, x0)
-    budget = InexactnessBudget(budget_eps, tuple(kappas))
-    return plan_batches(budget, delta, problem, profile)

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (one experiment from a config), ``sweep`` (oracle-call
 complexity across the eps axis), ``fit`` (rate fit of an existing trace CSV),
-``verify-condition`` (sampled-derivative condition check, CI-friendly).
+``verify-condition`` (sampled-derivative condition check at the run's start
+point, CI-friendly).
 
 Exit codes: 0 success, 1 config/validation error, 2 runtime failure,
 3 acceptance-check failure.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .bench import (
     load_trace_csv,
     parse_config,
     run_experiment,
+    start_point,
 )
 from .errors import ConfigError, InsufficientDataError, TensorStepError
-from .methods import default_profile, reference_solution
+from .methods import default_profile
 from .models import InexactnessBudget
 from .sampling import plan_batches, sample_bundle, verify_condition
 
@@ -92,14 +93,14 @@ def cmd_verify_condition(args) -> int:
         raise ConfigError(["kappa: verify-condition needs an explicit kappa array"])
     eps = config.eps[0]
     budget = InexactnessBudget(eps, config.kappa)
-    rng = np.random.default_rng(config.seeds[0])
-    x0 = np.zeros(problem.dim)
+    seed = config.seeds[0]
+    rng = np.random.default_rng(seed)
+    x0 = start_point(problem, config.x0_offset, seed)
     profile = default_profile(problem, x0)
     plan = plan_batches(budget, config.delta, problem, profile)
     passes = np.zeros(config.p)
     for _ in range(args.trials):
-        bundle = sample_bundle(problem, x0, plan, config.p, rng,
-                               dense_third=(config.p >= 3))
+        bundle = sample_bundle(problem, x0, plan, config.p, rng)
         report = verify_condition(problem, bundle, budget, rng=rng)
         passes += np.array(report.passes, dtype=float)
     rates = passes / args.trials
@@ -125,8 +126,6 @@ def main(argv=None) -> int:
                         help="override: method")
     common.add_argument("--p", type=int, choices=(2, 3), help="override: order")
     common.add_argument("--eps", help="override: comma-separated accuracy list")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep cells (deterministic aggregation)")
 
     p_run = sub.add_parser("run", parents=[common], help="run one experiment")
     p_run.set_defaults(func=cmd_run)

@@ -163,7 +163,8 @@ class RankOneSumTensor3(SymTensor3):
     """Operator form ``sum_j w_j a_j (x) a_j (x) a_j`` given rows and weights.
 
     Covers exact and sampled third derivatives of row-structured objectives
-    (and their differences, by concatenating rows with signed weights) without
+    (and their differences: over one shared ``rows`` array by subtracting
+    weights, otherwise by concatenating rows with signed weights) without
     ever building the ``n^3`` array.
     """
 
@@ -207,6 +208,8 @@ class RankOneSumTensor3(SymTensor3):
 
     def __sub__(self, other: "SymTensor3") -> "SymTensor3":
         if isinstance(other, RankOneSumTensor3):
+            if other.rows is self.rows:
+                return RankOneSumTensor3(self.rows, self.weights - other.weights, dim=self.dim)
             rows = np.vstack([self.rows, other.rows])
             weights = np.concatenate([self.weights, -other.weights])
             return RankOneSumTensor3(rows, weights, dim=self.dim)
@@ -216,21 +219,6 @@ class RankOneSumTensor3(SymTensor3):
 def zero_tensor3(n: int) -> RankOneSumTensor3:
     """The zero tensor in operator form (works for any dimension)."""
     return RankOneSumTensor3(np.zeros((0, n)), np.zeros(0), dim=n)
-
-
-def t3_apply(tensor: SymTensor3, s: np.ndarray) -> np.ndarray:
-    """Single contraction ``T[s]``: a symmetric ``n x n`` matrix."""
-    return tensor.apply(s)
-
-
-def t3_apply2(tensor: SymTensor3, s: np.ndarray) -> np.ndarray:
-    """Double contraction ``T[s]^2``: a vector."""
-    return tensor.apply2(s)
-
-
-def t3_apply3(tensor: SymTensor3, s: np.ndarray) -> float:
-    """Triple contraction ``T[s]^3``: a scalar."""
-    return tensor.apply3(s)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +302,3 @@ def t3_norm_estimate(tensor: SymTensor3, n_dirs: int = 64, seed: int = 0,
                 break
         best = max(best, val)
     return best
-
-
-def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Symmetric part ``(M + M^T) / 2``."""
-    return 0.5 * (mat + mat.T)
-
-
-def assert_symmetric(mat: np.ndarray, rtol: float = 1e-12) -> None:
-    """Raise if ``mat`` deviates from symmetry by more than ``rtol`` relative."""
-    scale = max(1.0, float(np.abs(mat).max()))
-    dev = float(np.abs(mat - mat.T).max())
-    if dev > rtol * scale:
-        raise ValueError(f"matrix not symmetric: relative deviation {dev / scale:.3e}")

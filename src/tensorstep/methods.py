@@ -1,10 +1,23 @@
-"""Outer optimization loops and the rate-theory calculators.
+"""The outer loop shared by every method, and the rate-theory calculators.
 
-``itm_run`` is the deterministic inexact tensor method: at each iterate it
-obtains a derivative bundle (exact by default, or from an injected oracle),
-minimizes the smooth regularized model, and steps. ``stm_run`` is the
-stochastic variant: per-order mini-batch sizes come from the concentration
-lemmas, the bundle is sampled, and the same model step is taken.
+The stochastic tensor method (STM) is the inexact tensor method (ITM) with
+sampled derivatives, and the first-order baselines take the same stopping
+rules, so one private loop drives them all. At each iterate it evaluates
+``f(x)`` and then checks, in order: the gap target (``f(x) - f_ref <=
+eps``), the iteration cap, and, when ``grad_stop > 0``, the gradient floor
+on the oracle's gradient. It then takes the step and stops once the
+recorded step norm falls to ``step_stop``. A method supplies only two
+callables:
+
+* an oracle ``(k, x) -> (bundle, used, condition)``: derivatives at ``x``
+  (anything with a ``grad``), the per-order component counts spent on them,
+  and an optional ``ConditionReport``;
+* a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
+
+``itm_run`` takes the exact bundle and minimizes the smooth regularized
+model. ``stm_run`` sizes per-order mini-batches from the concentration
+lemmas, samples the bundle, and takes the same model step.
+``bench.gd_baseline`` takes a (momentum) gradient step.
 
 The theory-side calculators mirror the convergence analysis:
 
@@ -23,21 +36,16 @@ The theory-side calculators mirror the convergence analysis:
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
-from .sampling import EXACT, BatchPlan, ConditionReport, plan_batches, sample_bundle, verify_condition
-from .subsolvers import (
-    InnerStats,
-    SubsolverConfig,
-    bregman_minimize_zeta,
-    generic_model_minimize,
-    solve_model_p2,
-)
+from .sampling import EXACT, ConditionReport, plan_batches, sample_bundle, verify_condition
+from .subsolvers import SubsolverConfig, bregman_minimize_zeta, solve_model_p2
 
 #: Step-norm floor below which a run is declared converged.
 STEP_FLOOR = 1e-12
@@ -96,14 +104,6 @@ def theoretical_residual_bound(t: float, kappas, eps: float, diameter: float,
     return total
 
 
-def alpha_schedule(t: int, p: int) -> float:
-    """The averaging weight ``(p+1)/(t+p+1)`` used in the rate analysis.
-
-    Appears only in the residual bound; the method itself never uses it.
-    """
-    return (p + 1) / (t + p + 1)
-
-
 # ---------------------------------------------------------------------------
 # run configuration and traces
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ class RunConfig:
     p: int = 3
     eps: float = 1e-6
     kappa: object = "exact"          # "exact" | "corollary" | explicit sequence
-    sigma: float | None = None       # None -> auto (coupling for p=3, L_p for p=2)
+    sigma: float | None = None       # p=2 only; None -> L_p (p=3 uses the coupling)
     tau: float = 4.0
     diameter: float | None = None    # needed by the corollary kappa policy
     max_iter: int = 100
@@ -136,6 +136,8 @@ class RunConfig:
             raise ValueError("the corollary kappa policy needs a positive diameter")
         if self.mode not in ("deterministic", "stochastic"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.p == 3 and self.sigma is not None:
+            raise ValueError("sigma is set by the tau coupling at p=3; leave it None")
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,9 @@ def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
                          kappas: tuple) -> ModelConfig:
     """Model regularization: the tau coupling for p=3, sigma >= L_p otherwise.
 
-    For the order-3 path the coupling overrides any user sigma, because the
-    proved relative-smoothness constants of the inner solver require it.
+    The order-3 path has no free sigma (``RunConfig`` rejects one), because
+    the proved relative-smoothness constants of the inner solver require the
+    coupling.
     """
     lip_top = profile.lip(config.p)
     if config.p == 3:
@@ -234,118 +237,93 @@ def model_step(bundle: DerivativeBundle, budget: InexactnessBudget,
 
 
 # ---------------------------------------------------------------------------
-# outer loops
+# the outer loop
 # ---------------------------------------------------------------------------
 
-def itm_run(problem, x0, config: RunConfig, oracle=None, f_ref=None,
-            profile: LipschitzProfile | None = None) -> RunTrace:
-    """Deterministic inexact tensor method.
+def _finish(trace: RunTrace, status: str, k: int, fx: float, calls) -> RunTrace:
+    trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
+    trace.status = status
+    return trace
 
-    ``oracle(x) -> DerivativeBundle`` defaults to exact derivatives (counted
-    as one full pass, ``m`` component calls per order). With exact bundles
-    the run is monotone; injected bundles must satisfy the inexactness
-    condition, which is the caller's responsibility.
+
+def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace:
+    """Drive ``oracle`` and ``step`` (see the module docstring) to a stop.
+
+    Reads only ``eps``, ``max_iter``, ``grad_stop`` and ``step_stop`` from
+    ``config``. Every stop appends a closing record with zero step.
     """
     x = np.asarray(x0, dtype=float).copy()
-    profile = profile or default_profile(problem, x0)
+    trace = RunTrace(f_ref=f_ref)
+    calls = (0, 0, 0)
+    for k in itertools.count():
+        fx = problem.value(x)
+        trace.x_final = x
+        if f_ref is not None and fx - f_ref <= config.eps:
+            return _finish(trace, "gap-target", k, fx, calls)
+        if k == config.max_iter:
+            return _finish(trace, "max-iter", k, fx, calls)
+        bundle, used, condition = oracle(k, x)
+        calls = tuple(c + u for c, u in zip(calls, used))
+        if config.grad_stop > 0 and float(np.linalg.norm(bundle.grad)) <= config.grad_stop:
+            return _finish(trace, "grad-floor", k, fx, calls)
+        x_next, step_norm, inner_iters = step(x, bundle)
+        trace.records.append(IterationRecord(
+            k, fx, step_norm, inner_iters, used, *calls, condition=condition))
+        x = trace.x_final = x_next
+        if step_norm <= config.step_stop:
+            return _finish(trace, "step-floor", k + 1, problem.value(x), calls)
+
+
+def _model_method(problem, x0, config: RunConfig):
+    """Certified profile, budget and the model step shared by ITM and STM."""
+    profile = default_profile(problem, x0)
     kappas = resolve_kappas(config, profile)
     budget = InexactnessBudget(config.eps, kappas)
     mconfig = resolve_model_config(config, profile, kappas)
     inner = config.inner or SubsolverConfig(tau=config.tau)
 
-    exact_cost = (problem.m,) * 3
-    get_bundle = oracle or (lambda pt: exact_bundle(problem, pt, config.p))
+    def step(x, bundle):
+        h, inner_iters = model_step(bundle, budget, mconfig, inner)
+        return x + h, float(np.linalg.norm(h)), inner_iters
 
-    trace = RunTrace(f_ref=f_ref)
-    calls = [0, 0, 0]
-    for k in range(config.max_iter + 1):
-        fx = problem.value(x)
-        trace.x_final = x
-        if f_ref is not None and fx - f_ref <= config.eps:
-            trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
-            trace.status = "gap-target"
-            return trace
-        if k == config.max_iter:
-            trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
-            trace.status = "max-iter"
-            return trace
-
-        bundle = get_bundle(x)
-        used = exact_cost[:2] + ((exact_cost[2],) if config.p >= 3 else (0,))
-        calls = [c + u for c, u in zip(calls, used)]
-        if config.grad_stop > 0 and float(np.linalg.norm(bundle.grad)) <= config.grad_stop:
-            trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
-            trace.status = "grad-floor"
-            return trace
-
-        step, inner_iters = model_step(bundle, budget, mconfig, inner)
-        step_norm = float(np.linalg.norm(step))
-        trace.records.append(IterationRecord(
-            k, fx, step_norm, inner_iters, tuple(used), *calls))
-        x = x + step
-        trace.x_final = x
-        if step_norm <= config.step_stop:
-            trace.status = "step-floor"
-            trace.records.append(IterationRecord(
-                k + 1, problem.value(x), 0.0, 0, (0, 0, 0), *calls))
-            return trace
-    return trace
+    return profile, budget, step
 
 
-def stm_run(problem, x0, config: RunConfig, f_ref=None,
-            profile: LipschitzProfile | None = None) -> RunTrace:
+def itm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
+    """Deterministic inexact tensor method on exact derivatives.
+
+    Each bundle counts as one full pass, ``m`` component calls per order.
+    With exact bundles the run is monotone.
+    """
+    _, _, step = _model_method(problem, x0, config)
+    used = (problem.m, problem.m, problem.m if config.p >= 3 else 0)
+
+    def oracle(k, x):
+        return exact_bundle(problem, x, config.p), used, None
+
+    return _outer_loop(problem, x0, config, f_ref, oracle, step)
+
+
+def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     """Stochastic tensor method with lemma-sized per-order mini-batches.
 
     Not monotone: the inexactness condition holds only with probability
     ``1 - delta`` per iteration, so objective increases are recorded by the
     guard rather than treated as failures.
     """
-    if config.mode != "stochastic":
-        config = replace(config, mode="stochastic")
-    x = np.asarray(x0, dtype=float).copy()
-    profile = profile or default_profile(problem, x0)
-    kappas = resolve_kappas(config, profile)
-    budget = InexactnessBudget(config.eps, kappas)
-    mconfig = resolve_model_config(config, profile, kappas)
-    inner = config.inner or SubsolverConfig(tau=config.tau)
+    profile, budget, step = _model_method(problem, x0, config)
     rng = np.random.default_rng(config.seed)
 
-    trace = RunTrace(f_ref=f_ref)
-    calls = [0, 0, 0]
-    for k in range(config.max_iter + 1):
-        fx = problem.value(x)
-        trace.x_final = x
-        if f_ref is not None and fx - f_ref <= config.eps:
-            trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
-            trace.status = "gap-target"
-            return trace
-        if k == config.max_iter:
-            trace.records.append(IterationRecord(k, fx, 0.0, 0, (0, 0, 0), *calls))
-            trace.status = "max-iter"
-            return trace
-
+    def oracle(k, x):
         plan = plan_batches(budget, config.delta, problem, profile)
         bundle = sample_bundle(problem, x, plan, config.p, rng)
-        sizes = [problem.m if s == EXACT else s for s in plan.sizes]
-        if config.p == 2:
-            sizes.append(0)
-        calls = [c + s for c, s in zip(calls, sizes)]
+        used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
         report = None
         if config.verify_each:
             report = verify_condition(problem, bundle, budget, rng=rng)
+        return bundle, used + (0,) * (3 - config.p), report
 
-        step, inner_iters = model_step(bundle, budget, mconfig, inner)
-        step_norm = float(np.linalg.norm(step))
-        trace.records.append(IterationRecord(
-            k, fx, step_norm, inner_iters, tuple(sizes), *calls, condition=report))
-        x = x + step
-        trace.x_final = x
-        if step_norm <= config.step_stop:
-            trace.status = "step-floor"
-            trace.records.append(IterationRecord(
-                k + 1, problem.value(x), 0.0, 0, (0, 0, 0), *calls))
-            return trace
-    return trace
+    return _outer_loop(problem, x0, config, f_ref, oracle, step)
 
 
 # ---------------------------------------------------------------------------

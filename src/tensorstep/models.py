@@ -158,7 +158,6 @@ class SmoothModelP3:
     C2: float
     C4: float
     constant: float
-    C2_tilde: float
 
     @classmethod
     def from_budget(cls, budget: InexactnessBudget, config: ModelConfig) -> "SmoothModelP3":
@@ -170,7 +169,6 @@ class SmoothModelP3:
             C2=(kg + kb + kt / 6.0) * e23,
             C4=config.sigma / 2.0 + kt / 3.0,
             constant=0.5 * kg * budget.eps ** (4.0 / 3.0),
-            C2_tilde=(kb + 0.5 * kt) * e23,
         )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DenseSymTensor3, RankOneSumTensor3, SymTensor3, zero_tensor3
+from .linalg import RankOneSumTensor3, SymTensor3, zero_tensor3
 
 #: sup over t of |phi^(i)(t)| for the logistic link phi(t) = log(1 + e^-t),
 #: orders i = 1..4. The third-order bound is sqrt(3)/18, attained at
@@ -138,13 +138,8 @@ class QuadraticProblem:
     def hessian(self, x):
         return self.A.copy()
 
-    def third(self, x, dense: bool = False) -> SymTensor3:
-        if dense:
-            return DenseSymTensor3(np.zeros((self.dim,) * 3), validate=False)
+    def third(self, x) -> SymTensor3:
         return zero_tensor3(self.dim)
-
-    def third_directional(self, x, s):
-        return np.zeros(self.dim), 0.0
 
     # single-component access: a quadratic is its own single component
     def component_value(self, j, x):
@@ -159,24 +154,14 @@ class QuadraticProblem:
         self._check_index(j)
         return self.hessian(x)
 
-    def component_third(self, j, x):
-        self._check_index(j)
-        return self.third(x)
-
-    def batch_value(self, x, indices):
-        return self.value(x)
-
     def batch_gradient(self, x, indices):
         return self.gradient(x)
 
     def batch_hessian(self, x, indices):
         return self.hessian(x)
 
-    def batch_third(self, x, indices, dense=False):
-        return self.third(x, dense=dense)
-
-    def batch_third_directional(self, x, indices, s):
-        return self.third_directional(x, s)
+    def batch_third(self, x, indices):
+        return self.third(x)
 
     def draw(self, batch_size, rng) -> StochasticDraw:
         if batch_size > self.m:
@@ -298,15 +283,8 @@ class LogisticProblem:
     def hessian(self, x):
         return self._weighted_hessian(x, self._full_weights())
 
-    def third(self, x, dense: bool = False) -> SymTensor3:
-        tensor = RankOneSumTensor3(self.features, self._third_weights(x, self._full_weights()))
-        if dense:
-            return DenseSymTensor3(tensor.as_dense(), validate=False)
-        return tensor
-
-    def third_directional(self, x, s):
-        tensor = self.third(x)
-        return tensor.apply2(s), tensor.apply3(s)
+    def third(self, x) -> SymTensor3:
+        return RankOneSumTensor3(self.features, self._third_weights(x, self._full_weights()))
 
     def _full_weights(self):
         return np.full(self.m, 1.0 / self.m)
@@ -331,31 +309,15 @@ class LogisticProblem:
         a = self.features[j]
         return link_d2(t)[0] * np.outer(a, a) + self.mu * np.eye(self.dim)
 
-    def component_third(self, j, x) -> SymTensor3:
-        self._check_index(j)
-        t = np.array([self.labels[j] * (self.features[j] @ np.asarray(x, dtype=float))])
-        w = link_d3(t)[0] * self.labels[j]
-        return RankOneSumTensor3(self.features[j][None, :], np.array([w]), dim=self.dim)
-
-    def batch_value(self, x, indices):
-        return self._weighted_value(x, self._weights_from_indices(indices))
-
     def batch_gradient(self, x, indices):
         return self._weighted_gradient(x, self._weights_from_indices(indices))
 
     def batch_hessian(self, x, indices):
         return self._weighted_hessian(x, self._weights_from_indices(indices))
 
-    def batch_third(self, x, indices, dense: bool = False) -> SymTensor3:
+    def batch_third(self, x, indices) -> SymTensor3:
         w3 = self._third_weights(x, self._weights_from_indices(indices))
-        tensor = RankOneSumTensor3(self.features, w3)
-        if dense:
-            return DenseSymTensor3(tensor.as_dense(), validate=False)
-        return tensor
-
-    def batch_third_directional(self, x, indices, s):
-        tensor = self.batch_third(x, indices)
-        return tensor.apply2(s), tensor.apply3(s)
+        return RankOneSumTensor3(self.features, w3)
 
     #: Online draws above this size are drawn as multinomial counts.
     COUNT_DRAW_THRESHOLD = 1_000_000

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DENSE_TENSOR_MAX_DIM, opnorm_mat, t3_norm_estimate
+from .linalg import opnorm_mat, t3_norm_estimate
 from .models import DerivativeBundle, InexactnessBudget
 from .problems import LipschitzProfile
 
@@ -128,8 +128,7 @@ def plan_batches(budget: InexactnessBudget, delta: float, problem,
     return BatchPlan(tuple(sizes), delta, problem.mode)
 
 
-def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
-                  dense_third: bool = False) -> DerivativeBundle:
+def sample_bundle(problem, x, plan: BatchPlan, p: int, rng) -> DerivativeBundle:
     """Averaged sampled derivatives with independent draws per order.
 
     An ``EXACT`` entry (or, offline, a full batch) reproduces the exact
@@ -137,9 +136,6 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
     weighted-reduction code path.
     """
     x = np.asarray(x, dtype=float)
-    if dense_third and problem.dim > DENSE_TENSOR_MAX_DIM:
-        raise ValueError("dense third derivative not available above "
-                         f"n = {DENSE_TENSOR_MAX_DIM}")
 
     def batch(order):
         size = plan.size(order)
@@ -154,10 +150,7 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
     third = None
     if p >= 3:
         idx3 = batch(3)
-        if idx3 is None:
-            third = problem.third(x, dense=dense_third)
-        else:
-            third = problem.batch_third(x, idx3, dense=dense_third)
+        third = problem.third(x) if idx3 is None else problem.batch_third(x, idx3)
     return DerivativeBundle(x=x, value=problem.value(x), grad=grad, hess=hess,
                             third=third, p=p)
 

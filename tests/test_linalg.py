@@ -11,9 +11,6 @@ from tensorstep import (
     dp_hess,
     dp_value,
     opnorm_mat,
-    t3_apply,
-    t3_apply2,
-    t3_apply3,
     t3_norm_estimate,
     zero_tensor3,
 )
@@ -114,28 +111,28 @@ class TestThirdOrderTensors:
     def test_zero_tensor_contractions(self, rng):
         t = zero_tensor3(5)
         s = rng.standard_normal(5)
-        assert np.all(t3_apply(t, s) == 0)
-        assert np.all(t3_apply2(t, s) == 0)
-        assert t3_apply3(t, s) == 0.0
+        assert np.all(t.apply(s) == 0)
+        assert np.all(t.apply2(s) == 0)
+        assert t.apply3(s) == 0.0
 
     def test_zero_direction(self, rng):
         t = random_dense_tensor(rng, 4)
-        assert np.all(t3_apply2(t, np.zeros(4)) == 0)
+        assert np.all(t.apply2(np.zeros(4)) == 0)
 
     def test_matches_naive_triple_loop(self, rng):
         t = random_dense_tensor(rng, 4)
         s = rng.standard_normal(4)
         mat, vec, scalar = naive_contractions(t.entries, s)
-        np.testing.assert_allclose(t3_apply(t, s), mat, atol=1e-12)
-        np.testing.assert_allclose(t3_apply2(t, s), vec, atol=1e-12)
-        assert t3_apply3(t, s) == pytest.approx(scalar, abs=1e-12)
+        np.testing.assert_allclose(t.apply(s), mat, atol=1e-12)
+        np.testing.assert_allclose(t.apply2(s), vec, atol=1e-12)
+        assert t.apply3(s) == pytest.approx(scalar, abs=1e-12)
 
     def test_contraction_consistency(self, rng):
         t = random_dense_tensor(rng, 5)
         for _ in range(10):
             s = rng.standard_normal(5)
-            lhs = float(t3_apply(t, s) @ s @ s)
-            assert lhs == pytest.approx(t3_apply3(t, s), rel=1e-10, abs=1e-12)
+            lhs = float(t.apply(s) @ s @ s)
+            assert lhs == pytest.approx(t.apply3(s), rel=1e-10, abs=1e-12)
 
     def test_rank_one_sum_matches_dense(self, rng):
         rows = rng.standard_normal((7, 4))
@@ -163,6 +160,15 @@ class TestThirdOrderTensors:
         s = rng.standard_normal(3)
         np.testing.assert_allclose(diff.apply2(s), a.apply2(s) - b.apply2(s), atol=1e-12)
 
+    def test_difference_over_shared_rows(self, rng):
+        rows = rng.standard_normal((6, 3))
+        a = RankOneSumTensor3(rows, rng.standard_normal(6))
+        b = RankOneSumTensor3(rows, rng.standard_normal(6))
+        diff = a - b
+        assert diff.rows is rows
+        s = rng.standard_normal(3)
+        np.testing.assert_allclose(diff.apply2(s), a.apply2(s) - b.apply2(s), atol=1e-12)
+
     def test_dense_symmetry_validation(self, rng):
         bad = rng.standard_normal((3, 3, 3))
         with pytest.raises(ValueError):
@@ -175,7 +181,7 @@ class TestThirdOrderTensors:
     def test_dimension_mismatch(self, rng):
         t = random_dense_tensor(rng, 3)
         with pytest.raises(DimensionMismatchError):
-            t3_apply(t, np.zeros(4))
+            t.apply(np.zeros(4))
 
 
 class TestOperatorNorm:

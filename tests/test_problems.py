@@ -28,8 +28,8 @@ class TestQuadratic:
     def test_third_derivative_is_zero(self, rng):
         prob = make_quadratic(4, seed=0)
         x, s = rng.standard_normal(4), rng.standard_normal(4)
-        vec, scalar = prob.third_directional(x, s)
-        assert np.all(vec == 0) and scalar == 0.0
+        third = prob.third(x)
+        assert np.all(third.apply2(s) == 0) and third.apply3(s) == 0.0
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -111,14 +111,6 @@ class TestLogisticProblem:
         fd = (prob.hessian(x + h * s) - prob.hessian(x - h * s)) / (2 * h)
         analytic = prob.third(x).apply(s)
         assert np.abs(analytic - fd).max() < 1e-5 * max(1.0, np.abs(fd).max())
-
-    def test_dense_third_matches_directional(self, rng):
-        prob = make_logistic(n=5, m=20, seed=6)
-        x, s = rng.standard_normal(5), rng.standard_normal(5)
-        dense = prob.third(x, dense=True)
-        vec, scalar = prob.third_directional(x, s)
-        np.testing.assert_allclose(dense.apply2(s), vec, atol=1e-10)
-        assert dense.apply3(s) == pytest.approx(scalar, abs=1e-10)
 
     def test_hessian_psd_with_ridge(self, rng):
         prob = make_logistic(n=5, m=40, seed=7, mu=1e-3)
