@@ -56,7 +56,6 @@ from .sampling import (
 )
 from .subsolvers import (
     RegularizedQuartic,
-    SubsolverConfig,
     bregman_minimize_zeta,
     generic_model_minimize,
     relative_smoothness_constant,

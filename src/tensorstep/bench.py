@@ -61,13 +61,12 @@ class RateFit:
     rms: float
 
 
-def fit_rate(ks, gaps, p: int, drop_head: int = 2,
-             f_ref: float | None = None) -> RateFit:
+def fit_rate(ks, gaps, p: int, f_ref: float | None = None) -> RateFit:
     """Least-squares slope of ``log(gap)`` against ``log(k + p + 1)``.
 
-    Drops the first ``drop_head`` points and anything within 100 machine
-    epsilons of the reference value (the numerical floor). Needs at least
-    five usable points.
+    Drops the first two points and anything within 100 machine epsilons of
+    the reference value (the numerical floor). Needs at least five usable
+    points.
     """
     ks = np.asarray(ks, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -76,7 +75,7 @@ def fit_rate(ks, gaps, p: int, drop_head: int = 2,
     floor = 0.0
     if f_ref is not None:
         floor = 100.0 * np.finfo(float).eps * abs(f_ref)
-    keep = (np.arange(ks.size) >= drop_head) & (gaps > max(floor, 0.0))
+    keep = (np.arange(ks.size) >= 2) & (gaps > max(floor, 0.0))
     if keep.sum() < 5:
         raise InsufficientDataError(
             f"only {int(keep.sum())} usable points above the floor, need 5")
@@ -104,7 +103,7 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
         nonlocal x_prev
         y = x + (k - 1.0) / (k + 2.0) * (x - x_prev) if accelerated and k > 0 else x
         x_prev = x
-        return SimpleNamespace(x=y, grad=problem.gradient(y)), used, None
+        return SimpleNamespace(x=y, grad=problem.gradient(y)), used
 
     def step(x, bundle):
         x_next = bundle.x - lr * bundle.grad
@@ -117,6 +116,20 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------
+
+def _is_number(value) -> bool:
+    """An int or float; JSON ``true``/``false`` are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """A positive integer."""
+    return _is_int(value) and value >= 1
+
 
 @dataclass
 class ExperimentConfig:
@@ -148,16 +161,18 @@ class ExperimentConfig:
         if method not in VALID_METHODS:
             problems.append(f"method: must be one of {VALID_METHODS}, got {method!r}")
         p = data.get("p", 3)
-        if p not in (2, 3):
+        if not _is_int(p) or p not in (2, 3):
             problems.append(f"p: must be 2 or 3, got {p!r}")
         eps = data.get("eps", [1e-6])
         if not isinstance(eps, (list, tuple)) or len(eps) == 0:
             problems.append("eps: must be a nonempty list")
-        elif any(not isinstance(e, (int, float)) or e <= 0 for e in eps):
+        elif any(not _is_number(e) or e <= 0 for e in eps):
             problems.append("eps: entries must be positive numbers")
         seeds = data.get("seeds", [0])
         if not isinstance(seeds, (list, tuple)) or len(seeds) == 0:
             problems.append("seeds: must be a nonempty list")
+        elif any(not _is_int(s) or s < 0 for s in seeds):
+            problems.append("seeds: entries must be nonnegative integers")
         elif len(set(seeds)) != len(seeds):
             problems.append("seeds: entries must be distinct")
         kappa = data.get("kappa", "exact")
@@ -165,24 +180,30 @@ class ExperimentConfig:
             if kappa not in ("exact", "corollary"):
                 problems.append(f"kappa: unknown policy {kappa!r}")
         elif isinstance(kappa, (list, tuple)):
-            if len(kappa) != p or any(k < 0 for k in kappa):
+            if len(kappa) != p or any(not _is_number(k) or k < 0 for k in kappa):
                 problems.append("kappa: explicit array needs p nonnegative entries")
         else:
             problems.append("kappa: must be a policy name or an array")
         tau = data.get("tau", 4.0)
-        if not isinstance(tau, (int, float)):
+        if not _is_number(tau):
             problems.append(f"tau: must be a number, got {tau!r}")
         elif method in ("itm", "stm") and tau <= 2:
             problems.append(f"tau: must be > 2 for {method}, got {tau!r}")
         delta = data.get("delta", 0.1)
-        if not 0 < delta <= 1:
+        if not _is_number(delta) or not 0 < delta <= 1:
             problems.append(f"delta: must be in (0, 1], got {delta!r}")
         max_iter = data.get("max_iter", 100)
-        if not isinstance(max_iter, int) or max_iter < 1:
+        if not _is_count(max_iter):
             problems.append(f"max_iter: must be a positive integer, got {max_iter!r}")
         diameter = data.get("diameter")
-        if diameter is not None and diameter <= 0:
-            problems.append("diameter: must be positive when given")
+        if diameter is not None and (not _is_number(diameter) or diameter <= 0):
+            problems.append("diameter: must be a positive number when given")
+        x0_offset = data.get("x0_offset", 1.0)
+        if not _is_number(x0_offset):
+            problems.append(f"x0_offset: must be a number, got {x0_offset!r}")
+        out = data.get("out")
+        if out is not None and not isinstance(out, str):
+            problems.append(f"out: must be a path string, got {out!r}")
         if problems:
             raise ConfigError(problems)
         return cls(
@@ -192,8 +213,7 @@ class ExperimentConfig:
             kappa=tuple(kappa) if isinstance(kappa, (list, tuple)) else kappa,
             delta=float(delta), tau=float(tau),
             max_iter=max_iter, diameter=diameter,
-            x0_offset=float(data.get("x0_offset", 1.0)),
-            out=data.get("out"),
+            x0_offset=float(x0_offset), out=out,
         )
 
 
@@ -213,10 +233,12 @@ def parse_config(path) -> ExperimentConfig:
 def build_problem(spec: dict):
     """Instantiate a problem from its config block (inline or generator)."""
     kind = spec.get("kind")
-    missing = [f"problem.{key}: required for kind {kind!r}"
-               for key in REQUIRED_PROBLEM_FIELDS.get(kind, ()) if key not in spec]
-    if missing:
-        raise ConfigError(missing)
+    bad = [f"problem.{key}: required for kind {kind!r}"
+           for key in REQUIRED_PROBLEM_FIELDS.get(kind, ()) if key not in spec]
+    bad += [f"problem.{key}: must be a positive integer, got {spec[key]!r}"
+            for key in ("n", "m", "pool") if key in spec and not _is_count(spec[key])]
+    if bad:
+        raise ConfigError(bad)
     if kind == "quadratic" and "A" in spec:
         return problem_from_dict(spec)
     if kind == "logistic-finite-sum" and ("features" in spec or "generator" in spec):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -27,7 +28,7 @@ from .bench import (
     run_experiment,
     start_point,
 )
-from .errors import ConfigError, InsufficientDataError, TensorStepError
+from .errors import ConfigError, TensorStepError
 from .methods import default_profile
 from .models import InexactnessBudget
 from .sampling import plan_batches, sample_bundle, verify_condition
@@ -79,7 +80,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = load_trace_csv(args.trace)
+    try:
+        data = load_trace_csv(args.trace)
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"trace: cannot read {args.trace}: {exc!r}"]) from exc
     fit = fit_rate(data["k"], data["f_gap"], args.p)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"window={fit.window} rms={fit.rms:.4f}")
@@ -151,9 +155,6 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print(f"config error: {line}", file=sys.stderr)
         return 1
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TensorStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

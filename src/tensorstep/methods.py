@@ -9,9 +9,8 @@ on the oracle's gradient. It then takes the step and stops once the
 recorded step norm falls to ``step_stop``. A method supplies only two
 callables:
 
-* an oracle ``(k, x) -> (bundle, used, condition)``: derivatives at ``x``
-  (anything with a ``grad``), the per-order component counts spent on them,
-  and an optional ``ConditionReport``;
+* an oracle ``(k, x) -> (bundle, used)``: derivatives at ``x`` (anything
+  with a ``grad``) and the per-order component counts spent on them;
 * a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
 
 ``itm_run`` takes the exact bundle and minimizes the smooth regularized
@@ -28,10 +27,14 @@ The theory-side calculators mirror the convergence analysis:
 * ``kappa_defaults`` produces the per-order tolerance choice
   ``kappa_i ~ L^((i-1)/p) i! / D^((p-i+1)/p)``. As printed, those values are
   inconsistent with the budget: the order-1 term alone contributes
-  ``2 (p+1) eps`` to the bound, so the residual target can never be met. The
-  calibrated variant (default) scales order ``i`` by ``1 / (2 (p+1)^(i+1))``,
+  ``2 (p+1) eps`` to the bound, so the residual target can never be met.
+  ``kappa_defaults`` therefore scales order ``i`` by ``1 / (2 (p+1)^(i+1))``,
   which makes every term of the bound at the budget at most ``eps / (p+1)``
-  and the total at most ``eps``; ``calibrated=False`` returns the raw values.
+  and the total at most ``eps``.
+
+Whether a sampled bundle meets the per-order inexactness condition is
+checked outside the loop, by ``sampling.verify_condition`` (the CLI's
+``verify-condition`` subcommand).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import numpy as np
 
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
-from .sampling import EXACT, ConditionReport, plan_batches, sample_bundle, verify_condition
-from .subsolvers import SubsolverConfig, bregman_minimize_zeta, solve_model_p2
+from .sampling import EXACT, plan_batches, sample_bundle
+from .subsolvers import bregman_minimize_zeta, solve_model_p2
 
 #: Step-norm floor below which a run is declared converged.
 STEP_FLOOR = 1e-12
@@ -55,21 +58,18 @@ STEP_FLOOR = 1e-12
 # theory calculators
 # ---------------------------------------------------------------------------
 
-def kappa_defaults(lip_top: float, diameter: float, p: int,
-                   calibrated: bool = True) -> tuple:
+def kappa_defaults(lip_top: float, diameter: float, p: int) -> tuple:
     """Per-order inexactness tolerances for an eps-accurate run.
 
-    With ``calibrated=True`` (default) the raw choice is scaled by
-    ``1/(2 (p+1)^(i+1))`` per order so that the residual bound evaluated at
-    the iteration budget is at most ``eps``.
+    The paper's choice scaled by ``1/(2 (p+1)^(i+1))`` per order, so that the
+    residual bound evaluated at the iteration budget is at most ``eps``.
     """
     if lip_top <= 0 or diameter <= 0:
         raise ValueError("need positive Lipschitz constant and diameter")
     out = []
     for i in range(1, p + 1):
         raw = lip_top ** ((i - 1) / p) * math.factorial(i) / diameter ** ((p - i + 1) / p)
-        if calibrated:
-            raw /= 2.0 * (p + 1) ** (i + 1)
+        raw /= 2.0 * (p + 1) ** (i + 1)
         out.append(raw)
     return tuple(out)
 
@@ -115,7 +115,6 @@ class RunConfig:
     p: int = 3
     eps: float = 1e-6
     kappa: object = "exact"          # "exact" | "corollary" | explicit sequence
-    sigma: float | None = None       # p=2 only; None -> L_p (p=3 uses the coupling)
     tau: float = 4.0
     diameter: float | None = None    # needed by the corollary kappa policy
     max_iter: int = 100
@@ -124,8 +123,6 @@ class RunConfig:
     delta: float = 0.1
     grad_stop: float = 0.0           # optional gradient-norm stop (0 = off)
     step_stop: float = STEP_FLOOR
-    inner: SubsolverConfig | None = None
-    verify_each: bool = False        # test mode: per-iteration condition report
 
     def __post_init__(self):
         if self.p not in (2, 3):
@@ -136,8 +133,6 @@ class RunConfig:
             raise ValueError("the corollary kappa policy needs a positive diameter")
         if self.mode not in ("deterministic", "stochastic"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.p == 3 and self.sigma is not None:
-            raise ValueError("sigma is set by the tau coupling at p=3; leave it None")
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,6 @@ class IterationRecord:
     grad_calls: int                   # cumulative sampled-derivative counts
     hess_calls: int
     third_calls: int
-    condition: ConditionReport | None = None
 
 
 @dataclass
@@ -212,27 +206,23 @@ def resolve_kappas(config: RunConfig, profile: LipschitzProfile) -> tuple:
 
 def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
                          kappas: tuple) -> ModelConfig:
-    """Model regularization: the tau coupling for p=3, sigma >= L_p otherwise.
+    """Model regularization: the tau coupling for p=3, sigma = L_p at p=2.
 
-    The order-3 path has no free sigma (``RunConfig`` rejects one), because
-    the proved relative-smoothness constants of the inner solver require the
-    coupling.
+    The order-3 path has no free sigma, because the proved
+    relative-smoothness constants of the inner solver require the coupling.
     """
     lip_top = profile.lip(config.p)
     if config.p == 3:
         return ModelConfig.coupled(lip_top, kappas[2], tau=config.tau)
-    sigma = config.sigma if config.sigma is not None else lip_top
-    if sigma < lip_top:
-        raise ValueError(f"sigma={sigma} below the certified L_p={lip_top}")
-    return ModelConfig(p=config.p, sigma=sigma, tau=config.tau)
+    return ModelConfig(p=config.p, sigma=lip_top, tau=config.tau)
 
 
 def model_step(bundle: DerivativeBundle, budget: InexactnessBudget,
-               mconfig: ModelConfig, inner: SubsolverConfig | None):
+               mconfig: ModelConfig):
     """Minimize the smooth model; returns ``(step, inner_iterations)``."""
     if bundle.p == 2:
         return solve_model_p2(bundle, budget, mconfig), 1
-    step, stats = bregman_minimize_zeta(bundle, budget, mconfig, inner)
+    step, stats = bregman_minimize_zeta(bundle, budget, mconfig)
     return step, stats.iterations
 
 
@@ -262,13 +252,13 @@ def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace
             return _finish(trace, "gap-target", k, fx, calls)
         if k == config.max_iter:
             return _finish(trace, "max-iter", k, fx, calls)
-        bundle, used, condition = oracle(k, x)
+        bundle, used = oracle(k, x)
         calls = tuple(c + u for c, u in zip(calls, used))
         if config.grad_stop > 0 and float(np.linalg.norm(bundle.grad)) <= config.grad_stop:
             return _finish(trace, "grad-floor", k, fx, calls)
         x_next, step_norm, inner_iters = step(x, bundle)
         trace.records.append(IterationRecord(
-            k, fx, step_norm, inner_iters, used, *calls, condition=condition))
+            k, fx, step_norm, inner_iters, used, *calls))
         x = trace.x_final = x_next
         if step_norm <= config.step_stop:
             return _finish(trace, "step-floor", k + 1, problem.value(x), calls)
@@ -280,10 +270,9 @@ def _model_method(problem, x0, config: RunConfig):
     kappas = resolve_kappas(config, profile)
     budget = InexactnessBudget(config.eps, kappas)
     mconfig = resolve_model_config(config, profile, kappas)
-    inner = config.inner or SubsolverConfig(tau=config.tau)
 
     def step(x, bundle):
-        h, inner_iters = model_step(bundle, budget, mconfig, inner)
+        h, inner_iters = model_step(bundle, budget, mconfig)
         return x + h, float(np.linalg.norm(h)), inner_iters
 
     return profile, budget, step
@@ -299,7 +288,7 @@ def itm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     used = (problem.m, problem.m, problem.m if config.p >= 3 else 0)
 
     def oracle(k, x):
-        return exact_bundle(problem, x, config.p), used, None
+        return exact_bundle(problem, x, config.p), used
 
     return _outer_loop(problem, x0, config, f_ref, oracle, step)
 
@@ -318,10 +307,7 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
         plan = plan_batches(budget, config.delta, problem, profile)
         bundle = sample_bundle(problem, x, plan, config.p, rng)
         used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
-        report = None
-        if config.verify_each:
-            report = verify_condition(problem, bundle, budget, rng=rng)
-        return bundle, used + (0,) * (3 - config.p), report
+        return bundle, used + (0,) * (3 - config.p)
 
     return _outer_loop(problem, x0, config, f_ref, oracle, step)
 
@@ -330,10 +316,9 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
 # reference solutions and default constants
 # ---------------------------------------------------------------------------
 
-def default_profile(problem, x0, radius: float | None = None) -> LipschitzProfile:
-    """Certify constants on a generous ball around the start point."""
-    if radius is None:
-        radius = 4.0 * max(1.0, float(np.linalg.norm(x0)))
+def default_profile(problem, x0) -> LipschitzProfile:
+    """Certify constants on the ball of radius ``4 max(1, ||x0||)`` around ``x0``."""
+    radius = 4.0 * max(1.0, float(np.linalg.norm(x0)))
     return problem.lipschitz_profile(np.asarray(x0, dtype=float), radius)
 
 

@@ -88,12 +88,11 @@ class InexactnessBudget:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Regularization sigma, Bregman parameter tau and model selector."""
+    """Model order p, regularization sigma and Bregman parameter tau."""
 
     p: int
     sigma: float
     tau: float = 4.0
-    smooth: bool = True
 
     def __post_init__(self):
         if self.p < 2:
@@ -102,8 +101,7 @@ class ModelConfig:
             raise ValueError("sigma must be positive")
 
     @classmethod
-    def coupled(cls, lip_top: float, kappa_top: float, tau: float = 4.0,
-                p: int = 3) -> "ModelConfig":
+    def coupled(cls, lip_top: float, kappa_top: float, tau: float = 4.0) -> "ModelConfig":
         """Order-3 config with sigma from ``2 sigma + 2 kappa_t = 3 tau^2 (L_3 + kappa_t)``.
 
         Requires ``tau > 2``, which also guarantees ``sigma > L_3``.
@@ -111,7 +109,7 @@ class ModelConfig:
         if tau <= 2:
             raise ValueError("the coupled configuration needs tau > 2")
         sigma = 1.5 * tau * tau * (lip_top + kappa_top) - kappa_top
-        return cls(p=p, sigma=sigma, tau=tau)
+        return cls(p=3, sigma=sigma, tau=tau)
 
 
 def coupling_residual(config: ModelConfig, lip_top: float, kappa_top: float) -> float:

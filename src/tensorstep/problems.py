@@ -96,12 +96,8 @@ class StochasticDraw:
     """
 
     indices: np.ndarray | None
-    mode: str
     size: int
     counts: np.ndarray | None = None
-
-    def __len__(self):
-        return self.size
 
 
 class QuadraticProblem:
@@ -166,7 +162,7 @@ class QuadraticProblem:
     def draw(self, batch_size, rng) -> StochasticDraw:
         if batch_size > self.m:
             raise ValueError(f"offline batch size {batch_size} exceeds m = {self.m}")
-        return StochasticDraw(np.zeros(batch_size, dtype=np.int64), self.mode, batch_size)
+        return StochasticDraw(np.zeros(batch_size, dtype=np.int64), batch_size)
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         if radius <= 0:
@@ -330,12 +326,12 @@ class LogisticProblem:
             if batch_size > self.m:
                 raise ValueError(f"offline batch size {batch_size} exceeds m = {self.m}")
             idx = rng.choice(self.m, size=batch_size, replace=False)
-            return StochasticDraw(np.asarray(idx, dtype=np.int64), self.mode, batch_size)
+            return StochasticDraw(np.asarray(idx, dtype=np.int64), batch_size)
         if batch_size > self.COUNT_DRAW_THRESHOLD:
             counts = rng.multinomial(batch_size, np.full(self.m, 1.0 / self.m))
-            return StochasticDraw(None, self.mode, batch_size, counts=counts)
+            return StochasticDraw(None, batch_size, counts=counts)
         idx = rng.integers(0, self.m, size=batch_size)
-        return StochasticDraw(np.asarray(idx, dtype=np.int64), self.mode, batch_size)
+        return StochasticDraw(np.asarray(idx, dtype=np.int64), batch_size)
 
     # -- constants -----------------------------------------------------------
 

@@ -39,15 +39,11 @@ THIRD_ORDER_SAFETY = 2.0
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Per-order batch sizes with their confidence and sampling mode."""
+    """Per-order batch sizes; ``EXACT`` marks an exact derivative."""
 
     sizes: tuple
-    delta: float
-    mode: str
 
     def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise ValueError("confidence delta must be in (0, 1]")
         if any((s != EXACT and s < 1) for s in self.sizes):
             raise ValueError("batch sizes must be at least 1")
 
@@ -113,6 +109,8 @@ def batch_size_offline(order: int, kappa: float, eps: float, delta: float,
 def plan_batches(budget: InexactnessBudget, delta: float, problem,
                  profile: LipschitzProfile) -> BatchPlan:
     """Per-order plan with the failure probability split evenly across orders."""
+    if not 0 < delta <= 1:
+        raise ValueError("confidence delta must be in (0, 1]")
     p = budget.p
     per_order_delta = delta / p
     sizes = []
@@ -125,7 +123,7 @@ def plan_batches(budget: InexactnessBudget, delta: float, problem,
             sizes.append(batch_size_online(i, budget.kappa(i), budget.eps,
                                            per_order_delta, problem.dim,
                                            profile, p))
-    return BatchPlan(tuple(sizes), delta, problem.mode)
+    return BatchPlan(tuple(sizes))
 
 
 def sample_bundle(problem, x, plan: BatchPlan, p: int, rng) -> DerivativeBundle:
@@ -167,13 +165,9 @@ class ConditionReport:
     ratios: tuple
     passes: tuple
 
-    @property
-    def all_pass(self):
-        return all(self.passes)
-
 
 def verify_condition(problem, bundle: DerivativeBundle, budget: InexactnessBudget,
-                     n_dirs: int = 32, rng=None) -> ConditionReport:
+                     rng=None) -> ConditionReport:
     """Compare sampled derivatives against exact ones, order by order.
 
     Orders 1 and 2 are exact (vector norm, symmetric operator norm); order 3
@@ -196,7 +190,7 @@ def verify_condition(problem, bundle: DerivativeBundle, budget: InexactnessBudge
     if p >= 3:
         seed = int(rng.integers(0, 2 ** 31 - 1)) if rng is not None else 0
         err = bundle.third - problem.third(x)
-        est = t3_norm_estimate(err, n_dirs=n_dirs, seed=seed)
+        est = t3_norm_estimate(err, n_dirs=32, seed=seed)
         r3 = est / budget.eps_power(3)
         ratios.append(r3)
         passes.append(THIRD_ORDER_SAFETY * r3 <= budget.kappa(3))

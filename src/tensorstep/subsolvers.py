@@ -20,9 +20,12 @@ proximal-gradient iteration
 with reference function ``rho(h) = (1 - 2/tau)(<B h, h>/2 + C2 d_2(h))
 + Q d_4(h)`` and ``k(tau) = (tau + 2)/(tau - 2)``; under the sigma coupling
 ``2 sigma + 2 kappa_t = 3 tau^2 (L_3 + kappa_t)`` the model satisfies
-``hess rho <= hess zeta <= k(tau) hess rho``, each inner step is one
-regularized-quartic solve reusing the eigendecomposition of ``B``, and the
-model value decreases monotonically with a linear rate.
+``hess rho <= hess zeta <= k(tau) hess rho``, and the model value decreases
+monotonically with a linear rate. Each inner step is one regularized quartic
+in the fixed matrix ``B``: the loop factors ``B`` once and solves every step
+with the eigenbasis core of ``solve_regularized_quartic``, hard case
+included, but without its residual postcondition, which would cost one more
+n-by-n product per step.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve; ``generic_model_minimize`` is a first-order fallback used for
@@ -50,6 +53,9 @@ logger = logging.getLogger(__name__)
 
 #: Required stationarity residual of the quartic solver, relative to max(1, ||c||).
 QUARTIC_RESIDUAL_TOL = 1e-10
+
+#: Absolute model-gradient norm at which the inner Bregman loop stops.
+INNER_GRAD_TOL = 1e-9
 
 #: Scalar tolerance of the secular root finder.
 SECULAR_TOL = 1e-14
@@ -84,31 +90,12 @@ class RegularizedQuartic:
 
 
 @dataclass
-class SubsolverConfig:
-    """Stopping rule of the inner Bregman loop.
-
-    ``grad_tol`` is an absolute gradient-norm threshold by default (set
-    ``relative=True`` to scale it by the initial gradient norm).
-    """
-
-    tau: float = 4.0
-    grad_tol: float = 1e-9
-    max_inner: int = 200
-    relative: bool = False
-
-    def __post_init__(self):
-        if self.tau <= 2:
-            raise ValueError("Bregman parameter needs tau > 2")
-
-
-@dataclass
 class InnerStats:
     """Per-call record of the inner loop, kept for diagnostics and tests."""
 
     iterations: int = 0
     zeta_values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    converged: bool = False
 
 
 def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
@@ -165,46 +152,13 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
     Postcondition: ``||grad q(h*)|| <= 1e-10 * max(1, ||c||)``.
     """
     c = np.asarray(q.c, dtype=float)
-    n = c.size
     mat = q.beta * 0.5 * (q.B + q.B.T)
     lam_b, vecs = np.linalg.eigh(mat)
     if lam_b[0] < -1e-12 * max(1.0, abs(lam_b[-1])):
         logger.info("quartic subproblem: curvature matrix indefinite, "
                     "bottom eigenvalue %.3e handled via the shifted secular path",
                     lam_b[0])
-    lam = lam_b + q.a
-    ct = vecs.T @ c
-    c2 = ct * ct
-
-    if q.b == 0.0:
-        if lam.min() <= 0.0:
-            raise SubsolverError(
-                "b = 0 requires beta B + a I to be positive definite",
-                residual=float(lam.min()),
-            )
-        h = vecs @ (-ct / lam)
-    else:
-        lam_min = float(lam.min())
-        mu_lo = max(0.0, -lam_min)
-        bottom = lam - lam_min <= 1e-12 * max(1.0, abs(lam_min))
-        hard_case = False
-        if mu_lo > 0.0:
-            proj = float(np.sqrt(np.sum(c2[bottom])))
-            if proj <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
-                denom = lam[~bottom] + mu_lo
-                r2_interior = float(np.sum(c2[~bottom] / (denom * denom)))
-                if q.b * r2_interior <= mu_lo:
-                    # boundary solution: pad radius along the bottom eigenvector
-                    hard_case = True
-                    coeff = np.zeros(n)
-                    coeff[~bottom] = -ct[~bottom] / denom
-                    extra = math.sqrt(max(0.0, mu_lo / q.b - r2_interior))
-                    coeff[np.argmax(bottom)] += extra
-                    h = vecs @ coeff
-        if not hard_case:
-            mu = _secular_root(lam, c2, q.b)
-            denom = np.maximum(lam + mu, 1e-300)
-            h = vecs @ (-ct / denom)
+    h = _minimize_in_eigenbasis(c, lam_b, vecs, q.a, q.b)
 
     residual = float(np.linalg.norm(q.grad(h)))
     tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(c)))
@@ -214,6 +168,38 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
             best=h, residual=residual,
         )
     return h
+
+
+def _minimize_in_eigenbasis(c, lam_b, vecs, a, b):
+    """Global minimizer of the quartic with ``beta B = vecs diag(lam_b) vecs^T``."""
+    lam = lam_b + a
+    ct = vecs.T @ c
+    c2 = ct * ct
+
+    if b == 0.0:
+        if lam.min() <= 0.0:
+            raise SubsolverError(
+                "b = 0 requires beta B + a I to be positive definite",
+                residual=float(lam.min()),
+            )
+        return vecs @ (-ct / lam)
+
+    lam_min = float(lam.min())
+    mu_lo = max(0.0, -lam_min)
+    if mu_lo > 0.0:
+        bottom = lam - lam_min <= 1e-12 * max(1.0, abs(lam_min))
+        proj = float(np.sqrt(np.sum(c2[bottom])))
+        if proj <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
+            denom = lam[~bottom] + mu_lo
+            r2_interior = float(np.sum(c2[~bottom] / (denom * denom)))
+            if b * r2_interior <= mu_lo:
+                # hard case: boundary solution, padded along the bottom eigenvector
+                coeff = np.zeros(c.size)
+                coeff[~bottom] = -ct[~bottom] / denom
+                coeff[np.argmax(bottom)] += math.sqrt(max(0.0, mu_lo / b - r2_interior))
+                return vecs @ coeff
+    mu = _secular_root(lam, c2, b)
+    return vecs @ (-ct / np.maximum(lam + mu, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +245,20 @@ def rho_hessian(h: np.ndarray, B: np.ndarray, budget: InexactnessBudget,
 
 
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
-                          config: ModelConfig, sub: SubsolverConfig | None = None):
+                          config: ModelConfig, max_inner: int = 200):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
 
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
     coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)`` (use
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
     the fixed matrix ``B``, so its eigendecomposition is computed once and
-    reused across all inner steps. Returns ``(h, InnerStats)``; raises
-    ``SubsolverError`` carrying the best iterate when ``max_inner`` is hit.
+    reused across all inner steps. Stops once ``||grad zeta(h)|| <=
+    INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
+    ``SubsolverError`` carrying the best iterate when that takes more than
+    ``max_inner`` steps.
     """
     if bundle.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
-    sub = sub or SubsolverConfig(tau=config.tau)
-    if abs(sub.tau - config.tau) > 1e-12:
-        raise ValueError("subsolver tau must match the model tau")
 
     model = TaylorModel(bundle, budget, config)
     ktau = relative_smoothness_constant(config.tau)
@@ -285,38 +270,27 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     h = np.zeros(bundle.dim)
     g = model.zeta_grad(h)  # equals the bundle gradient at h = 0
-    tol = sub.grad_tol * (max(1.0, float(np.linalg.norm(g))) if sub.relative else 1.0)
     stats.zeta_values.append(model.zeta(h))
     stats.grad_norms.append(float(np.linalg.norm(g)))
 
     a_q = ktau * a_coef
     b_q = ktau * Q
-    for _ in range(sub.max_inner):
-        if stats.grad_norms[-1] <= tol:
-            stats.converged = True
+    for _ in range(max_inner):
+        if stats.grad_norms[-1] <= INNER_GRAD_TOL:
             return h, stats
         r2 = float(h @ h)
         grad_rho = beta_b * (B @ h) + a_coef * h + Q * r2 * h
         c = g - ktau * grad_rho
-        h = _solve_quartic_with_factorization(c, lam_b, vecs, a_q, b_q)
+        h = _minimize_in_eigenbasis(c, lam_b, vecs, a_q, b_q)
         g = model.zeta_grad(h)
         stats.iterations += 1
         stats.zeta_values.append(model.zeta(h))
         stats.grad_norms.append(float(np.linalg.norm(g)))
     raise SubsolverError(
-        f"inner loop exhausted {sub.max_inner} steps, residual "
+        f"inner loop exhausted {max_inner} steps, residual "
         f"{stats.grad_norms[-1]:.3e}",
         best=h, residual=stats.grad_norms[-1],
     )
-
-
-def _solve_quartic_with_factorization(c, lam_b, vecs, a, b):
-    """Quartic solve reusing a fixed eigendecomposition of ``beta * B``."""
-    lam = lam_b + a
-    ct = vecs.T @ c
-    mu = _secular_root(lam, ct * ct, b)
-    denom = np.maximum(lam + mu, 1e-300)
-    return vecs @ (-ct / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,40 @@ class TestExitCodes:
         assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
 
 
+def fit_args(tmp_path, text):
+    """``fit`` on a trace file holding ``text``, or on a missing file for ``None``."""
+    path = tmp_path / "trace.csv"
+    if text is not None:
+        path.write_text(text)
+    return ["fit", str(path)]
+
+
+MALFORMED = {
+    "delta-string": lambda tmp: ["run", "--config", write_config(tmp, delta="a")],
+    "diameter-string": lambda tmp: ["run", "--config", write_config(tmp, diameter="x")],
+    "seed-string": lambda tmp: ["run", "--config", write_config(tmp, seeds=["a"])],
+    "kappa-strings": lambda tmp: ["run", "--config", write_config(tmp, kappa=["a", "b", "c"])],
+    "x0-offset-string": lambda tmp: ["run", "--config", write_config(tmp, x0_offset="q")],
+    "max-iter-bool": lambda tmp: ["run", "--config", write_config(tmp, max_iter=True)],
+    "n-string": lambda tmp: ["run", "--config", write_config(
+        tmp, problem={"kind": "logistic-synthetic", "n": "4", "m": 300})],
+    "n-zero": lambda tmp: ["run", "--config", write_config(
+        tmp, problem={"kind": "logistic-synthetic", "n": 0, "m": 300})],
+    "fit-missing-file": lambda tmp: fit_args(tmp, None),
+    "fit-no-step-norm": lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"),
+    "fit-non-numeric": lambda tmp: fit_args(
+        tmp, "k,f_gap,step_norm,n1,n2,n3,inner_iters,grad_calls,hess_calls,third_calls\n"
+             "0,x,0,0,0,0,0,0,0,0\n"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_one_without_traceback(self, tmp_path, capsys, case):
+        assert cli.main(MALFORMED[case](tmp_path)) == 1
+        assert "error" in capsys.readouterr().err
+
+
 class TestVerifyCondition:
     def test_order_three_ratio_is_measured(self, tmp_path, capsys, monkeypatch):
         reports = []

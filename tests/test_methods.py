@@ -1,4 +1,5 @@
-"""Outer-loop behaviour: golden trace replays, STM/ITM agreement, monotonicity.
+"""Outer-loop behaviour: golden trace replays, STM/ITM agreement, monotonicity,
+and the rate theory (gaps below the residual bound, budgets that meet eps).
 
 The golden fixtures under ``tests/golden/<name>/`` are the trace CSVs and
 ``summary.json`` that ``run_experiment`` writes for each config in
@@ -9,6 +10,7 @@ is intended) with
     PYTHONPATH=src python tests/test_methods.py
 """
 
+import itertools
 import os
 import sys
 
@@ -19,12 +21,23 @@ from tensorstep import (
     ExperimentConfig,
     RunConfig,
     gd_baseline,
+    iteration_budget,
+    kappa_defaults,
     make_logistic,
     make_quadratic,
+    reference_solution,
     run_experiment,
+    theoretical_residual_bound,
 )
-from tensorstep.bench import start_point
-from tensorstep.methods import itm_run, monotonicity_guard, stm_run
+from tensorstep.bench import build_problem, start_point
+from tensorstep.methods import (
+    default_profile,
+    itm_run,
+    monotonicity_guard,
+    resolve_kappas,
+    resolve_model_config,
+    stm_run,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -40,10 +53,10 @@ GOLDEN_CONFIGS = {
 }
 
 
-def golden_config(name) -> ExperimentConfig:
+def golden_config(name, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict({
         "version": 1, "problem": GOLDEN_PROBLEM, "eps": [1e-6, 1e-3],
-        "seeds": [0, 1], "max_iter": 40, **GOLDEN_CONFIGS[name],
+        "seeds": [0, 1], "max_iter": 40, **GOLDEN_CONFIGS[name], **overrides,
     })
 
 
@@ -55,12 +68,26 @@ def read_tree(directory) -> dict:
     return out
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """``(ExperimentResult, out_dir)`` of one golden config, run once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            runs[name] = run_experiment(golden_config(name), out_dir=str(out)), out
+        return runs[name]
+
+    return run
+
+
 class TestGoldenTraces:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-    def test_replay_is_byte_identical(self, name, tmp_path):
-        run_experiment(golden_config(name), out_dir=str(tmp_path))
+    def test_replay_is_byte_identical(self, name, golden_run):
+        _, out = golden_run(name)
         expected = read_tree(os.path.join(GOLDEN_DIR, name))
-        assert read_tree(tmp_path) == expected
+        assert read_tree(out) == expected
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +131,42 @@ class TestSharedLadder:
         assert trace.records[-2].step_norm <= 1e-12
         assert trace.final.k == len(trace.records) - 1
 
-    def test_sigma_rejected_at_order_three(self):
-        RunConfig(p=2, sigma=1.0)
-        with pytest.raises(ValueError, match="sigma"):
-            RunConfig(p=3, sigma=1.0)
+
+class TestRateTheory:
+    @pytest.mark.parametrize("name, kappa", [
+        ("itm-p2", None), ("itm-p3", None), ("itm-p3", "corollary"), ("stm-p3", None)])
+    def test_gaps_stay_below_residual_bound(self, golden_run, name, kappa):
+        # measured worst gap/bound ratio over these 16 runs: 1.3e-2 (ITM p=2)
+        if kappa is None:
+            config, result = golden_config(name), golden_run(name)[0]
+        else:
+            config = golden_config(name, kappa=kappa)
+            result = run_experiment(config)
+        problem = build_problem(GOLDEN_PROBLEM)
+        x_ref, _ = reference_solution(problem)
+        p = config.p
+        for (eps, seed), trace in result.traces.items():
+            x0 = start_point(problem, config.x0_offset, seed)
+            run = RunConfig(p=p, eps=eps, kappa=config.kappa, tau=config.tau,
+                            diameter=2.0 * float(np.linalg.norm(x0 - x_ref)))
+            profile = default_profile(problem, x0)
+            kappas = resolve_kappas(run, profile)
+            sigma = resolve_model_config(run, profile, kappas).sigma
+            for rec in trace.records:
+                if rec.k >= 1:
+                    bound = theoretical_residual_bound(
+                        rec.k - 1, kappas, eps, run.diameter, profile.lip(p), sigma, p)
+                    assert rec.f - result.f_ref <= bound, (eps, seed, rec.k)
+
+    def test_budget_with_default_kappas_meets_eps(self):
+        # measured worst bound/eps ratio over this grid: 0.72
+        for p, eps, lip, diameter in itertools.product(
+                (2, 3), np.logspace(-2, -8, 7), np.logspace(-3, 3, 7), np.logspace(-1, 1, 5)):
+            for sigma in (lip, 24.0 * lip):
+                budget = iteration_budget(eps, lip, sigma, diameter, p)
+                kappas = kappa_defaults(lip, diameter, p)
+                bound = theoretical_residual_bound(budget, kappas, eps, diameter, lip, sigma, p)
+                assert bound <= eps, (p, eps, lip, diameter, sigma)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ from tensorstep import (
     InexactnessBudget,
     ModelConfig,
     RegularizedQuartic,
-    SubsolverConfig,
     SubsolverError,
     TaylorModel,
     bregman_minimize_zeta,
@@ -21,42 +20,64 @@ from tensorstep.methods import default_profile, exact_bundle
 from tensorstep.subsolvers import rho_reference_coefficients
 
 
+def quartic_values(q: RegularizedQuartic, z):
+    """``q.value`` of every point along the last axis of ``z``."""
+    r2 = np.einsum("...i,...i->...", z, z)
+    return z @ q.c + 0.5 * q.beta * np.einsum("...i,...i->...", z, z @ q.B.T) \
+        + 0.5 * q.a * r2 + 0.25 * q.b * r2 * r2
+
+
+#: Halving factors 2^-j of one backtracking search. A step never exceeds 1e3
+#: and is not tried at or below 1e-16, so 64 halvings cover every search.
+HALVINGS = 0.5 ** np.arange(64)
+
+
+def descend(q: RegularizedQuartic, starts, iters):
+    """Backtracking gradient descent from every row of ``starts`` at once.
+
+    Each row runs its own descent: step 0.25, doubled (up to 1e3) after an
+    accepted Armijo step and halved after a rejected one; a row stops at a
+    gradient norm below 1e-12, or when no step above 1e-16 is accepted. All
+    halvings of one search are tried together and the first accepted is
+    taken, which is the step a one-at-a-time search would accept.
+    """
+    z = np.array(starts, dtype=float)
+    step = np.full(len(z), 0.25)
+    running = np.ones(len(z), dtype=bool)
+    for _ in range(iters):
+        r2 = np.einsum("ij,ij->i", z, z)
+        g = q.c + q.beta * (z @ q.B.T) + (q.a + q.b * r2)[:, None] * z
+        gn2 = np.einsum("ij,ij->i", g, g)
+        running &= np.sqrt(gn2) >= 1e-12
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
+            break
+        trials = step[rows, None] * HALVINGS
+        cand = z[rows, None, :] - trials[..., None] * g[rows, None, :]
+        margin = quartic_values(q, z[rows])[:, None] - 1e-4 * trials * gn2[rows, None]
+        ok = (quartic_values(q, cand) < margin) & (trials > 1e-16)
+        first = ok.argmax(axis=1)
+        moved = ok[np.arange(rows.size), first]
+        z[rows[moved]] = cand[moved, first[moved]]
+        step[rows[moved]] = np.minimum(trials[moved, first[moved]] * 2, 1e3)
+        running[rows[~moved]] = False
+    return z
+
+
 def brute_force_minimum(q: RegularizedQuartic, rng, starts=60, iters=600):
     """Multi-start backtracking descent plus a radial grid refinement."""
-
-    def descend(z):
-        step = 0.25
-        for _ in range(iters):
-            g = q.grad(z)
-            gn = np.linalg.norm(g)
-            if gn < 1e-12:
-                break
-            moved = False
-            while step > 1e-16:
-                cand = z - step * g
-                if q.value(cand) < q.value(z) - 1e-4 * step * gn * gn:
-                    z = cand
-                    step = min(step * 2, 1e3)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return z
-
     n = q.c.size
-    best = descend(np.zeros(n))
+    points = [np.zeros(n)]
     for _ in range(starts):
-        z = descend(rng.standard_normal(n) * rng.uniform(0.1, 3.0))
-        if q.value(z) < q.value(best):
-            best = z
+        points.append(rng.standard_normal(n) * rng.uniform(0.1, 3.0))
+    found = descend(q, points, iters)
+    # the first row that attains the minimum, as a sequential strict-< scan picks
+    best = found[np.argmin(quartic_values(q, found))]
     # radial refinement around the best direction found
     direction = best / max(np.linalg.norm(best), 1e-12)
-    for r in np.linspace(0.2, 3.0, 57) * max(np.linalg.norm(best), 1e-6):
-        z = descend(r * direction)
-        if q.value(z) < q.value(best):
-            best = z
-    return best
+    radii = np.linspace(0.2, 3.0, 57) * max(np.linalg.norm(best), 1e-6)
+    found = np.vstack([best, descend(q, radii[:, None] * direction, iters)])
+    return found[np.argmin(quartic_values(q, found))]
 
 
 class TestRegularizedQuartic:
@@ -180,9 +201,8 @@ class TestBregman:
 
     def test_iteration_cap_carries_best_iterate(self, p3_setup):
         _, bundle, budget, config, _ = p3_setup
-        sub = SubsolverConfig(tau=config.tau, grad_tol=1e-15, max_inner=3)
         with pytest.raises(SubsolverError) as err:
-            bregman_minimize_zeta(bundle, budget, config, sub)
+            bregman_minimize_zeta(bundle, budget, config, max_inner=3)
         assert err.value.best is not None
         assert err.value.residual > 0
 
