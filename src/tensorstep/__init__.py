@@ -1,10 +1,8 @@
 """Inexact and stochastic higher-order (tensor) methods for convex optimization."""
 
 from .errors import (
-    CapacityError,
     ConfigError,
     DimensionMismatchError,
-    EstimationError,
     InsufficientDataError,
     NonsmoothPointError,
     SingularPointError,
@@ -12,9 +10,7 @@ from .errors import (
     TensorStepError,
 )
 from .linalg import (
-    DenseSymTensor3,
     RankOneSumTensor3,
-    SymTensor3,
     dp_grad,
     dp_hess,
     dp_value,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from .methods import (
     RunConfig,
     RunTrace,
@@ -41,12 +42,23 @@ TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
 
 VALID_METHODS = ("itm", "stm", "gd", "agd")
 
-#: Fields a generated problem cannot default.
+#: Fields a problem block cannot default. An inline ``logistic-finite-sum``
+#: block needs ``features`` and ``labels`` unless it names a ``generator``.
 REQUIRED_PROBLEM_FIELDS = {
+    "quadratic": ("A", "b"),
     "quadratic-synthetic": ("n",),
     "logistic-synthetic": ("n", "m"),
     "online-logistic": ("n",),
 }
+
+#: Required and optional fields of an inline ``generator`` block, by name.
+GENERATOR_FIELDS = {
+    "synthetic-logistic": (("n", "m"), ("seed", "mu", "row_scale", "flip_fraction", "mode")),
+    "online-logistic": (("n",), ("pool", "seed", "mu", "clamp", "flip_fraction")),
+}
+
+#: Arrays of an inline problem block and their number of dimensions.
+PROBLEM_ARRAYS = {"A": 2, "b": 1, "features": 2, "labels": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +129,48 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
 # config parsing and validation
 # ---------------------------------------------------------------------------
 
-def _is_number(value) -> bool:
-    """An int or float; JSON ``true``/``false`` are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float that is finite as a float; JSON ``true``/``false``,
+    ``NaN``, ``Infinity`` and integers beyond the float range are not."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_count(value) -> bool:
     """A positive integer."""
     return _is_int(value) and value >= 1
+
+
+def _is_array(value, ndim: int) -> bool:
+    """A nonempty nested list of finite numbers with ``ndim`` dimensions."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return arr.ndim == ndim and arr.size > 0 and bool(np.all(np.isfinite(arr)))
+
+
+#: Checks on the scalar fields of a problem or generator block: field -> (test, requirement).
+PROBLEM_FIELD_CHECKS = {
+    "n": (_is_count, "a positive integer"),
+    "m": (_is_count, "a positive integer"),
+    "pool": (_is_count, "a positive integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "mu": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
+    "cond": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "row_scale": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "clamp": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "flip_fraction": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "mode": (lambda v: v in ("offline", "online"), "'offline' or 'online'"),
+}
 
 
 @dataclass
@@ -217,7 +259,8 @@ class ExperimentConfig:
         )
 
 
-def parse_config(path) -> ExperimentConfig:
+def load_config(path):
+    """The JSON of a config file, unvalidated (``ExperimentConfig.from_dict`` checks it)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -227,22 +270,58 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(
             [f"config: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from exc
-    return ExperimentConfig.from_dict(data)
+    return data
+
+
+def _field_errors(block: dict, prefix: str, required, owner: str) -> list:
+    """Missing required fields and ill-typed known fields of one block."""
+    bad = [f"{prefix}.{key}: required for {owner}" for key in required if key not in block]
+    for key, value in block.items():
+        if key in PROBLEM_FIELD_CHECKS:
+            test, wanted = PROBLEM_FIELD_CHECKS[key]
+            if not test(value):
+                bad.append(f"{prefix}.{key}: must be {wanted}, got {value!r}")
+        elif key in PROBLEM_ARRAYS and not _is_array(value, PROBLEM_ARRAYS[key]):
+            bad.append(f"{prefix}.{key}: must be a nonempty {PROBLEM_ARRAYS[key]}-d "
+                       f"array of finite numbers")
+    return bad
+
+
+def _generator_errors(gen) -> list:
+    """Problems with an inline ``generator`` block: its name, fields and their types."""
+    name = gen.get("name") if isinstance(gen, dict) else None
+    if not isinstance(name, str) or name not in GENERATOR_FIELDS:
+        return [f"problem.generator: must be an object whose name is one of "
+                f"{tuple(GENERATOR_FIELDS)}"]
+    required, optional = GENERATOR_FIELDS[name]
+    bad = [f"problem.generator.{key}: unknown field for generator {name!r}"
+           for key in gen if key not in ("name", *required, *optional)]
+    return bad + _field_errors(gen, "problem.generator", required, f"generator {name!r}")
 
 
 def build_problem(spec: dict):
-    """Instantiate a problem from its config block (inline or generator)."""
+    """Instantiate a problem from its config block (inline or generator).
+
+    Every field that reaches numpy is checked first, so a malformed block is
+    a ``ConfigError`` naming the field.
+    """
     kind = spec.get("kind")
-    bad = [f"problem.{key}: required for kind {kind!r}"
-           for key in REQUIRED_PROBLEM_FIELDS.get(kind, ()) if key not in spec]
-    bad += [f"problem.{key}: must be a positive integer, got {spec[key]!r}"
-            for key in ("n", "m", "pool") if key in spec and not _is_count(spec[key])]
+    if not isinstance(kind, str):
+        raise ConfigError([f"problem.kind: must be a string, got {kind!r}"])
+    if kind == "logistic-finite-sum":
+        required = ("generator",) if "generator" in spec else ("features", "labels")
+    else:
+        required = REQUIRED_PROBLEM_FIELDS.get(kind, ())
+    bad = _field_errors(spec, "problem", required, f"kind {kind!r}")
+    if kind == "logistic-finite-sum" and "generator" in spec:
+        bad += _generator_errors(spec["generator"])
     if bad:
         raise ConfigError(bad)
-    if kind == "quadratic" and "A" in spec:
-        return problem_from_dict(spec)
-    if kind == "logistic-finite-sum" and ("features" in spec or "generator" in spec):
-        return problem_from_dict(spec)
+    if kind in ("quadratic", "logistic-finite-sum"):
+        try:
+            return problem_from_dict(spec)
+        except (ValueError, DimensionMismatchError) as exc:
+            raise ConfigError([f"problem: {exc}"]) from exc
     if kind == "quadratic-synthetic":
         return make_quadratic(n=spec["n"], seed=spec.get("seed", 0),
                               cond=spec.get("cond", 10.0))

@@ -23,8 +23,8 @@ from .bench import (
     build_problem,
     complexity_sweep,
     fit_rate,
+    load_config,
     load_trace_csv,
-    parse_config,
     run_experiment,
     start_point,
 )
@@ -34,22 +34,30 @@ from .models import InexactnessBudget
 from .sampling import plan_batches, sample_bundle, verify_condition
 
 
-def _overlay(args, config: ExperimentConfig) -> ExperimentConfig:
-    if args.mode:
-        config.method = args.mode
-    if args.p:
-        config.p = args.p
-    if args.eps:
-        config.eps = tuple(float(e) for e in args.eps.split(","))
-    if args.seed is not None:
-        config.seeds = (args.seed,)
-    if args.out:
-        config.out = args.out
-    return config
+def _config(args, **fixed) -> ExperimentConfig:
+    """The config file with the command-line overrides and ``fixed`` applied, validated."""
+    data = load_config(args.config)
+    if isinstance(data, dict):
+        if args.mode:
+            data["method"] = args.mode
+        if args.p:
+            data["p"] = args.p
+        if args.eps:
+            try:
+                data["eps"] = [float(e) for e in args.eps.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    [f"eps: --eps must be comma-separated numbers, got {args.eps!r}"]) from None
+        if args.seed is not None:
+            data["seeds"] = [args.seed]
+        if args.out:
+            data["out"] = args.out
+        data.update(fixed)
+    return ExperimentConfig.from_dict(data)
 
 
 def cmd_run(args) -> int:
-    config = _overlay(args, parse_config(args.config))
+    config = _config(args)
     result = run_experiment(config, out_dir=config.out)
     for (eps, seed), trace in result.traces.items():
         final = trace.final
@@ -62,8 +70,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _overlay(args, parse_config(args.config))
-    config.method = "stm"
+    config = _config(args, method="stm")
     problem = build_problem(config.problem)
     summary = complexity_sweep(problem, config)
     print(json.dumps({
@@ -91,7 +98,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify_condition(args) -> int:
-    config = _overlay(args, parse_config(args.config))
+    if args.trials < 1:
+        raise ConfigError([f"trials: --trials must be at least 1, got {args.trials}"])
+    config = _config(args)
     problem = build_problem(config.problem)
     if not isinstance(config.kappa, tuple):
         raise ConfigError(["kappa: verify-condition needs an explicit kappa array"])

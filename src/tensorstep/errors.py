@@ -17,14 +17,6 @@ class SingularPointError(TensorStepError):
     """A second derivative was requested at a point where it blows up."""
 
 
-class CapacityError(TensorStepError):
-    """A dense third-order tensor was requested above the supported size."""
-
-
-class EstimationError(TensorStepError):
-    """An iterative norm estimator failed to converge."""
-
-
 class SubsolverError(TensorStepError):
     """An inner solver exhausted its iteration budget.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonsmoothPointError
-from .linalg import SymTensor3, dp_value, opnorm_mat
+from .linalg import RankOneSumTensor3, dp_value, opnorm_mat
 from .problems import LipschitzProfile
 
 
@@ -33,14 +33,14 @@ from .problems import LipschitzProfile
 class DerivativeBundle:
     """Possibly inexact derivatives of orders 1..p at a center point.
 
-    ``third`` is present iff ``p >= 3``; dense or operator form both work.
+    ``third`` is present iff ``p >= 3``, as a rank-one-sum operator.
     """
 
     x: np.ndarray
     value: float
     grad: np.ndarray
     hess: np.ndarray
-    third: SymTensor3 | None
+    third: RankOneSumTensor3 | None
     p: int
 
     def __post_init__(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import RankOneSumTensor3, SymTensor3, zero_tensor3
+from .linalg import RankOneSumTensor3, zero_tensor3
 
 #: sup over t of |phi^(i)(t)| for the logistic link phi(t) = log(1 + e^-t),
 #: orders i = 1..4. The third-order bound is sqrt(3)/18, attained at
@@ -134,7 +134,7 @@ class QuadraticProblem:
     def hessian(self, x):
         return self.A.copy()
 
-    def third(self, x) -> SymTensor3:
+    def third(self, x) -> RankOneSumTensor3:
         return zero_tensor3(self.dim)
 
     # single-component access: a quadratic is its own single component
@@ -279,7 +279,7 @@ class LogisticProblem:
     def hessian(self, x):
         return self._weighted_hessian(x, self._full_weights())
 
-    def third(self, x) -> SymTensor3:
+    def third(self, x) -> RankOneSumTensor3:
         return RankOneSumTensor3(self.features, self._third_weights(x, self._full_weights()))
 
     def _full_weights(self):
@@ -311,7 +311,7 @@ class LogisticProblem:
     def batch_hessian(self, x, indices):
         return self._weighted_hessian(x, self._weights_from_indices(indices))
 
-    def batch_third(self, x, indices) -> SymTensor3:
+    def batch_third(self, x, indices) -> RankOneSumTensor3:
         w3 = self._third_weights(x, self._weights_from_indices(indices))
         return RankOneSumTensor3(self.features, w3)
 

@@ -44,30 +44,70 @@ def fit_args(tmp_path, text):
     return ["fit", str(path)]
 
 
+def run_args(tmp, *overrides, **fields):
+    return ["run", "--config", write_config(tmp, **fields), *overrides]
+
+
+def problem_args(tmp, **problem):
+    return run_args(tmp, problem=problem)
+
+
+GENERATED = {"kind": "logistic-synthetic", "n": 8, "m": 300}
+
+#: case -> (argv builder, text the config error line must name)
 MALFORMED = {
-    "delta-string": lambda tmp: ["run", "--config", write_config(tmp, delta="a")],
-    "diameter-string": lambda tmp: ["run", "--config", write_config(tmp, diameter="x")],
-    "seed-string": lambda tmp: ["run", "--config", write_config(tmp, seeds=["a"])],
-    "kappa-strings": lambda tmp: ["run", "--config", write_config(tmp, kappa=["a", "b", "c"])],
-    "x0-offset-string": lambda tmp: ["run", "--config", write_config(tmp, x0_offset="q")],
-    "max-iter-bool": lambda tmp: ["run", "--config", write_config(tmp, max_iter=True)],
-    "n-string": lambda tmp: ["run", "--config", write_config(
-        tmp, problem={"kind": "logistic-synthetic", "n": "4", "m": 300})],
-    "n-zero": lambda tmp: ["run", "--config", write_config(
-        tmp, problem={"kind": "logistic-synthetic", "n": 0, "m": 300})],
-    "fit-missing-file": lambda tmp: fit_args(tmp, None),
-    "fit-no-step-norm": lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"),
-    "fit-non-numeric": lambda tmp: fit_args(
+    "delta-string": (lambda tmp: run_args(tmp, delta="a"), "delta"),
+    "diameter-string": (lambda tmp: run_args(tmp, diameter="x"), "diameter"),
+    "seed-string": (lambda tmp: run_args(tmp, seeds=["a"]), "seeds"),
+    "kappa-strings": (lambda tmp: run_args(tmp, kappa=["a", "b", "c"]), "kappa"),
+    "x0-offset-string": (lambda tmp: run_args(tmp, x0_offset="q"), "x0_offset"),
+    "max-iter-bool": (lambda tmp: run_args(tmp, max_iter=True), "max_iter"),
+    "eps-nan": (lambda tmp: run_args(tmp, eps=[float("nan")]), "eps"),
+    "eps-beyond-float-range": (lambda tmp: run_args(tmp, eps=[10 ** 400]), "eps"),
+    "n-string": (lambda tmp: problem_args(tmp, **{**GENERATED, "n": "4"}), "problem.n"),
+    "n-zero": (lambda tmp: problem_args(tmp, **{**GENERATED, "n": 0}), "problem.n"),
+    "problem-seed-string": (
+        lambda tmp: problem_args(tmp, **GENERATED, seed="x"), "problem.seed"),
+    "mu-string": (lambda tmp: problem_args(tmp, **GENERATED, mu="x"), "problem.mu"),
+    "flip-fraction-string": (
+        lambda tmp: problem_args(tmp, **GENERATED, flip_fraction="x"), "problem.flip_fraction"),
+    "quadratic-without-b": (
+        lambda tmp: problem_args(tmp, kind="quadratic", A=[[1]]), "problem.b"),
+    "features-without-labels": (
+        lambda tmp: problem_args(tmp, kind="logistic-finite-sum", features=[[1.0]]),
+        "problem.labels"),
+    "generator-without-m": (
+        lambda tmp: problem_args(tmp, kind="logistic-finite-sum",
+                                 generator={"name": "synthetic-logistic", "n": 4}),
+        "problem.generator.m"),
+    "eps-override-string": (lambda tmp: run_args(tmp, "--eps", "a"), "eps"),
+    "eps-override-zero": (lambda tmp: run_args(tmp, "--eps", "0"), "eps"),
+    "eps-override-negative": (lambda tmp: run_args(tmp, "--eps", "-1"), "eps"),
+    "eps-override-nan": (lambda tmp: run_args(tmp, "--eps", "nan"), "eps"),
+    "p-override-kappa-length": (lambda tmp: run_args(tmp, "--p", "2"), "kappa"),
+    "mode-override-tau": (
+        lambda tmp: run_args(tmp, "--mode", "itm", method="gd", tau=1), "tau"),
+    "seed-override-negative": (lambda tmp: run_args(tmp, "--seed", "-1"), "seeds"),
+    "trials-zero": (lambda tmp: ["verify-condition", "--config", write_config(tmp),
+                                 "--trials", "0"], "trials"),
+    "trials-negative": (lambda tmp: ["verify-condition", "--config", write_config(tmp),
+                                     "--trials", "-2"], "trials"),
+    "fit-missing-file": (lambda tmp: fit_args(tmp, None), "trace"),
+    "fit-no-step-norm": (lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"), "trace"),
+    "fit-non-numeric": (lambda tmp: fit_args(
         tmp, "k,f_gap,step_norm,n1,n2,n3,inner_iters,grad_calls,hess_calls,third_calls\n"
-             "0,x,0,0,0,0,0,0,0,0\n"),
+             "0,x,0,0,0,0,0,0,0,0\n"), "trace"),
 }
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_one_without_traceback(self, tmp_path, capsys, case):
-        assert cli.main(MALFORMED[case](tmp_path)) == 1
-        assert "error" in capsys.readouterr().err
+        argv, field = MALFORMED[case]
+        assert cli.main(argv(tmp_path)) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error: ")]
+        assert any(field in line for line in errors)
 
 
 class TestVerifyCondition:

@@ -17,6 +17,7 @@ from tensorstep import (
     sample_bundle,
     verify_condition,
 )
+from tensorstep.bench import start_point
 from tensorstep.methods import default_profile
 
 EPS = 1e-3
@@ -117,3 +118,18 @@ class TestPlanAndBundle:
                                   rng=np.random.default_rng(0))
         assert report.ratios == (0.0, 0.0, 0.0)
         assert report.passes == (True, True, True)
+
+    def test_sampled_bundles_pass_at_rate_one_minus_delta(self, offline):
+        # kappa 100 samples every order: plan (298, 103, 2) of m = 300
+        problem = offline[0]
+        x0 = start_point(problem, 1.0, 0)
+        budget = InexactnessBudget(EPS, (100.0, 100.0, 100.0))
+        plan = plan_batches(budget, DELTA, problem, default_profile(problem, x0))
+        assert EXACT not in plan.sizes and max(plan.sizes) < problem.m
+        rng = np.random.default_rng(0)
+        trials = 20
+        passes = np.zeros(3)
+        for _ in range(trials):
+            bundle = sample_bundle(problem, x0, plan, 3, rng)
+            passes += verify_condition(problem, bundle, budget, rng=rng).passes
+        assert np.all(passes / trials >= 1.0 - DELTA)
