@@ -125,13 +125,12 @@ class TestThirdOrderTensors:
         assert np.all(t.apply2(np.zeros(4)) == 0)
 
     def test_matches_naive_triple_loop(self, rng):
-        for rank in (None, 7):
-            t = random_tensor(rng, 4, rank)
-            s = rng.standard_normal(4)
-            mat, vec, scalar = naive_contractions(entries(t), s)
-            np.testing.assert_allclose(t.apply(s), mat, atol=1e-12)
-            np.testing.assert_allclose(t.apply2(s), vec, atol=1e-12)
-            assert t.apply3(s) == pytest.approx(scalar, abs=1e-12)
+        t = random_tensor(rng, 4)
+        s = rng.standard_normal(4)
+        mat, vec, scalar = naive_contractions(entries(t), s)
+        np.testing.assert_allclose(t.apply(s), mat, atol=1e-12)
+        np.testing.assert_allclose(t.apply2(s), vec, atol=1e-12)
+        assert t.apply3(s) == pytest.approx(scalar, abs=1e-12)
 
     def test_contraction_consistency(self, rng):
         t = random_tensor(rng, 5)
@@ -139,6 +138,15 @@ class TestThirdOrderTensors:
             s = rng.standard_normal(5)
             lhs = float(t.apply(s) @ s @ s)
             assert lhs == pytest.approx(t.apply3(s), rel=1e-10, abs=1e-12)
+
+    def test_rank_one_sum_matches_dense(self, rng):
+        # fewer terms than the 20 entries of a symmetric 4-tensor
+        op = random_tensor(rng, 4, rank=7)
+        s = rng.standard_normal(4)
+        mat, vec, scalar = naive_contractions(entries(op), s)
+        np.testing.assert_allclose(op.apply(s), mat, atol=1e-12)
+        np.testing.assert_allclose(op.apply2(s), vec, atol=1e-12)
+        assert op.apply3(s) == pytest.approx(scalar, abs=1e-12)
 
     def test_operator_form_identity_on_probes(self, rng):
         rows = rng.standard_normal((6, 5))
@@ -179,11 +187,17 @@ class TestOperatorNorm:
         assert opnorm_mat(np.eye(7)) == pytest.approx(1.0)
 
     def test_matches_dense_eigendecomposition(self, rng):
-        for n in (30, 220):
-            m = rng.standard_normal((n, n))
-            m = 0.5 * (m + m.T)
-            expected = np.abs(np.linalg.eigvalsh(m)).max()
-            assert opnorm_mat(m) == pytest.approx(expected, abs=1e-8)
+        m = rng.standard_normal((30, 30))
+        m = 0.5 * (m + m.T)
+        expected = np.abs(np.linalg.eigvalsh(m)).max()
+        assert opnorm_mat(m) == pytest.approx(expected, abs=1e-8)
+
+    def test_power_iteration_path(self, rng):
+        # n above 200, where the norm was once estimated by power iteration
+        m = rng.standard_normal((220, 220))
+        m = 0.5 * (m + m.T)
+        expected = np.abs(np.linalg.eigvalsh(m)).max()
+        assert opnorm_mat(m) == pytest.approx(expected, abs=1e-8)
 
     def test_opposite_extreme_eigenvalues(self):
         # extremes +1 and -1 tie in magnitude
