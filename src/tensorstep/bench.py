@@ -111,7 +111,7 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
     x_prev = np.asarray(x0, dtype=float)
     used = (problem.m, 0, 0)
 
-    def oracle(k, x):
+    def oracle(k, x, fx):
         nonlocal x_prev
         y = x + (k - 1.0) / (k + 2.0) * (x - x_prev) if accelerated and k > 0 else x
         x_prev = x

@@ -123,7 +123,7 @@ class RankOneSumTensor3:
     def apply3(self, s):
         s = self._check_dim(s)
         proj = self.rows @ s
-        return float(np.dot(self.weights, proj ** 3))
+        return float(np.dot(self.weights * proj * proj, proj))
 
     def __sub__(self, other: "RankOneSumTensor3") -> "RankOneSumTensor3":
         if other.rows is self.rows:

@@ -9,8 +9,9 @@ on the oracle's gradient. It then takes the step and stops once the
 recorded step norm falls to ``step_stop``. A method supplies only two
 callables:
 
-* an oracle ``(k, x) -> (bundle, used)``: derivatives at ``x`` (anything
-  with a ``grad``) and the per-order component counts spent on them;
+* an oracle ``(k, x, fx) -> (bundle, used)``: derivatives at ``x`` (anything
+  with a ``grad``) and the per-order component counts spent on them, given
+  the loop's ``fx = f(x)`` so that a bundle needs no second value call;
 * a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
 
 ``itm_run`` takes the exact bundle and minimizes the smooth regularized
@@ -184,11 +185,15 @@ def monotonicity_guard(trace: RunTrace, tol: float = 1e-12) -> list:
 # bundles, policies, stepping
 # ---------------------------------------------------------------------------
 
-def exact_bundle(problem, x, p: int) -> DerivativeBundle:
-    """Bundle of exact derivatives at ``x`` (third in operator form)."""
+def exact_bundle(problem, x, p: int, value: float | None = None) -> DerivativeBundle:
+    """Bundle of exact derivatives at ``x`` (third in operator form).
+
+    ``value`` is ``f(x)`` when the caller already has it.
+    """
     x = np.asarray(x, dtype=float)
     return DerivativeBundle(
-        x=x, value=problem.value(x), grad=problem.gradient(x),
+        x=x, value=problem.value(x) if value is None else value,
+        grad=problem.gradient(x),
         hess=problem.hessian(x), third=problem.third(x) if p >= 3 else None, p=p,
     )
 
@@ -252,7 +257,7 @@ def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace
             return _finish(trace, "gap-target", k, fx, calls)
         if k == config.max_iter:
             return _finish(trace, "max-iter", k, fx, calls)
-        bundle, used = oracle(k, x)
+        bundle, used = oracle(k, x, fx)
         calls = tuple(c + u for c, u in zip(calls, used))
         if config.grad_stop > 0 and float(np.linalg.norm(bundle.grad)) <= config.grad_stop:
             return _finish(trace, "grad-floor", k, fx, calls)
@@ -287,8 +292,8 @@ def itm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     _, _, step = _model_method(problem, x0, config)
     used = (problem.m, problem.m, problem.m if config.p >= 3 else 0)
 
-    def oracle(k, x):
-        return exact_bundle(problem, x, config.p), used
+    def oracle(k, x, fx):
+        return exact_bundle(problem, x, config.p, fx), used
 
     return _outer_loop(problem, x0, config, f_ref, oracle, step)
 
@@ -303,9 +308,9 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     profile, budget, step = _model_method(problem, x0, config)
     rng = np.random.default_rng(config.seed)
 
-    def oracle(k, x):
+    def oracle(k, x, fx):
         plan = plan_batches(budget, config.delta, problem, profile)
-        bundle = sample_bundle(problem, x, plan, config.p, rng)
+        bundle = sample_bundle(problem, x, plan, config.p, rng, fx)
         used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
         return bundle, used + (0,) * (3 - config.p)
 

@@ -126,12 +126,14 @@ def plan_batches(budget: InexactnessBudget, delta: float, problem,
     return BatchPlan(tuple(sizes))
 
 
-def sample_bundle(problem, x, plan: BatchPlan, p: int, rng) -> DerivativeBundle:
+def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
+                  value: float | None = None) -> DerivativeBundle:
     """Averaged sampled derivatives with independent draws per order.
 
     An ``EXACT`` entry (or, offline, a full batch) reproduces the exact
     derivative bitwise, since exact evaluation and batch averaging share one
-    weighted-reduction code path.
+    weighted-reduction code path. The bundle value is the exact ``f(x)``:
+    ``value`` when the caller already has it, else one ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
 
@@ -149,8 +151,8 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng) -> DerivativeBundle:
     if p >= 3:
         idx3 = batch(3)
         third = problem.third(x) if idx3 is None else problem.batch_third(x, idx3)
-    return DerivativeBundle(x=x, value=problem.value(x), grad=grad, hess=hess,
-                            third=third, p=p)
+    value = problem.value(x) if value is None else value
+    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third, p=p)
 
 
 @dataclass(frozen=True)

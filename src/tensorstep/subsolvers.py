@@ -25,7 +25,9 @@ monotonically with a linear rate. Each inner step is one regularized quartic
 in the fixed matrix ``B``: the loop factors ``B`` once and solves every step
 with the eigenbasis core of ``solve_regularized_quartic``, hard case
 included, but without its residual postcondition, which would cost one more
-n-by-n product per step.
+n-by-n product per step. A step then costs one contraction ``T[h]^2``, one
+n-by-n product and one secular solve: ``grad zeta(h)`` and ``zeta(h)`` both
+come from the one ``T[h]^2``, the value through ``T[h]^3 = <T[h]^2, h>``.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve; ``generic_model_minimize`` is a first-order fallback used for
@@ -252,10 +254,13 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)`` (use
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
     the fixed matrix ``B``, so its eigendecomposition is computed once and
-    reused across all inner steps. Stops once ``||grad zeta(h)|| <=
+    reused across all inner steps. Each step then costs one contraction
+    ``T[h]^2``, one n-by-n product and one secular solve: the recorded
+    ``zeta(h)`` comes with ``grad zeta(h)`` from ``TaylorModel.zeta_and_grad``
+    through ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
     INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
     ``SubsolverError`` carrying the best iterate when that takes more than
-    ``max_inner`` steps.
+    ``max_inner`` steps, and ``SubsolverError`` when the model overflows.
     """
     if bundle.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
@@ -269,8 +274,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     stats = InnerStats()
 
     h = np.zeros(bundle.dim)
-    g = model.zeta_grad(h)  # equals the bundle gradient at h = 0
-    stats.zeta_values.append(model.zeta(h))
+    val, g = model.zeta_and_grad(h)  # g equals the bundle gradient at h = 0
+    stats.zeta_values.append(val)
     stats.grad_norms.append(float(np.linalg.norm(g)))
 
     a_q = ktau * a_coef
@@ -282,9 +287,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
         grad_rho = beta_b * (B @ h) + a_coef * h + Q * r2 * h
         c = g - ktau * grad_rho
         h = _minimize_in_eigenbasis(c, lam_b, vecs, a_q, b_q)
-        g = model.zeta_grad(h)
+        val, g = model.zeta_and_grad(h)
         stats.iterations += 1
-        stats.zeta_values.append(model.zeta(h))
+        stats.zeta_values.append(val)
         stats.grad_norms.append(float(np.linalg.norm(g)))
     raise SubsolverError(
         f"inner loop exhausted {max_inner} steps, residual "

@@ -35,6 +35,22 @@ class TestExitCodes:
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 101, "m": 50})
         assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
 
+    def far_start_args(self, tmp_path, offset):
+        path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 4, "m": 50},
+                            x0_offset=offset, out=str(tmp_path / "out"))
+        return ["run", "--config", path]
+
+    def test_far_start_exhausting_the_inner_loop_exits_two(self, tmp_path, capsys):
+        assert cli.main(self.far_start_args(tmp_path, 1e100)) == 2
+        assert capsys.readouterr().err.startswith("error: inner loop exhausted")
+
+    def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys):
+        # f(x0) itself overflows here, so numpy warns before the model raises
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(self.far_start_args(tmp_path, 1e300))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: smooth model is not finite")
+
 
 def fit_args(tmp_path, text):
     """``fit`` on a trace file holding ``text``, or on a missing file for ``None``."""

@@ -115,6 +115,21 @@ class TestSharedLadder:
         assert len(trace.records) == 31
         assert monotonicity_guard(trace) == []
 
+    @pytest.mark.parametrize("run", [itm_run, stm_run], ids=["itm", "stm"])
+    def test_one_value_call_per_record(self, logistic, monkeypatch, run):
+        problem, x0 = logistic
+        calls = []
+        value = problem.value
+
+        def counted(x):
+            calls.append(x)
+            return value(x)
+
+        monkeypatch.setattr(problem, "value", counted)
+        trace = run(problem, x0, RunConfig(p=3, kappa=(1.0, 1.0, 1.0), max_iter=4))
+        assert len(trace.records) == 5
+        assert len(calls) == len(trace.records)
+
     def test_gradient_floor(self, logistic):
         problem, x0 = logistic
         trace = itm_run(problem, x0, RunConfig(p=2, grad_stop=1e-4, max_iter=200))

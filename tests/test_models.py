@@ -7,6 +7,7 @@ from tensorstep import (
     InexactnessBudget,
     ModelConfig,
     NonsmoothPointError,
+    SubsolverError,
     TaylorModel,
     hessian_sandwich_report,
     make_logistic,
@@ -182,6 +183,31 @@ class TestZeta:
         _, bundle, budget, config, _ = logistic_setup
         with pytest.raises(ValueError):
             TaylorModel(bundle, InexactnessBudget(1e-2, (0.1, 0.1)), config)
+
+
+class TestZetaAndGrad:
+    """The fused evaluation the inner loop takes in place of ``zeta`` plus ``zeta_grad``."""
+
+    @pytest.fixture(params=[2, 3], ids=["p2", "p3"])
+    def model(self, request, logistic_setup):
+        prob, bundle, budget, config, profile = logistic_setup
+        if request.param == 2:
+            bundle = exact_bundle(prob, bundle.x, 2)
+            budget = InexactnessBudget(budget.eps, budget.kappas[:2])
+            config = ModelConfig(p=2, sigma=profile.lip(2))
+        return TaylorModel(bundle, budget, config)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 3.0])
+    def test_matches_zeta_and_zeta_grad(self, model, rng, scale):
+        for _ in range(5):
+            s = scale * rng.standard_normal(6)
+            value, grad = model.zeta_and_grad(s)
+            assert np.array_equal(grad, model.zeta_grad(s))
+            assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
+
+    def test_overflow_is_subsolver_error(self, model):
+        with pytest.raises(SubsolverError):
+            model.zeta_and_grad(np.full(6, 1e100))
 
 
 class TestCoupling:

@@ -199,6 +199,24 @@ class TestBregman:
         ratios = gaps[1:] / gaps[:-1]
         assert np.median(ratios) < 1.0
 
+    def test_one_contraction_per_step(self, p3_setup, monkeypatch):
+        _, bundle, budget, config, _ = p3_setup
+        calls = {"apply2": 0, "apply3": 0}
+
+        def counting(name):
+            original = getattr(bundle.third, name)
+
+            def counted(s):
+                calls[name] += 1
+                return original(s)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(bundle.third, name, counting(name))
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        assert stats.iterations > 0
+        assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
+
     def test_iteration_cap_carries_best_iterate(self, p3_setup):
         _, bundle, budget, config, _ = p3_setup
         with pytest.raises(SubsolverError) as err:
