@@ -6,6 +6,7 @@ from .errors import (
     InsufficientDataError,
     NonsmoothPointError,
     SingularPointError,
+    StartPointError,
     SubsolverError,
     TensorStepError,
 )

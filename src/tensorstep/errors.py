@@ -17,6 +17,10 @@ class SingularPointError(TensorStepError):
     """A second derivative was requested at a point where it blows up."""
 
 
+class StartPointError(TensorStepError):
+    """The objective is not finite at the start point of a run."""
+
+
 class SubsolverError(TensorStepError):
     """An inner solver exhausted its iteration budget.
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import StartPointError
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
 from .sampling import EXACT, plan_batches, sample_bundle
@@ -245,13 +246,19 @@ def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace
     """Drive ``oracle`` and ``step`` (see the module docstring) to a stop.
 
     Reads only ``eps``, ``max_iter``, ``grad_stop`` and ``step_stop`` from
-    ``config``. Every stop appends a closing record with zero step.
+    ``config``. Every stop appends a closing record with zero step. Raises
+    ``StartPointError`` before the first oracle call when ``f(x0)`` is not
+    finite.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = RunTrace(f_ref=f_ref)
     calls = (0, 0, 0)
     for k in itertools.count():
         fx = problem.value(x)
+        if k == 0 and not math.isfinite(fx):
+            raise StartPointError(
+                f"f(x0) = {fx} is not finite at the start point "
+                f"(max |x0_i| = {float(np.abs(x).max(initial=0.0)):.3e})")
         trace.x_final = x
         if f_ref is not None and fx - f_ref <= config.eps:
             return _finish(trace, "gap-target", k, fx, calls)

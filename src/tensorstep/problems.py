@@ -9,10 +9,10 @@ Two problem families are shipped:
   The same class serves the finite-sum (offline) setting and, built over a
   large seeded pool with i.i.d.-with-replacement draws, the online setting.
 
-Every batch quantity is computed as a weighted sum over the full row set with
-multiplicity weights, so the reduction order is fixed: a full offline batch is
-bitwise identical to the exact derivative, and results are bit-stable for a
-given seed.
+Every batch quantity is a weighted sum with multiplicity weights over the rows
+its draw touches, so it costs O(batch * n) rather than O(m * n). A draw that
+touches every row (a full offline batch) takes the exact derivatives' all-rows
+path and is bitwise identical to them; results are bit-stable for a given seed.
 """
 
 from __future__ import annotations
@@ -232,41 +232,57 @@ class LogisticProblem:
         )
         self.meta = dict(meta or {})
 
-    # -- weighted reductions: the single code path for exact and sampled ----
+    # -- weighted reductions: one code path over all rows or a row subset ---
+    #
+    # ``rows=None`` reduces over all m rows with one weight per row; exact
+    # derivatives and draws that touch every row take it, so a full batch is
+    # bitwise the exact derivative. Any other draw passes its support rows.
 
-    def _margins(self, x):
-        return self.labels * (self.features @ np.asarray(x, dtype=float))
+    def _margins(self, x, rows=None):
+        """Selected rows, their labels and their margins ``y_j a_j^T x``."""
+        features = self.features if rows is None else self.features[rows]
+        labels = self.labels if rows is None else self.labels[rows]
+        return features, labels, labels * (features @ np.asarray(x, dtype=float))
 
     def _weights_from_indices(self, batch):
-        if isinstance(batch, StochasticDraw):
-            if batch.counts is not None:
-                return batch.counts.astype(float) / batch.size
-            batch = batch.indices
-        indices = np.asarray(batch, dtype=np.int64)
-        if indices.size == 0:
-            raise ValueError("empty batch")
-        counts = np.bincount(indices, minlength=self.m)
-        return counts.astype(float) / indices.size
+        """``(rows, weights)``: a draw's support rows and multiplicity weights.
+
+        ``rows`` is ``None`` when the draw touches all ``m`` rows.
+        """
+        if isinstance(batch, StochasticDraw) and batch.counts is not None:
+            counts, size = batch.counts, batch.size
+        else:
+            if isinstance(batch, StochasticDraw):
+                batch = batch.indices
+            indices = np.asarray(batch, dtype=np.int64)
+            if indices.size == 0:
+                raise ValueError("empty batch")
+            counts, size = np.bincount(indices, minlength=self.m), indices.size
+        weights = counts.astype(float) / size
+        rows = np.flatnonzero(counts)
+        if rows.size == self.m:
+            return None, weights
+        return rows, weights[rows]
 
     def _weighted_value(self, x, w):
         x = np.asarray(x, dtype=float)
-        t = self._margins(x)
+        _, _, t = self._margins(x)
         return float(w @ link_value(t) + 0.5 * self.mu * (x @ x))
 
-    def _weighted_gradient(self, x, w):
+    def _weighted_gradient(self, x, w, rows=None):
         x = np.asarray(x, dtype=float)
-        t = self._margins(x)
-        coef = w * link_d1(t) * self.labels
-        return self.features.T @ coef + self.mu * x
+        features, labels, t = self._margins(x, rows)
+        coef = w * link_d1(t) * labels
+        return features.T @ coef + self.mu * x
 
-    def _weighted_hessian(self, x, w):
-        t = self._margins(x)
+    def _weighted_hessian(self, x, w, rows=None):
+        features, _, t = self._margins(x, rows)
         coef = w * link_d2(t)
-        return (self.features * coef[:, None]).T @ self.features + self.mu * np.eye(self.dim)
+        return (features * coef[:, None]).T @ features + self.mu * np.eye(self.dim)
 
-    def _third_weights(self, x, w):
-        t = self._margins(x)
-        return w * link_d3(t) * self.labels
+    def _weighted_third(self, x, w, rows=None) -> RankOneSumTensor3:
+        features, labels, t = self._margins(x, rows)
+        return RankOneSumTensor3(features, w * link_d3(t) * labels)
 
     # -- exact derivatives ---------------------------------------------------
 
@@ -280,7 +296,7 @@ class LogisticProblem:
         return self._weighted_hessian(x, self._full_weights())
 
     def third(self, x) -> RankOneSumTensor3:
-        return RankOneSumTensor3(self.features, self._third_weights(x, self._full_weights()))
+        return self._weighted_third(x, self._full_weights())
 
     def _full_weights(self):
         return np.full(self.m, 1.0 / self.m)
@@ -306,14 +322,16 @@ class LogisticProblem:
         return link_d2(t)[0] * np.outer(a, a) + self.mu * np.eye(self.dim)
 
     def batch_gradient(self, x, indices):
-        return self._weighted_gradient(x, self._weights_from_indices(indices))
+        rows, w = self._weights_from_indices(indices)
+        return self._weighted_gradient(x, w, rows)
 
     def batch_hessian(self, x, indices):
-        return self._weighted_hessian(x, self._weights_from_indices(indices))
+        rows, w = self._weights_from_indices(indices)
+        return self._weighted_hessian(x, w, rows)
 
     def batch_third(self, x, indices) -> RankOneSumTensor3:
-        w3 = self._third_weights(x, self._weights_from_indices(indices))
-        return RankOneSumTensor3(self.features, w3)
+        rows, w = self._weights_from_indices(indices)
+        return self._weighted_third(x, w, rows)
 
     #: Online draws above this size are drawn as multinomial counts.
     COUNT_DRAW_THRESHOLD = 1_000_000

@@ -130,10 +130,12 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
                   value: float | None = None) -> DerivativeBundle:
     """Averaged sampled derivatives with independent draws per order.
 
-    An ``EXACT`` entry (or, offline, a full batch) reproduces the exact
-    derivative bitwise, since exact evaluation and batch averaging share one
-    weighted-reduction code path. The bundle value is the exact ``f(x)``:
-    ``value`` when the caller already has it, else one ``problem.value`` call.
+    A sampled order reduces over the support rows of its draw only, so it
+    costs its batch rather than ``m``. An ``EXACT`` entry and a draw that
+    touches every row (offline, a full batch) take the all-rows reduction of
+    the exact derivatives, which is why they reproduce them bitwise. The
+    bundle value is the exact ``f(x)``: ``value`` when the caller already has
+    it, else one ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
 

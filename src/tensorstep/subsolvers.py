@@ -115,10 +115,6 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
         d = lam + mu
         return b * float(np.sum(c2 / (d * d))) - mu
 
-    def chi_prime(mu):
-        d = lam + mu
-        return -2.0 * b * float(np.sum(c2 / (d * d * d))) - 1.0
-
     lo = mu_lo + (bump if mu_lo > 0 else 0.0)
     while chi(lo) < 0.0 and mu_lo > 0.0 and lo > mu_lo:
         # came in past the root because of the bump; shrink it
@@ -133,12 +129,15 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
             raise SubsolverError("secular bracket expansion failed")
     mu = min(max(0.5 * (lo + hi), lo), hi)
     for _ in range(200):
-        val = chi(mu)
+        # chi and chi' share one d = lam + mu
+        d = lam + mu
+        d2 = d * d
+        val = b * float(np.sum(c2 / d2)) - mu
         if val > 0.0:
             lo = mu
         else:
             hi = mu
-        step = val / chi_prime(mu)
+        step = val / (-2.0 * b * float(np.sum(c2 / (d2 * d))) - 1.0)
         nxt = mu - step
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)

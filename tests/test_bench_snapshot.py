@@ -1,0 +1,81 @@
+"""``tools/bench_snapshot.py`` on synthetic benchmark result files."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "bench_snapshot.py")
+spec = importlib.util.spec_from_file_location("bench_snapshot", TOOL)
+bench_snapshot = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_snapshot)
+
+ENV = {"git_sha": "abc123", "python": "3.11", "numpy": "2.0", "blas": "openblas",
+       "nproc": 2, "threads": {"OMP_NUM_THREADS": "1"}}
+
+
+def write_result(directory, seed, solve_s, workload="stm-sampled", trace=0, env=ENV,
+                 failed=0):
+    directory.mkdir(exist_ok=True)
+    record = {
+        "workload": workload, "seed": seed, "seconds": 25.0, "trace": trace,
+        "environment": env,
+        "result": {"correct": failed == 0, "attempted": 4, "failed": failed, "metrics": {
+            "solve_s": {"value": solve_s, "unit": "s"},
+            "outer_iters": {"value": 30, "unit": "count"},
+        }},
+    }
+    path = directory / f"{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps(record))
+
+
+def snapshot(tmp_path, results, label="change"):
+    out = tmp_path / "BENCH_stm-sampled.json"
+    code = bench_snapshot.main(["--workload", "stm-sampled", "--label", label,
+                                "--results", str(results), "--output", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def test_median_and_iqr_per_metric(tmp_path):
+    results = tmp_path / "out"
+    for seed, solve_s in [(10, 5.0), (2, 2.0), (1, 1.0), (3, 3.0), (4, 4.0)]:
+        write_result(results, seed, solve_s)
+    write_result(results, 1, 99.0, trace=1)                    # traced: ignored
+    write_result(results, 1, 99.0, workload="itm-logistic")    # other workload
+    code, data = snapshot(tmp_path, results)
+    assert code == 0
+    run = data["runs"]["change"]
+    assert run["git_sha"] == "abc123" and "git_sha" not in run["environment"]
+    assert run["environment"]["threads"] == {"OMP_NUM_THREADS": "1"}
+    assert run["seeds"] == [1, 2, 3, 4, 10]
+    assert (run["attempted"], run["failed"]) == (20, 0)
+    solve = run["metrics"]["solve_s"]
+    assert solve["unit"] == "s" and solve["n"] == 5
+    assert solve["values"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert (solve["median"], solve["q1"], solve["q3"], solve["iqr"]) == (3.0, 2.0, 4.0, 2.0)
+    assert run["metrics"]["outer_iters"]["iqr"] == 0
+
+
+def test_labels_sit_side_by_side(tmp_path):
+    write_result(tmp_path / "parent", 1, 1.0, env={**ENV, "git_sha": "p"})
+    write_result(tmp_path / "change", 1, 0.25)
+    assert snapshot(tmp_path, tmp_path / "parent", label="parent")[0] == 0
+    code, data = snapshot(tmp_path, tmp_path / "change")
+    assert code == 0
+    assert data["runs"]["parent"]["git_sha"] == "p"
+    assert data["runs"]["change"]["metrics"]["solve_s"]["median"] == 0.25
+    assert data["runs"]["parent"]["metrics"]["solve_s"]["q1"] == 1.0
+
+
+@pytest.mark.parametrize("case", ["no-results", "mixed-checkouts"])
+def test_unusable_results_exit_one(tmp_path, capsys, case):
+    results = tmp_path / "out"
+    results.mkdir()
+    if case == "mixed-checkouts":
+        write_result(results, 1, 1.0)
+        write_result(results, 2, 1.0, env={**ENV, "git_sha": "other"})
+    code, data = snapshot(tmp_path, results)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("bench_snapshot: ")

@@ -45,11 +45,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: inner loop exhausted")
 
     def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys):
-        # f(x0) itself overflows here, so numpy warns before the model raises
+        # f(x0) itself overflows here, so numpy warns before the loop rejects x0
         with pytest.warns(RuntimeWarning, match="overflow"):
             code = cli.main(self.far_start_args(tmp_path, 1e300))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: smooth model is not finite")
+        assert capsys.readouterr().err.startswith(
+            "error: f(x0) = inf is not finite at the start point")
 
 
 def fit_args(tmp_path, text):

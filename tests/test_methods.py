@@ -20,6 +20,7 @@ import pytest
 from tensorstep import (
     ExperimentConfig,
     RunConfig,
+    StartPointError,
     gd_baseline,
     iteration_budget,
     kappa_defaults,
@@ -129,6 +130,19 @@ class TestSharedLadder:
         trace = run(problem, x0, RunConfig(p=3, kappa=(1.0, 1.0, 1.0), max_iter=4))
         assert len(trace.records) == 5
         assert len(calls) == len(trace.records)
+
+    @pytest.mark.parametrize("run", [itm_run, stm_run], ids=["itm", "stm"])
+    def test_non_finite_start_fails_before_the_oracle(self, logistic, monkeypatch, run):
+        problem, x0 = logistic
+        monkeypatch.setattr(problem, "value", lambda x: float("inf"))
+
+        def no_oracle(*args):
+            raise AssertionError("oracle ran at a non-finite start")
+
+        for name in ("gradient", "batch_gradient"):
+            monkeypatch.setattr(problem, name, no_oracle)
+        with pytest.raises(StartPointError, match="start point"):
+            run(problem, x0, RunConfig(p=3, kappa=(1.0, 1.0, 1.0), max_iter=4))
 
     def test_gradient_floor(self, logistic):
         problem, x0 = logistic

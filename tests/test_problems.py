@@ -6,6 +6,8 @@ import pytest
 from tensorstep import (
     LogisticProblem,
     QuadraticProblem,
+    RankOneSumTensor3,
+    StochasticDraw,
     make_logistic,
     make_online_logistic,
     make_quadratic,
@@ -130,9 +132,13 @@ class TestLogisticProblem:
     def test_full_batch_bitwise_equals_exact(self, rng):
         prob = make_logistic(n=5, m=17, seed=9)
         x = rng.standard_normal(5)
-        idx = np.arange(17)
-        assert np.array_equal(prob.batch_gradient(x, idx), prob.gradient(x))
-        assert np.array_equal(prob.batch_hessian(x, idx), prob.hessian(x))
+        s = rng.standard_normal(5)
+        for idx in (np.arange(17), rng.permutation(17)):
+            assert np.array_equal(prob.batch_gradient(x, idx), prob.gradient(x))
+            assert np.array_equal(prob.batch_hessian(x, idx), prob.hessian(x))
+            third = prob.batch_third(x, idx)
+            assert third.rows is prob.features
+            assert np.array_equal(third.apply2(s), prob.third(x).apply2(s))
 
     def test_lipschitz_certificate_on_random_pairs(self, rng):
         prob = make_logistic(n=4, m=30, seed=10, mu=1e-3)
@@ -195,6 +201,62 @@ class TestDraws:
         draw = prob.draw(2_000_000, np.random.default_rng(8))
         g = prob.batch_gradient(x, draw)
         assert np.linalg.norm(g - prob.gradient(x)) < 1e-2
+
+
+def all_rows_batch(prob, x, counts):
+    """Batch derivatives as a weighted reduction over all m rows, zeros included."""
+    w = counts.astype(float) / counts.sum()
+    t = prob.labels * (prob.features @ x)
+    grad = prob.features.T @ (w * link_d1(t) * prob.labels) + prob.mu * x
+    hess = (prob.features * (w * link_d2(t))[:, None]).T @ prob.features \
+        + prob.mu * np.eye(prob.dim)
+    return grad, hess, RankOneSumTensor3(prob.features, w * link_d3(t) * prob.labels)
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+class TestSupportBatches:
+    """Sampled derivatives reduce over the rows their draw uses."""
+
+    @pytest.fixture(params=["offline", "online-indices", "online-counts"])
+    def case(self, request):
+        """``(problem, draw, counts)`` with a draw that misses some rows."""
+        gen = np.random.default_rng(21)
+        if request.param == "offline":
+            prob = make_logistic(n=5, m=40, seed=16)
+            draw = prob.draw(13, gen)
+        else:
+            prob = make_online_logistic(n=5, pool=64, seed=17)
+            if request.param == "online-indices":
+                draw = prob.draw(40, gen)
+                assert np.unique(draw.indices).size < draw.size  # duplicates
+            else:
+                counts = gen.multinomial(30, np.full(64, 1 / 64))
+                draw = StochasticDraw(None, 30, counts=counts)
+        counts = draw.counts if draw.counts is not None \
+            else np.bincount(draw.indices, minlength=prob.m)
+        assert np.count_nonzero(counts) < prob.m
+        return prob, draw, counts
+
+    def test_matches_all_rows_reduction(self, case, rng):
+        prob, draw, counts = case
+        x = rng.standard_normal(prob.dim)
+        s = rng.standard_normal(prob.dim)
+        grad, hess, third = all_rows_batch(prob, x, counts)
+        assert_close(prob.batch_gradient(x, draw), grad)
+        assert_close(prob.batch_hessian(x, draw), hess)
+        sampled = prob.batch_third(x, draw)
+        assert_close(sampled.apply(s), third.apply(s))
+        assert_close(sampled.apply2(s), third.apply2(s))
+        assert_close(sampled.apply3(s), third.apply3(s))
+
+    def test_third_holds_only_the_support_rows(self, case, rng):
+        prob, draw, counts = case
+        third = prob.batch_third(rng.standard_normal(prob.dim), draw)
+        assert third.rows.shape[0] == np.count_nonzero(counts)
+        assert np.all(third.weights != 0.0)
 
 
 class TestSerialization:

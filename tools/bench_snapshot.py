@@ -1,0 +1,124 @@
+"""Summarize the end-to-end benchmark results of one workload in ``BENCH_<workload>.json``.
+
+Run from the repository root after one or more untraced benchmark runs:
+
+    python3 perfbench/run.py --workload stm-sampled --seed 1 --seconds 25 --trace 0
+    python3 tools/bench_snapshot.py --workload stm-sampled --label change
+
+Each untraced run writes ``perfbench/out/<workload>-seed<N>-trace0.json``,
+one end-to-end value per metric. The snapshot reads every such file of the
+workload and records, per metric, the number of runs ``n``, their median,
+quartiles and interquartile range, and the values by seed, together with the
+git sha and environment the runs recorded. All files must come from one
+checkout on one machine. The summary is stored under ``--label``; labels
+already in the output file are kept, so the runs of two checkouts (say
+``--label parent --results <parent checkout>/perfbench/out``, then
+``--label change``) sit side by side for comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class SnapshotError(Exception):
+    """The result files are missing or do not describe one checkout."""
+
+
+def _seed(path: str) -> int:
+    return int(re.search(r"-seed(\d+)-trace0\.json$", path).group(1))
+
+
+def load_results(results_dir: str, workload: str) -> list:
+    """The untraced result records of ``workload``, ordered by seed."""
+    pattern = os.path.join(glob.escape(results_dir), f"{workload}-seed*-trace0.json")
+    paths = sorted(glob.glob(pattern), key=_seed)
+    if not paths:
+        raise SnapshotError(f"no results match {pattern}")
+    records = []
+    for path in paths:
+        with open(path) as fh:
+            record = json.load(fh)
+        if record.get("workload") != workload or record.get("trace") != 0:
+            raise SnapshotError(f"{path} is not an untraced {workload} result")
+        records.append(record)
+    return records
+
+
+def spread(values: list) -> dict:
+    """Median, quartiles and interquartile range (inclusive method)."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(records: list) -> dict:
+    environments = {json.dumps(r["environment"], sort_keys=True) for r in records}
+    if len(environments) != 1:
+        raise SnapshotError("results come from more than one checkout or environment")
+    environment = dict(records[0]["environment"])
+    metrics = {}
+    for name, metric in records[0]["result"]["metrics"].items():
+        values = [r["result"]["metrics"][name]["value"] for r in records]
+        metrics[name] = {"unit": metric["unit"], "n": len(values),
+                         **spread(values), "values": values}
+    return {
+        "git_sha": environment.pop("git_sha"),
+        "environment": environment,
+        "seeds": [r["seed"] for r in records],
+        "seconds": sorted({r["seconds"] for r in records}),
+        "attempted": sum(r["result"]["attempted"] for r in records),
+        "failed": sum(r["result"]["failed"] for r in records),
+        "metrics": metrics,
+    }
+
+
+def write_snapshot(workload: str, label: str, results_dir: str, output: str) -> dict:
+    """Store the summary of ``results_dir`` under ``label`` in ``output``."""
+    snapshot = {"workload": workload, "runs": {}}
+    if os.path.exists(output):
+        with open(output) as fh:
+            snapshot = json.load(fh)
+        if snapshot.get("workload") != workload:
+            raise SnapshotError(f"{output} holds workload {snapshot.get('workload')!r}")
+    snapshot["runs"][label] = summarize(load_results(results_dir, workload))
+    with open(output, "w") as fh:
+        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return snapshot
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/bench_snapshot.py",
+                                     description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--label", default="change",
+                        help="name of this set of runs in the snapshot (default: change)")
+    parser.add_argument("--results", default=os.path.join(ROOT, "perfbench", "out"),
+                        help="directory of result files (default: perfbench/out)")
+    parser.add_argument("--output", help="default: BENCH_<workload>.json at the repository root")
+    args = parser.parse_args(argv)
+    output = args.output or os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    try:
+        snapshot = write_snapshot(args.workload, args.label, args.results, output)
+    except (OSError, SnapshotError) as exc:
+        print(f"bench_snapshot: {exc}", file=sys.stderr)
+        return 1
+    run = snapshot["runs"][args.label]
+    print(f"{output}: {args.label} at {run['git_sha'][:12]}, {len(run['seeds'])} runs, "
+          f"{run['failed']} of {run['attempted']} operations failed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
