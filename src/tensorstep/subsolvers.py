@@ -28,6 +28,9 @@ included, but without its residual postcondition, which would cost one more
 n-by-n product per step. A step then costs one contraction ``T[h]^2``, one
 n-by-n product and one secular solve: ``grad zeta(h)`` and ``zeta(h)`` both
 come from the one ``T[h]^2``, the value through ``T[h]^3 = <T[h]^2, h>``.
+The secular solve is warm-started from the previous step's ``mu``, which
+moves little from step to step, so it typically takes 4 to 7 evaluations of
+the secular function, the two that open its bracket included.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve; ``generic_model_minimize`` is a first-order fallback used for
@@ -100,11 +103,16 @@ class InnerStats:
     grad_norms: list = field(default_factory=list)
 
 
-def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
+def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float, mu0=None) -> float:
     """Unique root of ``chi(mu) = b sum c2_j/(lam_j+mu)^2 - mu`` above ``-lam_min``.
 
     ``lam`` already includes the ``a`` shift. Strictly decreasing chi makes a
-    safeguarded Newton/bisection hybrid unconditionally convergent.
+    safeguarded Newton/bisection hybrid unconditionally convergent. A guess
+    ``mu0`` strictly inside the cold bracket starts the iteration in place of
+    the bracket midpoint; any other guess is ignored. Convergence is tested
+    before the bracket safeguard, so a Newton step that lands on the root is
+    returned rather than replaced by a bisection. Raises ``SubsolverError``
+    when the iteration does not converge, which only non-finite data reach.
     """
     lam_min = float(lam.min())
     mu_lo = max(0.0, -lam_min)
@@ -127,7 +135,7 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise SubsolverError("secular bracket expansion failed")
-    mu = min(max(0.5 * (lo + hi), lo), hi)
+    mu = mu0 if mu0 is not None and lo < mu0 < hi else 0.5 * (lo + hi)
     for _ in range(200):
         # chi and chi' share one d = lam + mu
         d = lam + mu
@@ -139,12 +147,12 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float) -> float:
             hi = mu
         step = val / (-2.0 * b * float(np.sum(c2 / (d2 * d))) - 1.0)
         nxt = mu - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
         if abs(nxt - mu) <= SECULAR_TOL * max(1.0, abs(mu)):
             return nxt
+        if not (lo < nxt < hi):
+            nxt = 0.5 * (lo + hi)
         mu = nxt
-    return mu
+    raise SubsolverError("secular root did not converge in 200 steps")
 
 
 def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
@@ -159,7 +167,7 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
         logger.info("quartic subproblem: curvature matrix indefinite, "
                     "bottom eigenvalue %.3e handled via the shifted secular path",
                     lam_b[0])
-    h = _minimize_in_eigenbasis(c, lam_b, vecs, q.a, q.b)
+    h, _ = _minimize_in_eigenbasis(c, lam_b, vecs, q.a, q.b)
 
     residual = float(np.linalg.norm(q.grad(h)))
     tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(c)))
@@ -171,8 +179,12 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
     return h
 
 
-def _minimize_in_eigenbasis(c, lam_b, vecs, a, b):
-    """Global minimizer of the quartic with ``beta B = vecs diag(lam_b) vecs^T``."""
+def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
+    """Global minimizer of the quartic with ``beta B = vecs diag(lam_b) vecs^T``.
+
+    Returns ``(h, mu)`` with ``mu = b ||h||^2``, the shift of ``lam_b + a`` at
+    the solution; ``mu0``, a guess of it, warm-starts the secular root.
+    """
     lam = lam_b + a
     ct = vecs.T @ c
     c2 = ct * ct
@@ -183,7 +195,7 @@ def _minimize_in_eigenbasis(c, lam_b, vecs, a, b):
                 "b = 0 requires beta B + a I to be positive definite",
                 residual=float(lam.min()),
             )
-        return vecs @ (-ct / lam)
+        return vecs @ (-ct / lam), 0.0
 
     lam_min = float(lam.min())
     mu_lo = max(0.0, -lam_min)
@@ -198,9 +210,9 @@ def _minimize_in_eigenbasis(c, lam_b, vecs, a, b):
                 coeff = np.zeros(c.size)
                 coeff[~bottom] = -ct[~bottom] / denom
                 coeff[np.argmax(bottom)] += math.sqrt(max(0.0, mu_lo / b - r2_interior))
-                return vecs @ coeff
-    mu = _secular_root(lam, c2, b)
-    return vecs @ (-ct / np.maximum(lam + mu, 1e-300))
+                return vecs @ coeff, mu_lo
+    mu = _secular_root(lam, c2, b, mu0)
+    return vecs @ (-ct / np.maximum(lam + mu, 1e-300)), mu
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +266,10 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
     the fixed matrix ``B``, so its eigendecomposition is computed once and
     reused across all inner steps. Each step then costs one contraction
-    ``T[h]^2``, one n-by-n product and one secular solve: the recorded
-    ``zeta(h)`` comes with ``grad zeta(h)`` from ``TaylorModel.zeta_and_grad``
-    through ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
+    ``T[h]^2``, one n-by-n product and one secular solve, warm-started from
+    the previous step's ``mu``: the recorded ``zeta(h)`` comes with
+    ``grad zeta(h)`` from ``TaylorModel.zeta_and_grad`` through
+    ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
     INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
     ``SubsolverError`` carrying the best iterate when that takes more than
     ``max_inner`` steps, and ``SubsolverError`` when the model overflows.
@@ -279,13 +292,14 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     a_q = ktau * a_coef
     b_q = ktau * Q
+    mu = None  # secular shift of the previous step, the next step's warm start
     for _ in range(max_inner):
         if stats.grad_norms[-1] <= INNER_GRAD_TOL:
             return h, stats
         r2 = float(h @ h)
         grad_rho = beta_b * (B @ h) + a_coef * h + Q * r2 * h
         c = g - ktau * grad_rho
-        h = _minimize_in_eigenbasis(c, lam_b, vecs, a_q, b_q)
+        h, mu = _minimize_in_eigenbasis(c, lam_b, vecs, a_q, b_q, mu)
         val, g = model.zeta_and_grad(h)
         stats.iterations += 1
         stats.zeta_values.append(val)

@@ -17,7 +17,8 @@ from tensorstep import (
     solve_regularized_quartic,
 )
 from tensorstep.methods import default_profile, exact_bundle
-from tensorstep.subsolvers import rho_reference_coefficients
+from tensorstep import subsolvers
+from tensorstep.subsolvers import SECULAR_TOL, _secular_root, rho_reference_coefficients
 
 
 def quartic_values(q: RegularizedQuartic, z):
@@ -246,6 +247,130 @@ class TestBregman:
         with pytest.raises(ValueError):
             bregman_minimize_zeta(bundle, InexactnessBudget(1e-2, (0.0, 0.0)),
                                   ModelConfig(p=2, sigma=1.0))
+
+
+def bisected_root(lam, c2, b, steps=300):
+    """Root of ``chi`` above the pole by plain bisection, the reference."""
+    lam, c2 = np.asarray(lam, float), np.asarray(c2, float)
+
+    def chi(mu):
+        d = lam + mu
+        return b * float(np.sum(c2 / (d * d))) - mu
+
+    lo = max(0.0, -float(lam.min()))
+    hi = 1.0 + lo
+    while chi(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if chi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class RecordingShifts(np.ndarray):
+    """``lam`` that records every scalar ``mu`` of ``lam + mu``: the points
+    at which ``_secular_root`` evaluates chi."""
+
+    shifts = None
+
+    def __add__(self, other):
+        if RecordingShifts.shifts is not None and np.isscalar(other):
+            RecordingShifts.shifts.append(float(other))
+        return np.asarray(self) + other
+
+
+def secular_instances(seed=40, count=40):
+    """Seeded ``(lam, c2, b)``: half shifted below zero, so ``mu_lo > 0``."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 30))
+        lam = rng.uniform(0.0, 5.0, n) * 10.0 ** rng.uniform(-3, 2)
+        if k % 2:
+            lam -= lam.max() * rng.uniform(0.1, 0.9) + 1e-3
+        c2 = rng.uniform(0.0, 1.0, n) ** 2 * 10.0 ** rng.uniform(-4, 2)
+        yield lam, c2, 10.0 ** rng.uniform(-2, 2)
+
+
+class TestSecularRoot:
+    def test_matches_bisection(self):
+        for lam, c2, b in secular_instances():
+            mu = _secular_root(lam, c2, b)
+            ref = bisected_root(lam, c2, b)
+            assert abs(mu - ref) <= 1e-13 * ref
+
+    def test_near_pole(self):
+        # the bottom eigendirection carries a 1e-12 weight: the root sits
+        # 1.5e-6 above the pole mu_lo = 1
+        lam, c2 = np.array([-1.0, 0.5, 2.0]), np.array([1e-12, 1.0, 1.0])
+        mu = _secular_root(lam, c2, 1.0)
+        assert 0.0 < mu - 1.0 < 1e-5
+        assert abs(mu - bisected_root(lam, c2, 1.0)) <= 1e-13 * mu
+
+    def test_converged_newton_step_is_returned(self):
+        # Newton from the cold midpoint lands exactly on the root at its 8th
+        # chi evaluation; the iteration must stop there, not bisect onwards
+        lam = np.array([-0.5, 1.0, 2.0]).view(RecordingShifts)
+        c2, b = np.array([1e-3, 1.0, 1.0]), 2.0
+        RecordingShifts.shifts = []
+        try:
+            mu = _secular_root(lam, c2, b)
+            shifts = RecordingShifts.shifts
+        finally:
+            RecordingShifts.shifts = None
+        assert abs(mu - bisected_root(np.asarray(lam), c2, b)) <= 1e-13 * mu
+        assert shifts.index(mu) == len(shifts) - 1
+        assert len(shifts) == 8
+
+    def test_unusable_guess_gives_the_cold_root(self):
+        for lam, c2, b in secular_instances(seed=41, count=10):
+            cold = _secular_root(lam, c2, b)
+            mu_lo = max(0.0, -float(lam.min()))
+            for mu0 in (mu_lo, mu_lo - 1.0, 1e6 * (cold + 1.0), np.inf, np.nan):
+                assert _secular_root(lam, c2, b, mu0) == cold
+
+    def test_nan_data_raises(self):
+        with pytest.raises(SubsolverError):
+            _secular_root(np.array([1.0, 2.0]), np.array([1.0, np.nan]), 1.0)
+
+    def test_warm_root_agrees_with_cold_at_every_inner_step(self, p3_setup, monkeypatch):
+        _, bundle, budget, config, _ = p3_setup
+        pairs = []
+        evaluations = {"warm": 0, "cold": 0}
+
+        def counted(kind, lam, c2, b, mu0=None):
+            RecordingShifts.shifts = []
+            try:
+                return _secular_root(lam.view(RecordingShifts), c2, b, mu0)
+            finally:
+                evaluations[kind] += len(RecordingShifts.shifts)
+                RecordingShifts.shifts = None
+
+        def both(lam, c2, b, mu0=None):
+            warm = counted("warm", lam, c2, b, mu0)
+            pairs.append((warm, counted("cold", lam, c2, b), mu0))
+            return warm
+
+        monkeypatch.setattr(subsolvers, "_secular_root", both)
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        assert len(pairs) == stats.iterations > 1
+        assert pairs[0][2] is None and all(mu0 is not None for _, _, mu0 in pairs[1:])
+        for warm, cold, _ in pairs:
+            assert abs(warm - cold) <= 1e-12 * cold
+        assert evaluations["warm"] < evaluations["cold"]
+
+    def test_warm_start_keeps_the_inner_iterations(self, p3_setup, monkeypatch):
+        _, bundle, budget, config, _ = p3_setup
+        h_warm, warm = bregman_minimize_zeta(bundle, budget, config)
+        monkeypatch.setattr(subsolvers, "_secular_root",
+                            lambda lam, c2, b, mu0=None: _secular_root(lam, c2, b))
+        h_cold, cold = bregman_minimize_zeta(bundle, budget, config)
+        assert warm.iterations == cold.iterations
+        assert np.linalg.norm(h_warm - h_cold) <= 1e-12 * np.linalg.norm(h_cold)
 
 
 class TestSolveModelP2:
