@@ -37,9 +37,6 @@ from .problems import (
     make_logistic,
     make_online_logistic,
     make_quadratic,
-    problem_from_dict,
-    problem_from_json,
-    problem_to_json,
 )
 from .sampling import (
     EXACT,

@@ -2,7 +2,20 @@
 
 Config files are JSON with a required ``version`` field; every run is
 replayable from its config and seed, and deterministic runs rewrite
-byte-identical CSVs. Traces use the fixed column set
+byte-identical CSVs. The other top-level fields are those of
+``ExperimentConfig``, each with the default written there; ``problem`` is
+required. A problem block names its ``kind`` and gives the fields of the
+class or generator that builds it (``PROBLEM_BUILDERS``):
+
+    quadratic            A, b
+    logistic-finite-sum  features, labels; optional mu, mode, clamp
+    quadratic-synthetic  n; optional seed, cond
+    logistic-synthetic   n, m; optional seed, mu, row_scale, flip_fraction, mode
+    online-logistic      n; optional pool, seed, mu, clamp, flip_fraction
+
+An optional field left out takes the builder's default. A missing, ill-typed
+or unknown field, at the top level or in the problem block, is a
+``ConfigError`` naming it (the CLI exits 1). Traces use the fixed column set
 
     k, f_gap, step_norm, n1, n2, n3, inner_iters,
     grad_calls, hess_calls, third_calls
@@ -14,11 +27,12 @@ per problem.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,12 +42,19 @@ from .methods import (
     RunConfig,
     RunTrace,
     _outer_loop,
+    _start_value,
     default_profile,
     itm_run,
     reference_solution,
     stm_run,
 )
-from .problems import make_logistic, make_online_logistic, make_quadratic, problem_from_dict
+from .problems import (
+    LogisticProblem,
+    QuadraticProblem,
+    make_logistic,
+    make_online_logistic,
+    make_quadratic,
+)
 
 CONFIG_VERSION = 1
 
@@ -42,19 +63,15 @@ TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
 
 VALID_METHODS = ("itm", "stm", "gd", "agd")
 
-#: Fields a problem block cannot default. An inline ``logistic-finite-sum``
-#: block needs ``features`` and ``labels`` unless it names a ``generator``.
-REQUIRED_PROBLEM_FIELDS = {
-    "quadratic": ("A", "b"),
-    "quadratic-synthetic": ("n",),
-    "logistic-synthetic": ("n", "m"),
-    "online-logistic": ("n",),
-}
-
-#: Required and optional fields of an inline ``generator`` block, by name.
-GENERATOR_FIELDS = {
-    "synthetic-logistic": (("n", "m"), ("seed", "mu", "row_scale", "flip_fraction", "mode")),
-    "online-logistic": (("n",), ("pool", "seed", "mu", "clamp", "flip_fraction")),
+#: What builds each problem kind. A block's fields are the builder's
+#: parameters: those without a default are required, and a field the block
+#: leaves out takes the builder's default.
+PROBLEM_BUILDERS = {
+    "quadratic": QuadraticProblem,
+    "logistic-finite-sum": LogisticProblem,
+    "quadratic-synthetic": make_quadratic,
+    "logistic-synthetic": make_logistic,
+    "online-logistic": make_online_logistic,
 }
 
 #: Arrays of an inline problem block and their number of dimensions.
@@ -107,6 +124,7 @@ def fit_rate(ks, gaps, p: int, f_ref: float | None = None) -> RateFit:
 def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
                 accelerated: bool = False, f_ref: float | None = None) -> RunTrace:
     """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps."""
+    fx0 = _start_value(problem, x0)
     lr = 1.0 / default_profile(problem, x0).lip(1)
     x_prev = np.asarray(x0, dtype=float)
     used = (problem.m, 0, 0)
@@ -122,7 +140,7 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
         return x_next, float(np.linalg.norm(x_next - x)), 0
 
     config = RunConfig(eps=eps, max_iter=max_iter)
-    return _outer_loop(problem, x0, config, f_ref, oracle, step)
+    return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +176,7 @@ def _is_array(value, ndim: int) -> bool:
     return arr.ndim == ndim and arr.size > 0 and bool(np.all(np.isfinite(arr)))
 
 
-#: Checks on the scalar fields of a problem or generator block: field -> (test, requirement).
+#: Checks on the scalar fields of a problem block: field -> (test, requirement).
 PROBLEM_FIELD_CHECKS = {
     "n": (_is_count, "a positive integer"),
     "m": (_is_count, "a positive integer"),
@@ -190,34 +208,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        problems = []
         if not isinstance(data, dict):
             raise ConfigError(["config: top level must be an object"])
+        defaults = {f.name: f.default for f in fields(cls)}
+        problems = [f"{key}: unknown field" for key in data
+                    if key != "version" and key not in defaults]
+        values = {**defaults, **data}
         version = data.get("version")
         if version != CONFIG_VERSION:
             problems.append(f"version: expected {CONFIG_VERSION}, got {version!r}")
-        prob = data.get("problem")
+        prob = values["problem"]
         if not isinstance(prob, dict):
             problems.append("problem: required object is missing")
-        method = data.get("method", "itm")
+        method = values["method"]
         if method not in VALID_METHODS:
             problems.append(f"method: must be one of {VALID_METHODS}, got {method!r}")
-        p = data.get("p", 3)
+        p = values["p"]
         if not _is_int(p) or p not in (2, 3):
             problems.append(f"p: must be 2 or 3, got {p!r}")
-        eps = data.get("eps", [1e-6])
+        eps = values["eps"]
         if not isinstance(eps, (list, tuple)) or len(eps) == 0:
             problems.append("eps: must be a nonempty list")
         elif any(not _is_number(e) or e <= 0 for e in eps):
             problems.append("eps: entries must be positive numbers")
-        seeds = data.get("seeds", [0])
+        seeds = values["seeds"]
         if not isinstance(seeds, (list, tuple)) or len(seeds) == 0:
             problems.append("seeds: must be a nonempty list")
         elif any(not _is_int(s) or s < 0 for s in seeds):
             problems.append("seeds: entries must be nonnegative integers")
         elif len(set(seeds)) != len(seeds):
             problems.append("seeds: entries must be distinct")
-        kappa = data.get("kappa", "exact")
+        kappa = values["kappa"]
         if isinstance(kappa, str):
             if kappa not in ("exact", "corollary"):
                 problems.append(f"kappa: unknown policy {kappa!r}")
@@ -226,24 +247,24 @@ class ExperimentConfig:
                 problems.append("kappa: explicit array needs p nonnegative entries")
         else:
             problems.append("kappa: must be a policy name or an array")
-        tau = data.get("tau", 4.0)
+        tau = values["tau"]
         if not _is_number(tau):
             problems.append(f"tau: must be a number, got {tau!r}")
         elif method in ("itm", "stm") and tau <= 2:
             problems.append(f"tau: must be > 2 for {method}, got {tau!r}")
-        delta = data.get("delta", 0.1)
+        delta = values["delta"]
         if not _is_number(delta) or not 0 < delta <= 1:
             problems.append(f"delta: must be in (0, 1], got {delta!r}")
-        max_iter = data.get("max_iter", 100)
+        max_iter = values["max_iter"]
         if not _is_count(max_iter):
             problems.append(f"max_iter: must be a positive integer, got {max_iter!r}")
-        diameter = data.get("diameter")
+        diameter = values["diameter"]
         if diameter is not None and (not _is_number(diameter) or diameter <= 0):
             problems.append("diameter: must be a positive number when given")
-        x0_offset = data.get("x0_offset", 1.0)
+        x0_offset = values["x0_offset"]
         if not _is_number(x0_offset):
             problems.append(f"x0_offset: must be a number, got {x0_offset!r}")
-        out = data.get("out")
+        out = values["out"]
         if out is not None and not isinstance(out, str):
             problems.append(f"out: must be a path string, got {out!r}")
         if problems:
@@ -273,70 +294,43 @@ def load_config(path):
     return data
 
 
-def _field_errors(block: dict, prefix: str, required, owner: str) -> list:
-    """Missing required fields and ill-typed known fields of one block."""
-    bad = [f"{prefix}.{key}: required for {owner}" for key in required if key not in block]
-    for key, value in block.items():
-        if key in PROBLEM_FIELD_CHECKS:
+def _field_errors(kwargs: dict, kind: str) -> list:
+    """Missing, unknown and ill-typed fields, besides ``kind``, of a problem block."""
+    params = inspect.signature(PROBLEM_BUILDERS[kind]).parameters
+    bad = [f"problem.{name}: required for kind {kind!r}"
+           for name, param in params.items()
+           if param.default is param.empty and name not in kwargs]
+    for key, value in kwargs.items():
+        if key not in params:
+            bad.append(f"problem.{key}: unknown field for kind {kind!r}")
+        elif key in PROBLEM_FIELD_CHECKS:
             test, wanted = PROBLEM_FIELD_CHECKS[key]
             if not test(value):
-                bad.append(f"{prefix}.{key}: must be {wanted}, got {value!r}")
+                bad.append(f"problem.{key}: must be {wanted}, got {value!r}")
         elif key in PROBLEM_ARRAYS and not _is_array(value, PROBLEM_ARRAYS[key]):
-            bad.append(f"{prefix}.{key}: must be a nonempty {PROBLEM_ARRAYS[key]}-d "
+            bad.append(f"problem.{key}: must be a nonempty {PROBLEM_ARRAYS[key]}-d "
                        f"array of finite numbers")
     return bad
 
 
-def _generator_errors(gen) -> list:
-    """Problems with an inline ``generator`` block: its name, fields and their types."""
-    name = gen.get("name") if isinstance(gen, dict) else None
-    if not isinstance(name, str) or name not in GENERATOR_FIELDS:
-        return [f"problem.generator: must be an object whose name is one of "
-                f"{tuple(GENERATOR_FIELDS)}"]
-    required, optional = GENERATOR_FIELDS[name]
-    bad = [f"problem.generator.{key}: unknown field for generator {name!r}"
-           for key in gen if key not in ("name", *required, *optional)]
-    return bad + _field_errors(gen, "problem.generator", required, f"generator {name!r}")
-
-
 def build_problem(spec: dict):
-    """Instantiate a problem from its config block (inline or generator).
+    """Instantiate a problem from its config block through ``PROBLEM_BUILDERS``.
 
-    Every field that reaches numpy is checked first, so a malformed block is
-    a ``ConfigError`` naming the field.
+    Every field is checked before it reaches numpy, so a malformed block is a
+    ``ConfigError`` naming the field.
     """
     kind = spec.get("kind")
-    if not isinstance(kind, str):
-        raise ConfigError([f"problem.kind: must be a string, got {kind!r}"])
-    if kind == "logistic-finite-sum":
-        required = ("generator",) if "generator" in spec else ("features", "labels")
-    else:
-        required = REQUIRED_PROBLEM_FIELDS.get(kind, ())
-    bad = _field_errors(spec, "problem", required, f"kind {kind!r}")
-    if kind == "logistic-finite-sum" and "generator" in spec:
-        bad += _generator_errors(spec["generator"])
+    if not isinstance(kind, str) or kind not in PROBLEM_BUILDERS:
+        raise ConfigError([f"problem.kind: must be one of {tuple(PROBLEM_BUILDERS)}, "
+                           f"got {kind!r}"])
+    kwargs = {key: value for key, value in spec.items() if key != "kind"}
+    bad = _field_errors(kwargs, kind)
     if bad:
         raise ConfigError(bad)
-    if kind in ("quadratic", "logistic-finite-sum"):
-        try:
-            return problem_from_dict(spec)
-        except (ValueError, DimensionMismatchError) as exc:
-            raise ConfigError([f"problem: {exc}"]) from exc
-    if kind == "quadratic-synthetic":
-        return make_quadratic(n=spec["n"], seed=spec.get("seed", 0),
-                              cond=spec.get("cond", 10.0))
-    if kind == "logistic-synthetic":
-        return make_logistic(n=spec["n"], m=spec["m"], seed=spec.get("seed", 0),
-                             mu=spec.get("mu", 1e-3),
-                             row_scale=spec.get("row_scale", 1.0),
-                             flip_fraction=spec.get("flip_fraction", 0.1))
-    if kind == "online-logistic":
-        return make_online_logistic(n=spec["n"], pool=spec.get("pool", 8192),
-                                    seed=spec.get("seed", 0),
-                                    mu=spec.get("mu", 1e-3),
-                                    clamp=spec.get("clamp", 1.0),
-                                    flip_fraction=spec.get("flip_fraction", 0.1))
-    raise ConfigError([f"problem.kind: cannot build {kind!r}"])
+    try:
+        return PROBLEM_BUILDERS[kind](**kwargs)
+    except (ValueError, DimensionMismatchError) as exc:
+        raise ConfigError([f"problem: {exc}"]) from exc
 
 
 def start_point(problem, offset: float, seed: int) -> np.ndarray:
@@ -409,11 +403,12 @@ class ExperimentResult:
 def run_cell(problem, config: ExperimentConfig, eps: float, seed: int,
              f_ref: float, x_ref) -> RunTrace:
     x0 = start_point(problem, config.x0_offset, seed)
-    diameter = config.diameter or 2.0 * float(np.linalg.norm(x0 - x_ref))
+    diameter = None
+    if config.kappa == "corollary":
+        diameter = config.diameter or 2.0 * float(np.linalg.norm(x0 - x_ref))
     run_cfg = RunConfig(
         p=config.p, eps=eps, kappa=config.kappa, tau=config.tau,
         diameter=diameter, max_iter=config.max_iter, seed=seed,
-        mode="stochastic" if config.method == "stm" else "deterministic",
         delta=config.delta,
     )
     if config.method == "itm":

@@ -78,6 +78,7 @@ def cmd_sweep(args) -> int:
         "iterations": list(summary.iterations),
         "grad_totals": list(summary.grad_totals),
         "hess_totals": list(summary.hess_totals),
+        "third_totals": list(summary.third_totals),
         "q_iter": summary.q_iter,
         "q_grad": summary.q_grad,
         "q_hess": summary.q_hess,

@@ -14,6 +14,9 @@ callables:
   the loop's ``fx = f(x)`` so that a bundle needs no second value call;
 * a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
 
+The method passes in ``f(x0)`` from ``_start_value``, which rejects a start
+point whose value is not finite before anything else is computed there.
+
 ``itm_run`` takes the exact bundle and minimizes the smooth regularized
 model. ``stm_run`` sizes per-order mini-batches from the concentration
 lemmas, samples the bundle, and takes the same model step.
@@ -242,23 +245,31 @@ def _finish(trace: RunTrace, status: str, k: int, fx: float, calls) -> RunTrace:
     return trace
 
 
-def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace:
+def _start_value(problem, x0) -> float:
+    """``f(x0)``, checked before any constant or derivative is computed at ``x0``.
+
+    Raises ``StartPointError`` when it is not finite.
+    """
+    fx0 = problem.value(x0)
+    if not math.isfinite(fx0):
+        raise StartPointError(
+            f"f(x0) = {fx0} is not finite at the start point "
+            f"(max |x0_i| = {float(np.abs(x0).max(initial=0.0)):.3e})")
+    return fx0
+
+
+def _outer_loop(problem, x0, fx0, config: RunConfig, f_ref, oracle, step) -> RunTrace:
     """Drive ``oracle`` and ``step`` (see the module docstring) to a stop.
 
-    Reads only ``eps``, ``max_iter``, ``grad_stop`` and ``step_stop`` from
-    ``config``. Every stop appends a closing record with zero step. Raises
-    ``StartPointError`` before the first oracle call when ``f(x0)`` is not
-    finite.
+    ``fx0`` is ``f(x0)`` from ``_start_value``. Reads only ``eps``,
+    ``max_iter``, ``grad_stop`` and ``step_stop`` from ``config``. Every stop
+    appends a closing record with zero step.
     """
     x = np.asarray(x0, dtype=float).copy()
+    fx = fx0
     trace = RunTrace(f_ref=f_ref)
     calls = (0, 0, 0)
     for k in itertools.count():
-        fx = problem.value(x)
-        if k == 0 and not math.isfinite(fx):
-            raise StartPointError(
-                f"f(x0) = {fx} is not finite at the start point "
-                f"(max |x0_i| = {float(np.abs(x).max(initial=0.0)):.3e})")
         trace.x_final = x
         if f_ref is not None and fx - f_ref <= config.eps:
             return _finish(trace, "gap-target", k, fx, calls)
@@ -272,12 +283,14 @@ def _outer_loop(problem, x0, config: RunConfig, f_ref, oracle, step) -> RunTrace
         trace.records.append(IterationRecord(
             k, fx, step_norm, inner_iters, used, *calls))
         x = trace.x_final = x_next
+        fx = problem.value(x)
         if step_norm <= config.step_stop:
-            return _finish(trace, "step-floor", k + 1, problem.value(x), calls)
+            return _finish(trace, "step-floor", k + 1, fx, calls)
 
 
 def _model_method(problem, x0, config: RunConfig):
-    """Certified profile, budget and the model step shared by ITM and STM."""
+    """``f(x0)``, then the certified profile, budget and model step shared by ITM and STM."""
+    fx0 = _start_value(problem, x0)
     profile = default_profile(problem, x0)
     kappas = resolve_kappas(config, profile)
     budget = InexactnessBudget(config.eps, kappas)
@@ -287,7 +300,7 @@ def _model_method(problem, x0, config: RunConfig):
         h, inner_iters = model_step(bundle, budget, mconfig)
         return x + h, float(np.linalg.norm(h)), inner_iters
 
-    return profile, budget, step
+    return fx0, profile, budget, step
 
 
 def itm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
@@ -296,13 +309,13 @@ def itm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     Each bundle counts as one full pass, ``m`` component calls per order.
     With exact bundles the run is monotone.
     """
-    _, _, step = _model_method(problem, x0, config)
+    fx0, _, _, step = _model_method(problem, x0, config)
     used = (problem.m, problem.m, problem.m if config.p >= 3 else 0)
 
     def oracle(k, x, fx):
         return exact_bundle(problem, x, config.p, fx), used
 
-    return _outer_loop(problem, x0, config, f_ref, oracle, step)
+    return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 
 def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
@@ -312,7 +325,7 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     ``1 - delta`` per iteration, so objective increases are recorded by the
     guard rather than treated as failures.
     """
-    profile, budget, step = _model_method(problem, x0, config)
+    fx0, profile, budget, step = _model_method(problem, x0, config)
     rng = np.random.default_rng(config.seed)
 
     def oracle(k, x, fx):
@@ -321,7 +334,7 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
         used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
         return bundle, used + (0,) * (3 - config.p)
 
-    return _outer_loop(problem, x0, config, f_ref, oracle, step)
+    return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 
 # ---------------------------------------------------------------------------

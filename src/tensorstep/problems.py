@@ -17,7 +17,6 @@ path and is bitwise identical to them; results are bit-stable for a given seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -103,7 +102,6 @@ class StochasticDraw:
 class QuadraticProblem:
     """f(x) = x^T A x / 2 - b^T x with A symmetric positive semidefinite."""
 
-    kind = "quadratic"
     mode = "offline"
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -179,13 +177,6 @@ class QuadraticProblem:
         if not 0 <= j < self.m:
             raise IndexError(f"component index {j} out of range for m = {self.m}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(np.asarray(data["A"]), np.asarray(data["b"]))
-
 
 class LogisticProblem:
     """Ridge-regularized logistic loss over labeled feature rows.
@@ -203,13 +194,9 @@ class LogisticProblem:
     clamp : float or None
         Feature-norm bound certified at generation time (online deviation
         bounds need it); inferred from the data when absent.
-    meta : dict
-        Generator parameters kept for serialization/replay.
     """
 
-    kind = "logistic-finite-sum"
-
-    def __init__(self, features, labels, mu=1e-3, mode="offline", clamp=None, meta=None):
+    def __init__(self, features, labels, mu=0.0, mode="offline", clamp=None):
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=float).ravel()
         if features.ndim != 2 or features.shape[0] != labels.size:
@@ -230,7 +217,6 @@ class LogisticProblem:
         self.clamp = float(clamp) if clamp is not None else float(
             np.linalg.norm(features, axis=1).max()
         )
-        self.meta = dict(meta or {})
 
     # -- weighted reductions: one code path over all rows or a row subset ---
     #
@@ -387,57 +373,6 @@ class LogisticProblem:
         if not 0 <= j < self.m:
             raise IndexError(f"component index {j} out of range for m = {self.m}")
 
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self):
-        data = {
-            "kind": self.kind,
-            "mu": self.mu,
-            "mode": self.mode,
-            "clamp": self.clamp,
-        }
-        if self.meta.get("generator"):
-            data["generator"] = self.meta["generator"]
-        else:
-            data["features"] = self.features.tolist()
-            data["labels"] = self.labels.tolist()
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        if "generator" in data:
-            gen = dict(data["generator"])
-            name = gen.pop("name")
-            if name == "synthetic-logistic":
-                return make_logistic(**gen)
-            if name == "online-logistic":
-                return make_online_logistic(**gen)
-            raise ValueError(f"unknown generator {name!r}")
-        return cls(
-            np.asarray(data["features"]),
-            np.asarray(data["labels"]),
-            mu=data.get("mu", 0.0),
-            mode=data.get("mode", "offline"),
-            clamp=data.get("clamp"),
-        )
-
-
-def problem_from_dict(data) -> QuadraticProblem | LogisticProblem:
-    kind = data.get("kind")
-    if kind == "quadratic":
-        return QuadraticProblem.from_dict(data)
-    if kind == "logistic-finite-sum":
-        return LogisticProblem.from_dict(data)
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def problem_to_json(problem) -> str:
-    return json.dumps(problem.to_dict(), sort_keys=True)
-
-
-def problem_from_json(text) -> QuadraticProblem | LogisticProblem:
-    return problem_from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # seeded generators
@@ -465,11 +400,7 @@ def make_logistic(n: int, m: int, seed: int = 0, mu: float = 1e-3,
     if flip_fraction > 0:
         flips = rng.random(m) < flip_fraction
         labels[flips] *= -1.0
-    meta = {"generator": {
-        "name": "synthetic-logistic", "n": n, "m": m, "seed": seed, "mu": mu,
-        "row_scale": row_scale, "flip_fraction": flip_fraction, "mode": mode,
-    }}
-    return LogisticProblem(rows, labels, mu=mu, mode=mode, meta=meta)
+    return LogisticProblem(rows, labels, mu=mu, mode=mode)
 
 
 def make_online_logistic(n: int, pool: int = 8192, seed: int = 0, mu: float = 1e-3,
@@ -490,8 +421,4 @@ def make_online_logistic(n: int, pool: int = 8192, seed: int = 0, mu: float = 1e
     if flip_fraction > 0:
         flips = rng.random(pool) < flip_fraction
         labels[flips] *= -1.0
-    meta = {"generator": {
-        "name": "online-logistic", "n": n, "pool": pool, "seed": seed, "mu": mu,
-        "clamp": clamp, "flip_fraction": flip_fraction,
-    }}
-    return LogisticProblem(rows, labels, mu=mu, mode="online", clamp=clamp, meta=meta)
+    return LogisticProblem(rows, labels, mu=mu, mode="online", clamp=clamp)

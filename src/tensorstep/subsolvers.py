@@ -25,9 +25,12 @@ monotonically with a linear rate. Each inner step is one regularized quartic
 in the fixed matrix ``B``: the loop factors ``B`` once and solves every step
 with the eigenbasis core of ``solve_regularized_quartic``, hard case
 included, but without its residual postcondition, which would cost one more
-n-by-n product per step. A step then costs one contraction ``T[h]^2``, one
-n-by-n product and one secular solve: ``grad zeta(h)`` and ``zeta(h)`` both
-come from the one ``T[h]^2``, the value through ``T[h]^3 = <T[h]^2, h>``.
+n-by-n matrix-vector product per step. A step then costs one contraction
+``T[h]^2``, one secular solve and four n-by-n matrix-vector products:
+``B h`` for ``grad rho(h)``, ``hess h`` inside ``TaylorModel.zeta_and_grad``,
+and the two changes of eigenbasis, ``vecs^T c`` and ``vecs`` times the
+solution's coefficients. ``grad zeta(h)`` and ``zeta(h)`` both come from the
+one ``T[h]^2``, the value through ``T[h]^3 = <T[h]^2, h>``.
 The secular solve is warm-started from the previous step's ``mu``, which
 moves little from step to step, so it typically takes 4 to 7 evaluations of
 the secular function, the two that open its bracket included.
@@ -266,7 +269,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
     the fixed matrix ``B``, so its eigendecomposition is computed once and
     reused across all inner steps. Each step then costs one contraction
-    ``T[h]^2``, one n-by-n product and one secular solve, warm-started from
+    ``T[h]^2``, four n-by-n matrix-vector products (``B h``, ``hess h`` and
+    the two changes of eigenbasis) and one secular solve, warm-started from
     the previous step's ``mu``: the recorded ``zeta(h)`` comes with
     ``grad zeta(h)`` from ``TaylorModel.zeta_and_grad`` through
     ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=

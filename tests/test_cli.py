@@ -1,10 +1,16 @@
 """Exit-code contract of the command-line harness: bad input exits 1, never a traceback."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
-from tensorstep import cli
+from tensorstep import LogisticProblem, cli
+from tensorstep.bench import build_problem
+
+GOLDEN_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden", "itm-p3", "trace_eps1e-06_seed0.csv")
 
 
 def write_config(tmp_path, **fields):
@@ -44,13 +50,48 @@ class TestExitCodes:
         assert cli.main(self.far_start_args(tmp_path, 1e100)) == 2
         assert capsys.readouterr().err.startswith("error: inner loop exhausted")
 
-    def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys):
-        # f(x0) itself overflows here, so numpy warns before the loop rejects x0
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys, monkeypatch):
+        centers = []
+        certify = LogisticProblem.lipschitz_profile
+
+        def recording(problem, x0, radius):
+            centers.append(float(np.abs(x0).max()))
+            return certify(problem, x0, radius)
+
+        monkeypatch.setattr(LogisticProblem, "lipschitz_profile", recording)
+        # f(x0) itself overflows here: its own numpy warning is the only one
+        with pytest.warns(RuntimeWarning, match="overflow") as warned:
             code = cli.main(self.far_start_args(tmp_path, 1e300))
         assert code == 2
+        assert len(warned) == 1
+        assert centers == [0.0]  # only the reference solve, which starts at the origin
         assert capsys.readouterr().err.startswith(
             "error: f(x0) = inf is not finite at the start point")
+
+
+class TestSuccessPaths:
+    def test_sweep_prints_every_total(self, tmp_path, capsys):
+        path = write_config(tmp_path, eps=[1e-2, 1e-3])
+        assert cli.main(["sweep", "--config", path]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert len(summary["third_totals"]) == 2
+        assert isinstance(summary["clamped"], bool)
+
+    def test_fit_of_a_golden_trace(self, capsys):
+        assert cli.main(["fit", GOLDEN_TRACE]) == 0
+        assert capsys.readouterr().out.startswith("slope=")
+
+
+class TestProblemKinds:
+    def test_synthetic_logistic_honours_mode(self):
+        problem = build_problem({"kind": "logistic-synthetic", "n": 4, "m": 50,
+                                 "mode": "online"})
+        assert problem.mode == "online"
+
+    def test_inline_logistic_has_no_ridge_by_default(self):
+        problem = build_problem({"kind": "logistic-finite-sum",
+                                 "features": [[1.0, 0.0]], "labels": [1]})
+        assert problem.mu == 0.0
 
 
 def fit_args(tmp_path, text):
@@ -96,7 +137,19 @@ MALFORMED = {
     "generator-without-m": (
         lambda tmp: problem_args(tmp, kind="logistic-finite-sum",
                                  generator={"name": "synthetic-logistic", "n": 4}),
-        "problem.generator.m"),
+        "problem.generator"),
+    "generator-block": (
+        lambda tmp: problem_args(tmp, kind="logistic-finite-sum",
+                                 generator={"name": "synthetic-logistic", "n": 4, "m": 50}),
+        "problem.generator"),
+    "top-level-unknown": (lambda tmp: run_args(tmp, max_iters=5), "max_iters"),
+    "quadratic-cond": (
+        lambda tmp: problem_args(tmp, kind="quadratic", A=[[1]], b=[1], cond=3.0),
+        "problem.cond"),
+    "online-logistic-m": (
+        lambda tmp: problem_args(tmp, kind="online-logistic", n=4, m=50), "problem.m"),
+    "synthetic-misspelled": (
+        lambda tmp: problem_args(tmp, **GENERATED, flip_fracton=0.1), "problem.flip_fracton"),
     "eps-override-string": (lambda tmp: run_args(tmp, "--eps", "a"), "eps"),
     "eps-override-zero": (lambda tmp: run_args(tmp, "--eps", "0"), "eps"),
     "eps-override-negative": (lambda tmp: run_args(tmp, "--eps", "-1"), "eps"),

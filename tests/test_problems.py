@@ -11,8 +11,6 @@ from tensorstep import (
     make_logistic,
     make_online_logistic,
     make_quadratic,
-    problem_from_json,
-    problem_to_json,
 )
 from tensorstep.problems import LOGISTIC_LINK_BOUNDS, link_d1, link_d2, link_d3, link_value
 
@@ -257,26 +255,3 @@ class TestSupportBatches:
         third = prob.batch_third(rng.standard_normal(prob.dim), draw)
         assert third.rows.shape[0] == np.count_nonzero(counts)
         assert np.all(third.weights != 0.0)
-
-
-class TestSerialization:
-    def test_quadratic_roundtrip(self, rng):
-        prob = make_quadratic(3, seed=16)
-        clone = problem_from_json(problem_to_json(prob))
-        x = rng.standard_normal(3)
-        assert clone.value(x) == pytest.approx(prob.value(x), abs=1e-15)
-
-    def test_logistic_generator_roundtrip(self, rng):
-        prob = make_logistic(n=4, m=20, seed=17, mu=1e-2)
-        clone = problem_from_json(problem_to_json(prob))
-        x = rng.standard_normal(4)
-        assert clone.value(x) == prob.value(x)
-        assert clone.m == prob.m
-
-    def test_online_generator_roundtrip(self, rng):
-        prob = make_online_logistic(n=3, pool=64, seed=18, clamp=1.5)
-        clone = problem_from_json(problem_to_json(prob))
-        x = rng.standard_normal(3)
-        assert clone.value(x) == prob.value(x)
-        assert clone.mode == "online"
-        assert clone.clamp == prob.clamp
