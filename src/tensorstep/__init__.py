@@ -4,17 +4,12 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InsufficientDataError,
-    NonsmoothPointError,
-    SingularPointError,
     StartPointError,
     SubsolverError,
     TensorStepError,
 )
 from .linalg import (
     RankOneSumTensor3,
-    dp_grad,
-    dp_hess,
-    dp_value,
     opnorm_mat,
     t3_norm_estimate,
     zero_tensor3,
@@ -23,10 +18,7 @@ from .models import (
     DerivativeBundle,
     InexactnessBudget,
     ModelConfig,
-    SmoothModelP3,
     TaylorModel,
-    hessian_sandwich_report,
-    residual_bound_report,
     zeta_radial_coefficients,
 )
 from .problems import (
@@ -51,9 +43,7 @@ from .sampling import (
 from .subsolvers import (
     RegularizedQuartic,
     bregman_minimize_zeta,
-    generic_model_minimize,
     relative_smoothness_constant,
-    rho_hessian,
     solve_model_p2,
     solve_regularized_quartic,
 )

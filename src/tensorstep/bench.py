@@ -15,7 +15,9 @@ class or generator that builds it (``PROBLEM_BUILDERS``):
 
 An optional field left out takes the builder's default. A missing, ill-typed
 or unknown field, at the top level or in the problem block, is a
-``ConfigError`` naming it (the CLI exits 1). Traces use the fixed column set
+``ConfigError`` naming it (the CLI exits 1), and so is a top-level field the
+chosen method never reads (``UNREAD_KEYS``; ``diameter`` is read only under
+``kappa: "corollary"``). Traces use the fixed column set
 
     k, f_gap, step_norm, n1, n2, n3, inner_iters,
     grad_calls, hess_calls, third_calls
@@ -62,6 +64,14 @@ TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
                  "grad_calls", "hess_calls", "third_calls")
 
 VALID_METHODS = ("itm", "stm", "gd", "agd")
+
+#: Config keys a method never reads: a config that gives one is rejected.
+#: ``diameter`` is read only under ``kappa: "corollary"``, whatever the method.
+UNREAD_KEYS = {
+    "gd": ("kappa", "tau", "delta", "diameter"),
+    "agd": ("kappa", "tau", "delta", "diameter"),
+    "itm": ("delta",),
+}
 
 #: What builds each problem kind. A block's fields are the builder's
 #: parameters: those without a default are required, and a field the block
@@ -267,6 +277,11 @@ class ExperimentConfig:
         out = values["out"]
         if out is not None and not isinstance(out, str):
             problems.append(f"out: must be a path string, got {out!r}")
+        unread = UNREAD_KEYS.get(method, ())
+        problems += [f"{key}: not read by method {method!r}"
+                     for key in unread if key in data]
+        if "diameter" in data and "diameter" not in unread and kappa != "corollary":
+            problems.append("diameter: read only with kappa 'corollary'")
         if problems:
             raise ConfigError(problems)
         return cls(
@@ -395,7 +410,6 @@ def load_trace_csv(path):
 @dataclass
 class ExperimentResult:
     traces: dict            # (eps, seed) -> RunTrace
-    fits: dict              # (eps, seed) -> RateFit | None
     f_ref: float
     files: list = field(default_factory=list)
 
@@ -423,7 +437,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run every (eps, seed) cell, write one CSV per cell plus a summary."""
     problem = build_problem(config.problem)
     x_ref, f_ref = reference_solution(problem)
-    result = ExperimentResult(traces={}, fits={}, f_ref=f_ref)
+    result = ExperimentResult(traces={}, f_ref=f_ref)
     out_dir = out_dir or config.out
     summary_rows = []
     for eps in config.eps:
@@ -435,7 +449,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
                                f_ref=f_ref)
             except InsufficientDataError:
                 fit = None
-            result.fits[(eps, seed)] = fit
             final = trace.final
             summary_rows.append({
                 "eps": eps, "seed": seed, "status": trace.status,
@@ -495,6 +508,9 @@ def complexity_sweep(problem, config: ExperimentConfig, f_ref=None,
     """
     if config.method != "stm":
         raise ConfigError(["method: complexity_sweep requires method == 'stm'"])
+    if len(set(config.eps)) < 2:
+        raise ConfigError([f"eps: a sweep fits its exponents over at least two "
+                           f"distinct values, got {list(config.eps)}"])
     if x_ref is None or f_ref is None:
         x_ref, f_ref = reference_solution(problem)
     iterations, grads, hessians, thirds = [], [], [], []

@@ -101,7 +101,7 @@ def cmd_fit(args) -> int:
 def cmd_verify_condition(args) -> int:
     if args.trials < 1:
         raise ConfigError([f"trials: --trials must be at least 1, got {args.trials}"])
-    config = _config(args)
+    config = _config(args, method="stm")
     problem = build_problem(config.problem)
     if not isinstance(config.kappa, tuple):
         raise ConfigError(["kappa: verify-condition needs an explicit kappa array"])

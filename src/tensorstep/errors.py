@@ -9,23 +9,21 @@ class DimensionMismatchError(TensorStepError):
     """Operands have incompatible dimensions."""
 
 
-class NonsmoothPointError(TensorStepError):
-    """A derivative was requested at a point where it does not exist."""
-
-
-class SingularPointError(TensorStepError):
-    """A second derivative was requested at a point where it blows up."""
-
-
 class StartPointError(TensorStepError):
     """The objective is not finite at the start point of a run."""
 
 
 class SubsolverError(TensorStepError):
-    """An inner solver exhausted its iteration budget.
+    """A model subproblem could not be solved.
 
-    Carries the best iterate seen so far and its gradient-norm residual so
-    callers can decide whether to accept it anyway.
+    Raised when an inner solver exhausts its iteration budget, when the
+    smooth model is not finite at a trial step, when the secular root cannot
+    be bracketed or does not converge (only non-finite or overflowing data
+    reach these), when a quartic solution misses its stationarity tolerance,
+    and when a quartic with ``b = 0`` has a curvature matrix that is not
+    positive definite.
+    Carries the best iterate seen so far and its residual, where the solver
+    has them, so callers can decide whether to accept it anyway.
     """
 
     def __init__(self, message, best=None, residual=None):

@@ -1,11 +1,12 @@
 """Vector, matrix and third-order tensor kernels used throughout the library.
 
-Provides the power-prox family ``d_p(x) = ||x||^p / p`` with analytic first and
-second derivatives, the one representation of symmetric third-order tensors
+Provides the one representation of symmetric third-order tensors
 (``RankOneSumTensor3``, a rank-one-sum operator that never materializes the
 ``n^3`` array), the operator norm of a symmetric matrix (its largest absolute
 eigenvalue, from ``eigvalsh``), and a randomized lower-bound estimator for the
-induced norm of a symmetric third-order tensor.
+induced norm of a symmetric third-order tensor. The power prox
+``d_p(x) = ||x||^p / p``, which the analysis uses and no run evaluates, lives
+with the other lemma checks in ``tests/lemmas.py``.
 
 All operations are pure and deterministic given explicit seeds, so they are
 safe to evaluate concurrently.
@@ -15,61 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonsmoothPointError, SingularPointError
-
-
-# ---------------------------------------------------------------------------
-# power prox d_p and derivatives
-# ---------------------------------------------------------------------------
-
-def dp_value(x: np.ndarray, p: int) -> float:
-    """Value of the power prox ``d_p(x) = ||x||^p / p`` (Euclidean norm)."""
-    if p < 1:
-        raise ValueError(f"power prox needs p >= 1, got {p}")
-    return float(np.linalg.norm(x) ** p / p)
-
-
-def dp_grad(x: np.ndarray, p: int) -> np.ndarray:
-    """Gradient ``||x||^(p-2) x`` of the power prox.
-
-    For ``p >= 3`` the gradient extends continuously to zero at ``x = 0``.
-    ``p = 1`` is nonsmooth at the origin and raises there; callers that
-    optimize through it must use the smooth model instead.
-    """
-    x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if p == 1:
-        if nrm == 0.0:
-            raise NonsmoothPointError("d_1 has no gradient at x = 0")
-        return x / nrm
-    if p < 1:
-        raise ValueError(f"power prox needs p >= 1, got {p}")
-    if p == 2:
-        return x.copy()
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    return nrm ** (p - 2) * x
-
-
-def dp_hess(x: np.ndarray, p: int) -> np.ndarray:
-    """Hessian ``(p-2) ||x||^(p-4) x x^T + ||x||^(p-2) I`` of the power prox.
-
-    Satisfies ``dp_hess(x, p) >= ||x||^(p-2) I`` in the semidefinite order.
-    ``p = 3`` has unbounded curvature at the origin and raises there; for
-    ``p >= 4`` the Hessian extends continuously to the zero matrix.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if p < 2:
-        raise ValueError(f"dp_hess needs p >= 2, got {p}")
-    if p == 2:
-        return np.eye(n)
-    nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        if p == 3:
-            raise SingularPointError("d_3 has no Hessian at x = 0")
-        return np.zeros((n, n))
-    return (p - 2) * nrm ** (p - 4) * np.outer(x, x) + nrm ** (p - 2) * np.eye(n)
+from .errors import DimensionMismatchError
 
 
 # ---------------------------------------------------------------------------

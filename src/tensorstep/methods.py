@@ -349,12 +349,14 @@ def default_profile(problem, x0) -> LipschitzProfile:
 
 def reference_solution(problem, x0=None, grad_tol: float = 1e-12,
                        max_iter: int = 300):
-    """High-accuracy minimizer via the exact order-2 method.
+    """Approximate minimizer via the exact order-2 method.
 
     With zero tolerances the model epsilon only scales the regularizer, so it
-    is pinned at 1 to keep the quartic term benign; the run is then a
-    regularized Newton method with superlinear local convergence. Returns
-    ``(x_star, f_star)``.
+    is pinned at 1 to keep the quartic term benign; the run is then a Newton
+    method damped by a constant ``d_2`` term, which converges only linearly.
+    It stops at ``grad_tol`` or after ``max_iter`` steps, whichever comes
+    first, and returns ``(x_star, f_star)`` either way: on logistic n=50,
+    m=20000 it stops at ``max_iter`` 300 with ``||grad f|| ~ 4.5e-6``.
     """
     x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     config = RunConfig(p=2, eps=1.0, kappa="exact", max_iter=max_iter,

@@ -13,8 +13,12 @@ builds
   ``alpha = eps^(1/p)``, so that only even powers (plus the top split term)
   remain and the model is twice differentiable everywhere.
 
-The optimizer always minimizes ``zeta``; ``omega`` is kept for analysis and
-verification (its ``d_1`` term has a kink at the origin).
+The optimizer always minimizes ``zeta``, so this module evaluates only
+``phi``, ``zeta`` and the gradient of ``zeta``. ``omega`` (whose ``d_1`` term
+has a kink at the origin), the derivatives of ``phi``, the Hessian of
+``zeta`` and the Taylor-residual and Hessian-sandwich checks are analysis
+quantities no run evaluates; they live with the other lemma checks in
+``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonsmoothPointError, SubsolverError
-from .linalg import RankOneSumTensor3, dp_value, opnorm_mat
-from .problems import LipschitzProfile
+from .errors import SubsolverError
+from .linalg import RankOneSumTensor3
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,6 @@ class ModelConfig:
         return cls(p=3, sigma=sigma, tau=tau)
 
 
-def coupling_residual(config: ModelConfig, lip_top: float, kappa_top: float) -> float:
-    """How far ``2 sigma + 2 kappa_t - 3 tau^2 (L_3 + kappa_t)`` is from zero."""
-    return 2.0 * config.sigma + 2.0 * kappa_top - 3.0 * config.tau ** 2 * (lip_top + kappa_top)
-
-
 def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> dict:
     """Coefficients of the even-power expansion of ``zeta - phi``.
 
@@ -149,29 +147,8 @@ def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> 
     return coeffs
 
 
-@dataclass(frozen=True)
-class SmoothModelP3:
-    """The order-3 smooth model written as ``phi + C2 d_2 + C4 d_4 + constant``."""
-
-    C2: float
-    C4: float
-    constant: float
-
-    @classmethod
-    def from_budget(cls, budget: InexactnessBudget, config: ModelConfig) -> "SmoothModelP3":
-        if config.p != 3 or budget.p != 3:
-            raise ValueError("SmoothModelP3 requires p = 3")
-        kg, kb, kt = budget.kappas
-        e23 = budget.eps ** (2.0 / 3.0)
-        return cls(
-            C2=(kg + kb + kt / 6.0) * e23,
-            C4=config.sigma / 2.0 + kt / 3.0,
-            constant=0.5 * kg * budget.eps ** (4.0 / 3.0),
-        )
-
-
 class TaylorModel:
-    """Evaluator for ``phi``, ``omega`` and ``zeta`` built from one bundle."""
+    """Evaluator for ``phi`` and ``zeta`` built from one bundle."""
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
                  config: ModelConfig):
@@ -195,57 +172,7 @@ class TaylorModel:
             val += b.third.apply3(s) / 6.0
         return val
 
-    def phi_grad(self, s: np.ndarray) -> np.ndarray:
-        b = self.bundle
-        s = np.asarray(s, dtype=float)
-        g = b.grad + b.hess @ s
-        if b.p >= 3:
-            g = g + 0.5 * b.third.apply2(s)
-        return g
-
-    def phi_hess(self, s: np.ndarray) -> np.ndarray:
-        b = self.bundle
-        s = np.asarray(s, dtype=float)
-        h = b.hess.copy()
-        if b.p >= 3:
-            h = h + b.third.apply(s)
-        return h
-
-    # -- regularized majorant omega -------------------------------------------
-
-    def omega(self, s: np.ndarray) -> float:
-        s = np.asarray(s, dtype=float)
-        p = self.config.p
-        val = self.phi(s)
-        for i in range(1, p + 1):
-            coef = self.budget.kappa(i) * self.budget.eps_power(i) / math.factorial(i - 1)
-            val += coef * dp_value(s, i)
-        val += self.config.sigma / math.factorial(p - 1) * dp_value(s, p + 1)
-        return val
-
-    def omega_grad(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        p = self.config.p
-        nrm = float(np.linalg.norm(s))
-        if nrm == 0.0 and self.budget.kappa(1) > 0:
-            raise NonsmoothPointError("omega has a d_1 kink at s = 0; probe at s != 0")
-        g = self.phi_grad(s)
-        for i in range(1, p + 1):
-            coef = self.budget.kappa(i) * self.budget.eps_power(i) / math.factorial(i - 1)
-            if coef == 0.0:
-                continue
-            if i == 1:
-                g = g + coef * (s / nrm)
-            elif nrm > 0.0:
-                g = g + coef * nrm ** (i - 2) * s
-        g = g + self.config.sigma / math.factorial(p - 1) * nrm ** (p - 1) * s
-        return g
-
     # -- smooth majorant zeta ---------------------------------------------------
-
-    @property
-    def zeta_coefficients(self) -> dict:
-        return dict(self._zeta_coeffs)
 
     def zeta(self, s: np.ndarray) -> float:
         s = np.asarray(s, dtype=float)
@@ -286,133 +213,3 @@ class TaylorModel:
             raise SubsolverError(
                 f"smooth model is not finite at ||s|| = {math.sqrt(r2):.3e}")
         return val, g
-
-    def zeta_hess(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        n = s.size
-        r2 = float(s @ s)
-        h = self.phi_hess(s)
-        for power, coef in self._zeta_coeffs.items():
-            if power < 2:
-                continue
-            h = h + coef * power * r2 ** (power // 2 - 1) * np.eye(n)
-            if power >= 4:
-                h = h + coef * power * (power - 2) * r2 ** (power // 2 - 2) * np.outer(s, s)
-        return h
-
-
-# ---------------------------------------------------------------------------
-# verification reports (test mode: exact derivatives available)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Measured residuals of f, grad f, hess f against the model bounds."""
-
-    value_lhs: float
-    value_rhs: float
-    grad_lhs: float
-    grad_rhs: float
-    hess_lhs: float
-    hess_rhs: float
-
-    @property
-    def value_ok(self):
-        return self.value_lhs <= self.value_rhs + 1e-8 * max(1.0, self.value_rhs)
-
-    @property
-    def grad_ok(self):
-        return self.grad_lhs <= self.grad_rhs + 1e-8 * max(1.0, self.grad_rhs)
-
-    @property
-    def hess_ok(self):
-        return self.hess_lhs <= self.hess_rhs + 1e-8 * max(1.0, self.hess_rhs)
-
-    @property
-    def all_ok(self):
-        return self.value_ok and self.grad_ok and self.hess_ok
-
-
-def residual_bound_report(problem, bundle: DerivativeBundle, budget: InexactnessBudget,
-                          profile: LipschitzProfile, s: np.ndarray) -> ResidualReport:
-    """Check the three Taylor-residual inequalities at one displacement.
-
-    The right-hand sides use the certified top Lipschitz constant plus the
-    *measured* per-order deviation terms at this displacement (so the
-    kappa-dependent parts hold by construction and the substantive content is
-    the top-order remainder).
-    """
-    s = np.asarray(s, dtype=float)
-    p = bundle.p
-    x = bundle.x
-    nrm = float(np.linalg.norm(s))
-    lip = profile.lip(p)
-
-    e1 = bundle.grad - problem.gradient(x)
-    e2 = bundle.hess - problem.hessian(x)
-    dev_vec = [float(np.linalg.norm(e1)), float(np.linalg.norm(e2 @ s))]
-    dev_mat = [float(opnorm_mat(e2))]
-    if p >= 3:
-        e3 = bundle.third - problem.third(x)
-        dev_vec.append(float(np.linalg.norm(e3.apply2(s))))
-        dev_mat.append(float(opnorm_mat(e3.apply(s))))
-
-    model = TaylorModel(bundle, budget, ModelConfig(p=p, sigma=max(lip, 1e-300)))
-
-    value_rhs = lip * nrm ** (p + 1) / math.factorial(p + 1)
-    grad_rhs = lip * nrm ** p / math.factorial(p)
-    hess_rhs = lip * nrm ** (p - 1) / math.factorial(p - 1)
-    for i in range(1, p + 1):
-        value_rhs += dev_vec[i - 1] * nrm / math.factorial(i)
-        grad_rhs += dev_vec[i - 1] / math.factorial(i - 1)
-    for i in range(2, p + 1):
-        hess_rhs += dev_mat[i - 2] / math.factorial(i - 2)
-
-    fx = problem.value(x + s)
-    gx = problem.gradient(x + s)
-    hx = problem.hessian(x + s)
-    return ResidualReport(
-        value_lhs=abs(fx - model.phi(s)),
-        value_rhs=value_rhs,
-        grad_lhs=float(np.linalg.norm(gx - model.phi_grad(s))),
-        grad_rhs=grad_rhs,
-        hess_lhs=float(opnorm_mat(hx - model.phi_hess(s))),
-        hess_rhs=hess_rhs,
-    )
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Eigenvalue margins for ``0 <= hess f(x+s) <= hess phi(s) + shift I``."""
-
-    lower_margin: float
-    upper_margin: float
-    tol: float = 1e-8
-
-    @property
-    def ok(self):
-        return self.lower_margin >= -self.tol and self.upper_margin >= -self.tol
-
-
-def hessian_sandwich_report(problem, bundle: DerivativeBundle, budget: InexactnessBudget,
-                            config: ModelConfig, s: np.ndarray,
-                            profile: LipschitzProfile, tol: float = 1e-8) -> SandwichReport:
-    """Verify the two-sided Hessian bound at one displacement.
-
-    The scalar shift is ``sum_{i>=2} kappa_i eps^((p-i+1)/p) ||s||^(i-2)/(i-2)!
-    + L_p ||s||^(p-1)/(p-1)!`` with the budget's target tolerances.
-    """
-    s = np.asarray(s, dtype=float)
-    p = bundle.p
-    nrm = float(np.linalg.norm(s))
-    model = TaylorModel(bundle, budget, config)
-    shift = profile.lip(p) * nrm ** (p - 1) / math.factorial(p - 1)
-    for i in range(2, p + 1):
-        shift += budget.kappa(i) * budget.eps_power(i) * nrm ** (i - 2) / math.factorial(i - 2)
-    hx = problem.hessian(bundle.x + s)
-    upper = model.phi_hess(s) + shift * np.eye(s.size) - hx
-    return SandwichReport(
-        lower_margin=float(np.linalg.eigvalsh(hx).min()),
-        upper_margin=float(np.linalg.eigvalsh(0.5 * (upper + upper.T)).min()),
-        tol=tol,
-    )

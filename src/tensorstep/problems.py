@@ -135,19 +135,6 @@ class QuadraticProblem:
     def third(self, x) -> RankOneSumTensor3:
         return zero_tensor3(self.dim)
 
-    # single-component access: a quadratic is its own single component
-    def component_value(self, j, x):
-        self._check_index(j)
-        return self.value(x)
-
-    def component_gradient(self, j, x):
-        self._check_index(j)
-        return self.gradient(x)
-
-    def component_hessian(self, j, x):
-        self._check_index(j)
-        return self.hessian(x)
-
     def batch_gradient(self, x, indices):
         return self.gradient(x)
 
@@ -172,10 +159,6 @@ class QuadraticProblem:
             M=(0.0, 0.0, 0.0),
             radius=float(radius),
         )
-
-    def _check_index(self, j):
-        if not 0 <= j < self.m:
-            raise IndexError(f"component index {j} out of range for m = {self.m}")
 
 
 class LogisticProblem:
@@ -287,25 +270,7 @@ class LogisticProblem:
     def _full_weights(self):
         return np.full(self.m, 1.0 / self.m)
 
-    # -- per-component and batch access --------------------------------------
-
-    def component_value(self, j, x):
-        self._check_index(j)
-        x = np.asarray(x, dtype=float)
-        t = self.labels[j] * (self.features[j] @ x)
-        return float(link_value(np.array([t]))[0] + 0.5 * self.mu * (x @ x))
-
-    def component_gradient(self, j, x):
-        self._check_index(j)
-        x = np.asarray(x, dtype=float)
-        t = np.array([self.labels[j] * (self.features[j] @ x)])
-        return link_d1(t)[0] * self.labels[j] * self.features[j] + self.mu * x
-
-    def component_hessian(self, j, x):
-        self._check_index(j)
-        t = np.array([self.labels[j] * (self.features[j] @ np.asarray(x, dtype=float))])
-        a = self.features[j]
-        return link_d2(t)[0] * np.outer(a, a) + self.mu * np.eye(self.dim)
+    # -- batch access --------------------------------------------------------
 
     def batch_gradient(self, x, indices):
         rows, w = self._weights_from_indices(indices)
@@ -368,10 +333,6 @@ class LogisticProblem:
             M=(M1, M2, M3),
             radius=float(radius),
         )
-
-    def _check_index(self, j):
-        if not 0 <= j < self.m:
-            raise IndexError(f"component index {j} out of range for m = {self.m}")
 
 
 # ---------------------------------------------------------------------------

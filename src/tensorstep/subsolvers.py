@@ -36,8 +36,8 @@ moves little from step to step, so it typically takes 4 to 7 evaluations of
 the secular function, the two that open its bracket included.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
-solve; ``generic_model_minimize`` is a first-order fallback used for
-cross-checks at any order.
+solve. The Hessian of the reference function and the first-order minimizer
+that cross-checks these solvers are lemma checks, kept in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .models import (
     DerivativeBundle,
     InexactnessBudget,
     ModelConfig,
-    SmoothModelP3,
     TaylorModel,
+    zeta_radial_coefficients,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,12 +84,6 @@ class RegularizedQuartic:
             raise ValueError("quadratic/quartic weights must be nonnegative")
         if self.b == 0.0 and self.a == 0.0:
             raise ValueError("need b > 0 or a > 0 for a well-posed subproblem")
-
-    def value(self, h: np.ndarray) -> float:
-        h = np.asarray(h, dtype=float)
-        r2 = float(h @ h)
-        return float(self.c @ h) + 0.5 * self.beta * float(h @ (self.B @ h)) \
-            + 0.5 * self.a * r2 + 0.25 * self.b * r2 * r2
 
     def grad(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -234,30 +228,24 @@ def rho_reference_coefficients(budget: InexactnessBudget, config: ModelConfig):
 
     ``rho(h) = beta_B (<B h, h>/2) + a d_2(h) + Q d_4(h)`` with
     ``beta_B = 1 - 2/tau``, ``a = beta_B C2`` and
-    ``Q = C4 - (sigma + kappa_t) / (3 tau)``; the last form eliminates
+    ``Q = C4 - (sigma + kappa_t) / (3 tau)``, where the order-3 smooth model
+    is ``phi + C2 d_2 + C4 d_4`` plus a constant:
+    ``C2 = (kappa_1 + kappa_2 + kappa_3/6) eps^(2/3)`` and
+    ``C4 = sigma/2 + kappa_3/3``. The form of ``Q`` eliminates
     ``L_3 + kappa_t`` through the sigma coupling, which is a precondition of
     the order-3 path.
     """
-    smp3 = SmoothModelP3.from_budget(budget, config)
+    kg, kb, kt = budget.kappas
+    C2 = (kg + kb + kt / 6.0) * budget.eps ** (2.0 / 3.0)
+    C4 = config.sigma / 2.0 + kt / 3.0
     tau = config.tau
     beta_b = 1.0 - 2.0 / tau
-    kt = budget.kappa(3)
-    Q = smp3.C4 - (config.sigma + kt) / (3.0 * tau)
+    Q = C4 - (config.sigma + kt) / (3.0 * tau)
     if Q <= 0.0:
         raise ValueError(
             "reference quartic weight must be positive; is sigma coupled to tau?"
         )
-    return beta_b, beta_b * smp3.C2, Q
-
-
-def rho_hessian(h: np.ndarray, B: np.ndarray, budget: InexactnessBudget,
-                config: ModelConfig) -> np.ndarray:
-    """Hessian of the reference function at ``h`` (for the sandwich checks)."""
-    beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
-    h = np.asarray(h, dtype=float)
-    n = h.size
-    r2 = float(h @ h)
-    return beta_b * B + a_coef * np.eye(n) + Q * (2.0 * np.outer(h, h) + r2 * np.eye(n))
+    return beta_b, beta_b * C2, Q
 
 
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
@@ -316,7 +304,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
 
 # ---------------------------------------------------------------------------
-# order-2 direct solver and generic fallback
+# order-2 direct solver
 # ---------------------------------------------------------------------------
 
 def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
@@ -328,61 +316,10 @@ def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
     quadratic weight ``2 * (kappa_1/2 + kappa_2/2 + sigma/6) eps^(1/2)`` and
     quartic weight ``4 * (sigma/6) eps^(-1/2)``.
     """
-    if bundle.p != 2:
-        raise ValueError("solve_model_p2 requires an order-2 bundle")
-    zeta_coeffs = TaylorModel(bundle, budget, config).zeta_coefficients
+    if bundle.p != 2 or budget.p != 2 or config.p != 2:
+        raise ValueError("solve_model_p2 requires an order-2 bundle, budget and config")
+    zeta_coeffs = zeta_radial_coefficients(budget, config)
     a = 2.0 * zeta_coeffs.get(2, 0.0)
     b = 4.0 * zeta_coeffs.get(4, 0.0)
     q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, beta=1.0, a=a, b=b)
     return solve_regularized_quartic(q)
-
-
-def generic_model_minimize(bundle: DerivativeBundle, budget: InexactnessBudget,
-                           config: ModelConfig, grad_tol: float = 1e-9,
-                           max_iter: int = 20000) -> np.ndarray:
-    """Backtracking gradient descent on the smooth model (validation fallback).
-
-    Trial steps are seeded with the Barzilai-Borwein length and safeguarded
-    by an Armijo backtracking line search, which keeps the fallback usable on
-    the badly scaled quartic models without any second-order information.
-    """
-    model = TaylorModel(bundle, budget, config)
-    h = np.zeros(bundle.dim)
-    val = model.zeta(h)
-    g = model.zeta_grad(h)
-    step = 1.0
-    prev_h = None
-    prev_g = None
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(g))
-        if gn <= grad_tol:
-            return h
-        if prev_h is not None:
-            dh = h - prev_h
-            dg = g - prev_g
-            denom = float(dh @ dg)
-            if denom > 0:
-                step = float(dh @ dh) / denom
-        step = min(max(step, 1e-18), 1e12)
-        accepted = False
-        trial = step
-        while trial > 1e-18:
-            cand = h - trial * g
-            cand_val = model.zeta(cand)
-            if cand_val <= val - 1e-4 * trial * gn * gn:
-                prev_h, prev_g = h, g
-                h, val = cand, cand_val
-                g = model.zeta_grad(h)
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            # no representable decrease is left when the Armijo margin falls
-            # below the float resolution of the model value
-            if 1e-4 * step * gn * gn < np.finfo(float).eps * max(1.0, abs(val)):
-                return h
-            raise SubsolverError("descent line search stalled", best=h, residual=gn)
-    raise SubsolverError(
-        f"descent exhausted {max_iter} iterations",
-        best=h, residual=float(np.linalg.norm(model.zeta_grad(h))),
-    )

@@ -77,6 +77,11 @@ class TestSuccessPaths:
         assert len(summary["third_totals"]) == 2
         assert isinstance(summary["clamped"], bool)
 
+    def test_verify_condition_plans_stm_batches_for_any_method(self, tmp_path):
+        # the kappa array a gradient method never reads is what the check plans with
+        path = write_config(tmp_path, method="gd")
+        assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
+
     def test_fit_of_a_golden_trace(self, capsys):
         assert cli.main(["fit", GOLDEN_TRACE]) == 0
         assert capsys.readouterr().out.startswith("slope=")
@@ -162,6 +167,14 @@ MALFORMED = {
                                  "--trials", "0"], "trials"),
     "trials-negative": (lambda tmp: ["verify-condition", "--config", write_config(tmp),
                                      "--trials", "-2"], "trials"),
+    "sweep-single-eps": (lambda tmp: ["sweep", "--config", write_config(tmp, eps=[1e-3])],
+                         "eps"),
+    "sweep-repeated-eps": (
+        lambda tmp: ["sweep", "--config", write_config(tmp), "--eps", "1e-3,1e-3"], "eps"),
+    "gd-tau": (lambda tmp: run_args(tmp, method="gd", tau=1e9), "tau"),
+    "agd-kappa": (lambda tmp: run_args(tmp, method="agd"), "kappa"),
+    "itm-delta": (lambda tmp: run_args(tmp, method="itm", delta=0.5), "delta"),
+    "diameter-without-corollary": (lambda tmp: run_args(tmp, diameter=7), "diameter"),
     "fit-missing-file": (lambda tmp: fit_args(tmp, None), "trace"),
     "fit-no-step-norm": (lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"), "trace"),
     "fit-non-numeric": (lambda tmp: fit_args(

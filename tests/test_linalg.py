@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from tensorstep import (
-    NonsmoothPointError,
     RankOneSumTensor3,
-    SingularPointError,
-    dp_grad,
-    dp_hess,
-    dp_value,
     opnorm_mat,
     t3_norm_estimate,
     zero_tensor3,
@@ -15,6 +10,7 @@ from tensorstep import (
 from tensorstep.errors import DimensionMismatchError
 
 from conftest import central_diff_grad, central_diff_jacobian
+from lemmas import NonsmoothPointError, SingularPointError, dp_grad, dp_hess, dp_value
 
 
 class TestPowerProx:

@@ -8,11 +8,9 @@ from tensorstep import (
     SubsolverError,
     TaylorModel,
     bregman_minimize_zeta,
-    generic_model_minimize,
     make_logistic,
     make_quadratic,
     relative_smoothness_constant,
-    rho_hessian,
     solve_model_p2,
     solve_regularized_quartic,
 )
@@ -20,9 +18,11 @@ from tensorstep.methods import default_profile, exact_bundle
 from tensorstep import subsolvers
 from tensorstep.subsolvers import SECULAR_TOL, _secular_root, rho_reference_coefficients
 
+from lemmas import generic_model_minimize, rho_hessian, zeta_hess
+
 
 def quartic_values(q: RegularizedQuartic, z):
-    """``q.value`` of every point along the last axis of ``z``."""
+    """The quartic's value at every point along the last axis of ``z``."""
     r2 = np.einsum("...i,...i->...", z, z)
     return z @ q.c + 0.5 * q.beta * np.einsum("...i,...i->...", z, z @ q.B.T) \
         + 0.5 * q.a * r2 + 0.25 * q.b * r2 * r2
@@ -120,7 +120,7 @@ class TestRegularizedQuartic:
             )
             h = solve_regularized_quartic(q)
             ref = brute_force_minimum(q, rng, starts=25, iters=300)
-            assert q.value(h) <= q.value(ref) + 1e-6
+            assert quartic_values(q, h) <= quartic_values(q, ref) + 1e-6
 
     def test_hard_case_boundary_solution(self):
         # c orthogonal to the bottom eigenspace of an indefinite curvature
@@ -133,7 +133,7 @@ class TestRegularizedQuartic:
         assert q.b * float(h @ h) == pytest.approx(2.0, rel=1e-8)
         rng = np.random.default_rng(5)
         ref = brute_force_minimum(q, rng)
-        assert q.value(h) <= q.value(ref) + 1e-8
+        assert quartic_values(q, h) <= quartic_values(q, ref) + 1e-8
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ class TestBregman:
         ktau = relative_smoothness_constant(config.tau)
         for _ in range(200):
             h = rng.standard_normal(7) * rng.uniform(0, 2)
-            hz = model.zeta_hess(h)
+            hz = zeta_hess(model, h)
             hr = rho_hessian(h, bundle.hess, budget, config)
             assert np.linalg.eigvalsh(hz - hr).min() >= -1e-8
             assert np.linalg.eigvalsh(ktau * hr - hz).min() >= -1e-8
