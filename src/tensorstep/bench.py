@@ -16,8 +16,9 @@ class or generator that builds it (``PROBLEM_BUILDERS``):
 An optional field left out takes the builder's default. A missing, ill-typed
 or unknown field, at the top level or in the problem block, is a
 ``ConfigError`` naming it (the CLI exits 1), and so is a top-level field the
-chosen method never reads (``UNREAD_KEYS``; ``diameter`` is read only under
-``kappa: "corollary"``). Traces use the fixed column set
+chosen method never reads (``UNREAD_KEYS``; ``tau`` is read only at ``p: 3``
+and ``diameter`` only under ``kappa: "corollary"``). Traces use the fixed
+column set
 
     k, f_gap, step_norm, n1, n2, n3, inner_iters,
     grad_calls, hess_calls, third_calls
@@ -66,7 +67,9 @@ TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
 VALID_METHODS = ("itm", "stm", "gd", "agd")
 
 #: Config keys a method never reads: a config that gives one is rejected.
-#: ``diameter`` is read only under ``kappa: "corollary"``, whatever the method.
+#: ``tau`` is read only at ``p: 3`` (the order-2 model step has no Bregman
+#: inner loop), and ``diameter`` only under ``kappa: "corollary"``, whatever
+#: the method.
 UNREAD_KEYS = {
     "gd": ("kappa", "tau", "delta", "diameter"),
     "agd": ("kappa", "tau", "delta", "diameter"),
@@ -231,7 +234,7 @@ class ExperimentConfig:
         if not isinstance(prob, dict):
             problems.append("problem: required object is missing")
         method = values["method"]
-        if method not in VALID_METHODS:
+        if not isinstance(method, str) or method not in VALID_METHODS:
             problems.append(f"method: must be one of {VALID_METHODS}, got {method!r}")
         p = values["p"]
         if not _is_int(p) or p not in (2, 3):
@@ -260,7 +263,7 @@ class ExperimentConfig:
         tau = values["tau"]
         if not _is_number(tau):
             problems.append(f"tau: must be a number, got {tau!r}")
-        elif method in ("itm", "stm") and tau <= 2:
+        elif method in ("itm", "stm") and p != 2 and tau <= 2:
             problems.append(f"tau: must be > 2 for {method}, got {tau!r}")
         delta = values["delta"]
         if not _is_number(delta) or not 0 < delta <= 1:
@@ -277,9 +280,11 @@ class ExperimentConfig:
         out = values["out"]
         if out is not None and not isinstance(out, str):
             problems.append(f"out: must be a path string, got {out!r}")
-        unread = UNREAD_KEYS.get(method, ())
+        unread = UNREAD_KEYS.get(method, ()) if isinstance(method, str) else ()
         problems += [f"{key}: not read by method {method!r}"
                      for key in unread if key in data]
+        if "tau" in data and "tau" not in unread and p == 2:
+            problems.append("tau: not read at p 2")
         if "diameter" in data and "diameter" not in unread and kappa != "corollary":
             problems.append("diameter: read only with kappa 'corollary'")
         if problems:

@@ -8,15 +8,46 @@ induced norm of a symmetric third-order tensor. The power prox
 ``d_p(x) = ||x||^p / p``, which the analysis uses and no run evaluates, lives
 with the other lemma checks in ``tests/lemmas.py``.
 
+Row reductions walk their rows in slices of ``ROW_BLOCK`` consecutive rows
+(``row_slice_sum``). A contraction streams its rows twice, once to project
+them on the direction and once to accumulate the weighted rows; a slice is
+small enough to stay in the core's cache between the two, so each row is
+fetched from memory once instead of twice. The same slices bound the
+temporaries of the problem oracles' reductions (``problems``). With at most
+``ROW_BLOCK`` rows there is one slice and the reduction is its unsliced
+expression, bit for bit.
+
 All operations are pure and deterministic given explicit seeds, so they are
 safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatchError
+
+
+#: Rows per slice of a row reduction. A slice of 2048 rows of n=50 floats
+#: is 800 KB, which a 2 MB L2 cache keeps between its two passes; of 512 to
+#: 8192 rows, 2048 gave the fastest ITM solve at n=50, m=20000.
+ROW_BLOCK = 2048
+
+
+def row_slice_sum(m: int, part):
+    """Sum of ``part(sl)`` over consecutive slices ``sl`` of ``ROW_BLOCK`` rows of ``m``.
+
+    The first part is the accumulator, so with ``m <= ROW_BLOCK`` the result is
+    the one part ``part(slice(0, ROW_BLOCK))`` itself, bitwise the unsliced
+    reduction. An empty ``m`` still takes one (empty) slice, so the result
+    keeps its shape.
+    """
+    starts = range(0, max(m, 1), ROW_BLOCK)
+    return functools.reduce(operator.iadd,
+                            (part(slice(i, i + ROW_BLOCK)) for i in starts))
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +62,9 @@ class RankOneSumTensor3:
     (three contractions, a scalar). Covers exact and sampled third
     derivatives of row-structured objectives (and their differences: over one
     shared ``rows`` array by subtracting weights, otherwise by concatenating
-    rows with signed weights) without ever building the ``n^3`` array.
+    rows with signed weights) without ever building the ``n^3`` array. Each
+    contraction projects and accumulates one slice of rows at a time
+    (``row_slice_sum``).
     """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray, dim: int | None = None):
@@ -59,18 +92,34 @@ class RankOneSumTensor3:
 
     def apply(self, s):
         s = self._check_dim(s)
-        proj = self.rows @ s
-        return (self.rows * (self.weights * proj)[:, None]).T @ self.rows
+
+        def part(sl):
+            rows = self.rows[sl]
+            proj = rows @ s
+            return (rows * (self.weights[sl] * proj)[:, None]).T @ rows
+
+        return row_slice_sum(self.rows.shape[0], part)
 
     def apply2(self, s):
         s = self._check_dim(s)
-        proj = self.rows @ s
-        return (self.weights * proj * proj) @ self.rows
+
+        def part(sl):
+            rows = self.rows[sl]
+            proj = rows @ s
+            weighted = self.weights[sl] * proj
+            weighted *= proj  # bitwise ``weights * proj * proj``, one temporary fewer
+            return weighted @ rows
+
+        return row_slice_sum(self.rows.shape[0], part)
 
     def apply3(self, s):
         s = self._check_dim(s)
-        proj = self.rows @ s
-        return float(np.dot(self.weights * proj * proj, proj))
+
+        def part(sl):
+            proj = self.rows[sl] @ s
+            return float(np.dot(self.weights[sl] * proj * proj, proj))
+
+        return row_slice_sum(self.rows.shape[0], part)
 
     def __sub__(self, other: "RankOneSumTensor3") -> "RankOneSumTensor3":
         if other.rows is self.rows:

@@ -13,6 +13,15 @@ Every batch quantity is a weighted sum with multiplicity weights over the rows
 its draw touches, so it costs O(batch * n) rather than O(m * n). A draw that
 touches every row (a full offline batch) takes the exact derivatives' all-rows
 path and is bitwise identical to them; results are bit-stable for a given seed.
+
+Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK``
+rows, so the scaled-feature temporary of a Hessian is one slice, not the whole
+feature matrix, and a sampled draw gathers its support rows one slice at a
+time instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
+slice, and the reduction is the unsliced expression bit for bit. The margins
+``y_j a_j^T x`` of all rows are kept for the last point evaluated, so the
+value, gradient, Hessian and third derivative at one iterate share one pass
+over the features.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import RankOneSumTensor3, zero_tensor3
+from .linalg import RankOneSumTensor3, row_slice_sum, zero_tensor3
 
 #: sup over t of |phi^(i)(t)| for the logistic link phi(t) = log(1 + e^-t),
 #: orders i = 1..4. The third-order bound is sqrt(3)/18, attained at
@@ -169,6 +178,8 @@ class LogisticProblem:
     features : (m, n) array
         One feature row per component.
     labels : (m,) array of +-1
+        Features and labels are not to be changed after construction: the
+        margins kept for the last point evaluated are keyed on the point only.
     mu : float
         Ridge weight; ``mu > 0`` makes the minimizer unique.
     mode : {"offline", "online"}
@@ -200,18 +211,50 @@ class LogisticProblem:
         self.clamp = float(clamp) if clamp is not None else float(
             np.linalg.norm(features, axis=1).max()
         )
+        self._margin_memo = None  # (x, margins of all rows at x), see _margins
 
     # -- weighted reductions: one code path over all rows or a row subset ---
     #
     # ``rows=None`` reduces over all m rows with one weight per row; exact
     # derivatives and draws that touch every row take it, so a full batch is
     # bitwise the exact derivative. Any other draw passes its support rows.
+    # Gradients and Hessians sum over slices of at most ROW_BLOCK rows
+    # (``_row_slice_sum``), so their temporaries stay at slice size.
 
     def _margins(self, x, rows=None):
-        """Selected rows, their labels and their margins ``y_j a_j^T x``."""
-        features = self.features if rows is None else self.features[rows]
-        labels = self.labels if rows is None else self.labels[rows]
-        return features, labels, labels * (features @ np.asarray(x, dtype=float))
+        """Selected rows, their labels and their margins ``y_j a_j^T x``.
+
+        The margins of all rows are kept for the last ``x`` seen (a copy, so
+        that a caller who changes ``x`` in place gets fresh ones): the value,
+        gradient, Hessian and third derivative at one point share one pass
+        over the features. Margins of a row subset are never kept.
+        """
+        x = np.asarray(x, dtype=float)
+        if rows is not None:
+            features, labels = self.features[rows], self.labels[rows]
+            return features, labels, labels * (features @ x)
+        memo = self._margin_memo
+        if memo is None or not np.array_equal(memo[0], x):
+            memo = self._margin_memo = (x.copy(), self.labels * (self.features @ x))
+        return self.features, self.labels, memo[1]
+
+    def _row_slice_sum(self, x, w, rows, coef, part):
+        """Sum of ``part(features, c)`` over row slices, ``c = coef(margins, labels, w)``.
+
+        All rows (``rows=None``) take their coefficients in one pass over the
+        shared margins and are sliced as views; support rows are gathered,
+        and their margins and coefficients computed, slice by slice.
+        """
+        if rows is None:
+            features, labels, t = self._margins(x)
+            c = coef(t, labels, w)
+            return row_slice_sum(self.m, lambda sl: part(features[sl], c[sl]))
+
+        def gathered(sl):
+            features, labels, t = self._margins(x, rows[sl])
+            return part(features, coef(t, labels, w[sl]))
+
+        return row_slice_sum(rows.size, gathered)
 
     def _weights_from_indices(self, batch):
         """``(rows, weights)``: a draw's support rows and multiplicity weights.
@@ -240,14 +283,16 @@ class LogisticProblem:
 
     def _weighted_gradient(self, x, w, rows=None):
         x = np.asarray(x, dtype=float)
-        features, labels, t = self._margins(x, rows)
-        coef = w * link_d1(t) * labels
-        return features.T @ coef + self.mu * x
+        grad = self._row_slice_sum(
+            x, w, rows, lambda t, labels, w: w * link_d1(t) * labels,
+            lambda features, c: features.T @ c)
+        return grad + self.mu * x
 
     def _weighted_hessian(self, x, w, rows=None):
-        features, _, t = self._margins(x, rows)
-        coef = w * link_d2(t)
-        return (features * coef[:, None]).T @ features + self.mu * np.eye(self.dim)
+        hess = self._row_slice_sum(
+            x, w, rows, lambda t, labels, w: w * link_d2(t),
+            lambda features, c: (features * c[:, None]).T @ features)
+        return hess + self.mu * np.eye(self.dim)
 
     def _weighted_third(self, x, w, rows=None) -> RankOneSumTensor3:
         features, labels, t = self._margins(x, rows)

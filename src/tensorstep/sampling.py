@@ -63,7 +63,8 @@ def batch_size_online(order: int, kappa: float, eps: float, delta: float,
     """Sufficient i.i.d. batch size for the order-``order`` derivative.
 
     Returns the sentinel ``EXACT`` when ``kappa == 0`` (only exact
-    derivatives can meet a zero tolerance).
+    derivatives can meet a zero tolerance), and at least 1 otherwise: a
+    deviation target far above the deviation bound needs a single sample.
     """
     if kappa == 0.0:
         return EXACT
@@ -71,7 +72,7 @@ def batch_size_online(order: int, kappa: float, eps: float, delta: float,
         raise ValueError("need kappa > 0 and eps > 0")
     t = kappa * eps ** ((p - order + 1) / p)
     s = profile.deviation(order) + profile.lip(order - 1)
-    return int(math.ceil(2.0 * s * s / (t * t) * _log_terms(order, dim, delta)))
+    return max(1, int(math.ceil(2.0 * s * s / (t * t) * _log_terms(order, dim, delta))))
 
 
 def batch_size_offline(order: int, kappa: float, eps: float, delta: float,

@@ -159,7 +159,7 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
     """
     c = np.asarray(q.c, dtype=float)
     mat = q.beta * 0.5 * (q.B + q.B.T)
-    lam_b, vecs = np.linalg.eigh(mat)
+    lam_b, vecs = _eigh(mat)
     if lam_b[0] < -1e-12 * max(1.0, abs(lam_b[-1])):
         logger.info("quartic subproblem: curvature matrix indefinite, "
                     "bottom eigenvalue %.3e handled via the shifted secular path",
@@ -174,6 +174,17 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
             best=h, residual=residual,
         )
     return h
+
+
+def _eigh(mat: np.ndarray):
+    """``np.linalg.eigh`` of a symmetric curvature matrix that must be finite.
+
+    Raises ``SubsolverError`` when it is not (an overflowing Hessian), which
+    LAPACK would otherwise report as eigenvalues that did not converge.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise SubsolverError("curvature matrix of the model is not finite")
+    return np.linalg.eigh(mat)
 
 
 def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
@@ -274,7 +285,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
 
     B = 0.5 * (bundle.hess + bundle.hess.T)
-    lam_b, vecs = np.linalg.eigh(ktau * beta_b * B)
+    lam_b, vecs = _eigh(ktau * beta_b * B)
     stats = InnerStats()
 
     h = np.zeros(bundle.dim)

@@ -41,6 +41,15 @@ class TestExitCodes:
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 101, "m": 50})
         assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
 
+    def test_overflowing_hessian_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, method="itm", kappa="exact", problem={
+            "kind": "logistic-synthetic", "n": 8, "m": 300, "row_scale": 1e300})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = cli.main(["run", "--config", path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: curvature matrix of the model is not finite")
+
     def far_start_args(self, tmp_path, offset):
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 4, "m": 50},
                             x0_offset=offset, out=str(tmp_path / "out"))
@@ -81,6 +90,13 @@ class TestSuccessPaths:
         # the kappa array a gradient method never reads is what the check plans with
         path = write_config(tmp_path, method="gd")
         assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
+
+    def test_verify_condition_plans_one_sample_for_a_loose_online_target(self, tmp_path,
+                                                                          capsys):
+        path = write_config(tmp_path, problem={"kind": "online-logistic", "n": 4},
+                            eps=[1e300])
+        assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) == 0
+        assert "plan sizes: (1, 1, 1)" in capsys.readouterr().out
 
     def test_fit_of_a_golden_trace(self, capsys):
         assert cli.main(["fit", GOLDEN_TRACE]) == 0
@@ -175,6 +191,8 @@ MALFORMED = {
     "agd-kappa": (lambda tmp: run_args(tmp, method="agd"), "kappa"),
     "itm-delta": (lambda tmp: run_args(tmp, method="itm", delta=0.5), "delta"),
     "diameter-without-corollary": (lambda tmp: run_args(tmp, diameter=7), "diameter"),
+    "method-list": (lambda tmp: run_args(tmp, method=["stm"]), "method"),
+    "p2-tau": (lambda tmp: run_args(tmp, p=2, kappa=[1.0, 1.0], tau=3.0), "tau"),
     "fit-missing-file": (lambda tmp: fit_args(tmp, None), "trace"),
     "fit-no-step-norm": (lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"), "trace"),
     "fit-non-numeric": (lambda tmp: fit_args(

@@ -8,6 +8,7 @@ from tensorstep import (
     zero_tensor3,
 )
 from tensorstep.errors import DimensionMismatchError
+from tensorstep.linalg import ROW_BLOCK
 
 from conftest import central_diff_grad, central_diff_jacobian
 from lemmas import NonsmoothPointError, SingularPointError, dp_grad, dp_hess, dp_value
@@ -173,6 +174,36 @@ class TestThirdOrderTensors:
         t = random_tensor(rng, 3)
         with pytest.raises(DimensionMismatchError):
             t.apply(np.zeros(4))
+
+
+def single_pass_contractions(tensor, s):
+    """``apply``, ``apply2`` and ``apply3`` as one reduction over all rows at once."""
+    rows, weights = tensor.rows, tensor.weights
+    proj = rows @ s
+    return ((rows * (weights * proj)[:, None]).T @ rows,
+            (weights * proj * proj) @ rows,
+            float(np.dot(weights * proj * proj, proj)))
+
+
+class TestRowSlices:
+    """Contractions walk their rows in slices of ``ROW_BLOCK``."""
+
+    def test_many_slices_match_a_single_pass(self, rng):
+        m = 2 * ROW_BLOCK + 7  # two full slices and a short one
+        t = RankOneSumTensor3(rng.standard_normal((m, 6)), rng.standard_normal(m))
+        s = rng.standard_normal(6)
+        for sliced, single in zip((t.apply(s), t.apply2(s), t.apply3(s)),
+                                  single_pass_contractions(t, s)):
+            assert np.linalg.norm(sliced - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("m", [0, 1, 300, ROW_BLOCK])
+    def test_one_slice_is_bitwise_a_single_pass(self, rng, m):
+        t = RankOneSumTensor3(rng.standard_normal((m, 6)), rng.standard_normal(m), dim=6)
+        s = rng.standard_normal(6)
+        mat, vec, scalar = single_pass_contractions(t, s)
+        assert np.array_equal(t.apply(s), mat)
+        assert np.array_equal(t.apply2(s), vec)
+        assert t.apply3(s) == scalar
 
 
 class TestOperatorNorm:

@@ -12,6 +12,7 @@ from tensorstep import (
     make_online_logistic,
     make_quadratic,
 )
+from tensorstep.linalg import ROW_BLOCK
 from tensorstep.problems import LOGISTIC_LINK_BOUNDS, link_d1, link_d2, link_d3, link_value
 
 from conftest import central_diff_grad, central_diff_jacobian
@@ -139,6 +140,33 @@ class TestLogisticProblem:
             assert third.rows is prob.features
             assert np.array_equal(third.apply2(s), prob.third(x).apply2(s))
 
+    def test_margins_follow_a_point_changed_in_place(self, rng):
+        prob = make_logistic(n=5, m=40, seed=9)
+        x = rng.standard_normal(5)
+        prob.value(x)
+        x += 1.0
+        fresh = make_logistic(n=5, m=40, seed=9)
+        assert np.array_equal(prob.gradient(x), fresh.gradient(x.copy()))
+
+    def test_one_margin_pass_per_exact_bundle(self, rng):
+        prob = make_logistic(n=5, m=40, seed=9)
+        x = rng.standard_normal(5)
+        prob.value(x)
+        kept = prob._margin_memo
+        prob.gradient(x.copy())
+        prob.hessian(x)
+        prob.third(x)
+        prob.batch_gradient(x, prob.draw(13, rng))  # support-row margins are not kept
+        assert prob._margin_memo is kept
+
+    def test_exact_derivatives_over_many_slices(self, rng):
+        prob = make_logistic(n=5, m=2 * ROW_BLOCK + 7, seed=9)
+        x, s = rng.standard_normal(5), rng.standard_normal(5)
+        grad, hess, third = all_rows_batch(prob, x, np.ones(prob.m))
+        assert_close(prob.gradient(x), grad)
+        assert_close(prob.hessian(x), hess)
+        assert_close(prob.third(x).apply2(s), third.apply2(s))
+
     def test_lipschitz_certificate_on_random_pairs(self, rng):
         prob = make_logistic(n=4, m=30, seed=10, mu=1e-3)
         x0 = np.zeros(4)
@@ -219,13 +247,22 @@ def assert_close(actual, expected, rtol=1e-12):
 class TestSupportBatches:
     """Sampled derivatives reduce over the rows their draw uses."""
 
-    @pytest.fixture(params=["offline", "online-indices", "online-counts"])
+    @pytest.fixture(params=["offline", "online-indices", "online-counts",
+                            "offline-sliced-0.3", "offline-sliced-0.9"])
     def case(self, request):
-        """``(problem, draw, counts)`` with a draw that misses some rows."""
+        """``(problem, draw, counts)`` with a draw that misses some rows.
+
+        The sliced cases have more than ``ROW_BLOCK`` support rows, so their
+        gradients and Hessians gather and reduce them over several slices.
+        """
         gen = np.random.default_rng(21)
         if request.param == "offline":
             prob = make_logistic(n=5, m=40, seed=16)
             draw = prob.draw(13, gen)
+        elif request.param.startswith("offline-sliced"):
+            prob = make_logistic(n=5, m=4 * ROW_BLOCK + 7, seed=16)
+            draw = prob.draw(int(float(request.param[-3:]) * prob.m), gen)
+            assert draw.size > ROW_BLOCK
         else:
             prob = make_online_logistic(n=5, pool=64, seed=17)
             if request.param == "online-indices":
