@@ -83,12 +83,6 @@ class TestBatchSizeOnline:
         assert batch_size_online(order, kappa, EPS, DELTA, 6, profile, 3) == expected
         assert batch_size_online(order, 0.0, EPS, DELTA, 6, profile, 3) == EXACT
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_loose_target_needs_one_sample(self, order):
-        problem = make_online_logistic(n=6, pool=512, seed=2)
-        profile = default_profile(problem, np.zeros(6))
-        assert batch_size_online(order, 1.0, 1e300, DELTA, 6, profile, 3) == 1
-
 
 class TestPlanAndBundle:
     def test_plan_splits_delta_evenly(self, offline):
