@@ -40,10 +40,10 @@ ROW_BLOCK = 2048
 def row_slice_sum(m: int, part):
     """Sum of ``part(sl)`` over consecutive slices ``sl`` of ``ROW_BLOCK`` rows of ``m``.
 
-    The first part is the accumulator, so with ``m <= ROW_BLOCK`` the result is
-    the one part ``part(slice(0, ROW_BLOCK))`` itself, bitwise the unsliced
-    reduction. An empty ``m`` still takes one (empty) slice, so the result
-    keeps its shape.
+    The first part is the accumulator (so ``part`` must return a fresh array
+    or a scalar), and with ``m <= ROW_BLOCK`` the result is the one part
+    ``part(slice(0, ROW_BLOCK))`` itself, bitwise the unsliced reduction. An
+    empty ``m`` still takes one (empty) slice, so the result keeps its shape.
     """
     starts = range(0, max(m, 1), ROW_BLOCK)
     return functools.reduce(operator.iadd,
