@@ -25,7 +25,6 @@ from .problems import (
     LipschitzProfile,
     LogisticProblem,
     QuadraticProblem,
-    StochasticDraw,
     make_logistic,
     make_online_logistic,
     make_quadratic,
@@ -52,6 +51,7 @@ from .methods import (
     RunConfig,
     RunTrace,
     exact_bundle,
+    gd_baseline,
     itm_run,
     iteration_budget,
     kappa_defaults,
@@ -66,7 +66,6 @@ from .bench import (
     RateFit,
     complexity_sweep,
     fit_rate,
-    gd_baseline,
     load_trace_csv,
     run_experiment,
     write_trace_csv,

@@ -36,7 +36,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,9 +43,7 @@ from .errors import ConfigError, DimensionMismatchError, InsufficientDataError
 from .methods import (
     RunConfig,
     RunTrace,
-    _outer_loop,
-    _start_value,
-    default_profile,
+    gd_baseline,
     itm_run,
     reference_solution,
     stm_run,
@@ -128,32 +125,6 @@ def fit_rate(ks, gaps, p: int, f_ref: float | None = None) -> RateFit:
     window = (int(ks[keep][0]), int(ks[keep][-1]))
     return RateFit(float(slope), float(intercept), window,
                    float(np.sqrt(np.mean(resid ** 2))))
-
-
-# ---------------------------------------------------------------------------
-# first-order baselines (comparison curves only)
-# ---------------------------------------------------------------------------
-
-def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
-                accelerated: bool = False, f_ref: float | None = None) -> RunTrace:
-    """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps."""
-    fx0 = _start_value(problem, x0)
-    lr = 1.0 / default_profile(problem, x0).lip(1)
-    x_prev = np.asarray(x0, dtype=float)
-    used = (problem.m, 0, 0)
-
-    def oracle(k, x, fx):
-        nonlocal x_prev
-        y = x + (k - 1.0) / (k + 2.0) * (x - x_prev) if accelerated and k > 0 else x
-        x_prev = x
-        return SimpleNamespace(x=y, grad=problem.gradient(y)), used
-
-    def step(x, bundle):
-        x_next = bundle.x - lr * bundle.grad
-        return x_next, float(np.linalg.norm(x_next - x)), 0
-
-    config = RunConfig(eps=eps, max_iter=max_iter)
-    return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +344,30 @@ def trace_rows(trace: RunTrace):
                rec.inner_iters, rec.grad_calls, rec.hess_calls, rec.third_calls)
 
 
-def write_trace_csv(path, trace: RunTrace) -> None:
-    """Atomic CSV write with a fixed float format (17 significant digits)."""
+def _write_atomically(path, write) -> None:
+    """``write(fh)`` to a temporary file, then ``os.replace`` it onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in trace_rows(trace):
-                writer.writerow([_fmt(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_trace_csv(path, trace: RunTrace) -> None:
+    """Atomic CSV write with a fixed float format (17 significant digits)."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for row in trace_rows(trace):
+            writer.writerow([_fmt(v) for v in row])
+
+    _write_atomically(path, write)
 
 
 def _fmt(value):
@@ -470,10 +449,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 result.files.append(path)
     if out_dir is not None:
         spath = os.path.join(out_dir, "summary.json")
-        os.makedirs(out_dir, exist_ok=True)
-        with open(spath, "w") as fh:
-            json.dump({"f_ref": f_ref, "cells": summary_rows}, fh, indent=2,
-                      sort_keys=True)
+        _write_atomically(spath, lambda fh: json.dump(
+            {"f_ref": f_ref, "cells": summary_rows}, fh, indent=2, sort_keys=True))
         result.files.append(spath)
     return result
 

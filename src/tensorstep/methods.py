@@ -20,7 +20,7 @@ point whose value is not finite before anything else is computed there.
 ``itm_run`` takes the exact bundle and minimizes the smooth regularized
 model. ``stm_run`` sizes per-order mini-batches from the concentration
 lemmas, samples the bundle, and takes the same model step.
-``bench.gd_baseline`` takes a (momentum) gradient step.
+``gd_baseline`` takes a (momentum) gradient step.
 
 The theory-side calculators mirror the convergence analysis:
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -334,6 +335,28 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
         used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
         return bundle, used + (0,) * (3 - config.p)
 
+    return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
+
+
+def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
+                accelerated: bool = False, f_ref: float | None = None) -> RunTrace:
+    """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps."""
+    fx0 = _start_value(problem, x0)
+    lr = 1.0 / default_profile(problem, x0).lip(1)
+    x_prev = np.asarray(x0, dtype=float)
+    used = (problem.m, 0, 0)
+
+    def oracle(k, x, fx):
+        nonlocal x_prev
+        y = x + (k - 1.0) / (k + 2.0) * (x - x_prev) if accelerated and k > 0 else x
+        x_prev = x
+        return SimpleNamespace(x=y, grad=problem.gradient(y)), used
+
+    def step(x, bundle):
+        x_next = bundle.x - lr * bundle.grad
+        return x_next, float(np.linalg.norm(x_next - x)), 0
+
+    config = RunConfig(eps=eps, max_iter=max_iter)
     return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 

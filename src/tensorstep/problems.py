@@ -9,10 +9,11 @@ Two problem families are shipped:
   The same class serves the finite-sum (offline) setting and, built over a
   large seeded pool with i.i.d.-with-replacement draws, the online setting.
 
-Every batch quantity is a weighted sum with multiplicity weights over the rows
-its draw touches, so it costs O(batch * n) rather than O(m * n). A draw that
-touches every row (a full offline batch) takes the exact derivatives' all-rows
-path and is bitwise identical to them; results are bit-stable for a given seed.
+A draw is ``(rows, weights)``: the rows its picks touch and their multiplicity
+weights. A batch quantity is the weighted sum over those rows, so it costs
+O(support * n) rather than O(m * n). A draw that touches every row (a full
+offline batch) has ``rows=None``, takes the exact derivatives' all-rows path
+and is bitwise identical to them; results are bit-stable for a given seed.
 
 Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK``
 rows, so the scaled-feature temporary of a Hessian is one slice, not the whole
@@ -27,7 +28,7 @@ over the features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,21 +94,6 @@ class LipschitzProfile:
         return self.M[order - 1]
 
 
-@dataclass(frozen=True)
-class StochasticDraw:
-    """Component selection for one mini-batch.
-
-    Offline draws always carry explicit distinct indices. Very large online
-    draws carry the multiplicity vector over the pool instead (the count
-    vector of ``size`` i.i.d. uniform picks is multinomial, so drawing it
-    directly is the same distribution at O(pool) cost).
-    """
-
-    indices: np.ndarray | None
-    size: int
-    counts: np.ndarray | None = None
-
-
 class QuadraticProblem:
     """f(x) = x^T A x / 2 - b^T x with A symmetric positive semidefinite."""
 
@@ -144,19 +130,20 @@ class QuadraticProblem:
     def third(self, x) -> RankOneSumTensor3:
         return zero_tensor3(self.dim)
 
-    def batch_gradient(self, x, indices):
+    def batch_gradient(self, x, draw):
         return self.gradient(x)
 
-    def batch_hessian(self, x, indices):
+    def batch_hessian(self, x, draw):
         return self.hessian(x)
 
-    def batch_third(self, x, indices):
+    def batch_third(self, x, draw):
         return self.third(x)
 
-    def draw(self, batch_size, rng) -> StochasticDraw:
+    def draw(self, batch_size, rng):
+        """The one component, whole: ``(None, [1.0])``."""
         if batch_size > self.m:
             raise ValueError(f"offline batch size {batch_size} exceeds m = {self.m}")
-        return StochasticDraw(np.zeros(batch_size, dtype=np.int64), batch_size)
+        return None, np.ones(1)
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         if radius <= 0:
@@ -238,7 +225,7 @@ class LogisticProblem:
             memo = self._margin_memo = (x.copy(), self.labels * (self.features @ x))
         return self.features, self.labels, memo[1]
 
-    def _row_slice_sum(self, x, w, rows, coef, part):
+    def _row_slice_sum(self, x, rows, w, coef, part):
         """Sum of ``part(features, c)`` over row slices, ``c = coef(margins, labels, w)``.
 
         All rows (``rows=None``) take their coefficients in one pass over the
@@ -256,45 +243,25 @@ class LogisticProblem:
 
         return row_slice_sum(rows.size, gathered)
 
-    def _weights_from_indices(self, batch):
-        """``(rows, weights)``: a draw's support rows and multiplicity weights.
-
-        ``rows`` is ``None`` when the draw touches all ``m`` rows.
-        """
-        if isinstance(batch, StochasticDraw) and batch.counts is not None:
-            counts, size = batch.counts, batch.size
-        else:
-            if isinstance(batch, StochasticDraw):
-                batch = batch.indices
-            indices = np.asarray(batch, dtype=np.int64)
-            if indices.size == 0:
-                raise ValueError("empty batch")
-            counts, size = np.bincount(indices, minlength=self.m), indices.size
-        weights = counts.astype(float) / size
-        rows = np.flatnonzero(counts)
-        if rows.size == self.m:
-            return None, weights
-        return rows, weights[rows]
-
     def _weighted_value(self, x, w):
         x = np.asarray(x, dtype=float)
         _, _, t = self._margins(x)
         return float(w @ link_value(t) + 0.5 * self.mu * (x @ x))
 
-    def _weighted_gradient(self, x, w, rows=None):
+    def _weighted_gradient(self, x, rows, w):
         x = np.asarray(x, dtype=float)
         grad = self._row_slice_sum(
-            x, w, rows, lambda t, labels, w: w * link_d1(t) * labels,
+            x, rows, w, lambda t, labels, w: w * link_d1(t) * labels,
             lambda features, c: features.T @ c)
         return grad + self.mu * x
 
-    def _weighted_hessian(self, x, w, rows=None):
+    def _weighted_hessian(self, x, rows, w):
         hess = self._row_slice_sum(
-            x, w, rows, lambda t, labels, w: w * link_d2(t),
+            x, rows, w, lambda t, labels, w: w * link_d2(t),
             lambda features, c: (features * c[:, None]).T @ features)
         return hess + self.mu * np.eye(self.dim)
 
-    def _weighted_third(self, x, w, rows=None) -> RankOneSumTensor3:
+    def _weighted_third(self, x, rows, w) -> RankOneSumTensor3:
         features, labels, t = self._margins(x, rows)
         return RankOneSumTensor3(features, w * link_d3(t) * labels)
 
@@ -304,48 +271,56 @@ class LogisticProblem:
         return self._weighted_value(x, self._full_weights())
 
     def gradient(self, x):
-        return self._weighted_gradient(x, self._full_weights())
+        return self._weighted_gradient(x, None, self._full_weights())
 
     def hessian(self, x):
-        return self._weighted_hessian(x, self._full_weights())
+        return self._weighted_hessian(x, None, self._full_weights())
 
     def third(self, x) -> RankOneSumTensor3:
-        return self._weighted_third(x, self._full_weights())
+        return self._weighted_third(x, None, self._full_weights())
 
     def _full_weights(self):
         return np.full(self.m, 1.0 / self.m)
 
     # -- batch access --------------------------------------------------------
 
-    def batch_gradient(self, x, indices):
-        rows, w = self._weights_from_indices(indices)
-        return self._weighted_gradient(x, w, rows)
+    def batch_gradient(self, x, draw):
+        return self._weighted_gradient(x, *draw)
 
-    def batch_hessian(self, x, indices):
-        rows, w = self._weights_from_indices(indices)
-        return self._weighted_hessian(x, w, rows)
+    def batch_hessian(self, x, draw):
+        return self._weighted_hessian(x, *draw)
 
-    def batch_third(self, x, indices) -> RankOneSumTensor3:
-        rows, w = self._weights_from_indices(indices)
-        return self._weighted_third(x, w, rows)
+    def batch_third(self, x, draw) -> RankOneSumTensor3:
+        return self._weighted_third(x, *draw)
 
     #: Online draws above this size are drawn as multinomial counts.
     COUNT_DRAW_THRESHOLD = 1_000_000
 
-    def draw(self, batch_size, rng) -> StochasticDraw:
-        """Draw component indices: without replacement offline, i.i.d. online."""
+    def draw(self, batch_size, rng):
+        """``(rows, weights)`` of ``batch_size`` picks: distinct offline, i.i.d. online.
+
+        ``rows`` (increasing) is ``None`` when the picks touch all ``m`` rows;
+        ``weights`` is each row's picks over ``batch_size``. Online draws above
+        ``COUNT_DRAW_THRESHOLD`` pick the multinomial count vector directly,
+        the same distribution at O(m) cost.
+        """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.mode == "offline":
             if batch_size > self.m:
                 raise ValueError(f"offline batch size {batch_size} exceeds m = {self.m}")
-            idx = rng.choice(self.m, size=batch_size, replace=False)
-            return StochasticDraw(np.asarray(idx, dtype=np.int64), batch_size)
-        if batch_size > self.COUNT_DRAW_THRESHOLD:
+            picks = rng.choice(self.m, size=batch_size, replace=False)
+            counts = np.bincount(picks, minlength=self.m)
+        elif batch_size > self.COUNT_DRAW_THRESHOLD:
             counts = rng.multinomial(batch_size, np.full(self.m, 1.0 / self.m))
-            return StochasticDraw(None, batch_size, counts=counts)
-        idx = rng.integers(0, self.m, size=batch_size)
-        return StochasticDraw(np.asarray(idx, dtype=np.int64), batch_size)
+        else:
+            counts = np.bincount(rng.integers(0, self.m, size=batch_size),
+                                 minlength=self.m)
+        weights = counts / batch_size
+        rows = np.flatnonzero(counts)
+        if rows.size == self.m:
+            return None, weights
+        return rows, weights[rows]
 
     # -- constants -----------------------------------------------------------
 

@@ -25,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .linalg import opnorm_mat, t3_norm_estimate
 from .models import DerivativeBundle, InexactnessBudget
 from .problems import LipschitzProfile
 
 #: Sentinel returned when a zero tolerance forces exact derivatives.
 EXACT = "exact"
+
+#: Largest batch a draw can take: numpy's samplers count in int64.
+MAX_BATCH = int(np.iinfo(np.int64).max)
 
 #: Safety factor applied to the randomized (lower-bound) order-3 norm
 #: estimate before comparing against kappa_3.
@@ -65,6 +69,8 @@ def batch_size_online(order: int, kappa: float, eps: float, delta: float,
     Returns the sentinel ``EXACT`` when ``kappa == 0`` (only exact
     derivatives can meet a zero tolerance), and at least 1 otherwise: a
     deviation target far above the deviation bound needs a single sample.
+    A size that is not finite (the squared target underflows to 0) or that
+    exceeds ``MAX_BATCH`` cannot be drawn, and raises ``ConfigError``.
     """
     if kappa == 0.0:
         return EXACT
@@ -72,7 +78,13 @@ def batch_size_online(order: int, kappa: float, eps: float, delta: float,
         raise ValueError("need kappa > 0 and eps > 0")
     t = kappa * eps ** ((p - order + 1) / p)
     s = profile.deviation(order) + profile.lip(order - 1)
-    return max(1, int(math.ceil(2.0 * s * s / (t * t) * _log_terms(order, dim, delta))))
+    tt = t * t
+    size = 2.0 * s * s / tt * _log_terms(order, dim, delta) if tt > 0 else math.inf
+    if not size <= MAX_BATCH:
+        raise ConfigError([
+            f"kappa, eps: the order-{order} online batch for kappa {kappa:g} and "
+            f"eps {eps:g} is {size:.3g} samples, beyond the {MAX_BATCH} that can be drawn"])
+    return max(1, int(math.ceil(size)))
 
 
 def batch_size_offline(order: int, kappa: float, eps: float, delta: float,
@@ -131,12 +143,13 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
                   value: float | None = None) -> DerivativeBundle:
     """Averaged sampled derivatives with independent draws per order.
 
-    A sampled order reduces over the support rows of its draw only, so it
-    costs its batch rather than ``m``. An ``EXACT`` entry and a draw that
-    touches every row (offline, a full batch) take the all-rows reduction of
-    the exact derivatives, which is why they reproduce them bitwise. The
-    bundle value is the exact ``f(x)``: ``value`` when the caller already has
-    it, else one ``problem.value`` call.
+    Each sampled order draws its own ``(rows, weights)`` pair with
+    ``problem.draw`` and reduces over those support rows only, so it costs
+    its support rather than ``m``. An ``EXACT`` entry and a draw that touches
+    every row (``rows=None``: offline, a full batch) take the all-rows
+    reduction of the exact derivatives, which is why they reproduce them
+    bitwise. The bundle value is the exact ``f(x)``: ``value`` when the caller
+    already has it, else one ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
 
@@ -146,14 +159,14 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
             return None
         return problem.draw(size, rng)
 
-    idx1 = batch(1)
-    grad = problem.gradient(x) if idx1 is None else problem.batch_gradient(x, idx1)
-    idx2 = batch(2)
-    hess = problem.hessian(x) if idx2 is None else problem.batch_hessian(x, idx2)
+    draw1 = batch(1)
+    grad = problem.gradient(x) if draw1 is None else problem.batch_gradient(x, draw1)
+    draw2 = batch(2)
+    hess = problem.hessian(x) if draw2 is None else problem.batch_hessian(x, draw2)
     third = None
     if p >= 3:
-        idx3 = batch(3)
-        third = problem.third(x) if idx3 is None else problem.batch_third(x, idx3)
+        draw3 = batch(3)
+        third = problem.third(x) if draw3 is None else problem.batch_third(x, draw3)
     value = problem.value(x) if value is None else value
     return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third, p=p)
 

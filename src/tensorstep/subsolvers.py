@@ -2,13 +2,13 @@
 
 The workhorse is ``solve_regularized_quartic``: the global minimizer of
 
-    q(h) = <c, h> + beta/2 <B h, h> + a/2 ||h||^2 + b/4 ||h||^4
+    q(h) = <c, h> + <B h, h>/2 + a/2 ||h||^2 + b/4 ||h||^4
 
-via one symmetric eigendecomposition of ``beta B`` followed by monotone
+via one symmetric eigendecomposition of ``B`` followed by monotone
 scalar root finding. Writing ``mu = a + b ||h||^2``, stationarity reads
-``(beta B + mu I) h = -c`` and ``||h(mu)||`` is strictly decreasing in
+``(B + mu I) h = -c`` and ``||h(mu)||`` is strictly decreasing in
 ``mu``, so the scalar equation has a unique root; global optimality
-additionally requires ``beta B + mu I >= 0``, which pins ``mu`` to the
+additionally requires ``B + mu I >= 0``, which pins ``mu`` to the
 boundary in the trust-region-style hard case (``c`` orthogonal to the bottom
 eigenspace), resolved by an eigenvector correction.
 
@@ -71,11 +71,10 @@ SECULAR_TOL = 1e-14
 
 @dataclass(frozen=True)
 class RegularizedQuartic:
-    """Data of ``<c,h> + beta/2 <B h,h> + a/2 ||h||^2 + b/4 ||h||^4``."""
+    """Data of ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4``."""
 
     c: np.ndarray
     B: np.ndarray
-    beta: float = 1.0
     a: float = 0.0
     b: float = 0.0
 
@@ -88,7 +87,7 @@ class RegularizedQuartic:
     def grad(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
         r2 = float(h @ h)
-        return self.c + self.beta * (self.B @ h) + (self.a + self.b * r2) * h
+        return self.c + self.B @ h + (self.a + self.b * r2) * h
 
 
 @dataclass
@@ -158,7 +157,7 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
     Postcondition: ``||grad q(h*)|| <= 1e-10 * max(1, ||c||)``.
     """
     c = np.asarray(q.c, dtype=float)
-    mat = q.beta * 0.5 * (q.B + q.B.T)
+    mat = 0.5 * (q.B + q.B.T)
     lam_b, vecs = _eigh(mat)
     if lam_b[0] < -1e-12 * max(1.0, abs(lam_b[-1])):
         logger.info("quartic subproblem: curvature matrix indefinite, "
@@ -188,7 +187,7 @@ def _eigh(mat: np.ndarray):
 
 
 def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
-    """Global minimizer of the quartic with ``beta B = vecs diag(lam_b) vecs^T``.
+    """Global minimizer of the quartic with ``B = vecs diag(lam_b) vecs^T``.
 
     Returns ``(h, mu)`` with ``mu = b ||h||^2``, the shift of ``lam_b + a`` at
     the solution; ``mu0``, a guess of it, warm-starts the secular root.
@@ -200,7 +199,7 @@ def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
     if b == 0.0:
         if lam.min() <= 0.0:
             raise SubsolverError(
-                "b = 0 requires beta B + a I to be positive definite",
+                "b = 0 requires B + a I to be positive definite",
                 residual=float(lam.min()),
             )
         return vecs @ (-ct / lam), 0.0
@@ -332,5 +331,5 @@ def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
     zeta_coeffs = zeta_radial_coefficients(budget, config)
     a = 2.0 * zeta_coeffs.get(2, 0.0)
     b = 4.0 * zeta_coeffs.get(4, 0.0)
-    q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, beta=1.0, a=a, b=b)
+    q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, a=a, b=b)
     return solve_regularized_quartic(q)

@@ -131,7 +131,12 @@ def problem_args(tmp, **problem):
     return run_args(tmp, problem=problem)
 
 
+def verify_args(tmp, **fields):
+    return ["verify-condition", "--config", write_config(tmp, **fields), "--trials", "1"]
+
+
 GENERATED = {"kind": "logistic-synthetic", "n": 8, "m": 300}
+ONLINE = {"kind": "online-logistic", "n": 4}
 
 #: case -> (argv builder, text the config error line must name)
 MALFORMED = {
@@ -193,6 +198,14 @@ MALFORMED = {
     "diameter-without-corollary": (lambda tmp: run_args(tmp, diameter=7), "diameter"),
     "method-list": (lambda tmp: run_args(tmp, method=["stm"]), "method"),
     "p2-tau": (lambda tmp: run_args(tmp, p=2, kappa=[1.0, 1.0], tau=3.0), "tau"),
+    # online batch sizes that cannot be drawn: the target underflows to 0, the
+    # size overflows to inf, and the size is finite but beyond 2^63
+    "online-target-underflow": (lambda tmp: verify_args(
+        tmp, problem=ONLINE, eps=[1e-300], kappa=[1e-300] * 3), "kappa"),
+    "online-batch-infinite": (lambda tmp: verify_args(
+        tmp, problem=ONLINE, eps=[1.0], kappa=[1e-160] * 3), "kappa"),
+    "online-batch-beyond-int64": (lambda tmp: verify_args(
+        tmp, problem=ONLINE, eps=[1e-12], kappa=[1e-3] * 3), "kappa"),
     "fit-missing-file": (lambda tmp: fit_args(tmp, None), "trace"),
     "fit-no-step-norm": (lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"), "trace"),
     "fit-non-numeric": (lambda tmp: fit_args(

@@ -11,6 +11,7 @@ is intended) with
 """
 
 import itertools
+import math
 import os
 import sys
 
@@ -21,6 +22,7 @@ from tensorstep import (
     ExperimentConfig,
     RunConfig,
     StartPointError,
+    complexity_sweep,
     gd_baseline,
     iteration_budget,
     kappa_defaults,
@@ -30,6 +32,7 @@ from tensorstep import (
     run_experiment,
     theoretical_residual_bound,
 )
+from tensorstep import bench
 from tensorstep.bench import build_problem, start_point
 from tensorstep.methods import (
     default_profile,
@@ -89,6 +92,19 @@ class TestGoldenTraces:
         _, out = golden_run(name)
         expected = read_tree(os.path.join(GOLDEN_DIR, name))
         assert read_tree(out) == expected
+
+    def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
+        (tmp_path / "summary.json").write_text("old")
+
+        def interrupted(obj, fh, **kwargs):
+            fh.write('{"f_ref": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench.json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(golden_config("gd", eps=[1e-3], seeds=[0]), out_dir=str(tmp_path))
+        assert (tmp_path / "summary.json").read_text() == "old"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +202,21 @@ class TestRateTheory:
                     bound = theoretical_residual_bound(
                         rec.k - 1, kappas, eps, run.diameter, profile.lip(p), sigma, p)
                     assert rec.f - result.f_ref <= bound, (eps, seed, rec.k)
+
+    def test_stm_corollary_exponents(self):
+        # measured: q_iter 0.135, q_grad - q_iter 2.000, q_hess - q_iter 1.333,
+        # third-order exponent 0.801
+        config = ExperimentConfig.from_dict({
+            "version": 1, "method": "stm", "kappa": "corollary",
+            "problem": {"kind": "online-logistic", "n": 4, "pool": 2048},
+            "eps": [1e-2, 1e-3], "seeds": [0, 1]})
+        summary = complexity_sweep(build_problem(config.problem), config)
+        thirds = summary.third_totals
+        q_third = math.log(thirds[1] / thirds[0]) / math.log(summary.eps[0] / summary.eps[1])
+        assert summary.q_grad - summary.q_iter == pytest.approx(2.0, abs=1e-2)
+        assert summary.q_hess - summary.q_iter == pytest.approx(4 / 3, abs=1e-2)
+        assert q_third == pytest.approx(2 / 3 + summary.q_iter, abs=1e-2)
+        assert summary.q_iter <= 1 / config.p
 
     def test_budget_with_default_kappas_meets_eps(self):
         # measured worst bound/eps ratio over this grid: 0.72

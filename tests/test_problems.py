@@ -7,7 +7,6 @@ from tensorstep import (
     LogisticProblem,
     QuadraticProblem,
     RankOneSumTensor3,
-    StochasticDraw,
     make_logistic,
     make_online_logistic,
     make_quadratic,
@@ -133,10 +132,12 @@ class TestLogisticProblem:
         prob = make_logistic(n=5, m=17, seed=9)
         x = rng.standard_normal(5)
         s = rng.standard_normal(5)
-        for idx in (np.arange(17), rng.permutation(17)):
-            assert np.array_equal(prob.batch_gradient(x, idx), prob.gradient(x))
-            assert np.array_equal(prob.batch_hessian(x, idx), prob.hessian(x))
-            third = prob.batch_third(x, idx)
+        for _ in range(2):
+            draw = prob.draw(17, rng)
+            assert draw[0] is None
+            assert np.array_equal(prob.batch_gradient(x, draw), prob.gradient(x))
+            assert np.array_equal(prob.batch_hessian(x, draw), prob.hessian(x))
+            third = prob.batch_third(x, draw)
             assert third.rows is prob.features
             assert np.array_equal(third.apply2(s), prob.third(x).apply2(s))
 
@@ -162,7 +163,7 @@ class TestLogisticProblem:
     def test_exact_derivatives_over_many_slices(self, rng):
         prob = make_logistic(n=5, m=2 * ROW_BLOCK + 7, seed=9)
         x, s = rng.standard_normal(5), rng.standard_normal(5)
-        grad, hess, third = all_rows_batch(prob, x, np.ones(prob.m))
+        grad, hess, third = all_rows_batch(prob, x, np.full(prob.m, 1.0 / prob.m))
         assert_close(prob.gradient(x), grad)
         assert_close(prob.hessian(x), hess)
         assert_close(prob.third(x).apply2(s), third.apply2(s))
@@ -188,15 +189,17 @@ class TestLogisticProblem:
 class TestDraws:
     def test_offline_full_batch_is_everything(self, rng):
         prob = make_logistic(n=3, m=12, seed=11)
-        draw = prob.draw(12, np.random.default_rng(0))
-        assert sorted(draw.indices.tolist()) == list(range(12))
+        rows, weights = prob.draw(12, np.random.default_rng(0))
+        assert rows is None
+        assert np.array_equal(weights, np.full(12, 1 / 12))
 
     def test_offline_no_duplicates(self):
         prob = make_logistic(n=3, m=40, seed=12)
         gen = np.random.default_rng(5)
         for _ in range(25):
-            draw = prob.draw(17, gen)
-            assert len(set(draw.indices.tolist())) == 17
+            rows, weights = prob.draw(17, gen)
+            assert rows.size == 17 and np.all(np.diff(rows) > 0)
+            assert np.all(weights == 1 / 17)
 
     def test_offline_oversize_rejected(self):
         prob = make_logistic(n=3, m=10, seed=13)
@@ -207,8 +210,7 @@ class TestDraws:
         prob = make_online_logistic(n=3, pool=16, seed=14)
         gen = np.random.default_rng(6)
         total = 100_000
-        draw = prob.draw(total, gen)
-        counts = np.bincount(draw.indices, minlength=16)
+        counts = weights_over_all_rows(prob, prob.draw(total, gen)) * total
         expected = total / 16
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # 15 dof: mean 15, sd sqrt(30); 3 sigma
@@ -216,11 +218,11 @@ class TestDraws:
 
     def test_online_count_draw_matches_multinomial_semantics(self):
         prob = make_online_logistic(n=3, pool=8, seed=15)
-        gen = np.random.default_rng(7)
-        draw = prob.draw(2_000_000, gen)
-        assert draw.counts is not None and draw.indices is None
-        assert draw.counts.sum() == 2_000_000
-        np.testing.assert_allclose(draw.counts / 2e6, np.full(8, 1 / 8), atol=2e-3)
+        rows, weights = prob.draw(2_000_000, np.random.default_rng(7))
+        counts = np.random.default_rng(7).multinomial(2_000_000, np.full(8, 1 / 8))
+        assert rows is None and np.array_equal(weights, counts / 2e6)
+        assert np.rint(weights * 2e6).sum() == 2_000_000
+        np.testing.assert_allclose(weights, np.full(8, 1 / 8), atol=2e-3)
 
     def test_count_draw_weighted_gradient(self, rng):
         prob = make_online_logistic(n=3, pool=8, seed=15)
@@ -230,9 +232,18 @@ class TestDraws:
         assert np.linalg.norm(g - prob.gradient(x)) < 1e-2
 
 
-def all_rows_batch(prob, x, counts):
-    """Batch derivatives as a weighted reduction over all m rows, zeros included."""
-    w = counts.astype(float) / counts.sum()
+def weights_over_all_rows(prob, draw):
+    """The weight a ``(rows, weights)`` draw puts on each of the m rows."""
+    rows, weights = draw
+    if rows is None:
+        return weights
+    full = np.zeros(prob.m)
+    full[rows] = weights
+    return full
+
+
+def all_rows_batch(prob, x, w):
+    """Batch derivatives as a ``w``-weighted reduction over all m rows, zeros included."""
     t = prob.labels * (prob.features @ x)
     grad = prob.features.T @ (w * link_d1(t) * prob.labels) + prob.mu * x
     hess = (prob.features * (w * link_d2(t))[:, None]).T @ prob.features \
@@ -250,7 +261,7 @@ class TestSupportBatches:
     @pytest.fixture(params=["offline", "online-indices", "online-counts",
                             "offline-sliced-0.3", "offline-sliced-0.9"])
     def case(self, request):
-        """``(problem, draw, counts)`` with a draw that misses some rows.
+        """``(problem, draw, weights over all rows)`` with a draw that misses some rows.
 
         The sliced cases have more than ``ROW_BLOCK`` support rows, so their
         gradients and Hessians gather and reduce them over several slices.
@@ -262,25 +273,26 @@ class TestSupportBatches:
         elif request.param.startswith("offline-sliced"):
             prob = make_logistic(n=5, m=4 * ROW_BLOCK + 7, seed=16)
             draw = prob.draw(int(float(request.param[-3:]) * prob.m), gen)
-            assert draw.size > ROW_BLOCK
+            assert draw[0].size > ROW_BLOCK
         else:
             prob = make_online_logistic(n=5, pool=64, seed=17)
             if request.param == "online-indices":
                 draw = prob.draw(40, gen)
-                assert np.unique(draw.indices).size < draw.size  # duplicates
+                assert draw[0].size < 40  # duplicates
             else:
-                counts = gen.multinomial(30, np.full(64, 1 / 64))
-                draw = StochasticDraw(None, 30, counts=counts)
-        counts = draw.counts if draw.counts is not None \
-            else np.bincount(draw.indices, minlength=prob.m)
-        assert np.count_nonzero(counts) < prob.m
-        return prob, draw, counts
+                prob.COUNT_DRAW_THRESHOLD = 29  # 30 picks take the multinomial path
+                draw = prob.draw(30, gen)
+                counts = np.random.default_rng(21).multinomial(30, np.full(64, 1 / 64))
+                assert np.array_equal(weights_over_all_rows(prob, draw), counts / 30)
+                assert np.rint(draw[1] * 30).sum() == 30
+        assert draw[0] is not None
+        return prob, draw, weights_over_all_rows(prob, draw)
 
     def test_matches_all_rows_reduction(self, case, rng):
-        prob, draw, counts = case
+        prob, draw, weights = case
         x = rng.standard_normal(prob.dim)
         s = rng.standard_normal(prob.dim)
-        grad, hess, third = all_rows_batch(prob, x, counts)
+        grad, hess, third = all_rows_batch(prob, x, weights)
         assert_close(prob.batch_gradient(x, draw), grad)
         assert_close(prob.batch_hessian(x, draw), hess)
         sampled = prob.batch_third(x, draw)
@@ -289,7 +301,7 @@ class TestSupportBatches:
         assert_close(sampled.apply3(s), third.apply3(s))
 
     def test_third_holds_only_the_support_rows(self, case, rng):
-        prob, draw, counts = case
+        prob, draw, weights = case
         third = prob.batch_third(rng.standard_normal(prob.dim), draw)
-        assert third.rows.shape[0] == np.count_nonzero(counts)
+        assert third.rows.shape[0] == np.count_nonzero(weights)
         assert np.all(third.weights != 0.0)

@@ -24,7 +24,7 @@ from lemmas import generic_model_minimize, rho_hessian, zeta_hess
 def quartic_values(q: RegularizedQuartic, z):
     """The quartic's value at every point along the last axis of ``z``."""
     r2 = np.einsum("...i,...i->...", z, z)
-    return z @ q.c + 0.5 * q.beta * np.einsum("...i,...i->...", z, z @ q.B.T) \
+    return z @ q.c + 0.5 * np.einsum("...i,...i->...", z, z @ q.B.T) \
         + 0.5 * q.a * r2 + 0.25 * q.b * r2 * r2
 
 
@@ -47,7 +47,7 @@ def descend(q: RegularizedQuartic, starts, iters):
     running = np.ones(len(z), dtype=bool)
     for _ in range(iters):
         r2 = np.einsum("ij,ij->i", z, z)
-        g = q.c + q.beta * (z @ q.B.T) + (q.a + q.b * r2)[:, None] * z
+        g = q.c + z @ q.B.T + (q.a + q.b * r2)[:, None] * z
         gn2 = np.einsum("ij,ij->i", g, g)
         running &= np.sqrt(gn2) >= 1e-12
         rows = np.flatnonzero(running)
@@ -83,13 +83,13 @@ def brute_force_minimum(q: RegularizedQuartic, rng, starts=60, iters=600):
 
 class TestRegularizedQuartic:
     def test_pure_linear_quadratic_case(self):
-        q = RegularizedQuartic(c=-np.eye(3)[0], B=np.eye(3), beta=1.0, a=1.0, b=0.0)
+        q = RegularizedQuartic(c=-np.eye(3)[0], B=np.eye(3), a=1.0, b=0.0)
         np.testing.assert_allclose(solve_regularized_quartic(q), [0.5, 0.0, 0.0])
 
     def test_zero_linear_term_convex(self, rng):
         b_mat = rng.standard_normal((4, 4))
         b_mat = b_mat @ b_mat.T
-        q = RegularizedQuartic(c=np.zeros(4), B=b_mat, beta=1.0, a=0.5, b=1.0)
+        q = RegularizedQuartic(c=np.zeros(4), B=b_mat, a=0.5, b=1.0)
         np.testing.assert_allclose(solve_regularized_quartic(q), np.zeros(4), atol=1e-12)
 
     def test_stationarity_residual_contract(self, rng):
@@ -98,8 +98,7 @@ class TestRegularizedQuartic:
             m = rng.standard_normal((n, n))
             q = RegularizedQuartic(
                 c=rng.standard_normal(n) * rng.uniform(0.1, 10),
-                B=0.5 * (m + m.T),
-                beta=float(rng.uniform(0.2, 3.0)),
+                B=float(rng.uniform(0.2, 3.0)) * 0.5 * (m + m.T),
                 a=float(rng.uniform(0, 2.0)),
                 b=float(rng.uniform(0.05, 5.0)),
             )
@@ -113,8 +112,7 @@ class TestRegularizedQuartic:
             m = rng.standard_normal((n, n))
             q = RegularizedQuartic(
                 c=rng.standard_normal(n),
-                B=0.5 * (m + m.T),
-                beta=float(rng.uniform(0.3, 2.0)),
+                B=float(rng.uniform(0.3, 2.0)) * 0.5 * (m + m.T),
                 a=float(rng.uniform(0.0, 1.0)),
                 b=float(rng.uniform(0.1, 3.0)),
             )
@@ -126,7 +124,7 @@ class TestRegularizedQuartic:
         # c orthogonal to the bottom eigenspace of an indefinite curvature
         B = np.diag([-2.0, 1.0, 3.0])
         c = np.array([0.0, 0.3, 0.1])
-        q = RegularizedQuartic(c=c, B=B, beta=1.0, a=0.0, b=0.5)
+        q = RegularizedQuartic(c=c, B=B, a=0.0, b=0.5)
         h = solve_regularized_quartic(q)
         assert np.linalg.norm(q.grad(h)) <= 1e-10 * max(1.0, np.linalg.norm(c))
         # the quartic multiplier is pinned: b ||h||^2 = -lambda_min
@@ -142,8 +140,7 @@ class TestRegularizedQuartic:
             RegularizedQuartic(c=np.zeros(2), B=np.eye(2), a=-1.0, b=1.0)
 
     def test_b_zero_needs_positive_definite(self):
-        q = RegularizedQuartic(c=np.ones(2), B=np.diag([-1.0, 1.0]), beta=1.0,
-                               a=0.5, b=0.0)
+        q = RegularizedQuartic(c=np.ones(2), B=np.diag([-1.0, 1.0]), a=0.5, b=0.0)
         with pytest.raises(SubsolverError):
             solve_regularized_quartic(q)
 
@@ -170,7 +167,7 @@ class TestBregman:
         config = ModelConfig.coupled(profile.lip(3), 0.0, tau=4.0)
         h, _ = bregman_minimize_zeta(bundle, budget, config)
         direct = solve_regularized_quartic(RegularizedQuartic(
-            c=bundle.grad, B=bundle.hess, beta=1.0, a=0.0, b=config.sigma / 2.0))
+            c=bundle.grad, B=bundle.hess, a=0.0, b=config.sigma / 2.0))
         assert np.linalg.norm(h - direct) <= 1e-8
 
     def test_stationary_start_returns_zero(self, p3_setup):
