@@ -14,11 +14,11 @@ class or generator that builds it (``PROBLEM_BUILDERS``):
     online-logistic      n; optional pool, seed, mu, clamp, flip_fraction
 
 An optional field left out takes the builder's default. A missing, ill-typed
-or unknown field, at the top level or in the problem block, is a
-``ConfigError`` naming it (the CLI exits 1), and so is a top-level field the
-chosen method never reads (``UNREAD_KEYS``; ``tau`` is read only at ``p: 3``
-and ``diameter`` only under ``kappa: "corollary"``). Traces use the fixed
-column set
+or unknown field, at the top level (``CONFIG_FIELD_CHECKS``) or in the
+problem block (``PROBLEM_FIELD_CHECKS``), is a ``ConfigError`` naming it (the
+CLI exits 1), and so is a top-level field given where the run never reads it
+(``READ_WHEN``). ``METHODS`` names the run behind each ``method``. Traces use
+the fixed column set
 
     k, f_gap, step_norm, n1, n2, n3, inner_iters,
     grad_calls, hess_calls, third_calls
@@ -35,7 +35,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,16 +62,25 @@ CONFIG_VERSION = 1
 TRACE_COLUMNS = ("k", "f_gap", "step_norm", "n1", "n2", "n3", "inner_iters",
                  "grad_calls", "hess_calls", "third_calls")
 
-VALID_METHODS = ("itm", "stm", "gd", "agd")
+#: What runs each method: ``(problem, x0, RunConfig, f_ref) -> RunTrace``.
+METHODS = {
+    "itm": itm_run,
+    "stm": stm_run,
+    "gd": gd_baseline,
+    "agd": partial(gd_baseline, accelerated=True),
+}
 
-#: Config keys a method never reads: a config that gives one is rejected.
-#: ``tau`` is read only at ``p: 3`` (the order-2 model step has no Bregman
-#: inner loop), and ``diameter`` only under ``kappa: "corollary"``, whatever
-#: the method.
-UNREAD_KEYS = {
-    "gd": ("kappa", "tau", "delta", "diameter"),
-    "agd": ("kappa", "tau", "delta", "diameter"),
-    "itm": ("delta",),
+
+#: Where a run reads a config key: key -> (test on the config's values, where).
+#: A config that gives the key where the test fails is rejected. ``tau`` is
+#: read only by the order-3 Bregman inner loop, and ``diameter`` only by the
+#: corollary kappa policy.
+READ_WHEN = {
+    "kappa": (lambda v: v["method"] in ("itm", "stm"), "by itm and stm"),
+    "delta": (lambda v: v["method"] == "stm", "by stm"),
+    "tau": (lambda v: v["method"] in ("itm", "stm") and v["p"] == 3, "by itm and stm at p 3"),
+    "diameter": (lambda v: v["method"] in ("itm", "stm") and v["kappa"] == "corollary",
+                 "by itm and stm under kappa 'corollary'"),
 }
 
 #: What builds each problem kind. A block's fields are the builder's
@@ -83,9 +93,6 @@ PROBLEM_BUILDERS = {
     "logistic-synthetic": make_logistic,
     "online-logistic": make_online_logistic,
 }
-
-#: Arrays of an inline problem block and their number of dimensions.
-PROBLEM_ARRAYS = {"A": 2, "b": 1, "features": 2, "labels": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +167,38 @@ def _is_array(value, ndim: int) -> bool:
     return arr.ndim == ndim and arr.size > 0 and bool(np.all(np.isfinite(arr)))
 
 
-#: Checks on the scalar fields of a problem block: field -> (test, requirement).
+def _is_list(value, entry) -> bool:
+    """A nonempty list whose entries all pass ``entry``."""
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(entry, value))
+
+
+#: Checks on the fields of a config: field -> (test, requirement).
+CONFIG_FIELD_CHECKS = {
+    "version": (lambda v: _is_int(v) and v == CONFIG_VERSION, f"the integer {CONFIG_VERSION}"),
+    "problem": (lambda v: isinstance(v, dict), "an object"),
+    "method": (lambda v: isinstance(v, str) and v in METHODS, f"one of {tuple(METHODS)}"),
+    "p": (lambda v: _is_int(v) and v in (2, 3), "2 or 3"),
+    "eps": (lambda v: _is_list(v, lambda e: _is_number(e) and e > 0),
+            "a nonempty list of positive numbers"),
+    "seeds": (lambda v: _is_list(v, lambda s: _is_int(s) and s >= 0)
+              and len(set(v)) == len(v), "a nonempty list of distinct nonnegative integers"),
+    "kappa": (lambda v: v in ("exact", "corollary") if isinstance(v, str)
+              else _is_list(v, lambda k: _is_number(k) and k >= 0),
+              "'exact', 'corollary' or a nonempty list of nonnegative numbers"),
+    "delta": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "tau": (_is_number, "a number"),
+    "max_iter": (_is_count, "a positive integer"),
+    "diameter": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
+    "x0_offset": (_is_number, "a number"),
+    "out": (lambda v: v is None or isinstance(v, str), "a path string"),
+}
+
+#: Checks on the fields of a problem block: field -> (test, requirement).
 PROBLEM_FIELD_CHECKS = {
+    "A": (lambda v: _is_array(v, 2), "a nonempty 2-d array of finite numbers"),
+    "b": (lambda v: _is_array(v, 1), "a nonempty 1-d array of finite numbers"),
+    "features": (lambda v: _is_array(v, 2), "a nonempty 2-d array of finite numbers"),
+    "labels": (lambda v: _is_array(v, 1), "a nonempty 1-d array of finite numbers"),
     "n": (_is_count, "a positive integer"),
     "m": (_is_count, "a positive integer"),
     "pool": (_is_count, "a positive integer"),
@@ -194,81 +231,28 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(["config: top level must be an object"])
-        defaults = {f.name: f.default for f in fields(cls)}
-        problems = [f"{key}: unknown field" for key in data
-                    if key != "version" and key not in defaults]
-        values = {**defaults, **data}
-        version = data.get("version")
-        if version != CONFIG_VERSION:
-            problems.append(f"version: expected {CONFIG_VERSION}, got {version!r}")
-        prob = values["problem"]
-        if not isinstance(prob, dict):
-            problems.append("problem: required object is missing")
-        method = values["method"]
-        if not isinstance(method, str) or method not in VALID_METHODS:
-            problems.append(f"method: must be one of {VALID_METHODS}, got {method!r}")
-        p = values["p"]
-        if not _is_int(p) or p not in (2, 3):
-            problems.append(f"p: must be 2 or 3, got {p!r}")
-        eps = values["eps"]
-        if not isinstance(eps, (list, tuple)) or len(eps) == 0:
-            problems.append("eps: must be a nonempty list")
-        elif any(not _is_number(e) or e <= 0 for e in eps):
-            problems.append("eps: entries must be positive numbers")
-        seeds = values["seeds"]
-        if not isinstance(seeds, (list, tuple)) or len(seeds) == 0:
-            problems.append("seeds: must be a nonempty list")
-        elif any(not _is_int(s) or s < 0 for s in seeds):
-            problems.append("seeds: entries must be nonnegative integers")
-        elif len(set(seeds)) != len(seeds):
-            problems.append("seeds: entries must be distinct")
-        kappa = values["kappa"]
-        if isinstance(kappa, str):
-            if kappa not in ("exact", "corollary"):
-                problems.append(f"kappa: unknown policy {kappa!r}")
-        elif isinstance(kappa, (list, tuple)):
-            if len(kappa) != p or any(not _is_number(k) or k < 0 for k in kappa):
-                problems.append("kappa: explicit array needs p nonnegative entries")
-        else:
-            problems.append("kappa: must be a policy name or an array")
-        tau = values["tau"]
-        if not _is_number(tau):
-            problems.append(f"tau: must be a number, got {tau!r}")
-        elif method in ("itm", "stm") and p != 2 and tau <= 2:
-            problems.append(f"tau: must be > 2 for {method}, got {tau!r}")
-        delta = values["delta"]
-        if not _is_number(delta) or not 0 < delta <= 1:
-            problems.append(f"delta: must be in (0, 1], got {delta!r}")
-        max_iter = values["max_iter"]
-        if not _is_count(max_iter):
-            problems.append(f"max_iter: must be a positive integer, got {max_iter!r}")
-        diameter = values["diameter"]
-        if diameter is not None and (not _is_number(diameter) or diameter <= 0):
-            problems.append("diameter: must be a positive number when given")
-        x0_offset = values["x0_offset"]
-        if not _is_number(x0_offset):
-            problems.append(f"x0_offset: must be a number, got {x0_offset!r}")
-        out = values["out"]
-        if out is not None and not isinstance(out, str):
-            problems.append(f"out: must be a path string, got {out!r}")
-        unread = UNREAD_KEYS.get(method, ()) if isinstance(method, str) else ()
-        problems += [f"{key}: not read by method {method!r}"
-                     for key in unread if key in data]
-        if "tau" in data and "tau" not in unread and p == 2:
-            problems.append("tau: not read at p 2")
-        if "diameter" in data and "diameter" not in unread and kappa != "corollary":
-            problems.append("diameter: read only with kappa 'corollary'")
+        params = {"version": REQUIRED, **_parameters(cls)}
+        problems = _field_errors(data, params, CONFIG_FIELD_CHECKS, "")
+        values = {**params, **data}
+        kappa, p, tau = values["kappa"], values["p"], values["tau"]
+        if isinstance(kappa, (list, tuple)) and len(kappa) != p:
+            problems.append(f"kappa: explicit array needs one entry per order (p {p!r}), "
+                            f"got {len(kappa)}")
+        problems += [f"{key}: read only {where}" for key, (reads, where)
+                     in READ_WHEN.items() if key in data and not reads(values)]
+        if READ_WHEN["tau"][0](values) and _is_number(tau) and tau <= 2:
+            problems.append(f"tau: must be > 2 where it is read, got {tau!r}")
         if problems:
             raise ConfigError(problems)
-        return cls(
-            problem=prob, method=method, p=p,
-            eps=tuple(float(e) for e in eps),
-            seeds=tuple(int(s) for s in seeds),
-            kappa=tuple(kappa) if isinstance(kappa, (list, tuple)) else kappa,
-            delta=float(delta), tau=float(tau),
-            max_iter=max_iter, diameter=diameter,
-            x0_offset=float(x0_offset), out=out,
-        )
+        del values["version"]
+        return cls(**{
+            **values,
+            "eps": tuple(float(e) for e in values["eps"]),
+            "seeds": tuple(values["seeds"]),
+            "kappa": tuple(kappa) if isinstance(kappa, list) else kappa,
+            "delta": float(values["delta"]), "tau": float(tau),
+            "x0_offset": float(values["x0_offset"]),
+        })
 
 
 def load_config(path):
@@ -285,22 +269,29 @@ def load_config(path):
     return data
 
 
-def _field_errors(kwargs: dict, kind: str) -> list:
-    """Missing, unknown and ill-typed fields, besides ``kind``, of a problem block."""
-    params = inspect.signature(PROBLEM_BUILDERS[kind]).parameters
-    bad = [f"problem.{name}: required for kind {kind!r}"
-           for name, param in params.items()
-           if param.default is param.empty and name not in kwargs]
-    for key, value in kwargs.items():
+#: The default of a parameter that has none: the field is required.
+REQUIRED = inspect.Parameter.empty
+
+
+def _parameters(fn) -> dict:
+    """Each parameter of ``fn`` and its default (``REQUIRED`` when it has none)."""
+    return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
+
+
+def _field_errors(given: dict, params: dict, checks: dict, prefix: str) -> list:
+    """Missing, unknown and ill-typed fields of ``given``.
+
+    ``params`` maps each field ``given`` may have to its default,
+    ``REQUIRED`` for a field it must have; ``checks`` maps a field to its
+    ``(test, requirement)``. Each message starts with ``prefix`` and the field.
+    """
+    bad = [f"{prefix}{name}: required" for name, default in params.items()
+           if default is REQUIRED and name not in given]
+    for key, value in given.items():
         if key not in params:
-            bad.append(f"problem.{key}: unknown field for kind {kind!r}")
-        elif key in PROBLEM_FIELD_CHECKS:
-            test, wanted = PROBLEM_FIELD_CHECKS[key]
-            if not test(value):
-                bad.append(f"problem.{key}: must be {wanted}, got {value!r}")
-        elif key in PROBLEM_ARRAYS and not _is_array(value, PROBLEM_ARRAYS[key]):
-            bad.append(f"problem.{key}: must be a nonempty {PROBLEM_ARRAYS[key]}-d "
-                       f"array of finite numbers")
+            bad.append(f"{prefix}{key}: unknown field, expected one of {tuple(params)}")
+        elif key in checks and not checks[key][0](value):
+            bad.append(f"{prefix}{key}: must be {checks[key][1]}, got {value!r}")
     return bad
 
 
@@ -315,12 +306,13 @@ def build_problem(spec: dict):
         raise ConfigError([f"problem.kind: must be one of {tuple(PROBLEM_BUILDERS)}, "
                            f"got {kind!r}"])
     kwargs = {key: value for key, value in spec.items() if key != "kind"}
-    bad = _field_errors(kwargs, kind)
+    bad = _field_errors(kwargs, _parameters(PROBLEM_BUILDERS[kind]),
+                        PROBLEM_FIELD_CHECKS, "problem.")
     if bad:
         raise ConfigError(bad)
     try:
         return PROBLEM_BUILDERS[kind](**kwargs)
-    except (ValueError, DimensionMismatchError) as exc:
+    except (ValueError, DimensionMismatchError, MemoryError) as exc:
         raise ConfigError([f"problem: {exc}"]) from exc
 
 
@@ -345,11 +337,18 @@ def trace_rows(trace: RunTrace):
 
 
 def _write_atomically(path, write) -> None:
-    """``write(fh)`` to a temporary file, then ``os.replace`` it onto ``path``."""
+    """``write(fh)`` to a temporary file, then ``os.replace`` it onto ``path``.
+
+    The file gets the mode the umask gives a newly created file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp opens its file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             write(fh)
         os.replace(tmp, path)
@@ -409,20 +408,15 @@ def run_cell(problem, config: ExperimentConfig, eps: float, seed: int,
         diameter=diameter, max_iter=config.max_iter, seed=seed,
         delta=config.delta,
     )
-    if config.method == "itm":
-        return itm_run(problem, x0, run_cfg, f_ref=f_ref)
-    if config.method == "stm":
-        return stm_run(problem, x0, run_cfg, f_ref=f_ref)
-    return gd_baseline(problem, x0, eps, max_iter=config.max_iter,
-                       accelerated=(config.method == "agd"), f_ref=f_ref)
+    return METHODS[config.method](problem, x0, run_cfg, f_ref=f_ref)
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """Run every (eps, seed) cell, write one CSV per cell plus a summary."""
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every (eps, seed) cell; with ``config.out`` set, write one CSV per
+    cell plus a summary there."""
     problem = build_problem(config.problem)
     x_ref, f_ref = reference_solution(problem)
     result = ExperimentResult(traces={}, f_ref=f_ref)
-    out_dir = out_dir or config.out
     summary_rows = []
     for eps in config.eps:
         for seed in config.seeds:
@@ -443,12 +437,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 "third_calls": final.third_calls,
                 "slope": None if fit is None else fit.slope,
             })
-            if out_dir is not None:
-                path = os.path.join(out_dir, f"trace_eps{eps:g}_seed{seed}.csv")
+            if config.out is not None:
+                path = os.path.join(config.out, f"trace_eps{eps:g}_seed{seed}.csv")
                 write_trace_csv(path, trace)
                 result.files.append(path)
-    if out_dir is not None:
-        spath = os.path.join(out_dir, "summary.json")
+    if config.out is not None:
+        spath = os.path.join(config.out, "summary.json")
         _write_atomically(spath, lambda fh: json.dump(
             {"f_ref": f_ref, "cells": summary_rows}, fh, indent=2, sort_keys=True))
         result.files.append(spath)
@@ -479,8 +473,7 @@ def _fit_exponent(eps_values, totals) -> float:
     return float(slope)
 
 
-def complexity_sweep(problem, config: ExperimentConfig, f_ref=None,
-                     x_ref=None) -> ComplexitySummary:
+def complexity_sweep(problem, config: ExperimentConfig) -> ComplexitySummary:
     """Oracle-call totals of the stochastic method across the eps axis.
 
     Totals and outer-iteration counts are averaged over the configured seeds
@@ -493,8 +486,7 @@ def complexity_sweep(problem, config: ExperimentConfig, f_ref=None,
     if len(set(config.eps)) < 2:
         raise ConfigError([f"eps: a sweep fits its exponents over at least two "
                            f"distinct values, got {list(config.eps)}"])
-    if x_ref is None or f_ref is None:
-        x_ref, f_ref = reference_solution(problem)
+    x_ref, f_ref = reference_solution(problem)
     iterations, grads, hessians, thirds = [], [], [], []
     clamped = False
     for eps in config.eps:

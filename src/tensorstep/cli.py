@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .bench import (
+    METHODS,
     ExperimentConfig,
     build_problem,
     complexity_sweep,
@@ -58,7 +59,7 @@ def _config(args, **fixed) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _config(args)
-    result = run_experiment(config, out_dir=config.out)
+    result = run_experiment(config)
     for (eps, seed), trace in result.traces.items():
         final = trace.final
         print(f"eps={eps:g} seed={seed} status={trace.status} "
@@ -136,8 +137,7 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="JSON experiment config")
     common.add_argument("--out", help="output directory for trace CSVs")
     common.add_argument("--seed", type=int, help="override: single seed")
-    common.add_argument("--mode", choices=("itm", "stm", "gd", "agd"),
-                        help="override: method")
+    common.add_argument("--mode", choices=tuple(METHODS), help="override: method")
     common.add_argument("--p", type=int, choices=(2, 3), help="override: order")
     common.add_argument("--eps", help="override: comma-separated accuracy list")
 

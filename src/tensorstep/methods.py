@@ -338,9 +338,13 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
     return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 
-def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
-                accelerated: bool = False, f_ref: float | None = None) -> RunTrace:
-    """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps."""
+def gd_baseline(problem, x0, config: RunConfig, f_ref=None,
+                accelerated: bool = False) -> RunTrace:
+    """Plain or Nesterov-accelerated gradient descent with 1/L_1 steps.
+
+    Reads only the stopping rules of ``config`` (``eps``, ``max_iter``,
+    ``grad_stop``, ``step_stop``).
+    """
     fx0 = _start_value(problem, x0)
     lr = 1.0 / default_profile(problem, x0).lip(1)
     x_prev = np.asarray(x0, dtype=float)
@@ -356,7 +360,6 @@ def gd_baseline(problem, x0, eps: float, max_iter: int = 10000,
         x_next = bundle.x - lr * bundle.grad
         return x_next, float(np.linalg.norm(x_next - x)), 0
 
-    config = RunConfig(eps=eps, max_iter=max_iter)
     return _outer_loop(problem, x0, fx0, config, f_ref, oracle, step)
 
 

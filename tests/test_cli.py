@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tensorstep import LogisticProblem, cli
+from tensorstep import LogisticProblem, bench, cli
 from tensorstep.bench import build_problem
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -146,6 +146,8 @@ MALFORMED = {
     "kappa-strings": (lambda tmp: run_args(tmp, kappa=["a", "b", "c"]), "kappa"),
     "x0-offset-string": (lambda tmp: run_args(tmp, x0_offset="q"), "x0_offset"),
     "max-iter-bool": (lambda tmp: run_args(tmp, max_iter=True), "max_iter"),
+    "version-bool": (lambda tmp: run_args(tmp, version=True), "version"),
+    "version-float": (lambda tmp: run_args(tmp, version=1.0), "version"),
     "eps-nan": (lambda tmp: run_args(tmp, eps=[float("nan")]), "eps"),
     "eps-beyond-float-range": (lambda tmp: run_args(tmp, eps=[10 ** 400]), "eps"),
     "n-string": (lambda tmp: problem_args(tmp, **{**GENERATED, "n": "4"}), "problem.n"),
@@ -222,6 +224,24 @@ class TestMalformedInput:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("config error: ")]
         assert any(field in line for line in errors)
+
+
+    def test_every_fault_is_reported(self, tmp_path, capsys):
+        # gd reads neither delta nor kappa, so each of them is also an unread key
+        path = write_config(tmp_path, method="gd", delta="x", colour="red", tau=3.0,
+                            kappa=[1.0])
+        assert cli.main(["run", "--config", path]) == 1
+        fields = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error: ")]
+        assert sorted(fields) == ["colour", "delta", "delta", "kappa", "kappa", "tau"]
+
+    def test_problem_beyond_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def oversized(n, m):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(bench.PROBLEM_BUILDERS, "logistic-synthetic", oversized)
+        assert cli.main(run_args(tmp_path)) == 1
+        assert "config error: problem: Unable to allocate" in capsys.readouterr().err
 
 
 class TestVerifyCondition:

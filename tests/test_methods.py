@@ -80,7 +80,7 @@ def golden_run(tmp_path_factory):
     def run(name):
         if name not in runs:
             out = tmp_path_factory.mktemp(name)
-            runs[name] = run_experiment(golden_config(name), out_dir=str(out)), out
+            runs[name] = run_experiment(golden_config(name, out=str(out))), out
         return runs[name]
 
     return run
@@ -102,9 +102,20 @@ class TestGoldenTraces:
 
         monkeypatch.setattr(bench.json, "dump", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(golden_config("gd", eps=[1e-3], seeds=[0]), out_dir=str(tmp_path))
+            run_experiment(golden_config("gd", eps=[1e-3], seeds=[0], out=str(tmp_path)))
         assert (tmp_path / "summary.json").read_text() == "old"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_outputs_get_the_umask_mode(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            result = run_experiment(golden_config("gd", eps=[1e-3], seeds=[0],
+                                                  out=str(tmp_path)))
+        finally:
+            os.umask(previous)
+        assert [os.path.basename(path) for path in result.files] == [
+            "trace_eps0.001_seed0.csv", "summary.json"]
+        assert [os.stat(path).st_mode & 0o777 for path in result.files] == [0o644, 0o644]
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +182,7 @@ class TestSharedLadder:
 
     def test_gradient_descent_stops_at_step_floor(self):
         problem = make_quadratic(4, seed=0, cond=4.0)
-        trace = gd_baseline(problem, np.ones(4), eps=1e-6, max_iter=5000)
+        trace = gd_baseline(problem, np.ones(4), RunConfig(eps=1e-6, max_iter=5000))
         assert trace.status == "step-floor"
         assert trace.records[-2].step_norm <= 1e-12
         assert trace.final.k == len(trace.records) - 1
@@ -231,5 +242,5 @@ class TestRateTheory:
 
 if __name__ == "__main__":
     for cfg_name in sorted(GOLDEN_CONFIGS):
-        run_experiment(golden_config(cfg_name), out_dir=os.path.join(GOLDEN_DIR, cfg_name))
+        run_experiment(golden_config(cfg_name, out=os.path.join(GOLDEN_DIR, cfg_name)))
         print(f"wrote {os.path.join(GOLDEN_DIR, cfg_name)}", file=sys.stderr)
