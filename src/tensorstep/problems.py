@@ -19,7 +19,10 @@ Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK``
 rows, so the scaled-feature temporary of a Hessian is one slice, not the whole
 feature matrix, and a sampled draw gathers its support rows one slice at a
 time instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
-slice, and the reduction is the unsliced expression bit for bit. The margins
+slice, and the reduction is the unsliced expression bit for bit. A Hessian is
+the Gram matrix of its sqrt-weighted slices, ``scaled.T @ scaled``, which numpy
+computes with BLAS syrk at half the flops of a general product and which is
+bitwise symmetric. The margins
 ``y_j a_j^T x`` of all rows are kept for the last point evaluated, so the
 value, gradient, Hessian and third derivative at one iterate share one pass
 over the features.
@@ -46,12 +49,18 @@ LIPSCHITZ_FLOOR = 1e-8
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    """1 / (1 + e^-t) without overflow, and without boolean masks.
+
+    With ``e = exp(-|t|)`` (never above 1, so never overflowing) the two
+    branches ``1 / (1 + exp(-t))`` for t >= 0 and ``exp(t) / (1 + exp(t))``
+    for t < 0 become ``1 / (1 + e)`` and ``e / (1 + e)``: the same operands
+    in the same operations, so the result is bitwise the two-branch masked
+    form, including at +-0 and +-inf (a NaN stays NaN). ``np.where`` picks
+    the branch elementwise, which avoids the masked gathers and scatters.
+    """
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def link_value(t):
@@ -199,6 +208,9 @@ class LogisticProblem:
             np.linalg.norm(features, axis=1).max()
         )
         self._margin_memo = None  # (x, margins of all rows at x), see _margins
+        # the all-rows weights of every exact derivative, built once
+        self._full_weights = np.full(self.m, 1.0 / self.m)
+        self._full_weights.flags.writeable = False
 
     # -- weighted reductions: one code path over all rows or a row subset ---
     #
@@ -256,9 +268,20 @@ class LogisticProblem:
         return grad + self.mu * x
 
     def _weighted_hessian(self, x, rows, w):
+        """Gram of the sqrt-weighted row slices, plus the ridge.
+
+        The coefficients ``w * link_d2`` are never negative, so each slice
+        contributes ``scaled.T @ scaled`` with ``scaled = features * sqrt(c)``:
+        numpy sends that product to BLAS syrk, which does half the flops of
+        a general product and returns a bitwise symmetric matrix, and sums of
+        symmetric slices stay bitwise symmetric.
+        """
+        def gram(features, root):
+            scaled = features * root[:, None]
+            return scaled.T @ scaled
+
         hess = self._row_slice_sum(
-            x, rows, w, lambda t, labels, w: w * link_d2(t),
-            lambda features, c: (features * c[:, None]).T @ features)
+            x, rows, w, lambda t, labels, w: np.sqrt(w * link_d2(t)), gram)
         return hess + self.mu * np.eye(self.dim)
 
     def _weighted_third(self, x, rows, w) -> RankOneSumTensor3:
@@ -268,19 +291,16 @@ class LogisticProblem:
     # -- exact derivatives ---------------------------------------------------
 
     def value(self, x):
-        return self._weighted_value(x, self._full_weights())
+        return self._weighted_value(x, self._full_weights)
 
     def gradient(self, x):
-        return self._weighted_gradient(x, None, self._full_weights())
+        return self._weighted_gradient(x, None, self._full_weights)
 
     def hessian(self, x):
-        return self._weighted_hessian(x, None, self._full_weights())
+        return self._weighted_hessian(x, None, self._full_weights)
 
     def third(self, x) -> RankOneSumTensor3:
-        return self._weighted_third(x, None, self._full_weights())
-
-    def _full_weights(self):
-        return np.full(self.m, 1.0 / self.m)
+        return self._weighted_third(x, None, self._full_weights)
 
     # -- batch access --------------------------------------------------------
 

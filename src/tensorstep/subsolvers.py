@@ -117,7 +117,7 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float, mu0=None) -> float:
 
     def chi(mu):
         d = lam + mu
-        return b * float(np.sum(c2 / (d * d))) - mu
+        return b * float((c2 / (d * d)).sum()) - mu
 
     lo = mu_lo + (bump if mu_lo > 0 else 0.0)
     while chi(lo) < 0.0 and mu_lo > 0.0 and lo > mu_lo:
@@ -136,12 +136,12 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float, mu0=None) -> float:
         # chi and chi' share one d = lam + mu
         d = lam + mu
         d2 = d * d
-        val = b * float(np.sum(c2 / d2)) - mu
+        val = b * float((c2 / d2).sum()) - mu
         if val > 0.0:
             lo = mu
         else:
             hi = mu
-        step = val / (-2.0 * b * float(np.sum(c2 / (d2 * d))) - 1.0)
+        step = val / (-2.0 * b * float((c2 / (d2 * d)).sum()) - 1.0)
         nxt = mu - step
         if abs(nxt - mu) <= SECULAR_TOL * max(1.0, abs(mu)):
             return nxt

@@ -69,6 +69,25 @@ def test_labels_sit_side_by_side(tmp_path):
     assert data["runs"]["parent"]["metrics"]["solve_s"]["q1"] == 1.0
 
 
+def test_parent_and_change_are_compared(tmp_path, capsys):
+    for seed, solve_s in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 9.0)]:
+        write_result(tmp_path / "parent", seed, solve_s, env={**ENV, "git_sha": "p"})
+    for seed, solve_s in [(1, 0.5), (2, 2.5), (3, 1.0), (5, 0.1)]:
+        write_result(tmp_path / "change", seed, solve_s)
+    assert snapshot(tmp_path, tmp_path / "parent", label="parent")[0] == 0
+    assert "change lower" not in capsys.readouterr().out  # one label only
+    code, data = snapshot(tmp_path, tmp_path / "change")
+    assert code == 0
+    rows = {row[0]: row for row in bench_snapshot.compare(data)}
+    # medians 2.5 -> 0.75 over all runs; pairs only on seeds 1..3
+    assert rows["solve_s"] == ("solve_s", "s", 2.5, 0.75, -0.7, 2, 3)
+    assert rows["outer_iters"][4:] == (0.0, 0, 3)  # ties count for neither side
+    out = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert out["metric"][:2] == ["metric", "unit"]
+    assert out["solve_s"] == ["solve_s", "s", "2.5", "0.75", "-70.0%", "2", "of", "3", "pairs"]
+    assert out["outer_iters"][-5:] == ["+0.0%", "0", "of", "3", "pairs"]
+
+
 @pytest.mark.parametrize("case", ["no-results", "mixed-checkouts"])
 def test_unusable_results_exit_one(tmp_path, capsys, case):
     results = tmp_path / "out"

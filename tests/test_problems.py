@@ -12,7 +12,14 @@ from tensorstep import (
     make_quadratic,
 )
 from tensorstep.linalg import ROW_BLOCK
-from tensorstep.problems import LOGISTIC_LINK_BOUNDS, link_d1, link_d2, link_d3, link_value
+from tensorstep.problems import (
+    LOGISTIC_LINK_BOUNDS,
+    _sigmoid,
+    link_d1,
+    link_d2,
+    link_d3,
+    link_value,
+)
 
 from conftest import central_diff_grad, central_diff_jacobian
 from lemmas import component_gradient, component_hessian, component_value
@@ -66,6 +73,23 @@ class TestLogisticLink:
         assert np.isfinite(vals).all()
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[1] == pytest.approx(800.0)
+
+    def test_sigmoid_is_bitwise_the_two_branch_form(self):
+        def two_branch(t):
+            out = np.empty_like(t, dtype=float)
+            pos = t >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+            et = np.exp(t[~pos])
+            out[~pos] = et / (1.0 + et)
+            return out
+
+        grid = np.array([0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.0, -745.0,
+                         800.0, -800.0, np.inf, -np.inf])
+        normals = np.random.default_rng(31).standard_normal(10_000) * 50.0
+        for t in (grid, normals):
+            assert np.array_equal(_sigmoid(t).view(np.uint64),
+                                  two_branch(t).view(np.uint64))
+        assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
     @pytest.mark.parametrize("order,deriv", [(2, link_d2), (3, link_d3)])
     def test_link_bounds_by_grid_maximization(self, order, deriv):
@@ -167,6 +191,25 @@ class TestLogisticProblem:
         assert_close(prob.gradient(x), grad)
         assert_close(prob.hessian(x), hess)
         assert_close(prob.third(x).apply2(s), third.apply2(s))
+
+    @pytest.mark.parametrize("case", ["exact-sliced", "offline-draw", "online-duplicates"])
+    def test_hessian_is_a_symmetric_gram(self, case, rng):
+        """Bitwise symmetric, and the single-pass ``(F * c).T @ F`` to rounding."""
+        if case == "exact-sliced":
+            prob = make_logistic(n=9, m=2 * ROW_BLOCK + 7, seed=9)
+            draw = None, np.full(prob.m, 1.0 / prob.m)
+        elif case == "offline-draw":
+            prob = make_logistic(n=9, m=300, seed=18)
+            draw = prob.draw(170, rng)
+        else:
+            prob = make_online_logistic(n=9, pool=64, seed=17)
+            draw = prob.draw(60, rng)
+            assert 0.0 < draw[1].min() < draw[1].max()  # duplicate picks
+        x = rng.standard_normal(prob.dim)
+        hess = prob.hessian(x) if case == "exact-sliced" else prob.batch_hessian(x, draw)
+        assert np.array_equal(hess, hess.T)
+        _, single_pass, _ = all_rows_batch(prob, x, weights_over_all_rows(prob, draw))
+        assert np.abs(hess - single_pass).max() <= 1e-13 * np.abs(single_pass).max()
 
     def test_lipschitz_certificate_on_random_pairs(self, rng):
         prob = make_logistic(n=4, m=30, seed=10, mu=1e-3)

@@ -13,7 +13,10 @@ git sha and environment the runs recorded. All files must come from one
 checkout on one machine. The summary is stored under ``--label``; labels
 already in the output file are kept, so the runs of two checkouts (say
 ``--label parent --results <parent checkout>/perfbench/out``, then
-``--label change``) sit side by side for comparison.
+``--label change``) sit side by side for comparison. Once the file holds
+both a ``parent`` and a ``change`` label, the tool also prints, per metric,
+both medians, the relative change of the median, and in how many of the
+seed-matched pairs ``change`` read lower (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -98,6 +101,38 @@ def write_snapshot(workload: str, label: str, results_dir: str, output: str) -> 
     return snapshot
 
 
+def compare(snapshot: dict) -> list:
+    """``(metric, unit, parent median, change median, relative change, lower, pairs)`` rows.
+
+    ``lower`` counts the seeds both labels ran on where ``change`` read
+    strictly lower; the relative change is ``None`` when the parent median
+    is zero.
+    """
+    parent, change = snapshot["runs"]["parent"], snapshot["runs"]["change"]
+    rows = []
+    for name, old in parent["metrics"].items():
+        new = change["metrics"].get(name)
+        if new is None:
+            continue
+        by_seed = dict(zip(parent["seeds"], old["values"]))
+        pairs = [(by_seed[seed], value) for seed, value in zip(change["seeds"], new["values"])
+                 if seed in by_seed]
+        lower = sum(value < base for base, value in pairs)
+        base = old["median"]
+        rel = (new["median"] - base) / abs(base) if base else None
+        rows.append((name, old["unit"], base, new["median"], rel, lower, len(pairs)))
+    return rows
+
+
+def format_comparison(rows: list) -> str:
+    lines = [f"{'metric':<14} {'unit':<6} {'parent':>12} {'change':>12} {'rel':>8}  change lower"]
+    for name, unit, base, new, rel, lower, pairs in rows:
+        rel_text = "-" if rel is None else f"{rel:+.1%}"
+        lines.append(f"{name:<14} {unit:<6} {base:>12.6g} {new:>12.6g} {rel_text:>8}  "
+                     f"{lower} of {pairs} pairs")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/bench_snapshot.py",
                                      description=__doc__.splitlines()[0])
@@ -117,6 +152,8 @@ def main(argv=None) -> int:
     run = snapshot["runs"][args.label]
     print(f"{output}: {args.label} at {run['git_sha'][:12]}, {len(run['seeds'])} runs, "
           f"{run['failed']} of {run['attempted']} operations failed")
+    if {"parent", "change"} <= snapshot["runs"].keys():
+        print(format_comparison(compare(snapshot)))
     return 0
 
 
