@@ -392,6 +392,7 @@ def load_trace_csv(path):
 
 @dataclass
 class ExperimentResult:
+    problem: object         # as built from the config's problem block
     traces: dict            # (eps, seed) -> RunTrace
     f_ref: float
     files: list = field(default_factory=list)
@@ -416,7 +417,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cell plus a summary there."""
     problem = build_problem(config.problem)
     x_ref, f_ref = reference_solution(problem)
-    result = ExperimentResult(traces={}, f_ref=f_ref)
+    result = ExperimentResult(problem=problem, traces={}, f_ref=f_ref)
     summary_rows = []
     for eps in config.eps:
         for seed in config.seeds:
@@ -473,43 +474,37 @@ def _fit_exponent(eps_values, totals) -> float:
     return float(slope)
 
 
-def complexity_sweep(problem, config: ExperimentConfig) -> ComplexitySummary:
+def complexity_sweep(config: ExperimentConfig) -> ComplexitySummary:
     """Oracle-call totals of the stochastic method across the eps axis.
 
-    Totals and outer-iteration counts are averaged over the configured seeds
-    before the log-log exponent fit. Offline problems can clamp batch sizes
-    at the full component count, which flattens the exponents: clamping is
-    detected and reported as ``clamped``.
+    Runs the config through ``run_experiment`` (which writes its CSVs and
+    summary when ``config.out`` is set) and reads the final record of each
+    cell's trace. Totals and outer-iteration counts are averaged over the
+    configured seeds before the log-log exponent fit. Offline problems can
+    clamp batch sizes at the full component count, which flattens the
+    exponents: clamping is detected and reported as ``clamped``.
     """
     if config.method != "stm":
         raise ConfigError(["method: complexity_sweep requires method == 'stm'"])
     if len(set(config.eps)) < 2:
         raise ConfigError([f"eps: a sweep fits its exponents over at least two "
                            f"distinct values, got {list(config.eps)}"])
-    x_ref, f_ref = reference_solution(problem)
-    iterations, grads, hessians, thirds = [], [], [], []
-    clamped = False
-    for eps in config.eps:
-        its, g, h, t3 = [], [], [], []
-        for seed in config.seeds:
-            trace = run_cell(problem, config, eps, seed, f_ref, x_ref)
-            final = trace.final
-            its.append(max(final.k, 1))
-            g.append(max(final.grad_calls, 1))
-            h.append(max(final.hess_calls, 1))
-            t3.append(max(final.third_calls, 1))
-            if problem.mode == "offline":
-                for rec in trace.records:
-                    if rec.step_norm > 0 and max(rec.batch) >= problem.m:
-                        clamped = True
-        iterations.append(float(np.mean(its)))
-        grads.append(float(np.mean(g)))
-        hessians.append(float(np.mean(h)))
-        thirds.append(float(np.mean(t3)))
+    result = run_experiment(config)
+    finals = [[result.traces[(eps, seed)].final for seed in config.seeds]
+              for eps in config.eps]
+
+    def mean(count):
+        """Seed average of a final count per eps, each count at least 1 for the log fit."""
+        return tuple(float(np.mean([max(getattr(f, count), 1) for f in row])) for row in finals)
+
+    iterations, grads, hessians = mean("k"), mean("grad_calls"), mean("hess_calls")
+    problem = result.problem
+    clamped = problem.mode == "offline" and any(
+        rec.step_norm > 0 and max(rec.batch) >= problem.m
+        for trace in result.traces.values() for rec in trace.records)
     return ComplexitySummary(
-        eps=tuple(config.eps), iterations=tuple(iterations),
-        grad_totals=tuple(grads), hess_totals=tuple(hessians),
-        third_totals=tuple(thirds),
+        eps=tuple(config.eps), iterations=iterations, grad_totals=grads,
+        hess_totals=hessians, third_totals=mean("third_calls"),
         q_iter=_fit_exponent(config.eps, iterations),
         q_grad=_fit_exponent(config.eps, grads),
         q_hess=_fit_exponent(config.eps, hessians),

@@ -1,12 +1,23 @@
 """Command-line harness.
 
-Subcommands: ``run`` (one experiment from a config), ``sweep`` (oracle-call
-complexity across the eps axis), ``fit`` (rate fit of an existing trace CSV),
-``verify-condition`` (sampled-derivative condition check at the run's start
-point, CI-friendly).
+Subcommands and the flags each takes:
 
-Exit codes: 0 success, 1 config/validation error, 2 runtime failure,
-3 acceptance-check failure.
+    run               --config, --out, --seed, --mode, --p, --eps
+    sweep             --config, --out, --seed, --p, --eps
+    fit               TRACE, --p
+    verify-condition  --config, --seed, --p, --eps, --trials
+
+``run`` runs one experiment from a config and ``sweep`` runs it as the
+stochastic method, printing the oracle-call complexity across the eps axis;
+with ``--out`` (or the config's ``out``) both write one trace CSV per cell
+plus ``summary.json`` there. ``fit`` fits a rate to an existing trace CSV,
+and ``verify-condition`` checks the sampled-derivative condition at the
+run's start point (CI-friendly). ``--seed``, ``--mode``, ``--p`` and
+``--eps`` replace the config's ``seeds`` (with one seed), ``method``, ``p``
+and ``eps`` (with a comma-separated list).
+
+Exit codes: 0 success, 1 config/validation error (a malformed command line
+included), 2 runtime failure, 3 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ def _config(args, **fixed) -> ExperimentConfig:
     """The config file with the command-line overrides and ``fixed`` applied, validated."""
     data = load_config(args.config)
     if isinstance(data, dict):
-        if args.mode:
+        if getattr(args, "mode", None):
             data["method"] = args.mode
         if args.p:
             data["p"] = args.p
@@ -51,7 +62,7 @@ def _config(args, **fixed) -> ExperimentConfig:
                     [f"eps: --eps must be comma-separated numbers, got {args.eps!r}"]) from None
         if args.seed is not None:
             data["seeds"] = [args.seed]
-        if args.out:
+        if getattr(args, "out", None):
             data["out"] = args.out
         data.update(fixed)
     return ExperimentConfig.from_dict(data)
@@ -71,9 +82,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _config(args, method="stm")
-    problem = build_problem(config.problem)
-    summary = complexity_sweep(problem, config)
+    summary = complexity_sweep(_config(args, method="stm"))
     print(json.dumps({
         "eps": list(summary.eps),
         "iterations": list(summary.iterations),
@@ -115,7 +124,7 @@ def cmd_verify_condition(args) -> int:
     plan = plan_batches(budget, config.delta, problem, profile)
     passes = np.zeros(config.p)
     for _ in range(args.trials):
-        bundle = sample_bundle(problem, x0, plan, config.p, rng)
+        bundle = sample_bundle(problem, x0, plan, rng)
         report = verify_condition(problem, bundle, budget, rng=rng)
         passes += np.array(report.passes, dtype=float)
     rates = passes / args.trials
@@ -126,8 +135,15 @@ def cmd_verify_condition(args) -> int:
     return 0 if bool(np.all(rates >= target)) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorstep",
         description="Benchmark harness for inexact/stochastic tensor methods.",
     )
@@ -135,16 +151,17 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON experiment config")
-    common.add_argument("--out", help="output directory for trace CSVs")
     common.add_argument("--seed", type=int, help="override: single seed")
-    common.add_argument("--mode", choices=tuple(METHODS), help="override: method")
     common.add_argument("--p", type=int, choices=(2, 3), help="override: order")
     common.add_argument("--eps", help="override: comma-separated accuracy list")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", help="output directory for trace CSVs")
 
-    p_run = sub.add_parser("run", parents=[common], help="run one experiment")
+    p_run = sub.add_parser("run", parents=[common, writes], help="run one experiment")
+    p_run.add_argument("--mode", choices=tuple(METHODS), help="override: method")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[common, writes],
                              help="stochastic complexity sweep over eps")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -158,8 +175,8 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=int, default=50)
     p_ver.set_defaults(func=cmd_verify_condition)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         for line in exc.problems:

@@ -20,9 +20,7 @@ class SubsolverError(TensorStepError):
     smooth model is not finite at a trial step, when the secular root cannot
     be bracketed or does not converge (only non-finite or overflowing data
     reach these), when a quartic solution misses its stationarity tolerance,
-    when a quartic with ``b = 0`` has a curvature matrix that is not
-    positive definite, and when the curvature matrix to be factored is not
-    finite.
+    and when the curvature matrix to be factored is not finite.
     Carries the best iterate seen so far and its residual, where the solver
     has them, so callers can decide whether to accept it anyway.
     """

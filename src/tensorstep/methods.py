@@ -53,7 +53,7 @@ import numpy as np
 from .errors import StartPointError
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
-from .sampling import EXACT, plan_batches, sample_bundle
+from .sampling import EXACT, BatchPlan, plan_batches, sample_bundle
 from .subsolvers import bregman_minimize_zeta, solve_model_p2
 
 #: Step-norm floor below which a run is declared converged.
@@ -191,16 +191,12 @@ def monotonicity_guard(trace: RunTrace, tol: float = 1e-12) -> list:
 # ---------------------------------------------------------------------------
 
 def exact_bundle(problem, x, p: int, value: float | None = None) -> DerivativeBundle:
-    """Bundle of exact derivatives at ``x`` (third in operator form).
+    """Bundle of exact derivatives of orders 1..p at ``x``: ``sample_bundle``
+    on an all-``EXACT`` plan.
 
     ``value`` is ``f(x)`` when the caller already has it.
     """
-    x = np.asarray(x, dtype=float)
-    return DerivativeBundle(
-        x=x, value=problem.value(x) if value is None else value,
-        grad=problem.gradient(x),
-        hess=problem.hessian(x), third=problem.third(x) if p >= 3 else None, p=p,
-    )
+    return sample_bundle(problem, x, BatchPlan((EXACT,) * p), None, value)
 
 
 def resolve_kappas(config: RunConfig, profile: LipschitzProfile) -> tuple:
@@ -220,11 +216,12 @@ def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
 
     The order-3 path has no free sigma, because the proved
     relative-smoothness constants of the inner solver require the coupling.
+    The order-2 solve does not read tau.
     """
     lip_top = profile.lip(config.p)
     if config.p == 3:
         return ModelConfig.coupled(lip_top, kappas[2], tau=config.tau)
-    return ModelConfig(p=config.p, sigma=lip_top, tau=config.tau)
+    return ModelConfig(sigma=lip_top)
 
 
 def model_step(bundle: DerivativeBundle, budget: InexactnessBudget,
@@ -331,7 +328,7 @@ def stm_run(problem, x0, config: RunConfig, f_ref=None) -> RunTrace:
 
     def oracle(k, x, fx):
         plan = plan_batches(budget, config.delta, problem, profile)
-        bundle = sample_bundle(problem, x, plan, config.p, rng, fx)
+        bundle = sample_bundle(problem, x, plan, rng, fx)
         used = tuple(problem.m if s == EXACT else s for s in plan.sizes)
         return bundle, used + (0,) * (3 - config.p)
 

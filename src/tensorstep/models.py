@@ -34,9 +34,11 @@ from .linalg import RankOneSumTensor3
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Possibly inexact derivatives of orders 1..p at a center point.
+    """Possibly inexact derivatives at a center point.
 
-    ``third`` is present iff ``p >= 3``, as a rank-one-sum operator.
+    The model order ``p`` is read off the bundle: 3 when ``third`` (a
+    rank-one-sum operator) is present, 2 otherwise. ``sampling.sample_bundle``
+    is the one builder of bundles in the library.
     """
 
     x: np.ndarray
@@ -44,7 +46,6 @@ class DerivativeBundle:
     grad: np.ndarray
     hess: np.ndarray
     third: RankOneSumTensor3 | None
-    p: int
 
     def __post_init__(self):
         n = self.x.size
@@ -52,12 +53,10 @@ class DerivativeBundle:
             raise ValueError(f"gradient shape {self.grad.shape} != ({n},)")
         if self.hess.shape != (n, n):
             raise ValueError(f"Hessian shape {self.hess.shape} != ({n}, {n})")
-        if self.p < 2:
-            raise ValueError(f"model order must be >= 2, got {self.p}")
-        if self.p >= 3 and self.third is None:
-            raise ValueError("order-3 bundle needs a third-derivative tensor")
-        if self.p == 2 and self.third is not None:
-            raise ValueError("order-2 bundle must not carry a third derivative")
+
+    @property
+    def p(self) -> int:
+        return 2 if self.third is None else 3
 
     @property
     def dim(self) -> int:
@@ -91,15 +90,16 @@ class InexactnessBudget:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model order p, regularization sigma and Bregman parameter tau."""
+    """Regularization sigma and Bregman parameter tau of the model.
 
-    p: int
+    The model order is the budget's and the bundle's; ``tau`` is read only
+    by the order-3 Bregman inner loop.
+    """
+
     sigma: float
     tau: float = 4.0
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("model order must be >= 2")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -112,7 +112,7 @@ class ModelConfig:
         if tau <= 2:
             raise ValueError("the coupled configuration needs tau > 2")
         sigma = 1.5 * tau * tau * (lip_top + kappa_top) - kappa_top
-        return cls(p=3, sigma=sigma, tau=tau)
+        return cls(sigma=sigma, tau=tau)
 
 
 def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> dict:
@@ -125,7 +125,7 @@ def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> 
     ``||s||^(p+1)``; odd powers ``||s||^i`` split into
     ``eps^(-1/p)/2 ||s||^(i+1) + eps^(1/p)/2 ||s||^(i-1)``.
     """
-    p = config.p
+    p = budget.p
     eps = budget.eps
     alpha = eps ** (1.0 / p)
     coeffs: dict[int, float] = {}
@@ -152,11 +152,8 @@ class TaylorModel:
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
                  config: ModelConfig):
-        if budget.p != bundle.p or config.p != bundle.p:
-            raise ValueError(
-                f"order mismatch: bundle p={bundle.p}, budget p={budget.p}, "
-                f"config p={config.p}"
-            )
+        if budget.p != bundle.p:
+            raise ValueError(f"order mismatch: bundle p={bundle.p}, budget p={budget.p}")
         self.bundle = bundle
         self.budget = budget
         self.config = config

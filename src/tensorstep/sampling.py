@@ -139,17 +139,19 @@ def plan_batches(budget: InexactnessBudget, delta: float, problem,
     return BatchPlan(tuple(sizes))
 
 
-def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
+def sample_bundle(problem, x, plan: BatchPlan, rng,
                   value: float | None = None) -> DerivativeBundle:
-    """Averaged sampled derivatives with independent draws per order.
+    """The derivative bundle at ``x`` of order ``len(plan.sizes)``, sampled per ``plan``.
 
-    Each sampled order draws its own ``(rows, weights)`` pair with
-    ``problem.draw`` and reduces over those support rows only, so it costs
-    its support rather than ``m``. An ``EXACT`` entry and a draw that touches
-    every row (``rows=None``: offline, a full batch) take the all-rows
-    reduction of the exact derivatives, which is why they reproduce them
-    bitwise. The bundle value is the exact ``f(x)``: ``value`` when the caller
-    already has it, else one ``problem.value`` call.
+    The one builder of the bundles a run takes: an all-``EXACT`` plan (and
+    then no ``rng``) gives the exact bundle. Each sampled order draws its own
+    ``(rows, weights)`` pair with ``problem.draw`` and reduces over those
+    support rows only, so it costs its support rather than ``m``. An
+    ``EXACT`` entry and a draw that touches every row (``rows=None``:
+    offline, a full batch) take the all-rows reduction of the exact
+    derivatives, which is why they reproduce them bitwise. The bundle value
+    is the exact ``f(x)``: ``value`` when the caller already has it, else one
+    ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
 
@@ -164,11 +166,11 @@ def sample_bundle(problem, x, plan: BatchPlan, p: int, rng,
     draw2 = batch(2)
     hess = problem.hessian(x) if draw2 is None else problem.batch_hessian(x, draw2)
     third = None
-    if p >= 3:
+    if len(plan.sizes) >= 3:
         draw3 = batch(3)
         third = problem.third(x) if draw3 is None else problem.batch_third(x, draw3)
     value = problem.value(x) if value is None else value
-    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third, p=p)
+    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third)
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,12 @@ class RegularizedQuartic:
 
     c: np.ndarray
     B: np.ndarray
-    a: float = 0.0
-    b: float = 0.0
+    a: float
+    b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("quadratic/quartic weights must be nonnegative")
-        if self.b == 0.0 and self.a == 0.0:
-            raise ValueError("need b > 0 or a > 0 for a well-posed subproblem")
+        if self.a < 0 or self.b <= 0:
+            raise ValueError("need a quadratic weight a >= 0 and a quartic weight b > 0")
 
     def grad(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -195,15 +193,6 @@ def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
     lam = lam_b + a
     ct = vecs.T @ c
     c2 = ct * ct
-
-    if b == 0.0:
-        if lam.min() <= 0.0:
-            raise SubsolverError(
-                "b = 0 requires B + a I to be positive definite",
-                residual=float(lam.min()),
-            )
-        return vecs @ (-ct / lam), 0.0
-
     lam_min = float(lam.min())
     mu_lo = max(0.0, -lam_min)
     if mu_lo > 0.0:
@@ -326,8 +315,8 @@ def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
     quadratic weight ``2 * (kappa_1/2 + kappa_2/2 + sigma/6) eps^(1/2)`` and
     quartic weight ``4 * (sigma/6) eps^(-1/2)``.
     """
-    if bundle.p != 2 or budget.p != 2 or config.p != 2:
-        raise ValueError("solve_model_p2 requires an order-2 bundle, budget and config")
+    if bundle.p != 2 or budget.p != 2:
+        raise ValueError("solve_model_p2 requires an order-2 bundle and budget")
     zeta_coeffs = zeta_radial_coefficients(budget, config)
     a = 2.0 * zeta_coeffs.get(2, 0.0)
     b = 4.0 * zeta_coeffs.get(4, 0.0)

@@ -134,7 +134,7 @@ def phi_hess(model: TaylorModel, s: np.ndarray) -> np.ndarray:
 def omega(model: TaylorModel, s: np.ndarray) -> float:
     """``phi(s) + sum_i kappa_i eps^((p-i+1)/p) d_i(s) / (i-1)! + sigma d_{p+1}(s) / (p-1)!``."""
     s = np.asarray(s, dtype=float)
-    p = model.config.p
+    p = model.budget.p
     val = model.phi(s)
     for i in range(1, p + 1):
         coef = model.budget.kappa(i) * model.budget.eps_power(i) / math.factorial(i - 1)
@@ -145,7 +145,7 @@ def omega(model: TaylorModel, s: np.ndarray) -> float:
 
 def omega_grad(model: TaylorModel, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    p = model.config.p
+    p = model.budget.p
     nrm = float(np.linalg.norm(s))
     if nrm == 0.0 and model.budget.kappa(1) > 0:
         raise NonsmoothPointError("omega has a d_1 kink at s = 0; probe at s != 0")
@@ -232,7 +232,7 @@ def residual_bound_report(problem, bundle: DerivativeBundle, budget: Inexactness
         dev_vec.append(float(np.linalg.norm(e3.apply2(s))))
         dev_mat.append(float(opnorm_mat(e3.apply(s))))
 
-    model = TaylorModel(bundle, budget, ModelConfig(p=p, sigma=max(lip, 1e-300)))
+    model = TaylorModel(bundle, budget, ModelConfig(sigma=max(lip, 1e-300)))
 
     value_rhs = lip * nrm ** (p + 1) / math.factorial(p + 1)
     grad_rhs = lip * nrm ** p / math.factorial(p)

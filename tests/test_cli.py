@@ -9,6 +9,8 @@ import pytest
 from tensorstep import LogisticProblem, bench, cli
 from tensorstep.bench import build_problem
 
+from test_methods import GOLDEN_DIR, golden_data, read_tree
+
 GOLDEN_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "golden", "itm-p3", "trace_eps1e-06_seed0.csv")
 
@@ -79,12 +81,41 @@ class TestExitCodes:
 
 
 class TestSuccessPaths:
+    @pytest.mark.parametrize("name", ["itm-p2", "gd"])
+    def test_run_with_out_reproduces_the_golden_files(self, tmp_path, capsys, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(golden_data(name)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        golden = os.path.join(GOLDEN_DIR, name)
+        assert read_tree(out) == read_tree(golden)
+        with open(os.path.join(golden, "summary.json")) as fh:
+            cells = json.load(fh)["cells"]
+        reports = [f"eps={c['eps']:g} seed={c['seed']} status={c['status']} "
+                   f"iters={c['iterations']} gap={c['final_gap']:.3e} "
+                   f"grad_calls={c['grad_calls']}" for c in cells]
+        files = [f"trace_eps{c['eps']:g}_seed{c['seed']}.csv" for c in cells] + ["summary.json"]
+        wrote = [f"wrote {out / file}" for file in files]
+        assert capsys.readouterr().out.splitlines() == reports + wrote
+
     def test_sweep_prints_every_total(self, tmp_path, capsys):
         path = write_config(tmp_path, eps=[1e-2, 1e-3])
         assert cli.main(["sweep", "--config", path]) == 0
-        summary = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        summary = json.loads(printed)
         assert len(summary["third_totals"]) == 2
         assert isinstance(summary["clamped"], bool)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert sorted(os.listdir(out)) == [
+            "summary.json", "trace_eps0.001_seed0.csv", "trace_eps0.01_seed0.csv"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--mode" in capsys.readouterr().out
 
     def test_verify_condition_plans_stm_batches_for_any_method(self, tmp_path):
         # the kappa array a gradient method never reads is what the check plans with
@@ -186,6 +217,14 @@ MALFORMED = {
     "mode-override-tau": (
         lambda tmp: run_args(tmp, "--mode", "itm", method="gd", tau=1), "tau"),
     "seed-override-negative": (lambda tmp: run_args(tmp, "--seed", "-1"), "seeds"),
+    # a malformed command line is a config error too, naming the flag
+    "p-override-four": (lambda tmp: run_args(tmp, "--p", "4"), "--p"),
+    "seed-override-string": (lambda tmp: run_args(tmp, "--seed", "x"), "--seed"),
+    "sweep-mode": (lambda tmp: ["sweep", "--config", write_config(tmp, eps=[1e-2, 1e-3]),
+                                "--mode", "gd"], "--mode"),
+    "verify-condition-mode": (lambda tmp: [*verify_args(tmp), "--mode", "itm"], "--mode"),
+    "verify-condition-out": (lambda tmp: [*verify_args(tmp), "--out", str(tmp / "out")],
+                             "--out"),
     "trials-zero": (lambda tmp: ["verify-condition", "--config", write_config(tmp),
                                  "--trials", "0"], "trials"),
     "trials-negative": (lambda tmp: ["verify-condition", "--config", write_config(tmp),

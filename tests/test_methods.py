@@ -57,11 +57,14 @@ GOLDEN_CONFIGS = {
 }
 
 
+def golden_data(name, **overrides) -> dict:
+    """The config file of golden config ``name``, as JSON data."""
+    return {"version": 1, "problem": GOLDEN_PROBLEM, "eps": [1e-6, 1e-3],
+            "seeds": [0, 1], "max_iter": 40, **GOLDEN_CONFIGS[name], **overrides}
+
+
 def golden_config(name, **overrides) -> ExperimentConfig:
-    return ExperimentConfig.from_dict({
-        "version": 1, "problem": GOLDEN_PROBLEM, "eps": [1e-6, 1e-3],
-        "seeds": [0, 1], "max_iter": 40, **GOLDEN_CONFIGS[name], **overrides,
-    })
+    return ExperimentConfig.from_dict(golden_data(name, **overrides))
 
 
 def read_tree(directory) -> dict:
@@ -124,10 +127,20 @@ def logistic():
     return problem, start_point(problem, 1.0, 0)
 
 
+@pytest.fixture(scope="module")
+def quadratic():
+    # one component: every sampled order is a full batch of QuadraticProblem.draw;
+    # at cond 1e3 the minimizer is far enough that six steps stay above the step floor
+    problem = make_quadratic(8, seed=0, cond=1e3)
+    return problem, start_point(problem, 1.0, 0)
+
+
 class TestSharedLadder:
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_full_batch_stm_equals_itm(self, logistic, p):
-        problem, x0 = logistic
+    @pytest.mark.parametrize("kind, p", [("logistic", 2), ("logistic", 3),
+                                         ("quadratic", 2), ("quadratic", 3)],
+                             ids=["2", "3", "quadratic-2", "quadratic-3"])
+    def test_full_batch_stm_equals_itm(self, request, kind, p):
+        problem, x0 = request.getfixturevalue(kind)
         config = RunConfig(p=p, kappa=(1e-6,) * p, max_iter=6, seed=3)
         stm = stm_run(problem, x0, config)
         itm = itm_run(problem, x0, config)
@@ -221,7 +234,7 @@ class TestRateTheory:
             "version": 1, "method": "stm", "kappa": "corollary",
             "problem": {"kind": "online-logistic", "n": 4, "pool": 2048},
             "eps": [1e-2, 1e-3], "seeds": [0, 1]})
-        summary = complexity_sweep(build_problem(config.problem), config)
+        summary = complexity_sweep(config)
         thirds = summary.third_totals
         q_third = math.log(thirds[1] / thirds[0]) / math.log(summary.eps[0] / summary.eps[1])
         assert summary.q_grad - summary.q_iter == pytest.approx(2.0, abs=1e-2)

@@ -58,7 +58,7 @@ class TestPhi:
         x = rng.standard_normal(4)
         bundle = exact_bundle(prob, x, 2)
         model = TaylorModel(bundle, InexactnessBudget(1e-3, (0.0, 0.0)),
-                            ModelConfig(p=2, sigma=1e-8))
+                            ModelConfig(sigma=1e-8))
         for _ in range(10):
             s = rng.standard_normal(4)
             assert model.phi(s) == pytest.approx(prob.value(x + s), abs=1e-12)
@@ -84,7 +84,7 @@ class TestOmega:
         x = rng.standard_normal(4)
         bundle = exact_bundle(prob, x, 2)
         budget = InexactnessBudget(1e-2, (0.0, 0.0))
-        config = ModelConfig(p=2, sigma=0.7)
+        config = ModelConfig(sigma=0.7)
         model = TaylorModel(bundle, budget, config)
         for _ in range(10):
             s = rng.standard_normal(4)
@@ -135,14 +135,14 @@ class TestZeta:
 
     def test_p3_zero_kappa_pure_quartic(self):
         budget = InexactnessBudget(1e-2, (0.0, 0.0, 0.0))
-        config = ModelConfig(p=3, sigma=2.0)
+        config = ModelConfig(sigma=2.0)
         coeffs = zeta_radial_coefficients(budget, config)
         assert set(coeffs) == {4}
         assert coeffs[4] == pytest.approx(0.25)  # sigma / 8
 
     def test_p2_coefficients(self):
         budget = InexactnessBudget(4e-2, (0.3, 0.7))
-        config = ModelConfig(p=2, sigma=1.2)
+        config = ModelConfig(sigma=1.2)
         coeffs = zeta_radial_coefficients(budget, config)
         e = budget.eps
         assert coeffs[0] == pytest.approx(0.15 * e ** 1.5)
@@ -202,7 +202,7 @@ class TestZetaAndGrad:
         if request.param == 2:
             bundle = exact_bundle(prob, bundle.x, 2)
             budget = InexactnessBudget(budget.eps, budget.kappas[:2])
-            config = ModelConfig(p=2, sigma=profile.lip(2))
+            config = ModelConfig(sigma=profile.lip(2))
         return TaylorModel(bundle, budget, config)
 
     @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 3.0])
@@ -257,7 +257,7 @@ class TestResidualReports:
         noisy = DerivativeBundle(
             x=bundle.x, value=bundle.value,
             grad=bundle.grad + 1e-3 * rng.standard_normal(6),
-            hess=bundle.hess, third=bundle.third, p=3,
+            hess=bundle.hess, third=bundle.third,
         )
         for _ in range(20):
             s = rng.standard_normal(6) * 0.5
@@ -270,7 +270,7 @@ class TestResidualReports:
         bundle = exact_bundle(prob, x, 2)
         profile = default_profile(prob, x)
         budget = InexactnessBudget(1e-2, (0.0, 0.0))
-        config = ModelConfig(p=2, sigma=max(profile.lip(2), 1e-8))
+        config = ModelConfig(sigma=max(profile.lip(2), 1e-8))
         rep = hessian_sandwich_report(prob, bundle, budget, config,
                                       rng.standard_normal(4), profile)
         assert rep.ok

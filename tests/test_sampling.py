@@ -102,7 +102,7 @@ class TestPlanAndBundle:
         budget = InexactnessBudget(EPS, (0.0,) * p)
         plan = plan_batches(budget, DELTA, problem, profile)
         assert plan.sizes == (EXACT,) * p
-        sampled = sample_bundle(problem, x, plan, p, np.random.default_rng(0))
+        sampled = sample_bundle(problem, x, plan, np.random.default_rng(0))
         exact = exact_bundle(problem, x, p)
         assert sampled.value == exact.value
         assert np.array_equal(sampled.grad, exact.grad)
@@ -130,6 +130,6 @@ class TestPlanAndBundle:
         trials = 20
         passes = np.zeros(3)
         for _ in range(trials):
-            bundle = sample_bundle(problem, x0, plan, 3, rng)
+            bundle = sample_bundle(problem, x0, plan, rng)
             passes += verify_condition(problem, bundle, budget, rng=rng).passes
         assert np.all(passes / trials >= 1.0 - DELTA)
