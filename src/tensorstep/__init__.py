@@ -4,6 +4,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InsufficientDataError,
+    ProblemScaleError,
     StartPointError,
     SubsolverError,
     TensorStepError,

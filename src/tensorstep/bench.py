@@ -178,8 +178,8 @@ CONFIG_FIELD_CHECKS = {
     "problem": (lambda v: isinstance(v, dict), "an object"),
     "method": (lambda v: isinstance(v, str) and v in METHODS, f"one of {tuple(METHODS)}"),
     "p": (lambda v: _is_int(v) and v in (2, 3), "2 or 3"),
-    "eps": (lambda v: _is_list(v, lambda e: _is_number(e) and e > 0),
-            "a nonempty list of positive numbers"),
+    "eps": (lambda v: _is_list(v, lambda e: _is_number(e) and e > 0)
+            and len(set(v)) == len(v), "a nonempty list of distinct positive numbers"),
     "seeds": (lambda v: _is_list(v, lambda s: _is_int(s) and s >= 0)
               and len(set(v)) == len(v), "a nonempty list of distinct nonnegative integers"),
     "kappa": (lambda v: v in ("exact", "corollary") if isinstance(v, str)

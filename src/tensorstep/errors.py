@@ -13,6 +13,10 @@ class StartPointError(TensorStepError):
     """The objective is not finite at the start point of a run."""
 
 
+class ProblemScaleError(TensorStepError):
+    """The feature rows are too long for the problem's certified constants to be finite."""
+
+
 class SubsolverError(TensorStepError):
     """A model subproblem could not be solved.
 

@@ -19,6 +19,12 @@ has a kink at the origin), the derivatives of ``phi``, the Hessian of
 ``zeta`` and the Taylor-residual and Hessian-sandwich checks are analysis
 quantities no run evaluates; they live with the other lemma checks in
 ``tests/lemmas.py``.
+
+The run path does not evaluate ``zeta`` through ``TaylorModel``: the order-3
+inner loop (``subsolvers.bregman_minimize_zeta``) evaluates the model and its
+gradient in the eigenbasis of the Hessian from ``zeta_radial_coefficients``,
+and the order-2 step is one quartic solve. ``TaylorModel`` is the direct
+evaluation in the original coordinates that checks them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubsolverError
 from .linalg import RankOneSumTensor3
 
 
@@ -180,33 +185,13 @@ class TaylorModel:
         return val
 
     def zeta_grad(self, s: np.ndarray) -> np.ndarray:
-        return self.zeta_and_grad(s)[1]
-
-    def zeta_and_grad(self, s: np.ndarray) -> tuple:
-        """``(zeta(s), grad zeta(s))`` from one contraction ``T[s]^2``.
-
-        The cubic term comes from ``T[s]^3 = <T[s]^2, s>``, so the value
-        costs no ``apply3`` pass; it agrees with ``zeta`` up to rounding.
-        Raises ``SubsolverError`` when the value or gradient overflows.
-        """
         b = self.bundle
         s = np.asarray(s, dtype=float)
         r2 = float(s @ s)
-        hs = b.hess @ s
-        g = b.grad + hs
-        val = b.value + float(b.grad @ s) + 0.5 * float(s @ hs)
+        g = b.grad + b.hess @ s
         if b.p >= 3:
-            v = b.third.apply2(s)
-            g = g + 0.5 * v
-            val += float(v @ s) / 6.0
-        try:
-            for power, coef in self._zeta_coeffs.items():
-                val += coef * r2 ** (power // 2)
-                if power >= 2:
-                    g = g + coef * power * r2 ** (power // 2 - 1) * s
-        except OverflowError:
-            val = math.inf
-        if not (math.isfinite(val) and np.isfinite(g).all()):
-            raise SubsolverError(
-                f"smooth model is not finite at ||s|| = {math.sqrt(r2):.3e}")
-        return val, g
+            g = g + 0.5 * b.third.apply2(s)
+        for power, coef in self._zeta_coeffs.items():
+            if power >= 2:
+                g = g + coef * power * r2 ** (power // 2 - 1) * s
+        return g

@@ -31,17 +31,23 @@ over the features.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ProblemScaleError
 from .linalg import RankOneSumTensor3, row_slice_sum, zero_tensor3
 
 #: sup over t of |phi^(i)(t)| for the logistic link phi(t) = log(1 + e^-t),
 #: orders i = 1..4. The third-order bound is sqrt(3)/18, attained at
 #: sigmoid(t) = (3 -+ sqrt(3))/6; the fourth-order bound 1/8 is attained at 0.
 LOGISTIC_LINK_BOUNDS = (1.0, 0.25, math.sqrt(3.0) / 18.0, 0.125)
+
+#: Longest feature row whose certified constants are finite: ``L_3`` grows
+#: as the fourth power of the row norm and ``M_3`` as the third power of the
+#: norm clamp, and both stay below the float range up to this norm.
+MAX_ROW_NORM = sys.float_info.max ** 0.25
 
 #: Lipschitz floor used for quadratics, where the top derivative is exactly
 #: zero but the methods require sigma >= L_p > 0.
@@ -204,9 +210,11 @@ class LogisticProblem:
         self.mu = float(mu)
         self.mode = mode
         self.m, self.dim = features.shape
-        self.clamp = float(clamp) if clamp is not None else float(
-            np.linalg.norm(features, axis=1).max()
-        )
+        with np.errstate(over="ignore"):
+            # a row whose squared norm overflows gets norm inf, which
+            # lipschitz_profile rejects
+            self._row_norm_max = float(np.linalg.norm(features, axis=1).max(initial=0.0))
+        self.clamp = float(clamp) if clamp is not None else self._row_norm_max
         self._margin_memo = None  # (x, margins of all rows at x), see _margins
         # the all-rows weights of every exact derivative, built once
         self._full_weights = np.full(self.m, 1.0 / self.m)
@@ -352,12 +360,16 @@ class LogisticProblem:
         ``max_j ||a_j||^(i+1) sup|phi^(i+1)|``; the ridge shifts L_1 by mu and
         the gradient bound by ``mu (||x0|| + radius)``. Deviation bounds use
         the certified feature-norm clamp, and cancel the ridge (it is common
-        to every sample).
+        to every sample). Raises ``ProblemScaleError`` when a row or the
+        clamp is longer than ``MAX_ROW_NORM``, where these constants overflow.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
-        norms = np.linalg.norm(self.features, axis=1)
-        amax = float(norms.max()) if norms.size else 0.0
+        amax = self._row_norm_max
+        if not max(amax, self.clamp) <= MAX_ROW_NORM:
+            raise ProblemScaleError(
+                f"largest feature row norm {amax:.3e} (norm clamp {self.clamp:.3e}) "
+                f"exceeds {MAX_ROW_NORM:.3e}, beyond which the certified constants overflow")
         reach = float(np.linalg.norm(x0)) + radius
         s1, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
         L0 = amax * s1 + self.mu * reach

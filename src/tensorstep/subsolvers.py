@@ -22,15 +22,17 @@ with reference function ``rho(h) = (1 - 2/tau)(<B h, h>/2 + C2 d_2(h))
 ``2 sigma + 2 kappa_t = 3 tau^2 (L_3 + kappa_t)`` the model satisfies
 ``hess rho <= hess zeta <= k(tau) hess rho``, and the model value decreases
 monotonically with a linear rate. Each inner step is one regularized quartic
-in the fixed matrix ``B``: the loop factors ``B`` once and solves every step
-with the eigenbasis core of ``solve_regularized_quartic``, hard case
-included, but without its residual postcondition, which would cost one more
-n-by-n matrix-vector product per step. A step then costs one contraction
-``T[h]^2``, one secular solve and four n-by-n matrix-vector products:
-``B h`` for ``grad rho(h)``, ``hess h`` inside ``TaylorModel.zeta_and_grad``,
-and the two changes of eigenbasis, ``vecs^T c`` and ``vecs`` times the
-solution's coefficients. ``grad zeta(h)`` and ``zeta(h)`` both come from the
-one ``T[h]^2``, the value through ``T[h]^3 = <T[h]^2, h>``.
+in the fixed matrix ``k(tau) (1 - 2/tau) B``, so the loop factors the
+Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its iterate as the
+eigen-coefficients ``y`` of ``h = vecs y``. In those coordinates ``B`` is
+the diagonal ``lam``, so ``zeta(h)``, ``grad zeta(h)`` and the Bregman
+linearization are elementwise in ``lam``, ``vecs^T grad`` and ``y``; each
+inner argmin is solved by the coefficient core that
+``solve_regularized_quartic`` also uses, hard case included, but without its
+residual postcondition. A step then costs one contraction ``T[h]^2``, two
+n-by-n matrix-vector products, ``h = vecs y`` for the contraction and
+``vecs^T T[h]^2`` to bring it back, and one secular solve. The value comes
+from the same contraction through ``T[h]^3 = <T[h]^2, h>``.
 The secular solve is warm-started from the previous step's ``mu``, which
 moves little from step to step, so it typically takes 4 to 7 evaluations of
 the secular function, the two that open its bracket included.
@@ -53,7 +55,6 @@ from .models import (
     DerivativeBundle,
     InexactnessBudget,
     ModelConfig,
-    TaylorModel,
     zeta_radial_coefficients,
 )
 
@@ -161,10 +162,12 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
         logger.info("quartic subproblem: curvature matrix indefinite, "
                     "bottom eigenvalue %.3e handled via the shifted secular path",
                     lam_b[0])
-    h, _ = _minimize_in_eigenbasis(c, lam_b, vecs, q.a, q.b)
+    c_norm = float(np.linalg.norm(c))
+    coeff, _ = _quartic_coefficients(vecs.T @ c, lam_b + q.a, q.b, c_norm=c_norm)
+    h = vecs @ coeff
 
     residual = float(np.linalg.norm(q.grad(h)))
-    tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(c)))
+    tol = QUARTIC_RESIDUAL_TOL * max(1.0, c_norm)
     if residual > tol:
         raise SubsolverError(
             f"quartic stationarity residual {residual:.3e} exceeds {tol:.3e}",
@@ -184,31 +187,36 @@ def _eigh(mat: np.ndarray):
     return np.linalg.eigh(mat)
 
 
-def _minimize_in_eigenbasis(c, lam_b, vecs, a, b, mu0=None):
-    """Global minimizer of the quartic with ``B = vecs diag(lam_b) vecs^T``.
+def _quartic_coefficients(ct, lam, b, mu0=None, c_norm=None):
+    """Eigen-coefficients of the global minimizer of a regularized quartic.
 
-    Returns ``(h, mu)`` with ``mu = b ||h||^2``, the shift of ``lam_b + a`` at
-    the solution; ``mu0``, a guess of it, warm-starts the secular root.
+    The quartic is ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4`` with
+    ``B = vecs diag(lam_B) vecs^T``; the arguments are its data in that
+    eigenbasis, ``ct = vecs^T c`` and ``lam = lam_B + a``. Returns ``(y, mu)``:
+    the minimizer is ``vecs y``, and ``mu = b ||y||^2`` is the shift of
+    ``lam`` at the solution; ``mu0``, a guess of it, warm-starts the secular
+    root. ``c_norm`` is ``||c||``, the scale of the hard-case test
+    (``||ct||`` when not given).
     """
-    lam = lam_b + a
-    ct = vecs.T @ c
     c2 = ct * ct
     lam_min = float(lam.min())
     mu_lo = max(0.0, -lam_min)
     if mu_lo > 0.0:
         bottom = lam - lam_min <= 1e-12 * max(1.0, abs(lam_min))
         proj = float(np.sqrt(np.sum(c2[bottom])))
-        if proj <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
+        if c_norm is None:
+            c_norm = float(np.linalg.norm(ct))
+        if proj <= 1e-13 * max(1.0, c_norm):
             denom = lam[~bottom] + mu_lo
             r2_interior = float(np.sum(c2[~bottom] / (denom * denom)))
             if b * r2_interior <= mu_lo:
                 # hard case: boundary solution, padded along the bottom eigenvector
-                coeff = np.zeros(c.size)
+                coeff = np.zeros(ct.size)
                 coeff[~bottom] = -ct[~bottom] / denom
                 coeff[np.argmax(bottom)] += math.sqrt(max(0.0, mu_lo / b - r2_interior))
-                return vecs @ coeff, mu_lo
+                return coeff, mu_lo
     mu = _secular_root(lam, c2, b, mu0)
-    return vecs @ (-ct / np.maximum(lam + mu, 1e-300)), mu
+    return -ct / np.maximum(lam + mu, 1e-300), mu
 
 
 # ---------------------------------------------------------------------------
@@ -254,52 +262,61 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
     coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)`` (use
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
-    the fixed matrix ``B``, so its eigendecomposition is computed once and
-    reused across all inner steps. Each step then costs one contraction
-    ``T[h]^2``, four n-by-n matrix-vector products (``B h``, ``hess h`` and
-    the two changes of eigenbasis) and one secular solve, warm-started from
-    the previous step's ``mu``: the recorded ``zeta(h)`` comes with
-    ``grad zeta(h)`` from ``TaylorModel.zeta_and_grad`` through
+    a fixed multiple of ``B``, so the eigendecomposition of ``B`` itself is
+    computed once, and the iterate is kept as its coefficients ``y`` in that
+    eigenbasis. Each step then costs one contraction ``T[h]^2``, two n-by-n
+    matrix-vector products (``h = vecs y`` and ``vecs^T T[h]^2``) and one
+    secular solve, warm-started from the previous step's ``mu``; ``zeta(h)``,
+    ``grad zeta(h)`` and the Bregman linearization are elementwise in the
+    eigenvalues, with the cubic term of the value from
     ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
     INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
-    ``SubsolverError`` carrying the best iterate when that takes more than
-    ``max_inner`` steps, and ``SubsolverError`` when the model overflows.
+    ``SubsolverError`` carrying the last iterate when that takes more than
+    ``max_inner`` steps, and ``SubsolverError`` when the model is not finite.
     """
-    if bundle.p != 3:
+    if bundle.p != 3 or budget.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
 
-    model = TaylorModel(bundle, budget, config)
     ktau = relative_smoothness_constant(config.tau)
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
+    # zeta - phi = z0 + z2 r^2 + z4 r^4 at order 3
+    z0, z2, z4 = (zeta_radial_coefficients(budget, config).get(power, 0.0)
+                  for power in (0, 2, 4))
 
-    B = 0.5 * (bundle.hess + bundle.hess.T)
-    lam_b, vecs = _eigh(ktau * beta_b * B)
+    lam, vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
+    gt = vecs.T @ bundle.grad
+    # the quartic of every step: B-weight k(tau) beta_b, then a and b
+    lam_q = ktau * beta_b * lam + ktau * a_coef
+    b_q = ktau * Q
     stats = InnerStats()
 
+    y = np.zeros(bundle.dim)
     h = np.zeros(bundle.dim)
-    val, g = model.zeta_and_grad(h)  # g equals the bundle gradient at h = 0
-    stats.zeta_values.append(val)
-    stats.grad_norms.append(float(np.linalg.norm(g)))
-
-    a_q = ktau * a_coef
-    b_q = ktau * Q
     mu = None  # secular shift of the previous step, the next step's warm start
-    for _ in range(max_inner):
-        if stats.grad_norms[-1] <= INNER_GRAD_TOL:
-            return h, stats
-        r2 = float(h @ h)
-        grad_rho = beta_b * (B @ h) + a_coef * h + Q * r2 * h
-        c = g - ktau * grad_rho
-        h, mu = _minimize_in_eigenbasis(c, lam_b, vecs, a_q, b_q, mu)
-        val, g = model.zeta_and_grad(h)
-        stats.iterations += 1
+    while True:
+        vt = vecs.T @ bundle.third.apply2(h)
+        r2 = float(y @ y)
+        ly = lam * y
+        g = gt + ly + 0.5 * vt + (2.0 * z2 + 4.0 * z4 * r2) * y
+        g_norm = float(np.linalg.norm(g))
+        val = (bundle.value + float(gt @ y) + 0.5 * float(ly @ y)
+               + float(vt @ y) / 6.0 + z0 + (z2 + z4 * r2) * r2)
+        if not (math.isfinite(val) and math.isfinite(g_norm)):
+            raise SubsolverError(
+                f"smooth model is not finite at ||s|| = {math.sqrt(r2):.3e}")
         stats.zeta_values.append(val)
-        stats.grad_norms.append(float(np.linalg.norm(g)))
-    raise SubsolverError(
-        f"inner loop exhausted {max_inner} steps, residual "
-        f"{stats.grad_norms[-1]:.3e}",
-        best=h, residual=stats.grad_norms[-1],
-    )
+        stats.grad_norms.append(g_norm)
+        if g_norm <= INNER_GRAD_TOL:
+            return h, stats
+        if stats.iterations == max_inner:
+            raise SubsolverError(
+                f"inner loop exhausted {max_inner} steps, residual {g_norm:.3e}",
+                best=h, residual=g_norm,
+            )
+        # k(tau) grad rho(h) = (lam_q + b_q r^2) y, so c is the quartic's linear term
+        y, mu = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
+        h = vecs @ y
+        stats.iterations += 1
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,22 @@ class TestExitCodes:
         assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) in (0, 3)
 
     def test_overflowing_hessian_exits_two(self, tmp_path, capsys):
+        # the squared row norms overflow: the run stops at the Lipschitz
+        # constants, before any derivative, and numpy warns of nothing
         path = write_config(tmp_path, method="itm", kappa="exact", problem={
             "kind": "logistic-synthetic", "n": 8, "m": 300, "row_scale": 1e300})
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = cli.main(["run", "--config", path])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "error: curvature matrix of the model is not finite")
+        assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: largest feature row norm inf ")
+
+    @pytest.mark.parametrize("problem", [
+        {"kind": "logistic-synthetic", "n": 8, "m": 300, "row_scale": 1e100},
+        {"kind": "online-logistic", "n": 4, "pool": 60, "clamp": 1e300},
+    ], ids=["row-norm", "norm-clamp"])
+    def test_overflowing_lipschitz_constant_exits_two(self, tmp_path, capsys, problem):
+        # finite norms whose third or fourth power overflows
+        path = write_config(tmp_path, problem=problem)
+        assert cli.main(["run", "--config", path]) == 2
+        assert "beyond which the certified constants overflow" in capsys.readouterr().err
 
     def far_start_args(self, tmp_path, offset):
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 4, "m": 50},
@@ -181,6 +190,8 @@ MALFORMED = {
     "version-float": (lambda tmp: run_args(tmp, version=1.0), "version"),
     "eps-nan": (lambda tmp: run_args(tmp, eps=[float("nan")]), "eps"),
     "eps-beyond-float-range": (lambda tmp: run_args(tmp, eps=[10 ** 400]), "eps"),
+    # a repeated eps would run its cells twice and overwrite their CSVs
+    "eps-repeated": (lambda tmp: run_args(tmp, eps=[1e-2, 1e-3, 1e-2]), "eps"),
     "n-string": (lambda tmp: problem_args(tmp, **{**GENERATED, "n": "4"}), "problem.n"),
     "n-zero": (lambda tmp: problem_args(tmp, **{**GENERATED, "n": 0}), "problem.n"),
     "problem-seed-string": (

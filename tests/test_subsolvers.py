@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from tensorstep import (
+    BatchPlan,
+    DerivativeBundle,
     InexactnessBudget,
     ModelConfig,
     RegularizedQuartic,
@@ -11,6 +15,7 @@ from tensorstep import (
     make_logistic,
     make_quadratic,
     relative_smoothness_constant,
+    sample_bundle,
     solve_model_p2,
     solve_regularized_quartic,
 )
@@ -165,7 +170,6 @@ class TestBregman:
 
     def test_stationary_start_returns_zero(self, p3_setup):
         prob, bundle, budget, config, _ = p3_setup
-        from tensorstep import DerivativeBundle
         flat = DerivativeBundle(x=bundle.x, value=bundle.value,
                                 grad=np.zeros(7), hess=bundle.hess,
                                 third=bundle.third)
@@ -207,6 +211,43 @@ class TestBregman:
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         assert stats.iterations > 0
         assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_records_match_the_direct_model(self, p3_setup, monkeypatch, sampled):
+        # the loop evaluates zeta in the eigenbasis of the Hessian; TaylorModel
+        # evaluates it directly at h, which the loop contracts once per iterate
+        prob, bundle, budget, config, _ = p3_setup
+        if sampled:
+            # an STM bundle: every order drawn from a part of the 60 rows
+            bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
+                                   np.random.default_rng(5))
+        iterates = []
+        contract = bundle.third.apply2
+
+        def recording(s):
+            iterates.append(np.array(s))
+            return contract(s)
+
+        monkeypatch.setattr(bundle.third, "apply2", recording)
+        h, stats = bregman_minimize_zeta(bundle, budget, config)
+        monkeypatch.undo()
+        assert stats.iterations > 0
+        assert len(iterates) == stats.iterations + 1 and np.array_equal(iterates[-1], h)
+        model = TaylorModel(bundle, budget, config)
+        scale = stats.grad_norms[0]
+        for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
+            assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
+            # near the stop the gradient is a difference of terms of the size
+            # of ||grad f||, which bounds the rounding of either evaluation
+            assert abs(grad_norm - np.linalg.norm(model.zeta_grad(s))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_model_is_subsolver_error(self, p3_setup, value):
+        _, bundle, budget, config, _ = p3_setup
+        broken = DerivativeBundle(x=bundle.x, value=value, grad=bundle.grad,
+                                  hess=bundle.hess, third=bundle.third)
+        with pytest.raises(SubsolverError, match="smooth model is not finite"):
+            bregman_minimize_zeta(broken, budget, config)
 
     def test_iteration_cap_carries_best_iterate(self, p3_setup):
         _, bundle, budget, config, _ = p3_setup
