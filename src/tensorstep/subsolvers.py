@@ -285,7 +285,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     lam, vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
     gt = vecs.T @ bundle.grad
-    # the quartic of every step: B-weight k(tau) beta_b, then a and b
+    # every step's quartic: curvature k(tau) (beta_b B + a_coef I), quartic weight k(tau) Q
     lam_q = ktau * beta_b * lam + ktau * a_coef
     b_q = ktau * Q
     stats = InnerStats()
@@ -313,7 +313,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                 f"inner loop exhausted {max_inner} steps, residual {g_norm:.3e}",
                 best=h, residual=g_norm,
             )
-        # k(tau) grad rho(h) = (lam_q + b_q r^2) y, so c is the quartic's linear term
+        # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
         y, mu = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
         h = vecs @ y
         stats.iterations += 1
