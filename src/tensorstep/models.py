@@ -22,7 +22,7 @@ quantities no run evaluates; they live with the other lemma checks in
 
 The run path does not evaluate ``zeta`` through ``TaylorModel``: the order-3
 inner loop (``subsolvers.bregman_minimize_zeta``) evaluates the model and its
-gradient in the eigenbasis of the Hessian from ``zeta_radial_coefficients``,
+gradient in the eigenbasis of the Hessian (``subsolvers.EigenbasisZeta``),
 and the order-2 step is one quartic solve. ``TaylorModel`` is the direct
 evaluation in the original coordinates that checks them.
 """

@@ -255,6 +255,39 @@ def rho_reference_coefficients(budget: InexactnessBudget, config: ModelConfig):
     return beta_b, beta_b * C2, Q
 
 
+class EigenbasisZeta:
+    """The order-3 smooth model ``zeta`` in the eigenbasis of the Hessian.
+
+    With the symmetrized Hessian ``B = vecs diag(lam) vecs^T`` and a point
+    ``h = vecs y``, ``zeta(h)`` and ``vecs^T grad zeta(h)`` are elementwise in
+    ``lam``, ``y`` and ``vecs^T grad``, plus one contraction ``T[h]^2``
+    brought into the eigenbasis; the cubic term of the value is
+    ``T[h]^3 = <vecs^T T[h]^2, y>``. This is the evaluation the inner loop of
+    ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
+    ``TaylorModel.zeta_grad``.
+    """
+
+    def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
+                 config: ModelConfig):
+        self.bundle = bundle
+        # zeta - phi = z0 + z2 r^2 + z4 r^4 at order 3
+        coeffs = zeta_radial_coefficients(budget, config)
+        self.z0, self.z2, self.z4 = (coeffs.get(power, 0.0) for power in (0, 2, 4))
+        self.lam, self.vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
+        self.gt = self.vecs.T @ bundle.grad
+
+    def value_and_grad(self, y: np.ndarray, h: np.ndarray) -> tuple:
+        """``(zeta(h), vecs^T grad zeta(h))`` at ``h = vecs y``."""
+        b = self.bundle
+        vt = self.vecs.T @ b.third.apply2(h)
+        r2 = float(y @ y)
+        ly = self.lam * y
+        g = self.gt + ly + 0.5 * vt + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
+        val = (b.value + float(self.gt @ y) + 0.5 * float(ly @ y)
+               + float(vt @ y) / 6.0 + self.z0 + (self.z2 + self.z4 * r2) * r2)
+        return val, g
+
+
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                           config: ModelConfig, max_inner: int = 200):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
@@ -279,14 +312,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     ktau = relative_smoothness_constant(config.tau)
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
-    # zeta - phi = z0 + z2 r^2 + z4 r^4 at order 3
-    z0, z2, z4 = (zeta_radial_coefficients(budget, config).get(power, 0.0)
-                  for power in (0, 2, 4))
-
-    lam, vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
-    gt = vecs.T @ bundle.grad
+    zeta = EigenbasisZeta(bundle, budget, config)
     # every step's quartic: curvature k(tau) (beta_b B + a_coef I), quartic weight k(tau) Q
-    lam_q = ktau * beta_b * lam + ktau * a_coef
+    lam_q = ktau * beta_b * zeta.lam + ktau * a_coef
     b_q = ktau * Q
     stats = InnerStats()
 
@@ -294,13 +322,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     h = np.zeros(bundle.dim)
     mu = None  # secular shift of the previous step, the next step's warm start
     while True:
-        vt = vecs.T @ bundle.third.apply2(h)
+        val, g = zeta.value_and_grad(y, h)
         r2 = float(y @ y)
-        ly = lam * y
-        g = gt + ly + 0.5 * vt + (2.0 * z2 + 4.0 * z4 * r2) * y
         g_norm = float(np.linalg.norm(g))
-        val = (bundle.value + float(gt @ y) + 0.5 * float(ly @ y)
-               + float(vt @ y) / 6.0 + z0 + (z2 + z4 * r2) * r2)
         if not (math.isfinite(val) and math.isfinite(g_norm)):
             raise SubsolverError(
                 f"smooth model is not finite at ||s|| = {math.sqrt(r2):.3e}")
@@ -315,7 +339,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
             )
         # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
         y, mu = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
-        h = vecs @ y
+        h = zeta.vecs @ y
         stats.iterations += 1
 
 

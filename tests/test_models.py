@@ -12,6 +12,7 @@ from tensorstep import (
 )
 from tensorstep.methods import default_profile, exact_bundle
 from tensorstep.models import zeta_radial_coefficients
+from tensorstep.subsolvers import EigenbasisZeta
 
 from conftest import central_diff_grad, symmetrized_fd_hessian
 from lemmas import (
@@ -190,6 +191,29 @@ class TestZeta:
         _, bundle, budget, config, _ = logistic_setup
         with pytest.raises(ValueError):
             TaylorModel(bundle, InexactnessBudget(1e-2, (0.1, 0.1)), config)
+
+
+class TestZetaAndGrad:
+    """The eigenbasis evaluation the inner loop takes in place of ``zeta`` plus ``zeta_grad``."""
+
+    @pytest.fixture(params=[3], ids=["p3"])
+    def model(self, request, logistic_setup):
+        _, bundle, budget, config, _ = logistic_setup
+        assert bundle.p == request.param
+        return TaylorModel(bundle, budget, config)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 3.0])
+    def test_matches_zeta_and_zeta_grad(self, model, rng, scale):
+        zeta = EigenbasisZeta(model.bundle, model.budget, model.config)
+        for _ in range(5):
+            y = scale * rng.standard_normal(6)
+            h = zeta.vecs @ y
+            value, grad = zeta.value_and_grad(y, h)
+            assert value == pytest.approx(model.zeta(h), rel=1e-12, abs=0.0)
+            # the two evaluations round differently, each to about ||grad zeta||
+            direct = model.zeta_grad(h)
+            tol = 1e-14 * max(1.0, float(np.linalg.norm(direct)))
+            assert np.linalg.norm(zeta.vecs @ grad - direct) <= tol
 
 
 class TestCoupling:
