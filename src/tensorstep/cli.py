@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -83,17 +84,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     summary = complexity_sweep(_config(args, method="stm"))
-    print(json.dumps({
-        "eps": list(summary.eps),
-        "iterations": list(summary.iterations),
-        "grad_totals": list(summary.grad_totals),
-        "hess_totals": list(summary.hess_totals),
-        "third_totals": list(summary.third_totals),
-        "q_iter": summary.q_iter,
-        "q_grad": summary.q_grad,
-        "q_hess": summary.q_hess,
-        "clamped": summary.clamped,
-    }, indent=2))
+    print(json.dumps(dataclasses.asdict(summary), indent=2))
     return 0
 
 

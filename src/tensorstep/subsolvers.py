@@ -6,11 +6,13 @@ The workhorse is ``solve_regularized_quartic``: the global minimizer of
 
 via one symmetric eigendecomposition of ``B`` followed by monotone
 scalar root finding. Writing ``mu = a + b ||h||^2``, stationarity reads
-``(B + mu I) h = -c`` and ``||h(mu)||`` is strictly decreasing in
-``mu``, so the scalar equation has a unique root; global optimality
-additionally requires ``B + mu I >= 0``, which pins ``mu`` to the
-boundary in the trust-region-style hard case (``c`` orthogonal to the bottom
-eigenspace), resolved by an eigenvector correction.
+``(B + mu I) h = -c``, and global optimality requires ``B + mu I >= 0``:
+``mu`` lies at or above the pole ``mu_lo = max(0, -lambda_min(B + a I))``.
+The unknown is the distance ``t = mu - mu_lo`` above the pole, so each
+``lambda_j + mu`` keeps full relative precision however close the root is
+(Nesterov, Math. Program. 2021). In the hard case (More & Sorensen 1983)
+``c`` has no weight at all on the pole's eigenvectors, ``mu = mu_lo``, and
+an eigenvector correction completes the solution.
 
 For ``p = 3``, ``bregman_minimize_zeta`` runs the relative-smoothness
 proximal-gradient iteration
@@ -34,8 +36,8 @@ n-by-n matrix-vector products, ``h = vecs y`` for the contraction and
 ``vecs^T T[h]^2`` to bring it back, and one secular solve. The value comes
 from the same contraction through ``T[h]^3 = <T[h]^2, h>``.
 The secular solve is warm-started from the previous step's ``mu``, which
-moves little from step to step, so it typically takes 4 to 7 evaluations of
-the secular function, the two that open its bracket included.
+moves little from step to step, so it typically takes 3 to 6 evaluations of
+the secular function, the one that opens its bracket included.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve. The Hessian of the reference function and the first-order minimizer
@@ -69,6 +71,9 @@ INNER_GRAD_TOL = 1e-9
 #: Scalar tolerance of the secular root finder.
 SECULAR_TOL = 1e-14
 
+#: Inner Bregman steps after which ``bregman_minimize_zeta`` gives up.
+MAX_INNER_STEPS = 200
+
 
 @dataclass(frozen=True)
 class RegularizedQuartic:
@@ -98,55 +103,50 @@ class InnerStats:
     grad_norms: list = field(default_factory=list)
 
 
-def _secular_root(lam: np.ndarray, c2: np.ndarray, b: float, mu0=None) -> float:
-    """Unique root of ``chi(mu) = b sum c2_j/(lam_j+mu)^2 - mu`` above ``-lam_min``.
+def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
+                  t0=None) -> float:
+    """Root ``t > 0`` of ``chi(t) = b sum c2_j/(s_j+t)^2 - (mu_lo + t)``.
 
-    ``lam`` already includes the ``a`` shift. Strictly decreasing chi makes a
-    safeguarded Newton/bisection hybrid unconditionally convergent. A guess
-    ``mu0`` strictly inside the cold bracket starts the iteration in place of
-    the bracket midpoint; any other guess is ignored. Convergence is tested
-    before the bracket safeguard, so a Newton step that lands on the root is
-    returned rather than replaced by a bisection. Raises ``SubsolverError``
-    when the iteration does not converge, which only non-finite data reach.
+    ``t`` is the distance of the shift ``mu = mu_lo + t`` above the pole, and
+    ``s = lam + mu_lo`` (``lam`` includes the ``a`` shift) is exactly 0 on the
+    pole entries; the caller has taken out the hard case, which has no root.
+    chi is decreasing and convex: safeguarded Newton/bisection converges on
+    ``(0, hi]``. A cold solve starts at ``sqrt(w / (mu_lo + hi))``, below the
+    root for a pole weight ``w > 0``, or else at the midpoint; a guess ``t0``
+    strictly inside the bracket replaces that start. The stop test
+    ``SECULAR_TOL max(1, t)`` is ``SECULAR_TOL t`` above a pole
+    (``mu_lo > 0``); it comes before the safeguard, so a Newton step that
+    lands on the root is returned. Raises ``SubsolverError`` when the
+    iteration does not converge, which only non-finite data reach.
     """
-    lam_min = float(lam.min())
-    mu_lo = max(0.0, -lam_min)
-    # open the bracket just off the pole when the bottom eigenvalue is active
-    bump = max(1e-300, 1e-14 * max(1.0, abs(lam_min)))
+    def chi(t):
+        d = s + t
+        return b * float((c2 / (d * d)).sum()) - (mu_lo + t)
 
-    def chi(mu):
-        d = lam + mu
-        return b * float((c2 / (d * d)).sum()) - mu
-
-    lo = mu_lo + (bump if mu_lo > 0 else 0.0)
-    while chi(lo) < 0.0 and mu_lo > 0.0 and lo > mu_lo:
-        # came in past the root because of the bump; shrink it
-        bump *= 0.5
-        lo = mu_lo + bump
-        if bump < 1e-300:
-            break
-    hi = max(1.0, 2.0 * lo + 1.0)
+    lo, hi = 0.0, 1.0
     while chi(hi) > 0.0:
         hi *= 2.0
         if hi > 1e300:
             raise SubsolverError("secular bracket expansion failed")
-    mu = mu0 if mu0 is not None and lo < mu0 < hi else 0.5 * (lo + hi)
+    w = b * float(c2[s == 0.0].sum())
+    cold = math.sqrt(w / (mu_lo + hi)) if w > 0.0 else 0.5 * (lo + hi)
+    t = t0 if t0 is not None and lo < t0 < hi else cold
     for _ in range(200):
-        # chi and chi' share one d = lam + mu
-        d = lam + mu
-        d2 = d * d
-        val = b * float((c2 / d2).sum()) - mu
+        # chi and chi' share one ratio c2 / (s + t)^2
+        d = s + t
+        ratio = c2 / (d * d)
+        val = b * float(ratio.sum()) - (mu_lo + t)
         if val > 0.0:
-            lo = mu
+            lo = t
         else:
-            hi = mu
-        step = val / (-2.0 * b * float((c2 / (d2 * d)).sum()) - 1.0)
-        nxt = mu - step
-        if abs(nxt - mu) <= SECULAR_TOL * max(1.0, abs(mu)):
+            hi = t
+        step = val / (-2.0 * b * float((ratio / d).sum()) - 1.0)
+        nxt = t - step
+        if abs(nxt - t) <= SECULAR_TOL * (t if mu_lo > 0.0 else max(1.0, t)):
             return nxt
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
-        mu = nxt
+        t = nxt
     raise SubsolverError("secular root did not converge in 200 steps")
 
 
@@ -162,12 +162,11 @@ def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
         logger.info("quartic subproblem: curvature matrix indefinite, "
                     "bottom eigenvalue %.3e handled via the shifted secular path",
                     lam_b[0])
-    c_norm = float(np.linalg.norm(c))
-    coeff, _ = _quartic_coefficients(vecs.T @ c, lam_b + q.a, q.b, c_norm=c_norm)
+    coeff, _ = _quartic_coefficients(vecs.T @ c, lam_b + q.a, q.b)
     h = vecs @ coeff
 
     residual = float(np.linalg.norm(q.grad(h)))
-    tol = QUARTIC_RESIDUAL_TOL * max(1.0, c_norm)
+    tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(c)))
     if residual > tol:
         raise SubsolverError(
             f"quartic stationarity residual {residual:.3e} exceeds {tol:.3e}",
@@ -187,7 +186,7 @@ def _eigh(mat: np.ndarray):
     return np.linalg.eigh(mat)
 
 
-def _quartic_coefficients(ct, lam, b, mu0=None, c_norm=None):
+def _quartic_coefficients(ct, lam, b, mu0=None):
     """Eigen-coefficients of the global minimizer of a regularized quartic.
 
     The quartic is ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4`` with
@@ -195,28 +194,25 @@ def _quartic_coefficients(ct, lam, b, mu0=None, c_norm=None):
     eigenbasis, ``ct = vecs^T c`` and ``lam = lam_B + a``. Returns ``(y, mu)``:
     the minimizer is ``vecs y``, and ``mu = b ||y||^2`` is the shift of
     ``lam`` at the solution; ``mu0``, a guess of it, warm-starts the secular
-    root. ``c_norm`` is ``||c||``, the scale of the hard-case test
-    (``||ct||`` when not given).
+    root. With ``mu_lo = max(0, -min(lam))`` and ``s = lam + mu_lo``, exactly
+    0 on the pole entries, ``mu = mu_lo + t``. The hard case has ``ct`` exactly
+    0 there and ``b ||ct/s||^2 <= mu_lo`` on the rest: then ``mu = mu_lo``, and
+    ``y`` is padded along the first pole entry to ``b ||y||^2 = mu_lo``.
     """
     c2 = ct * ct
-    lam_min = float(lam.min())
-    mu_lo = max(0.0, -lam_min)
-    if mu_lo > 0.0:
-        bottom = lam - lam_min <= 1e-12 * max(1.0, abs(lam_min))
-        proj = float(np.sqrt(np.sum(c2[bottom])))
-        if c_norm is None:
-            c_norm = float(np.linalg.norm(ct))
-        if proj <= 1e-13 * max(1.0, c_norm):
-            denom = lam[~bottom] + mu_lo
-            r2_interior = float(np.sum(c2[~bottom] / (denom * denom)))
-            if b * r2_interior <= mu_lo:
-                # hard case: boundary solution, padded along the bottom eigenvector
-                coeff = np.zeros(ct.size)
-                coeff[~bottom] = -ct[~bottom] / denom
-                coeff[np.argmax(bottom)] += math.sqrt(max(0.0, mu_lo / b - r2_interior))
-                return coeff, mu_lo
-    mu = _secular_root(lam, c2, b, mu0)
-    return -ct / np.maximum(lam + mu, 1e-300), mu
+    mu_lo = max(0.0, -float(lam.min()))
+    s = lam + mu_lo
+    pole = s == 0.0
+    if pole.any() and not c2[pole].any():
+        rest = ~pole
+        r2_rest = float(np.sum(c2[rest] / (s[rest] * s[rest])))
+        if b * r2_rest <= mu_lo:
+            coeff = np.zeros(ct.size)
+            coeff[rest] = -ct[rest] / s[rest]
+            coeff[np.argmax(pole)] = math.sqrt(max(0.0, mu_lo / b - r2_rest))
+            return coeff, mu_lo
+    t = _secular_root(s, c2, b, mu_lo, None if mu0 is None else mu0 - mu_lo)
+    return -ct / (s + t), mu_lo + t
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ class EigenbasisZeta:
 
 
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
-                          config: ModelConfig, max_inner: int = 200):
+                          config: ModelConfig):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
 
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
@@ -305,7 +301,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
     INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
     ``SubsolverError`` carrying the last iterate when that takes more than
-    ``max_inner`` steps, and ``SubsolverError`` when the model is not finite.
+    ``MAX_INNER_STEPS`` steps, and ``SubsolverError`` when the model is not finite.
     """
     if bundle.p != 3 or budget.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
@@ -332,9 +328,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
         stats.grad_norms.append(g_norm)
         if g_norm <= INNER_GRAD_TOL:
             return h, stats
-        if stats.iterations == max_inner:
+        if stats.iterations == MAX_INNER_STEPS:
             raise SubsolverError(
-                f"inner loop exhausted {max_inner} steps, residual {g_norm:.3e}",
+                f"inner loop exhausted {MAX_INNER_STEPS} steps, residual {g_norm:.3e}",
                 best=h, residual=g_norm,
             )
         # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c

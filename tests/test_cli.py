@@ -120,6 +120,14 @@ class TestSuccessPaths:
         assert sorted(os.listdir(out)) == [
             "summary.json", "trace_eps0.001_seed0.csv", "trace_eps0.01_seed0.csv"]
 
+    def test_singular_quadratic_at_order_three_reaches_the_target(self, tmp_path, capsys):
+        # an exact zero eigenvalue of A carries no gradient weight: the inner
+        # quartics sit on a pole at zero shift and must solve without a warning
+        path = write_config(tmp_path, method="itm", p=3, kappa="exact",
+                            problem={"kind": "quadratic", "A": [[1, 0], [0, 0]], "b": [1, 0]})
+        assert cli.main(["run", "--config", path]) == 0
+        assert "status=gap-target" in capsys.readouterr().out
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--help"])

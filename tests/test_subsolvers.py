@@ -86,6 +86,15 @@ def brute_force_minimum(q: RegularizedQuartic, rng, starts=60, iters=600):
     return found[np.argmin(quartic_values(q, found))]
 
 
+def newton_minimizer(q: RegularizedQuartic, start, steps=40):
+    """Newton's method on ``grad q`` from ``start``: the minimizer of its well."""
+    h = np.array(start, dtype=float)
+    for _ in range(steps):
+        hess = q.B + (q.a + q.b * float(h @ h)) * np.eye(h.size) + 2.0 * q.b * np.outer(h, h)
+        h = h - np.linalg.solve(hess, q.grad(h))
+    return h
+
+
 class TestRegularizedQuartic:
     def test_zero_linear_term_convex(self, rng):
         b_mat = rng.standard_normal((4, 4))
@@ -133,6 +142,53 @@ class TestRegularizedQuartic:
         rng = np.random.default_rng(5)
         ref = brute_force_minimum(q, rng)
         assert quartic_values(q, h) <= quartic_values(q, ref) + 1e-8
+
+    @pytest.mark.parametrize("lam, c, rotate", [
+        ([-1.0, 1.0], [1e-3, 0.3], False),
+        ([-1.0, 1.0], [1e-6, 0.3], False),
+        ([-1.0, 1.0], [1e-10, 0.3], False),
+        ([-1.0, 1.0], [2.2e-13, 0.3], False),
+        ([-1.0, 1.0], [2.2e-13, 0.0], False),
+        ([-1.0, 1.0, 2.0, 3.0], [1e-10, 0.3, 0.2, -0.1], True),
+    ], ids=["1e-3", "1e-6", "1e-10", "2.2e-13", "2.2e-13-axis", "rotated"])
+    def test_root_just_above_the_pole(self, lam, c, rotate):
+        # the bottom direction carries a small weight, so the secular root lies
+        # between 7e-15 and 1e-4 above the pole mu_lo = 1
+        q = RegularizedQuartic(c=np.array(c), B=np.diag(lam), a=0.0, b=1e-3)
+        # Newton on grad q from the well of the global minimizer, h_0 < 0
+        start = np.zeros(len(lam))
+        start[0] = -math.sqrt(1.0 / q.b)
+        ref = newton_minimizer(q, start)
+        if rotate:
+            rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((len(lam),) * 2))
+            q = RegularizedQuartic(c=rot @ q.c, B=rot @ q.B @ rot.T, a=q.a, b=q.b)
+            ref = rot @ ref
+        h = solve_regularized_quartic(q)
+        assert np.linalg.norm(q.grad(h)) <= 1e-10 * max(1.0, np.linalg.norm(q.c))
+        q_star = float(quartic_values(q, ref))
+        assert quartic_values(q, h) <= q_star + 1e-9 * abs(q_star)
+        if c[1] == 0.0:
+            # closed form: h_1 = 0 and c_0 - h_0 + b h_0^3 = 0
+            assert h[1] == 0.0
+            assert abs(c[0] - h[0] + q.b * h[0] ** 3) <= 1e-12 * abs(h[0])
+
+    @pytest.mark.parametrize("c0", [1e-60, 1e-120])
+    def test_tiny_pole_weight(self, c0):
+        # the root lies ~c0 above the pole mu_lo = 1: the pole weight bounds it
+        # below, so the secular solve neither bisects down to it nor underflows
+        q = RegularizedQuartic(c=np.array([c0, 0.3]), B=np.diag([-1.0, 1.0]), a=0.0, b=1e-3)
+        h = solve_regularized_quartic(q)
+        ref = newton_minimizer(q, np.array([-math.sqrt(1.0 / q.b), 0.0]))
+        np.testing.assert_allclose(h, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [[0.1, 0.2], [0.0, 0.2], [0.0, 0.0]])
+    def test_singular_psd_curvature(self, c):
+        # an exact zero eigenvalue and no quadratic weight put the pole at zero shift
+        q = RegularizedQuartic(c=np.array(c), B=np.diag([0.0, 1.0]), a=0.0, b=1.0)
+        h = solve_regularized_quartic(q)
+        # q is strictly convex, so Newton from -c finds its minimizer
+        ref = newton_minimizer(q, -q.c) if any(c) else np.zeros(2)
+        np.testing.assert_allclose(h, ref, rtol=1e-12, atol=1e-15)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -249,10 +305,11 @@ class TestBregman:
         with pytest.raises(SubsolverError, match="smooth model is not finite"):
             bregman_minimize_zeta(broken, budget, config)
 
-    def test_iteration_cap_carries_best_iterate(self, p3_setup):
+    def test_iteration_cap_carries_best_iterate(self, p3_setup, monkeypatch):
         _, bundle, budget, config, _ = p3_setup
-        with pytest.raises(SubsolverError) as err:
-            bregman_minimize_zeta(bundle, budget, config, max_inner=3)
+        monkeypatch.setattr(subsolvers, "MAX_INNER_STEPS", 3)
+        with pytest.raises(SubsolverError, match="inner loop exhausted 3 steps") as err:
+            bregman_minimize_zeta(bundle, budget, config)
         assert err.value.best is not None
         assert err.value.residual > 0
 
@@ -280,16 +337,22 @@ class TestBregman:
                                   ModelConfig(sigma=1.0))
 
 
+def pole_data(lam):
+    """The pole ``mu_lo = max(0, -lam_min)`` of ``lam``: ``(lam + mu_lo, mu_lo)``."""
+    lam = np.asarray(lam, float)
+    mu_lo = max(0.0, -float(lam.min()))
+    return lam + mu_lo, mu_lo
+
+
 def bisected_root(lam, c2, b, steps=300):
-    """Root of ``chi`` above the pole by plain bisection, the reference."""
-    lam, c2 = np.asarray(lam, float), np.asarray(c2, float)
+    """Root ``t`` of chi above the pole by plain bisection, the reference."""
+    (s, mu_lo), c2 = pole_data(lam), np.asarray(c2, float)
 
-    def chi(mu):
-        d = lam + mu
-        return b * float(np.sum(c2 / (d * d))) - mu
+    def chi(t):
+        d = s + t
+        return b * float(np.sum(c2 / (d * d))) - (mu_lo + t)
 
-    lo = max(0.0, -float(lam.min()))
-    hi = 1.0 + lo
+    lo, hi = 0.0, 1.0
     while chi(hi) > 0.0:
         hi *= 2.0
     for _ in range(steps):
@@ -304,7 +367,7 @@ def bisected_root(lam, c2, b, steps=300):
 
 
 class RecordingShifts(np.ndarray):
-    """``lam`` that records every scalar ``mu`` of ``lam + mu``: the points
+    """``s`` that records every scalar ``t`` of ``s + t``: the points
     at which ``_secular_root`` evaluates chi."""
 
     shifts = None
@@ -330,66 +393,71 @@ def secular_instances(seed=40, count=40):
 class TestSecularRoot:
     def test_matches_bisection(self):
         for lam, c2, b in secular_instances():
-            mu = _secular_root(lam, c2, b)
-            ref = bisected_root(lam, c2, b)
+            s, mu_lo = pole_data(lam)
+            mu = mu_lo + _secular_root(s, c2, b, mu_lo)
+            ref = mu_lo + bisected_root(lam, c2, b)
             assert abs(mu - ref) <= 1e-13 * ref
 
     def test_near_pole(self):
         # the bottom eigendirection carries a 1e-12 weight: the root sits
         # 1.5e-6 above the pole mu_lo = 1
         lam, c2 = np.array([-1.0, 0.5, 2.0]), np.array([1e-12, 1.0, 1.0])
-        mu = _secular_root(lam, c2, 1.0)
-        assert 0.0 < mu - 1.0 < 1e-5
-        assert abs(mu - bisected_root(lam, c2, 1.0)) <= 1e-13 * mu
+        s, mu_lo = pole_data(lam)
+        t = _secular_root(s, c2, 1.0, mu_lo)
+        ref = bisected_root(lam, c2, 1.0)
+        assert mu_lo == 1.0 and 0.0 < t < 1e-5
+        assert abs(t - ref) <= 1e-12 * ref
+        assert abs((mu_lo + t) - (mu_lo + ref)) <= 1e-13 * (mu_lo + ref)
 
     def test_converged_newton_step_is_returned(self):
-        # Newton from the cold midpoint lands exactly on the root at its 8th
+        # Newton from the cold midpoint lands exactly on the root at its 6th
         # chi evaluation; the iteration must stop there, not bisect onwards
-        lam = np.array([-0.5, 1.0, 2.0]).view(RecordingShifts)
-        c2, b = np.array([1e-3, 1.0, 1.0]), 2.0
+        # no weight on the pole at mu_lo = 0.5, and b r^2 > mu_lo there: not a hard case
+        lam, c2, b = np.array([-0.5, 1.0, 2.0]), np.array([0.0, 1.0, 1.0]), 2.0
+        s, mu_lo = pole_data(lam)
         RecordingShifts.shifts = []
         try:
-            mu = _secular_root(lam, c2, b)
+            t = _secular_root(s.view(RecordingShifts), c2, b, mu_lo)
             shifts = RecordingShifts.shifts
         finally:
             RecordingShifts.shifts = None
-        assert abs(mu - bisected_root(np.asarray(lam), c2, b)) <= 1e-13 * mu
-        assert shifts.index(mu) == len(shifts) - 1
-        assert len(shifts) == 8
+        assert abs(t - bisected_root(lam, c2, b)) <= 1e-13 * t
+        assert shifts.index(t) == len(shifts) - 1
+        assert len(shifts) == 6
 
     def test_unusable_guess_gives_the_cold_root(self):
         for lam, c2, b in secular_instances(seed=41, count=10):
-            cold = _secular_root(lam, c2, b)
-            mu_lo = max(0.0, -float(lam.min()))
-            for mu0 in (mu_lo, mu_lo - 1.0, 1e6 * (cold + 1.0), np.inf, np.nan):
-                assert _secular_root(lam, c2, b, mu0) == cold
+            s, mu_lo = pole_data(lam)
+            cold = _secular_root(s, c2, b, mu_lo)
+            for t0 in (0.0, -1.0, 1e6 * (cold + 1.0), np.inf, np.nan):
+                assert _secular_root(s, c2, b, mu_lo, t0) == cold
 
     def test_nan_data_raises(self):
         with pytest.raises(SubsolverError):
-            _secular_root(np.array([1.0, 2.0]), np.array([1.0, np.nan]), 1.0)
+            _secular_root(np.array([1.0, 2.0]), np.array([1.0, np.nan]), 1.0, 0.0)
 
     def test_warm_root_agrees_with_cold_at_every_inner_step(self, p3_setup, monkeypatch):
         _, bundle, budget, config, _ = p3_setup
         pairs = []
         evaluations = {"warm": 0, "cold": 0}
 
-        def counted(kind, lam, c2, b, mu0=None):
+        def counted(kind, s, c2, b, mu_lo, t0=None):
             RecordingShifts.shifts = []
             try:
-                return _secular_root(lam.view(RecordingShifts), c2, b, mu0)
+                return _secular_root(s.view(RecordingShifts), c2, b, mu_lo, t0)
             finally:
                 evaluations[kind] += len(RecordingShifts.shifts)
                 RecordingShifts.shifts = None
 
-        def both(lam, c2, b, mu0=None):
-            warm = counted("warm", lam, c2, b, mu0)
-            pairs.append((warm, counted("cold", lam, c2, b), mu0))
+        def both(s, c2, b, mu_lo, t0=None):
+            warm = counted("warm", s, c2, b, mu_lo, t0)
+            pairs.append((warm, counted("cold", s, c2, b, mu_lo), t0))
             return warm
 
         monkeypatch.setattr(subsolvers, "_secular_root", both)
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         assert len(pairs) == stats.iterations > 1
-        assert pairs[0][2] is None and all(mu0 is not None for _, _, mu0 in pairs[1:])
+        assert pairs[0][2] is None and all(t0 is not None for _, _, t0 in pairs[1:])
         for warm, cold, _ in pairs:
             assert abs(warm - cold) <= 1e-12 * cold
         assert evaluations["warm"] < evaluations["cold"]
@@ -398,7 +466,7 @@ class TestSecularRoot:
         _, bundle, budget, config, _ = p3_setup
         h_warm, warm = bregman_minimize_zeta(bundle, budget, config)
         monkeypatch.setattr(subsolvers, "_secular_root",
-                            lambda lam, c2, b, mu0=None: _secular_root(lam, c2, b))
+                            lambda s, c2, b, mu_lo, t0=None: _secular_root(s, c2, b, mu_lo))
         h_cold, cold = bregman_minimize_zeta(bundle, budget, config)
         assert warm.iterations == cold.iterations
         assert np.linalg.norm(h_warm - h_cold) <= 1e-12 * np.linalg.norm(h_cold)
