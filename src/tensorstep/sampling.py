@@ -149,7 +149,12 @@ def sample_bundle(problem, x, plan: BatchPlan, rng,
     support rows only, so it costs its support rather than ``m``. An
     ``EXACT`` entry and a draw that touches every row (``rows=None``:
     offline, a full batch) take the all-rows reduction of the exact
-    derivatives, which is why they reproduce them bitwise. The bundle value
+    derivatives, which is why they reproduce them bitwise. A logistic
+    gradient or Hessian whose support covers at least
+    ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path too, with
+    zero weights off the support. Every order, sampled or exact, reads the
+    margins the problem keeps for ``x``, so the bundle makes one pass over
+    the features (none when ``f(x)`` was just evaluated). The bundle value
     is the exact ``f(x)``: ``value`` when the caller already has it, else one
     ``problem.value`` call.
     """
