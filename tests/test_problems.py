@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from tensorstep import (
     make_online_logistic,
     make_quadratic,
 )
-from tensorstep.linalg import ROW_BLOCK
+from tensorstep import problems
+from tensorstep.linalg import ROW_BLOCK, row_slice_sum
+from tensorstep.sampling import BatchPlan, sample_bundle
 from tensorstep.problems import (
+    DENSE_SUPPORT,
     LOGISTIC_LINK_BOUNDS,
     _sigmoid,
     link_d1,
@@ -73,6 +77,23 @@ class TestLogisticLink:
         assert np.isfinite(vals).all()
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[1] == pytest.approx(800.0)
+
+    def test_value_is_logaddexp_to_a_few_ulp(self):
+        """Both forms round within ~1.4 ulp of log(1 + e^-t), so they may differ by 3."""
+        specials = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 36.7, -36.7,
+                             745.0, -745.0, 1e-300, -1e-300])
+        gen = np.random.default_rng(32)
+        t = np.concatenate([specials, gen.standard_normal(50_000) * 3.0,
+                            gen.standard_normal(50_000) * 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, nan = link_value(t), link_value(np.array([np.nan]))
+        reference = np.logaddexp(0.0, -t)
+        assert np.array_equal(np.isinf(value), np.isinf(reference))
+        finite = np.isfinite(reference)
+        gap = np.abs(value[finite] - reference[finite])
+        assert np.all(gap <= 4 * np.spacing(reference[finite]))
+        assert np.isnan(nan).all()
 
     def test_sigmoid_is_bitwise_the_two_branch_form(self):
         def two_branch(t):
@@ -181,8 +202,32 @@ class TestLogisticProblem:
         prob.gradient(x.copy())
         prob.hessian(x)
         prob.third(x)
-        prob.batch_gradient(x, prob.draw(13, rng))  # support-row margins are not kept
+        prob.batch_gradient(x, prob.draw(13, rng))  # support rows gather the kept margins
         assert prob._margin_memo is kept
+
+    def test_one_margin_pass_per_sampled_bundle(self, rng):
+        prob = make_logistic(n=5, m=40, seed=9)
+        x = rng.standard_normal(5)
+        value = prob.value(x)
+        kept = prob._margin_memo
+        sizes = (36, 13, 5)  # order 1 dense, orders 2 and 3 gathered
+        assert sizes[0] >= DENSE_SUPPORT * prob.m > sizes[1]
+        bundle = sample_bundle(prob, x, BatchPlan(sizes), np.random.default_rng(3), value)
+        assert prob._margin_memo is kept
+        replay = np.random.default_rng(3)
+        draw1, draw2, (rows, w) = (prob.draw(size, replay) for size in sizes)
+        assert np.array_equal(prob._margins(x, rows)[2], kept[1][rows])
+        assert np.array_equal(bundle.third.rows, prob.features[rows])
+        assert np.array_equal(bundle.third.weights,
+                              w * link_d3(kept[1][rows]) * prob.labels[rows])
+        assert np.array_equal(bundle.grad, prob.batch_gradient(x, draw1))
+        assert np.array_equal(bundle.hess, prob.batch_hessian(x, draw2))
+        assert prob._margin_memo is kept
+        # support rows read the kept margins rather than recomputing their own
+        shifted = kept[1] + 1.0
+        prob._margin_memo = (kept[0], shifted)
+        assert np.array_equal(prob.batch_third(x, (rows, w)).weights,
+                              w * link_d3(shifted[rows]) * prob.labels[rows])
 
     def test_exact_derivatives_over_many_slices(self, rng):
         prob = make_logistic(n=5, m=2 * ROW_BLOCK + 7, seed=9)
@@ -302,12 +347,16 @@ class TestSupportBatches:
     """Sampled derivatives reduce over the rows their draw uses."""
 
     @pytest.fixture(params=["offline", "online-indices", "online-counts",
-                            "offline-sliced-0.3", "offline-sliced-0.9"])
+                            "offline-sliced-0.3", "offline-sliced-0.75",
+                            "offline-sliced-0.9", "offline-sliced-0.99", "online-dense"])
     def case(self, request):
         """``(problem, draw, weights over all rows)`` with a draw that misses some rows.
 
-        The sliced cases have more than ``ROW_BLOCK`` support rows, so their
-        gradients and Hessians gather and reduce them over several slices.
+        The sliced cases span several row slices. ``offline-sliced-0.3``
+        gathers more than ``ROW_BLOCK`` support rows; the others, and
+        ``online-dense`` (with-replacement picks with duplicates), cover at
+        least ``DENSE_SUPPORT`` of the rows, so their gradients and Hessians
+        take the all-rows path.
         """
         gen = np.random.default_rng(21)
         if request.param == "offline":
@@ -315,13 +364,16 @@ class TestSupportBatches:
             draw = prob.draw(13, gen)
         elif request.param.startswith("offline-sliced"):
             prob = make_logistic(n=5, m=4 * ROW_BLOCK + 7, seed=16)
-            draw = prob.draw(int(float(request.param[-3:]) * prob.m), gen)
+            draw = prob.draw(int(float(request.param.rsplit("-", 1)[1]) * prob.m), gen)
             assert draw[0].size > ROW_BLOCK
         else:
             prob = make_online_logistic(n=5, pool=64, seed=17)
             if request.param == "online-indices":
                 draw = prob.draw(40, gen)
                 assert draw[0].size < 40  # duplicates
+            elif request.param == "online-dense":
+                draw = prob.draw(100, gen)
+                assert DENSE_SUPPORT * prob.m <= draw[0].size < prob.m
             else:
                 prob.COUNT_DRAW_THRESHOLD = 29  # 30 picks take the multinomial path
                 draw = prob.draw(30, gen)
@@ -348,3 +400,41 @@ class TestSupportBatches:
         third = prob.batch_third(rng.standard_normal(prob.dim), draw)
         assert third.rows.shape[0] == np.count_nonzero(weights)
         assert np.all(third.weights != 0.0)
+
+    def test_dense_supports_take_the_all_rows_path(self, case, rng, monkeypatch):
+        """Below ``DENSE_SUPPORT * m`` rows a draw gathers its support, from there it
+        is bitwise the all-rows reduction with zero weights off the support."""
+        prob, draw, weights = case
+        x = rng.standard_normal(prob.dim)
+        reduced = spy_reduced_rows(monkeypatch)
+        grad, hess = prob.batch_gradient(x, draw), prob.batch_hessian(x, draw)
+        if draw[0].size < DENSE_SUPPORT * prob.m:
+            assert reduced == [draw[0].size] * 2
+            return
+        assert reduced == [prob.m] * 2
+        assert np.array_equal(grad, prob._weighted_gradient(x, None, weights))
+        assert np.array_equal(hess, prob._weighted_hessian(x, None, weights))
+
+    def test_the_largest_gathered_support(self, rng, monkeypatch):
+        prob = make_logistic(n=5, m=4 * ROW_BLOCK + 7, seed=16)
+        x = rng.standard_normal(prob.dim)
+        threshold = math.ceil(DENSE_SUPPORT * prob.m)
+        reduced = spy_reduced_rows(monkeypatch)
+        for size in (threshold - 1, threshold):
+            draw = prob.draw(size, rng)
+            prob.batch_gradient(x, draw)
+            prob.batch_hessian(x, draw)
+            assert prob.batch_third(x, draw).rows.shape[0] == size
+        assert reduced == [threshold - 1] * 2 + [prob.m] * 2
+
+
+def spy_reduced_rows(monkeypatch):
+    """The row counts that ``LogisticProblem``'s gradient and Hessian reductions walk."""
+    reduced = []
+
+    def recording(m, part):
+        reduced.append(m)
+        return row_slice_sum(m, part)
+
+    monkeypatch.setattr(problems, "row_slice_sum", recording)
+    return reduced
