@@ -84,8 +84,36 @@ def test_parent_and_change_are_compared(tmp_path, capsys):
     assert rows["outer_iters"][4:] == (0.0, 0, 3)  # ties count for neither side
     out = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
     assert out["metric"][:2] == ["metric", "unit"]
-    assert out["solve_s"] == ["solve_s", "s", "2.5", "0.75", "-70.0%", "2", "of", "3", "pairs"]
-    assert out["outer_iters"][-5:] == ["+0.0%", "0", "of", "3", "pairs"]
+    assert out["solve_s"] == ["solve_s", "s", "2.5", "0.75", "-70.0%", "2", "of", "3", "pairs",
+                              "unresolved"]
+    assert out["outer_iters"][-6:] == ["+0.0%", "0", "of", "3", "pairs", "unresolved"]
+
+
+PARENT_SOLVE_S = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+
+
+@pytest.mark.parametrize("case,shift,expected", [
+    ("nine-of-ten", [-0.6] * 9 + [0.1], "gain"),
+    ("eight-of-ten", [-0.6] * 8 + [0.1] * 2, "unresolved"),
+    ("inside-the-iqr", [-0.3] * 10, "unresolved"),
+    ("nine-pairs", [-0.6] * 9, "unresolved"),
+])
+def test_verdict_by_pairs_and_parent_iqr(tmp_path, capsys, case, shift, expected):
+    """A gain needs >= 9 of >= 10 seed-matched pairs and a median gap above the parent's IQR."""
+    for seed, (base, delta) in enumerate(zip(PARENT_SOLVE_S, shift + [0.0] * 10), start=1):
+        write_result(tmp_path / "parent", seed, base, env={**ENV, "git_sha": "p"})
+        if seed <= len(shift):
+            write_result(tmp_path / "change", seed, base + delta)
+    assert snapshot(tmp_path, tmp_path / "parent", label="parent")[0] == 0
+    code, data = snapshot(tmp_path, tmp_path / "change")
+    assert code == 0
+    assert data["runs"]["parent"]["metrics"]["solve_s"]["iqr"] == pytest.approx(0.45)
+    rows = {row[0]: row for row in bench_snapshot.compare(data)}
+    iqr = data["runs"]["parent"]["metrics"]["solve_s"]["iqr"]
+    assert bench_snapshot.verdict(rows["solve_s"], iqr) == expected
+    out = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert out["solve_s"][-1] == expected
+    assert out["outer_iters"][-1] == "unresolved"  # ties never make a gain
 
 
 @pytest.mark.parametrize("case", ["no-results", "mixed-checkouts"])

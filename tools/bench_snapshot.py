@@ -15,8 +15,12 @@ already in the output file are kept, so the runs of two checkouts (say
 ``--label parent --results <parent checkout>/perfbench/out``, then
 ``--label change``) sit side by side for comparison. Once the file holds
 both a ``parent`` and a ``change`` label, the tool also prints, per metric,
-both medians, the relative change of the median, and in how many of the
-seed-matched pairs ``change`` read lower (ties count for neither side).
+both medians, the relative change of the median, in how many of the
+seed-matched pairs ``change`` read lower (ties count for neither side), and a
+verdict. Every end-to-end metric of the benchmark is better lower, so the
+verdict is "gain" when ``change`` read lower in at least nine of ten pairs
+(``GAIN_SHARE`` of at least ``MIN_PAIRS`` pairs) and its median is below the
+parent's by more than the parent's interquartile range; else "unresolved".
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Share of the seed-matched pairs ``change`` must win, and the fewest pairs,
+#: for a gain.
+GAIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 class SnapshotError(Exception):
@@ -124,12 +133,23 @@ def compare(snapshot: dict) -> list:
     return rows
 
 
-def format_comparison(rows: list) -> str:
-    lines = [f"{'metric':<14} {'unit':<6} {'parent':>12} {'change':>12} {'rel':>8}  change lower"]
-    for name, unit, base, new, rel, lower, pairs in rows:
+def verdict(row: tuple, parent_iqr: float) -> str:
+    """The verdict on one ``compare`` row, "gain" or "unresolved"; lower is better."""
+    _, _, base, new, _, lower, pairs = row
+    if pairs >= MIN_PAIRS and lower >= GAIN_SHARE * pairs and base - new > parent_iqr:
+        return "gain"
+    return "unresolved"
+
+
+def format_comparison(snapshot: dict) -> str:
+    parent = snapshot["runs"]["parent"]["metrics"]
+    lines = [f"{'metric':<14} {'unit':<6} {'parent':>12} {'change':>12} {'rel':>8}  "
+             f"change lower        verdict"]
+    for row in compare(snapshot):
+        name, unit, base, new, rel, lower, pairs = row
         rel_text = "-" if rel is None else f"{rel:+.1%}"
         lines.append(f"{name:<14} {unit:<6} {base:>12.6g} {new:>12.6g} {rel_text:>8}  "
-                     f"{lower} of {pairs} pairs")
+                     f"{lower:>2} of {pairs:>2} pairs  {verdict(row, parent[name]['iqr'])}")
     return "\n".join(lines)
 
 
@@ -153,7 +173,7 @@ def main(argv=None) -> int:
     print(f"{output}: {args.label} at {run['git_sha'][:12]}, {len(run['seeds'])} runs, "
           f"{run['failed']} of {run['attempted']} operations failed")
     if {"parent", "change"} <= snapshot["runs"].keys():
-        print(format_comparison(compare(snapshot)))
+        print(format_comparison(snapshot))
     return 0
 
 
