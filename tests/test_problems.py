@@ -14,7 +14,6 @@ from tensorstep import (
 )
 from tensorstep import problems
 from tensorstep.linalg import ROW_BLOCK, row_slice_sum
-from tensorstep.sampling import BatchPlan, sample_bundle
 from tensorstep.problems import (
     DENSE_SUPPORT,
     LOGISTIC_LINK_BOUNDS,
@@ -24,6 +23,7 @@ from tensorstep.problems import (
     link_d3,
     link_value,
 )
+from tensorstep.sampling import BatchPlan, sample_bundle
 
 from conftest import central_diff_grad, central_diff_jacobian
 from lemmas import component_gradient, component_hessian, component_value
