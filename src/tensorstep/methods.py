@@ -12,7 +12,9 @@ callables:
 * an oracle ``(k, x, fx) -> (bundle, used)``: derivatives at ``x`` (anything
   with a ``grad``) and the per-order component counts spent on them, given
   the loop's ``fx = f(x)`` so that a bundle needs no second value call;
-* a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
+* a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``. The model
+  step of ITM and STM keeps the last step it took and hands it to the next
+  order-3 model solve as the inner loop's warm start.
 
 The method passes in ``f(x0)`` from ``_start_value``, which rejects a start
 point whose value is not finite before anything else is computed there.
@@ -225,11 +227,15 @@ def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
 
 
 def model_step(bundle: DerivativeBundle, budget: InexactnessBudget,
-               mconfig: ModelConfig):
-    """Minimize the smooth model; returns ``(step, inner_iterations)``."""
+               mconfig: ModelConfig, h0=None):
+    """Minimize the smooth model; returns ``(step, inner_iterations)``.
+
+    ``h0``, the previous outer step, warm-starts the order-3 inner loop; the
+    order-2 solve is closed-form and does not read it.
+    """
     if bundle.p == 2:
         return solve_model_p2(bundle, budget, mconfig), 1
-    step, stats = bregman_minimize_zeta(bundle, budget, mconfig)
+    step, stats = bregman_minimize_zeta(bundle, budget, mconfig, h0)
     return step, stats.iterations
 
 
@@ -294,8 +300,12 @@ def _model_method(problem, x0, config: RunConfig):
     budget = InexactnessBudget(config.eps, kappas)
     mconfig = resolve_model_config(config, profile, kappas)
 
+    last = None  # the previous step, which warm-starts the next model solve
+
     def step(x, bundle):
-        h, inner_iters = model_step(bundle, budget, mconfig)
+        nonlocal last
+        h, inner_iters = model_step(bundle, budget, mconfig, last)
+        last = h
         return x + h, float(np.linalg.norm(h)), inner_iters
 
     return fx0, profile, budget, step

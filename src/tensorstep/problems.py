@@ -364,7 +364,9 @@ class LogisticProblem:
         """``(rows, weights)`` of ``batch_size`` picks: distinct offline, i.i.d. online.
 
         ``rows`` (increasing) is ``None`` when the picks touch all ``m`` rows;
-        ``weights`` is each row's picks over ``batch_size``. Online draws above
+        ``weights`` is each row's picks over ``batch_size``. Offline picks are
+        distinct, so their rows are the sorted picks, each weighing
+        ``1 / batch_size``, with no count vector over all m rows. Online draws above
         ``COUNT_DRAW_THRESHOLD`` pick the multinomial count vector directly,
         the same distribution at O(m) cost.
         """
@@ -374,8 +376,9 @@ class LogisticProblem:
             if batch_size > self.m:
                 raise ValueError(f"offline batch size {batch_size} exceeds m = {self.m}")
             picks = rng.choice(self.m, size=batch_size, replace=False)
-            counts = np.bincount(picks, minlength=self.m)
-        elif batch_size > self.COUNT_DRAW_THRESHOLD:
+            weights = np.full(batch_size, 1.0 / batch_size)
+            return (None if batch_size == self.m else np.sort(picks)), weights
+        if batch_size > self.COUNT_DRAW_THRESHOLD:
             counts = rng.multinomial(batch_size, np.full(self.m, 1.0 / self.m))
         else:
             counts = np.bincount(rng.integers(0, self.m, size=batch_size),

@@ -39,6 +39,20 @@ The secular solve is warm-started from the previous step's ``mu``, which
 moves little from step to step, so it typically takes 3 to 6 evaluations of
 the secular function, the one that opens its bracket included.
 
+The loop itself is warm-started from the previous outer step ``h0``, which
+moves little from one outer step to the next. It starts at ``alpha h0``, the
+minimizer of ``zeta`` on the line through 0 and ``h0``: with ``yp = vecs^T h0``
+and ``vt = vecs^T T[h0]^2``, ``zeta(alpha h0) - zeta(0)`` is the quartic
+``alpha A1 + alpha^2 A2 + alpha^3 A3 + alpha^4 A4`` with ``A1 = <gt, yp>``,
+``A2 = <lam yp, yp>/2 + z2 r^2``, ``A3 = <vt, yp>/6`` and ``A4 = z4 r^4``
+(``r = ||yp||``), so ``alpha`` is the best real root of its cubic derivative,
+or 0 (the cold start) when none goes below 0. The start is no worse than 0,
+so the accepted step still has ``zeta(h) <= zeta(0)``. The first evaluation
+of the loop takes its contraction as ``alpha^2 vt``, so a warm-started call
+costs no more contractions than a cold one. The map from one step's
+``(y, mu)`` to the next is deterministic, so a step that repeats the previous
+pair bitwise ends the loop at once: it would repeat it until the step cap.
+
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve. The Hessian of the reference function and the first-order minimizer
 that cross-checks these solvers are lemma checks, kept in ``tests/lemmas.py``.
@@ -121,7 +135,7 @@ def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
     """
     def chi(t):
         d = s + t
-        return b * float((c2 / (d * d)).sum()) - (mu_lo + t)
+        return b * float((c2 / d / d).sum()) - (mu_lo + t)
 
     lo, hi = 0.0, 1.0
     while chi(hi) > 0.0:
@@ -132,9 +146,10 @@ def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
     cold = math.sqrt(w / (mu_lo + hi)) if w > 0.0 else 0.5 * (lo + hi)
     t = t0 if t0 is not None and lo < t0 < hi else cold
     for _ in range(200):
-        # chi and chi' share one ratio c2 / (s + t)^2
+        # chi and chi' share one ratio c2 / (s + t)^2, divided twice: d * d
+        # overflows where the ratio is still finite
         d = s + t
-        ratio = c2 / (d * d)
+        ratio = c2 / d / d
         val = b * float(ratio.sum()) - (mu_lo + t)
         if val > 0.0:
             lo = t
@@ -272,10 +287,14 @@ class EigenbasisZeta:
         self.lam, self.vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
         self.gt = self.vecs.T @ bundle.grad
 
-    def value_and_grad(self, y: np.ndarray, h: np.ndarray) -> tuple:
-        """``(zeta(h), vecs^T grad zeta(h))`` at ``h = vecs y``."""
+    def value_and_grad(self, y: np.ndarray, h: np.ndarray, vt=None) -> tuple:
+        """``(zeta(h), vecs^T grad zeta(h))`` at ``h = vecs y``.
+
+        ``vt``, when given, is ``vecs^T T[h]^2``, which is then not contracted.
+        """
         b = self.bundle
-        vt = self.vecs.T @ b.third.apply2(h)
+        if vt is None:
+            vt = self.vecs.T @ b.third.apply2(h)
         r2 = float(y @ y)
         ly = self.lam * y
         g = self.gt + ly + 0.5 * vt + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
@@ -283,9 +302,43 @@ class EigenbasisZeta:
                + float(vt @ y) / 6.0 + self.z0 + (self.z2 + self.z4 * r2) * r2)
         return val, g
 
+    def line_start(self, h0: np.ndarray) -> tuple:
+        """``(y, h, vt)`` at ``alpha h0``, the minimizer of ``zeta`` on the line
+        through 0 and ``h0``; ``vt = vecs^T T[h]^2``. ``alpha`` is 0 when no
+        point of the line lies below ``zeta(0)``."""
+        yp = self.vecs.T @ h0
+        vt = self.vecs.T @ self.bundle.third.apply2(h0)
+        r2 = float(yp @ yp)
+        alpha = _quartic_line_minimizer(
+            float(self.gt @ yp),
+            0.5 * float((self.lam * yp) @ yp) + self.z2 * r2,
+            float(vt @ yp) / 6.0,
+            self.z4 * r2 * r2,
+        )
+        if alpha == 0.0:
+            zero = np.zeros(h0.size)
+            return zero, zero, zero
+        return alpha * yp, alpha * h0, alpha * alpha * vt
+
+
+def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float:
+    """Minimizer of ``a1 t + a2 t^2 + a3 t^3 + a4 t^4`` over real ``t``, or 0
+    when no root of its derivative gives a finite value below 0, or any
+    coefficient is not finite or ``a4 <= 0``."""
+    coeffs = (a1, a2, a3, a4)
+    if not (all(math.isfinite(c) for c in coeffs) and a4 > 0.0):
+        return 0.0
+    best, low = 0.0, 0.0
+    # the real parts of complex roots are extra candidates, never the minimizer
+    for t in np.roots([4.0 * a4, 3.0 * a3, 2.0 * a2, a1]).real.tolist():
+        value = (((a4 * t + a3) * t + a2) * t + a1) * t
+        if value < low and math.isfinite(value):
+            best, low = t, value
+    return best
+
 
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
-                          config: ModelConfig):
+                          config: ModelConfig, h0=None):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
 
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
@@ -298,10 +351,21 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     secular solve, warm-started from the previous step's ``mu``; ``zeta(h)``,
     ``grad zeta(h)`` and the Bregman linearization are elementwise in the
     eigenvalues, with the cubic term of the value from
-    ``T[h]^3 = <T[h]^2, h>``. Stops once ``||grad zeta(h)|| <=
-    INNER_GRAD_TOL`` and returns ``(h, InnerStats)``; raises
-    ``SubsolverError`` carrying the last iterate when that takes more than
-    ``MAX_INNER_STEPS`` steps, and ``SubsolverError`` when the model is not finite.
+    ``T[h]^3 = <T[h]^2, h>``.
+
+    The loop starts at 0, or, given a guess ``h0`` (the previous outer step),
+    at ``alpha h0``, the minimizer of ``zeta`` on the line through 0 and
+    ``h0``: a quartic in ``alpha`` whose coefficients come from the
+    contraction ``T[h0]^2``, which the first evaluation reuses as
+    ``alpha^2 T[h0]^2``. Either way a call that takes ``k`` steps contracts
+    ``k + 1`` times, and ``zeta`` at the start is at most ``zeta(0)``.
+
+    Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
+    ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate
+    and its residual when that takes more than ``MAX_INNER_STEPS`` steps, or
+    as soon as a step returns the previous step's ``(y, mu)`` bitwise, which
+    the deterministic map would repeat up to the cap; and ``SubsolverError``
+    when the model is not finite.
     """
     if bundle.p != 3 or budget.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
@@ -314,11 +378,16 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     b_q = ktau * Q
     stats = InnerStats()
 
-    y = np.zeros(bundle.dim)
-    h = np.zeros(bundle.dim)
+    if h0 is None:
+        y = np.zeros(bundle.dim)
+        h = np.zeros(bundle.dim)
+        vt = None
+    else:
+        y, h, vt = zeta.line_start(np.asarray(h0, dtype=float))
     mu = None  # secular shift of the previous step, the next step's warm start
     while True:
-        val, g = zeta.value_and_grad(y, h)
+        val, g = zeta.value_and_grad(y, h, vt)
+        vt = None
         r2 = float(y @ y)
         g_norm = float(np.linalg.norm(g))
         if not (math.isfinite(val) and math.isfinite(g_norm)):
@@ -334,9 +403,16 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                 best=h, residual=g_norm,
             )
         # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
-        y, mu = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
-        h = zeta.vecs @ y
+        y_next, mu_next = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
         stats.iterations += 1
+        if mu_next == mu and np.array_equal(y_next, y):
+            raise SubsolverError(
+                f"inner loop exhausted at step {stats.iterations} of {MAX_INNER_STEPS}: "
+                f"it repeats the previous step, residual {g_norm:.3e}",
+                best=h, residual=g_norm,
+            )
+        y, mu = y_next, mu_next
+        h = zeta.vecs @ y
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from tensorstep import LogisticProblem, bench, cli
+from tensorstep import LogisticProblem, bench, cli, subsolvers
 from tensorstep.bench import build_problem
 
 from test_methods import GOLDEN_DIR, golden_data, read_tree
@@ -69,6 +71,25 @@ class TestExitCodes:
     def test_far_start_exhausting_the_inner_loop_exits_two(self, tmp_path, capsys):
         assert cli.main(self.far_start_args(tmp_path, 1e100)) == 2
         assert capsys.readouterr().err.startswith("error: inner loop exhausted")
+
+    @pytest.mark.parametrize("fields", [
+        {"x0_offset": 1e100},
+        {"method": "itm", "kappa": "exact", "problem": {
+            "kind": "logistic-synthetic", "n": 8, "m": 300, "row_scale": 1e76}},
+    ], ids=["far-start", "row-scale"])
+    def test_stalled_inner_loop_exits_two_early_without_warnings(
+            self, tmp_path, capsys, fields):
+        # the model gradient stalls far above the inner tolerance; the loop
+        # ends at its first repeated step, and numpy warns of nothing
+        path = write_config(tmp_path, **{
+            "problem": {"kind": "logistic-synthetic", "n": 4, "m": 50}, **fields})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        match = re.match(r"error: inner loop exhausted at step (\d+) of (\d+): it repeats", err)
+        assert match, err
+        assert int(match[1]) < int(match[2]) == subsolvers.MAX_INNER_STEPS
 
     def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys, monkeypatch):
         centers = []

@@ -32,7 +32,7 @@ from tensorstep import (
     run_experiment,
     theoretical_residual_bound,
 )
-from tensorstep import bench
+from tensorstep import bench, methods
 from tensorstep.bench import build_problem, start_point
 from tensorstep.methods import (
     default_profile,
@@ -95,6 +95,27 @@ class TestGoldenTraces:
         _, out = golden_run(name)
         expected = read_tree(os.path.join(GOLDEN_DIR, name))
         assert read_tree(out) == expected
+
+    def test_warm_start_only_cuts_inner_steps(self, golden_run, monkeypatch):
+        # the itm-p3 config again, every model solve started at 0
+        warm = golden_run("itm-p3")[0]
+        solve = methods.bregman_minimize_zeta
+        monkeypatch.setattr(methods, "bregman_minimize_zeta",
+                            lambda bundle, budget, config, h0=None: solve(bundle, budget, config))
+        cold = run_experiment(golden_config("itm-p3"))
+        assert warm.traces.keys() == cold.traces.keys()
+
+        def columns(trace):
+            return [(r.k, r.batch, r.grad_calls, r.hess_calls, r.third_calls)
+                    for r in trace.records]
+
+        for key, trace in warm.traces.items():
+            assert columns(trace) == columns(cold.traces[key])
+
+        def inner_total(result):
+            return sum(r.inner_iters for t in result.traces.values() for r in t.records)
+
+        assert inner_total(warm) < inner_total(cold)
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")

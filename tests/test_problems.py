@@ -294,6 +294,24 @@ class TestDraws:
         with pytest.raises(ValueError):
             prob.draw(11, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [1, 73, 19_999, 20_000])
+    def test_offline_draw_is_the_count_form(self, size):
+        # the sorted picks and 1/size equal the rows and weights of their
+        # count vector over all m rows, and the generator advances as far
+        prob = make_logistic(n=2, m=20_000, seed=16)
+        gen, replay = np.random.default_rng(9), np.random.default_rng(9)
+        rows, weights = prob.draw(size, gen)
+        counts = np.bincount(replay.choice(prob.m, size=size, replace=False),
+                             minlength=prob.m)
+        full = counts / size
+        if size == prob.m:
+            assert rows is None and weights.tobytes() == full.tobytes()
+        else:
+            support = np.flatnonzero(counts)
+            assert rows.dtype == support.dtype and np.array_equal(rows, support)
+            assert weights.tobytes() == full[support].tobytes()
+        assert gen.bit_generator.state == replay.bit_generator.state
+
     def test_online_uniformity_chi_square(self):
         prob = make_online_logistic(n=3, pool=16, seed=14)
         gen = np.random.default_rng(6)

@@ -8,6 +8,7 @@ from tensorstep import (
     DerivativeBundle,
     InexactnessBudget,
     ModelConfig,
+    RankOneSumTensor3,
     RegularizedQuartic,
     SubsolverError,
     TaylorModel,
@@ -21,7 +22,12 @@ from tensorstep import (
 )
 from tensorstep.methods import default_profile, exact_bundle
 from tensorstep import subsolvers
-from tensorstep.subsolvers import SECULAR_TOL, _secular_root, rho_reference_coefficients
+from tensorstep.subsolvers import (
+    SECULAR_TOL,
+    _quartic_line_minimizer,
+    _secular_root,
+    rho_reference_coefficients,
+)
 
 from lemmas import generic_model_minimize, rho_hessian, zeta_hess
 
@@ -211,6 +217,15 @@ def p3_setup():
     return prob, bundle, budget, config, profile
 
 
+@pytest.fixture(scope="module")
+def next_step(p3_setup):
+    """``(bundle, h_prev)``: the exact bundle one outer step on from ``p3_setup``
+    and the step ``h_prev`` that led there, the next solve's warm start."""
+    prob, bundle, budget, config, _ = p3_setup
+    h_prev, _ = bregman_minimize_zeta(bundle, budget, config)
+    return exact_bundle(prob, bundle.x + h_prev, 3), h_prev
+
+
 class TestBregman:
     def test_quadratic_matches_single_quartic_solve(self, rng):
         prob = make_quadratic(5, seed=32)
@@ -250,21 +265,27 @@ class TestBregman:
         ratios = gaps[1:] / gaps[:-1]
         assert np.median(ratios) < 1.0
 
-    def test_one_contraction_per_step(self, p3_setup, monkeypatch):
+    def test_one_contraction_per_step(self, p3_setup, next_step, monkeypatch):
         _, bundle, budget, config, _ = p3_setup
         calls = {"apply2": 0, "apply3": 0}
 
-        def counting(name):
-            original = getattr(bundle.third, name)
+        def counting(third, name):
+            original = getattr(third, name)
 
             def counted(s):
                 calls[name] += 1
                 return original(s)
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(bundle.third, name, counting(name))
+        for third in (bundle.third, next_step[0].third):
+            for name in calls:
+                monkeypatch.setattr(third, name, counting(third, name))
         _, stats = bregman_minimize_zeta(bundle, budget, config)
+        assert stats.iterations > 0
+        assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
+        # a warm start's one contraction serves its line search and first evaluation
+        calls["apply2"] = 0
+        _, stats = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
         assert stats.iterations > 0
         assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
 
@@ -313,6 +334,23 @@ class TestBregman:
         assert err.value.best is not None
         assert err.value.residual > 0
 
+    def test_repeated_step_ends_the_loop(self, p3_setup, monkeypatch):
+        # from the third step on, the map returns the second step's (y, mu)
+        _, bundle, budget, config, _ = p3_setup
+        solve = subsolvers._quartic_coefficients
+        steps = []
+
+        def stalling(ct, lam, b, mu0=None):
+            steps.append(solve(ct, lam, b, mu0) if len(steps) < 2 else steps[-1])
+            return steps[-1]
+
+        monkeypatch.setattr(subsolvers, "_quartic_coefficients", stalling)
+        with pytest.raises(SubsolverError,
+                           match="exhausted at step 3 of 200: it repeats") as err:
+            bregman_minimize_zeta(bundle, budget, config)
+        assert len(steps) == 3
+        assert err.value.best is not None and err.value.residual > 0
+
     def test_relative_smoothness_sandwich(self, p3_setup, rng):
         _, bundle, budget, config, _ = p3_setup
         model = TaylorModel(bundle, budget, config)
@@ -335,6 +373,60 @@ class TestBregman:
         with pytest.raises(ValueError):
             bregman_minimize_zeta(bundle, InexactnessBudget(1e-2, (0.0, 0.0)),
                                   ModelConfig(sigma=1.0))
+
+
+class TestWarmStart:
+    """The inner loop started on the line through 0 and the previous step."""
+
+    def test_start_is_no_worse_than_zero(self, p3_setup, next_step):
+        _, _, budget, config, _ = p3_setup
+        bundle, h_prev = next_step
+        _, cold = bregman_minimize_zeta(bundle, budget, config)
+        # the previous step, and the direction straight up the model at 0,
+        # whose line descends on its other side
+        for h0 in (h_prev, bundle.grad):
+            _, warm = bregman_minimize_zeta(bundle, budget, config, h0)
+            assert warm.zeta_values[0] < cold.zeta_values[0]
+
+    def test_line_without_descent_gives_the_cold_start(self, p3_setup):
+        # a stationary point of a convex model with no cubic term: every point
+        # of the line lies above zeta(0), so the start is 0
+        _, bundle, budget, config, _ = p3_setup
+        third = RankOneSumTensor3(bundle.third.rows, np.zeros(bundle.third.weights.size))
+        flat = DerivativeBundle(x=bundle.x, value=bundle.value, grad=np.zeros(7),
+                                hess=bundle.hess, third=third)
+        h, stats = bregman_minimize_zeta(flat, budget, config, np.ones(7))
+        assert np.all(h == 0) and stats.iterations == 0
+
+    def test_start_at_the_minimizer_takes_at_most_one_step(self, p3_setup):
+        _, bundle, budget, config, _ = p3_setup
+        h_star, _ = bregman_minimize_zeta(bundle, budget, config)
+        h, stats = bregman_minimize_zeta(bundle, budget, config, h_star)
+        assert stats.iterations <= 1
+        assert np.linalg.norm(h - h_star) <= 1e-7 * np.linalg.norm(h_star)
+
+    def test_warm_and_cold_minimizers_agree(self, p3_setup, next_step):
+        _, _, budget, config, _ = p3_setup
+        bundle, h_prev = next_step
+        h_cold, cold = bregman_minimize_zeta(bundle, budget, config)
+        h_warm, warm = bregman_minimize_zeta(bundle, budget, config, h_prev)
+        assert warm.iterations < cold.iterations
+        assert np.linalg.norm(h_warm - h_cold) <= 1e-7 * np.linalg.norm(h_cold)
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1.0, 0.0, 0.0, 0.25), (0.1, -2.0, 0.0, 1.0), (-0.1, -2.0, 0.5, 1.0),
+        (2.0, 1.0, -3.0, 1.0)])
+    def test_line_minimizer_takes_the_lowest_well(self, coeffs):
+        a1, a2, a3, a4 = coeffs
+        grid = np.linspace(-3.0, 3.0, 600_001)
+        values = (((a4 * grid + a3) * grid + a2) * grid + a1) * grid
+        assert abs(_quartic_line_minimizer(*coeffs) - grid[values.argmin()]) <= 2e-5
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 1.0),
+        (-1.0, math.inf, 0.0, 1.0)], ids=["convex", "no-quartic", "nan", "inf"])
+    def test_line_minimizer_falls_back_to_zero(self, coeffs):
+        assert _quartic_line_minimizer(*coeffs) == 0.0
 
 
 def pole_data(lam):
