@@ -49,7 +49,8 @@ and ``vt = vecs^T T[h0]^2``, ``zeta(alpha h0) - zeta(0)`` is the quartic
 or 0 (the cold start) when none goes below 0. The start is no worse than 0,
 so the accepted step still has ``zeta(h) <= zeta(0)``. The first evaluation
 of the loop takes its contraction as ``alpha^2 vt``, so a warm-started call
-costs no more contractions than a cold one. The map from one step's
+costs no more contractions than a cold one, which is the same path with
+``h0 = 0``. The map from one step's
 ``(y, mu)`` to the next is deterministic, so a step that repeats the previous
 pair bitwise ends the loop at once: it would repeat it until the step cap.
 
@@ -353,12 +354,13 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     eigenvalues, with the cubic term of the value from
     ``T[h]^3 = <T[h]^2, h>``.
 
-    The loop starts at 0, or, given a guess ``h0`` (the previous outer step),
-    at ``alpha h0``, the minimizer of ``zeta`` on the line through 0 and
-    ``h0``: a quartic in ``alpha`` whose coefficients come from the
-    contraction ``T[h0]^2``, which the first evaluation reuses as
-    ``alpha^2 T[h0]^2``. Either way a call that takes ``k`` steps contracts
-    ``k + 1`` times, and ``zeta`` at the start is at most ``zeta(0)``.
+    The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
+    through 0 and the guess ``h0`` (the previous outer step; 0 when not
+    given, which starts the loop at 0): a quartic in ``alpha`` whose
+    coefficients come from the contraction ``T[h0]^2``, which the first
+    evaluation reuses as ``alpha^2 T[h0]^2``. So a call that takes ``k``
+    steps contracts ``k + 1`` times, and ``zeta`` at the start is at most
+    ``zeta(0)``.
 
     Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
     ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate
@@ -378,12 +380,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     b_q = ktau * Q
     stats = InnerStats()
 
-    if h0 is None:
-        y = np.zeros(bundle.dim)
-        h = np.zeros(bundle.dim)
-        vt = None
-    else:
-        y, h, vt = zeta.line_start(np.asarray(h0, dtype=float))
+    y, h, vt = zeta.line_start(np.zeros(bundle.dim) if h0 is None
+                               else np.asarray(h0, dtype=float))
     mu = None  # secular shift of the previous step, the next step's warm start
     while True:
         val, g = zeta.value_and_grad(y, h, vt)

@@ -24,6 +24,7 @@ from tensorstep.methods import default_profile, exact_bundle
 from tensorstep import subsolvers
 from tensorstep.subsolvers import (
     SECULAR_TOL,
+    EigenbasisZeta,
     _quartic_line_minimizer,
     _secular_root,
     rho_reference_coefficients,
@@ -289,11 +290,17 @@ class TestBregman:
         assert stats.iterations > 0
         assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
-    def test_records_match_the_direct_model(self, p3_setup, monkeypatch, sampled):
+    @pytest.mark.parametrize("sampled, warm", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["exact", "sampled", "exact-warm", "sampled-warm"])
+    def test_records_match_the_direct_model(self, p3_setup, next_step, monkeypatch,
+                                            sampled, warm):
         # the loop evaluates zeta in the eigenbasis of the Hessian; TaylorModel
         # evaluates it directly at h, which the loop contracts once per iterate
         prob, bundle, budget, config, _ = p3_setup
+        h0 = None
+        if warm:
+            bundle, h0 = next_step
         if sampled:
             # an STM bundle: every order drawn from a part of the 60 rows
             bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
@@ -306,10 +313,16 @@ class TestBregman:
             return contract(s)
 
         monkeypatch.setattr(bundle.third, "apply2", recording)
-        h, stats = bregman_minimize_zeta(bundle, budget, config)
+        h, stats = bregman_minimize_zeta(bundle, budget, config, h0)
         monkeypatch.undo()
         assert stats.iterations > 0
         assert len(iterates) == stats.iterations + 1 and np.array_equal(iterates[-1], h)
+        if warm:
+            # the first contraction is of h0; the first record is at alpha h0,
+            # whose contraction the loop takes as alpha^2 T[h0]^2
+            start = EigenbasisZeta(bundle, budget, config).line_start(h0)[1]
+            assert np.linalg.norm(start) > 0
+            iterates[0] = start
         model = TaylorModel(bundle, budget, config)
         scale = stats.grad_norms[0]
         for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
