@@ -376,13 +376,18 @@ def _fmt(value):
 
 
 def load_trace_csv(path):
-    """Columns of a trace CSV as a dict of arrays."""
+    """Columns of a trace CSV as a dict of arrays; ``ValueError`` unless ``k``
+    strictly increases and every ``f_gap`` is finite, as a rate fit needs."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     out = {}
     for col in TRACE_COLUMNS:
         out[col] = np.array([float(r[col]) for r in rows])
+    if not np.all(np.diff(out["k"]) > 0):
+        raise ValueError("column k is not strictly increasing")
+    if not np.all(np.isfinite(out["f_gap"])):
+        raise ValueError("column f_gap is not finite")
     return out
 
 

@@ -222,7 +222,7 @@ def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
     """
     lip_top = profile.lip(config.p)
     if config.p == 3:
-        return ModelConfig.coupled(lip_top, kappas[2], tau=config.tau)
+        return ModelConfig.coupled(lip_top, kappas[2], config.tau)
     return ModelConfig(sigma=lip_top)
 
 

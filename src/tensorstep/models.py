@@ -10,8 +10,11 @@ builds
   holds and ``sigma >= L_p``, and
 * the smooth majorant ``zeta``, obtained from ``omega`` by replacing every
   odd power of ``||s||`` through ``||s|| <= ||s||^2/(2 alpha) + alpha/2`` with
-  ``alpha = eps^(1/p)``, so that only even powers (plus the top split term)
-  remain and the model is twice differentiable everywhere.
+  ``alpha = eps^(1/p)``, so that only even powers remain and the model is
+  twice differentiable everywhere. At the shipped orders ``p = 2`` and
+  ``p = 3`` those are ``zeta - phi = z0 + z2 ||s||^2 + z4 ||s||^4``; the one
+  statement of ``(z0, z2, z4)`` is ``zeta_radial_coefficients``, which
+  ``TaylorModel`` and both subsolvers read.
 
 The optimizer always minimizes ``zeta``, so this module evaluates only
 ``phi``, ``zeta`` and the gradient of ``zeta``. ``omega`` (whose ``d_1`` term
@@ -98,58 +101,52 @@ class ModelConfig:
     """Regularization sigma and Bregman parameter tau of the model.
 
     The model order is the budget's and the bundle's; ``tau`` is read only
-    by the order-3 Bregman inner loop.
+    by the order-3 Bregman inner loop, whose relative-smoothness constants
+    need ``tau > 2``.
     """
 
     sigma: float
     tau: float = 4.0
 
     def __post_init__(self):
+        if self.tau <= 2:
+            raise ValueError("tau > 2 required")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
     @classmethod
-    def coupled(cls, lip_top: float, kappa_top: float, tau: float = 4.0) -> "ModelConfig":
+    def coupled(cls, lip_top: float, kappa_top: float, tau: float) -> "ModelConfig":
         """Order-3 config with sigma from ``2 sigma + 2 kappa_t = 3 tau^2 (L_3 + kappa_t)``.
 
-        Requires ``tau > 2``, which also guarantees ``sigma > L_3``.
+        With ``tau > 2`` this gives ``sigma > L_3``.
         """
-        if tau <= 2:
-            raise ValueError("the coupled configuration needs tau > 2")
         sigma = 1.5 * tau * tau * (lip_top + kappa_top) - kappa_top
         return cls(sigma=sigma, tau=tau)
 
 
-def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> dict:
-    """Coefficients of the even-power expansion of ``zeta - phi``.
+def zeta_radial_coefficients(budget: InexactnessBudget, config: ModelConfig) -> tuple:
+    """Coefficients ``(z0, z2, z4)`` of ``zeta - phi = z0 + z2 ||s||^2 + z4 ||s||^4``.
 
-    Returns a map ``power -> coefficient`` (power 0 is the constant term).
     Assembled by applying the smoothing split to each radial term of
     ``omega - phi``: the order-i term has weight ``kappa_i eps^((p-i+1)/p)/i!``
     on ``||s||^i`` and the top term weight ``p sigma / (p+1)!`` on
     ``||s||^(p+1)``; odd powers ``||s||^i`` split into
-    ``eps^(-1/p)/2 ||s||^(i+1) + eps^(1/p)/2 ||s||^(i-1)``.
+    ``eps^(-1/p)/2 ||s||^(i+1) + eps^(1/p)/2 ||s||^(i-1)``. At ``p = 2`` and
+    ``p = 3`` only the powers 0, 2 and 4 occur; any other order raises
+    ``ValueError``. Each coefficient adds its terms in the order of the
+    powers they come from, the order the golden traces were recorded in.
     """
     p = budget.p
-    eps = budget.eps
-    alpha = eps ** (1.0 / p)
-    coeffs: dict[int, float] = {}
-
-    def add(power: int, coef: float) -> None:
-        if coef != 0.0:
-            coeffs[power] = coeffs.get(power, 0.0) + coef
-
-    def place(power: int, coef: float) -> None:
-        if power % 2 == 0:
-            add(power, coef)
-        else:
-            add(power + 1, 0.5 * coef / alpha)
-            add(power - 1, 0.5 * coef * alpha)
-
-    for i in range(1, p + 1):
-        place(i, budget.kappa(i) * budget.eps_power(i) / math.factorial(i))
-    place(p + 1, p * config.sigma / math.factorial(p + 1))
-    return coeffs
+    if p not in (2, 3):
+        raise ValueError(f"the smooth model has powers 0, 2 and 4 only at p = 2 or 3, not {p}")
+    alpha = budget.eps ** (1.0 / p)
+    # w[i-1] weighs ||s||^i: the split ||s|| and ||s||^3, the kept ||s||^2 and, at p = 3, ||s||^4
+    w = [budget.kappa(i) * budget.eps_power(i) / math.factorial(i) for i in range(1, p + 1)]
+    w.append(p * config.sigma / math.factorial(p + 1))
+    z0 = 0.5 * w[0] * alpha
+    z2 = 0.5 * w[0] / alpha + w[1] + 0.5 * w[2] * alpha
+    z4 = 0.5 * w[2] / alpha + (w[3] if p == 3 else 0.0)
+    return z0, z2, z4
 
 
 class TaylorModel:
@@ -162,7 +159,7 @@ class TaylorModel:
         self.bundle = bundle
         self.budget = budget
         self.config = config
-        self._zeta_coeffs = zeta_radial_coefficients(budget, config)
+        self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
 
     # -- inexact Taylor polynomial -------------------------------------------
 
@@ -179,10 +176,7 @@ class TaylorModel:
     def zeta(self, s: np.ndarray) -> float:
         s = np.asarray(s, dtype=float)
         r2 = float(s @ s)
-        val = self.phi(s)
-        for power, coef in self._zeta_coeffs.items():
-            val += coef * r2 ** (power // 2)
-        return val
+        return self.phi(s) + self.z0 + (self.z2 + self.z4 * r2) * r2
 
     def zeta_grad(self, s: np.ndarray) -> np.ndarray:
         b = self.bundle
@@ -191,7 +185,4 @@ class TaylorModel:
         g = b.grad + b.hess @ s
         if b.p >= 3:
             g = g + 0.5 * b.third.apply2(s)
-        for power, coef in self._zeta_coeffs.items():
-            if power >= 2:
-                g = g + coef * power * r2 ** (power // 2 - 1) * s
-        return g
+        return g + (2.0 * self.z2 + 4.0 * self.z4 * r2) * s

@@ -54,8 +54,9 @@ LOGISTIC_LINK_BOUNDS = (1.0, 0.25, math.sqrt(3.0) / 18.0, 0.125)
 #: norm clamp, and both stay below the float range up to this norm.
 MAX_ROW_NORM = sys.float_info.max ** 0.25
 
-#: Lipschitz floor used for quadratics, where the top derivative is exactly
-#: zero but the methods require sigma >= L_p > 0.
+#: Floor of every certified constant, which the methods divide by (sigma >= L_p,
+#: the gradient step 1/L_1, the batch ranges 2 L_{i-1}): a quadratic's top
+#: derivative is exactly zero, and so is every constant of all-zero features.
 LIPSCHITZ_FLOOR = 1e-8
 
 #: Support fraction of m from which a sampled gradient or Hessian reduces
@@ -119,23 +120,23 @@ def link_d3(t):
 
 @dataclass(frozen=True)
 class LipschitzProfile:
-    """Certified constants on a ball of radius ``radius`` around a center.
+    """Certified constants of a problem on a ball around a center.
 
     ``L[i]`` bounds the Lipschitz constant of the i-th derivative (``L[0]``
-    is the Lipschitz constant of ``f`` itself, i.e. a bound on the gradient
-    norm). ``M[i-1]`` bounds the uniform per-sample deviation of the i-th
-    derivative in the online setting; zero for deterministic problems.
+    bounds the gradient norm). ``S[i-1]`` is the per-sample range that sizes
+    the order-i mini-batch in the concentration lemma of the problem's
+    setting: ``2 L_{i-1}`` offline, ``M_i + L_{i-1}`` online, where ``M_i``
+    bounds the uniform per-sample deviation.
     """
 
     L: tuple
-    M: tuple
-    radius: float
+    S: tuple
 
     def lip(self, order: int) -> float:
         return self.L[order]
 
-    def deviation(self, order: int) -> float:
-        return self.M[order - 1]
+    def range(self, order: int) -> float:
+        return self.S[order - 1]
 
 
 class QuadraticProblem:
@@ -190,15 +191,14 @@ class QuadraticProblem:
         return None, np.ones(1)
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
+        """Certify L_0..L_3 (``L_1`` is the top eigenvalue of ``A``, L_2 = L_3 = 0),
+        each floored at ``LIPSCHITZ_FLOOR``, and the offline ranges ``2 L_{i-1}``."""
         if radius <= 0:
             raise ValueError("radius must be positive")
         reach = float(np.linalg.norm(x0)) + radius
         L0 = self._eig_max * reach + float(np.linalg.norm(self.b))
-        return LipschitzProfile(
-            L=(L0, self._eig_max, LIPSCHITZ_FLOOR, LIPSCHITZ_FLOOR),
-            M=(0.0, 0.0, 0.0),
-            radius=float(radius),
-        )
+        L = tuple(max(c, LIPSCHITZ_FLOOR) for c in (L0, self._eig_max, 0.0, 0.0))
+        return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
 
 
 class LogisticProblem:
@@ -392,15 +392,18 @@ class LogisticProblem:
     # -- constants -----------------------------------------------------------
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
-        """Certify L_0..L_3 and online deviation bounds M_1..M_3.
+        """Certify L_0..L_3 and the per-sample ranges of orders 1..3.
 
         The i-th derivative of one row term is phi^(i) scaled by an i-fold
         outer power of the row, so its Lipschitz constant is bounded by
         ``max_j ||a_j||^(i+1) sup|phi^(i+1)|``; the ridge shifts L_1 by mu and
-        the gradient bound by ``mu (||x0|| + radius)``. Deviation bounds use
-        the certified feature-norm clamp, and cancel the ridge (it is common
-        to every sample). Raises ``ProblemScaleError`` when a row or the
-        clamp is longer than ``MAX_ROW_NORM``, where these constants overflow.
+        the gradient bound by ``mu (||x0|| + radius)``. Each constant is
+        floored at ``LIPSCHITZ_FLOOR``. The order-i range is ``2 L_{i-1}``
+        offline; online it is ``M_i + L_{i-1}``, with the per-sample deviation
+        bound ``M_i = 2 clamp^i sup|phi^(i)|`` from the certified feature-norm
+        clamp, which cancels the ridge (it is common to every sample). Raises
+        ``ProblemScaleError`` when a row or the clamp is longer than
+        ``MAX_ROW_NORM``, where these constants overflow.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -411,19 +414,14 @@ class LogisticProblem:
                 f"exceeds {MAX_ROW_NORM:.3e}, beyond which the certified constants overflow")
         reach = float(np.linalg.norm(x0)) + radius
         s1, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
-        L0 = amax * s1 + self.mu * reach
-        L1 = amax ** 2 * s2 + self.mu
-        L2 = amax ** 3 * s3
-        L3 = amax ** 4 * s4
+        bounds = (amax * s1 + self.mu * reach, amax ** 2 * s2 + self.mu,
+                  amax ** 3 * s3, amax ** 4 * s4)
+        L = tuple(max(c, LIPSCHITZ_FLOOR) for c in bounds)
+        if self.mode == "offline":
+            return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
         rho = self.clamp
-        M1 = 2.0 * rho * s1
-        M2 = 2.0 * rho ** 2 * s2
-        M3 = 2.0 * rho ** 3 * s3
-        return LipschitzProfile(
-            L=(L0, L1, max(L2, LIPSCHITZ_FLOOR), max(L3, LIPSCHITZ_FLOOR)),
-            M=(M1, M2, M3),
-            radius=float(radius),
-        )
+        M = (2.0 * rho * s1, 2.0 * rho ** 2 * s2, 2.0 * rho ** 3 * s3)
+        return LipschitzProfile(L=L, S=tuple(m + c for m, c in zip(M, L)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Mini-batch derivative estimation and concentration-based batch sizing.
 
 Batch sizes come from two tensor concentration bounds, instantiated with
-explicit constants:
+explicit constants. Both take the deviation target
+``t = kappa_i eps^((p-i+1)/p)`` of the ``InexactnessBudget`` and the
+per-sample range ``s_i = profile.range(i)`` that the problem certifies for
+its setting (``M_i + L_{i-1}`` online, ``2 L_{i-1}`` offline):
 
 * online (i.i.d. samples): the tail ``k0^(i n) * 2 exp(-t^2 n_i / (2 s_i^2))``
   with ``k0 = 2 i / ln(3/2)`` gives
-  ``n_i = ceil( (2 s_i^2 / t^2) (i n ln k0 + ln(2/delta)) )`` where
-  ``t = kappa_i eps^((p-i+1)/p)`` and ``s_i = M_i + L_{i-1}``;
+  ``n_i = ceil( (2 s_i^2 / t^2) (i n ln k0 + ln(2/delta)) )``;
 * offline (without replacement from ``m`` components): the smallest
   ``n_i <= m`` with
-  ``t^2 n_i^2 / (2 s_i^2 (n_i + 1)(1 - n_i/m)) >= i n ln k0 + ln(2/delta)``,
-  with range proxy ``s_i = 2 L_{i-1}``; the left side is monotone and blows
-  up at ``n_i = m``, so the full batch is always a valid fallback.
+  ``t^2 n_i^2 / (2 s_i^2 (n_i + 1)(1 - n_i/m)) >= i n ln k0 + ln(2/delta)``;
+  the left side is monotone and blows up at ``n_i = m``, so the full batch
+  is always a valid fallback.
 
 The exponent ``i * n`` is the sum of axis lengths of an order-``i`` tensor
 over R^n. Sample sets are drawn independently per derivative order, and the
@@ -56,14 +58,12 @@ class BatchPlan:
 
 
 def _log_terms(order: int, dim: int, delta: float) -> float:
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
     k0 = 2.0 * order / math.log(1.5)
     return order * dim * math.log(k0) + math.log(2.0 / delta)
 
 
-def batch_size_online(order: int, kappa: float, eps: float, delta: float,
-                      dim: int, profile: LipschitzProfile, p: int):
+def batch_size_online(order: int, budget: InexactnessBudget, delta: float,
+                      dim: int, profile: LipschitzProfile):
     """Sufficient i.i.d. batch size for the order-``order`` derivative.
 
     Returns the sentinel ``EXACT`` when ``kappa == 0`` (only exact
@@ -71,35 +71,37 @@ def batch_size_online(order: int, kappa: float, eps: float, delta: float,
     deviation target far above the deviation bound needs a single sample.
     A size that is not finite (the squared target underflows to 0) or that
     exceeds ``MAX_BATCH`` cannot be drawn, and raises ``ConfigError``.
+    ``delta`` is in (0, 1], as ``plan_batches`` checks.
     """
+    kappa = budget.kappa(order)
     if kappa == 0.0:
         return EXACT
-    if kappa < 0 or eps <= 0:
-        raise ValueError("need kappa > 0 and eps > 0")
-    t = kappa * eps ** ((p - order + 1) / p)
-    s = profile.deviation(order) + profile.lip(order - 1)
+    t = kappa * budget.eps_power(order)
+    s = profile.range(order)
     tt = t * t
     size = 2.0 * s * s / tt * _log_terms(order, dim, delta) if tt > 0 else math.inf
     if not size <= MAX_BATCH:
         raise ConfigError([
             f"kappa, eps: the order-{order} online batch for kappa {kappa:g} and "
-            f"eps {eps:g} is {size:.3g} samples, beyond the {MAX_BATCH} that can be drawn"])
+            f"eps {budget.eps:g} is {size:.3g} samples, beyond the {MAX_BATCH} that can be drawn"])
     return max(1, int(math.ceil(size)))
 
 
-def batch_size_offline(order: int, kappa: float, eps: float, delta: float,
-                       m: int, dim: int, profile: LipschitzProfile, p: int):
+def batch_size_offline(order: int, budget: InexactnessBudget, delta: float,
+                       m: int, dim: int, profile: LipschitzProfile):
     """Smallest without-replacement batch size meeting the tail bound.
 
     Never exceeds ``m``: the variance factor vanishes at the full batch, so
-    ``m`` satisfies the bound for any positive deviation target.
+    ``m`` satisfies the bound for any positive deviation target. ``delta``
+    is in (0, 1], as ``plan_batches`` checks.
     """
     if m < 1:
         raise ValueError("need at least one component")
+    kappa = budget.kappa(order)
     if kappa == 0.0:
         return EXACT
-    t = kappa * eps ** ((p - order + 1) / p)
-    s = 2.0 * profile.lip(order - 1)
+    t = kappa * budget.eps_power(order)
+    s = profile.range(order)
     rhs = _log_terms(order, dim, delta)
 
     def satisfied(n):
@@ -124,18 +126,15 @@ def plan_batches(budget: InexactnessBudget, delta: float, problem,
     """Per-order plan with the failure probability split evenly across orders."""
     if not 0 < delta <= 1:
         raise ValueError("confidence delta must be in (0, 1]")
-    p = budget.p
-    per_order_delta = delta / p
+    per_order_delta = delta / budget.p
     sizes = []
-    for i in range(1, p + 1):
+    for i in range(1, budget.p + 1):
         if problem.mode == "offline":
-            sizes.append(batch_size_offline(i, budget.kappa(i), budget.eps,
-                                            per_order_delta, problem.m,
-                                            problem.dim, profile, p))
+            sizes.append(batch_size_offline(i, budget, per_order_delta, problem.m,
+                                            problem.dim, profile))
         else:
-            sizes.append(batch_size_online(i, budget.kappa(i), budget.eps,
-                                           per_order_delta, problem.dim,
-                                           profile, p))
+            sizes.append(batch_size_online(i, budget, per_order_delta, problem.dim,
+                                           profile))
     return BatchPlan(tuple(sizes))
 
 

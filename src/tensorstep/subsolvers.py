@@ -237,8 +237,6 @@ def _quartic_coefficients(ct, lam, b, mu0=None):
 
 def relative_smoothness_constant(tau: float) -> float:
     """k(tau) = (tau + 2) / (tau - 2), the proved relative-smoothness constant."""
-    if tau <= 2:
-        raise ValueError("tau > 2 required")
     return (tau + 2.0) / (tau - 2.0)
 
 
@@ -282,9 +280,8 @@ class EigenbasisZeta:
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
                  config: ModelConfig):
         self.bundle = bundle
-        # zeta - phi = z0 + z2 r^2 + z4 r^4 at order 3
-        coeffs = zeta_radial_coefficients(budget, config)
-        self.z0, self.z2, self.z4 = (coeffs.get(power, 0.0) for power in (0, 2, 4))
+        # zeta - phi = z0 + z2 r^2 + z4 r^4
+        self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
         self.lam, self.vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
         self.gt = self.vecs.T @ bundle.grad
 
@@ -338,6 +335,7 @@ def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float
     return best
 
 
+@np.errstate(over="ignore")
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                           config: ModelConfig, h0=None):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
@@ -367,7 +365,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     and its residual when that takes more than ``MAX_INNER_STEPS`` steps, or
     as soon as a step returns the previous step's ``(y, mu)`` bitwise, which
     the deterministic map would repeat up to the cap; and ``SubsolverError``
-    when the model is not finite.
+    when the model is not finite, which is then the only report of an
+    overflow: numpy's overflow warnings are off for the call.
     """
     if bundle.p != 3 or budget.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
@@ -428,8 +427,6 @@ def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
     """
     if bundle.p != 2 or budget.p != 2:
         raise ValueError("solve_model_p2 requires an order-2 bundle and budget")
-    zeta_coeffs = zeta_radial_coefficients(budget, config)
-    a = 2.0 * zeta_coeffs.get(2, 0.0)
-    b = 4.0 * zeta_coeffs.get(4, 0.0)
-    q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, a=a, b=b)
+    _, z2, z4 = zeta_radial_coefficients(budget, config)
+    q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, a=2.0 * z2, b=4.0 * z4)
     return solve_regularized_quartic(q)

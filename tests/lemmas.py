@@ -163,17 +163,12 @@ def omega_grad(model: TaylorModel, s: np.ndarray) -> np.ndarray:
 
 
 def zeta_hess(model: TaylorModel, s: np.ndarray) -> np.ndarray:
+    """Hessian of ``zeta = phi + z0 + z2 ||s||^2 + z4 ||s||^4``."""
     s = np.asarray(s, dtype=float)
-    n = s.size
     r2 = float(s @ s)
-    h = phi_hess(model, s)
-    for power, coef in zeta_radial_coefficients(model.budget, model.config).items():
-        if power < 2:
-            continue
-        h = h + coef * power * r2 ** (power // 2 - 1) * np.eye(n)
-        if power >= 4:
-            h = h + coef * power * (power - 2) * r2 ** (power // 2 - 2) * np.outer(s, s)
-    return h
+    _, z2, z4 = zeta_radial_coefficients(model.budget, model.config)
+    return (phi_hess(model, s) + (2.0 * z2 + 4.0 * z4 * r2) * np.eye(s.size)
+            + 8.0 * z4 * np.outer(s, s))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ class TestExitCodes:
         assert match, err
         assert int(match[1]) < int(match[2]) == subsolvers.MAX_INNER_STEPS
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "logistic-synthetic", "n": 4, "m": 60, "mu": 1e300},
+        {"kind": "logistic-finite-sum", "features": [[1.0, 2.0]], "labels": [1]},
+    ], ids=["ridge", "one-row"])
+    def test_overflowing_model_exits_two_without_warnings(self, tmp_path, capsys, problem):
+        # the inner loop's model gradient overflows: its error is the only report
+        path = write_config(tmp_path, method="itm", kappa="exact", problem=problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: smooth model is not finite")
+
     def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys, monkeypatch):
         centers = []
         certify = LogisticProblem.lipschitz_profile
@@ -108,6 +120,13 @@ class TestExitCodes:
         assert centers == [0.0]  # only the reference solve, which starts at the origin
         assert capsys.readouterr().err.startswith(
             "error: f(x0) = inf is not finite at the start point")
+
+
+#: Problems whose certified L_1 is 0 before its floor.
+ZERO_CURVATURE = [
+    {"kind": "quadratic", "A": [[0.0]], "b": [0.0]},
+    {"kind": "logistic-finite-sum", "features": [[0, 0], [0, 0]], "labels": [1, -1]},
+]
 
 
 class TestSuccessPaths:
@@ -148,6 +167,22 @@ class TestSuccessPaths:
                             problem={"kind": "quadratic", "A": [[1, 0], [0, 0]], "b": [1, 0]})
         assert cli.main(["run", "--config", path]) == 0
         assert "status=gap-target" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["gd", "agd"])
+    @pytest.mark.parametrize("problem", ZERO_CURVATURE, ids=["quadratic", "logistic"])
+    def test_gradient_method_without_curvature_reaches_the_target(
+            self, tmp_path, capsys, problem, method):
+        # L_1 = 0 here, and the step 1/L_1 takes its floor instead
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"version": 1, "problem": problem, "method": method}))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert "status=gap-target" in capsys.readouterr().out
+
+    def test_verify_condition_on_zero_features(self, tmp_path, capsys):
+        # every constant is 0 here, and the range 2 L_0 takes its floor instead
+        path = write_config(tmp_path, problem=ZERO_CURVATURE[1])
+        assert cli.main(["verify-condition", "--config", path, "--trials", "2"]) == 0
+        assert "plan sizes: (1, 1, 1)" in capsys.readouterr().out
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -190,6 +225,14 @@ def fit_args(tmp_path, text):
     if text is not None:
         path.write_text(text)
     return ["fit", str(path)]
+
+
+TRACE_HEADER = "k,f_gap,step_norm,n1,n2,n3,inner_iters,grad_calls,hess_calls,third_calls\n"
+
+
+def trace_text(ks, gaps):
+    """A trace CSV with the given ``k`` and ``f_gap`` columns and zeros elsewhere."""
+    return TRACE_HEADER + "".join(f"{k},{gap},0,0,0,0,0,0,0,0\n" for k, gap in zip(ks, gaps))
 
 
 def run_args(tmp, *overrides, **fields):
@@ -289,9 +332,12 @@ MALFORMED = {
         tmp, problem=ONLINE, eps=[1e-12], kappa=[1e-3] * 3), "kappa"),
     "fit-missing-file": (lambda tmp: fit_args(tmp, None), "trace"),
     "fit-no-step-norm": (lambda tmp: fit_args(tmp, "k,f_gap\n0,1.0\n"), "trace"),
-    "fit-non-numeric": (lambda tmp: fit_args(
-        tmp, "k,f_gap,step_norm,n1,n2,n3,inner_iters,grad_calls,hess_calls,third_calls\n"
-             "0,x,0,0,0,0,0,0,0,0\n"), "trace"),
+    "fit-non-numeric": (lambda tmp: fit_args(tmp, trace_text([0], ["x"])), "trace"),
+    # a fit to these would print slope=nan, or numpy's RankWarning and a slope
+    "fit-gap-infinite": (lambda tmp: fit_args(tmp, trace_text(range(9), ["inf"] * 9)),
+                         "trace"),
+    "fit-k-repeated": (lambda tmp: fit_args(
+        tmp, trace_text([0] * 9, [0.1 * j for j in range(9, 0, -1)])), "trace"),
 }
 
 

@@ -128,26 +128,32 @@ class TestZeta:
         _, bundle, budget, config, _ = logistic_setup
         kg, kb, kt = budget.kappas
         eps = budget.eps
-        coeffs = zeta_radial_coefficients(budget, config)
-        assert coeffs[0] == pytest.approx(0.5 * kg * eps ** (4 / 3))
-        assert coeffs[2] == pytest.approx((kg / 2 + kb / 2 + kt / 12) * eps ** (2 / 3))
-        assert coeffs[4] == pytest.approx(kt / 12 + config.sigma / 8)
+        z0, z2, z4 = zeta_radial_coefficients(budget, config)
+        assert z0 == pytest.approx(0.5 * kg * eps ** (4 / 3))
+        assert z2 == pytest.approx((kg / 2 + kb / 2 + kt / 12) * eps ** (2 / 3))
+        assert z4 == pytest.approx(kt / 12 + config.sigma / 8)
 
     def test_p3_zero_kappa_pure_quartic(self):
         budget = InexactnessBudget(1e-2, (0.0, 0.0, 0.0))
         config = ModelConfig(sigma=2.0)
-        coeffs = zeta_radial_coefficients(budget, config)
-        assert set(coeffs) == {4}
-        assert coeffs[4] == pytest.approx(0.25)  # sigma / 8
+        z0, z2, z4 = zeta_radial_coefficients(budget, config)
+        assert (z0, z2) == (0.0, 0.0)
+        assert z4 == pytest.approx(0.25)  # sigma / 8
 
     def test_p2_coefficients(self):
         budget = InexactnessBudget(4e-2, (0.3, 0.7))
         config = ModelConfig(sigma=1.2)
-        coeffs = zeta_radial_coefficients(budget, config)
+        z0, z2, z4 = zeta_radial_coefficients(budget, config)
         e = budget.eps
-        assert coeffs[0] == pytest.approx(0.15 * e ** 1.5)
-        assert coeffs[2] == pytest.approx((0.15 + 0.35 + 0.2) * math.sqrt(e))
-        assert coeffs[4] == pytest.approx(1.2 / 6.0 / math.sqrt(e))
+        assert z0 == pytest.approx(0.15 * e ** 1.5)
+        assert z2 == pytest.approx((0.15 + 0.35 + 0.2) * math.sqrt(e))
+        assert z4 == pytest.approx(1.2 / 6.0 / math.sqrt(e))
+
+    def test_order_four_rejected(self):
+        # only p = 2 and p = 3 have just the powers 0, 2 and 4
+        budget = InexactnessBudget(1e-2, (0.1, 0.1, 0.1, 0.1))
+        with pytest.raises(ValueError, match="p = 2 or 3"):
+            zeta_radial_coefficients(budget, ModelConfig(sigma=1.0))
 
     def test_value_at_zero(self, logistic_setup):
         _, bundle, budget, config, _ = logistic_setup
@@ -229,6 +235,10 @@ class TestCoupling:
     def test_tau_at_most_two_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig.coupled(1.0, 0.0, tau=2.0)
+
+    def test_config_rejects_tau_at_most_two(self):
+        with pytest.raises(ValueError, match="tau > 2"):
+            ModelConfig(sigma=1.0, tau=2.0)
 
 
 class TestResidualReports:

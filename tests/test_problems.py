@@ -53,6 +53,7 @@ class TestQuadratic:
         assert prof.lip(1) == pytest.approx(2.0)
         assert prof.lip(2) == pytest.approx(1e-8)  # floored
         assert prof.lip(3) == pytest.approx(1e-8)
+        assert prof.S == tuple(2.0 * prof.lip(i) for i in range(3))  # one offline component
 
     def test_single_component_equals_full(self, rng):
         prob = make_quadratic(3, seed=1)
@@ -255,6 +256,16 @@ class TestLogisticProblem:
         assert np.array_equal(hess, hess.T)
         _, single_pass, _ = all_rows_batch(prob, x, weights_over_all_rows(prob, draw))
         assert np.abs(hess - single_pass).max() <= 1e-13 * np.abs(single_pass).max()
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_per_sample_ranges(self, mode):
+        # 2 L_{i-1} offline; M_i + L_{i-1} online, M_i = 2 clamp^i sup|phi^(i)|
+        prob = make_logistic(n=4, m=30, seed=10, mode=mode)
+        prof = prob.lipschitz_profile(np.zeros(4), 2.0)
+        for i in (1, 2, 3):
+            deviation = 2.0 * prob.clamp ** i * LOGISTIC_LINK_BOUNDS[i - 1]
+            expected = 2.0 * prof.lip(i - 1) if mode == "offline" else deviation + prof.lip(i - 1)
+            assert prof.range(i) == expected
 
     def test_lipschitz_certificate_on_random_pairs(self, rng):
         prob = make_logistic(n=4, m=30, seed=10, mu=1e-3)

@@ -1,5 +1,6 @@
 """Batch sizes from the concentration lemmas, batch plans and sampled bundles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,11 @@ def offline():
     return problem, x, default_profile(problem, x)
 
 
+def budget_of(kappa):
+    """A budget with tolerance ``kappa`` at every order of three."""
+    return InexactnessBudget(EPS, (kappa,) * 3)
+
+
 def log_terms(order, dim, delta):
     """``i n ln k0 + ln(2/delta)`` with ``k0 = 2 i / ln(3/2)``."""
     return order * dim * math.log(2.0 * order / math.log(1.5)) + math.log(2.0 / delta)
@@ -40,7 +46,7 @@ def offline_tail_met(order, kappa, n, m, dim, profile, p):
     if n >= m:
         return True
     t = kappa * EPS ** ((p - order + 1) / p)
-    s = 2.0 * profile.lip(order - 1)
+    s = profile.range(order)
     return t * t * n * n / (2.0 * s * s * (n + 1) * (1.0 - n / m)) >= log_terms(order, dim, DELTA)
 
 
@@ -48,15 +54,15 @@ class TestBatchSizeOffline:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_zero_tolerance_needs_exact(self, offline, order):
         problem, _, profile = offline
-        assert batch_size_offline(order, 0.0, EPS, DELTA, problem.m, problem.dim,
-                                  profile, 3) == EXACT
+        assert batch_size_offline(order, budget_of(0.0), DELTA, problem.m, problem.dim,
+                                  profile) == EXACT
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("kappa", [1e-2, 1.0, 10.0, 100.0, 1e4])
     def test_smallest_size_meeting_the_tail(self, offline, order, kappa):
         problem, _, profile = offline
         m, dim = problem.m, problem.dim
-        n = batch_size_offline(order, kappa, EPS, DELTA, m, dim, profile, 3)
+        n = batch_size_offline(order, budget_of(kappa), DELTA, m, dim, profile)
         assert 1 <= n <= m
         assert offline_tail_met(order, kappa, n, m, dim, profile, 3)
         if 1 < n < m:
@@ -65,8 +71,8 @@ class TestBatchSizeOffline:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_nonincreasing_in_kappa(self, offline, order):
         problem, _, profile = offline
-        sizes = [batch_size_offline(order, kappa, EPS, DELTA, problem.m, problem.dim,
-                                    profile, 3) for kappa in np.logspace(-2, 4, 25)]
+        sizes = [batch_size_offline(order, budget_of(kappa), DELTA, problem.m, problem.dim,
+                                    profile) for kappa in np.logspace(-2, 4, 25)]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == problem.m and sizes[-1] < problem.m
 
@@ -78,23 +84,39 @@ class TestBatchSizeOnline:
         problem = make_online_logistic(n=6, pool=512, seed=2)
         profile = default_profile(problem, np.zeros(6))
         t = kappa * EPS ** ((3 - order + 1) / 3)
-        s = profile.deviation(order) + profile.lip(order - 1)
+        s = profile.range(order)
         expected = math.ceil(2.0 * s * s / (t * t) * log_terms(order, 6, DELTA))
-        assert batch_size_online(order, kappa, EPS, DELTA, 6, profile, 3) == expected
-        assert batch_size_online(order, 0.0, EPS, DELTA, 6, profile, 3) == EXACT
+        assert batch_size_online(order, budget_of(kappa), DELTA, 6, profile) == expected
+        assert batch_size_online(order, budget_of(0.0), DELTA, 6, profile) == EXACT
 
 
 class TestPlanAndBundle:
     def test_plan_splits_delta_evenly(self, offline):
         problem, _, profile = offline
-        kappas = (1000.0, 100.0, 10.0)  # every order sampled, none clamped at m
-        plan = plan_batches(InexactnessBudget(EPS, kappas), DELTA, problem, profile)
+        # every order sampled, none clamped at m
+        budget = InexactnessBudget(EPS, (1000.0, 100.0, 10.0))
+        plan = plan_batches(budget, DELTA, problem, profile)
         assert plan.sizes == tuple(
-            batch_size_offline(i, kappas[i - 1], EPS, DELTA / 3, problem.m, problem.dim,
-                               profile, 3) for i in (1, 2, 3))
+            batch_size_offline(i, budget, DELTA / 3, problem.m, problem.dim, profile)
+            for i in (1, 2, 3))
         assert plan.sizes != tuple(
-            batch_size_offline(i, kappas[i - 1], EPS, DELTA, problem.m, problem.dim,
-                               profile, 3) for i in (1, 2, 3))
+            batch_size_offline(i, budget, DELTA, problem.m, problem.dim, profile)
+            for i in (1, 2, 3))
+
+    @pytest.mark.parametrize("setting", ["offline", "online"])
+    def test_plan_reads_the_ranges_not_the_model_constants(self, offline, setting):
+        if setting == "offline":
+            problem, _, profile = offline
+        else:
+            problem = make_online_logistic(n=6, pool=512, seed=2)
+            profile = default_profile(problem, np.zeros(6))
+        budget = InexactnessBudget(EPS, (1000.0, 100.0, 10.0))
+        plan = plan_batches(budget, DELTA, problem, profile)
+        assert EXACT not in plan.sizes
+        lower = dataclasses.replace(profile, L=tuple(c / 100 for c in profile.L))
+        assert plan_batches(budget, DELTA, problem, lower) == plan
+        wider = dataclasses.replace(profile, S=tuple(10 * s for s in profile.S))
+        assert plan_batches(budget, DELTA, problem, wider) != plan
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_exact_plan_is_bitwise_the_exact_bundle(self, offline, p):
