@@ -12,9 +12,12 @@ stochastic method, printing the oracle-call complexity across the eps axis;
 with ``--out`` (or the config's ``out``) both write one trace CSV per cell
 plus ``summary.json`` there. ``fit`` fits a rate to an existing trace CSV,
 and ``verify-condition`` checks the sampled-derivative condition at the
-run's start point (CI-friendly). ``--seed``, ``--mode``, ``--p`` and
-``--eps`` replace the config's ``seeds`` (with one seed), ``method``, ``p``
-and ``eps`` (with a comma-separated list).
+run's start point (CI-friendly): for every (eps, seed) cell it prints an
+``eps=... seed=...`` line, the planned batch sizes and the per-order pass
+rates, and it exits 3 if any cell misses its target. Like ``run``, it
+exits 2 at a start point where f is not finite. ``--seed``, ``--mode``,
+``--p`` and ``--eps`` replace the config's ``seeds`` (with one seed),
+``method``, ``p`` and ``eps`` (with a comma-separated list).
 
 Exit codes: 0 success, 1 config/validation error (a malformed command line
 included), 2 runtime failure, 3 acceptance-check failure.
@@ -42,7 +45,7 @@ from .bench import (
     start_point,
 )
 from .errors import ConfigError, TensorStepError
-from .methods import default_profile
+from .methods import checked_start
 from .models import InexactnessBudget
 from .sampling import plan_batches, sample_bundle, verify_condition
 
@@ -106,24 +109,26 @@ def cmd_verify_condition(args) -> int:
     problem = build_problem(config.problem)
     if not isinstance(config.kappa, tuple):
         raise ConfigError(["kappa: verify-condition needs an explicit kappa array"])
-    eps = config.eps[0]
-    budget = InexactnessBudget(eps, config.kappa)
-    seed = config.seeds[0]
-    rng = np.random.default_rng(seed)
-    x0 = start_point(problem, config.x0_offset, seed)
-    profile = default_profile(problem, x0)
-    plan = plan_batches(budget, config.delta, problem, profile)
-    passes = np.zeros(config.p)
-    for _ in range(args.trials):
-        bundle = sample_bundle(problem, x0, plan, rng)
-        report = verify_condition(problem, bundle, budget, rng=rng)
-        passes += np.array(report.passes, dtype=float)
-    rates = passes / args.trials
     target = 1.0 - config.delta
-    print(f"plan sizes: {plan.sizes}")
-    for i, rate in enumerate(rates, start=1):
-        print(f"order {i}: pass rate {rate:.3f} (target >= {target:.3f})")
-    return 0 if bool(np.all(rates >= target)) else 3
+    met = True
+    for eps in config.eps:
+        budget = InexactnessBudget(eps, config.kappa)
+        for seed in config.seeds:
+            rng = np.random.default_rng(seed)
+            x0 = start_point(problem, config.x0_offset, seed)
+            fx0, profile = checked_start(problem, x0)
+            plan = plan_batches(budget, config.delta, problem, profile)
+            passes = np.zeros(config.p)
+            for _ in range(args.trials):
+                bundle = sample_bundle(problem, x0, plan, rng, fx0)
+                passes += verify_condition(problem, bundle, budget, rng=rng).passes
+            rates = passes / args.trials
+            print(f"eps={eps:g} seed={seed}")
+            print(f"plan sizes: {plan.sizes}")
+            for i, rate in enumerate(rates, start=1):
+                print(f"order {i}: pass rate {rate:.3f} (target >= {target:.3f})")
+            met &= bool(np.all(rates >= target))
+    return 0 if met else 3
 
 
 class _Parser(argparse.ArgumentParser):

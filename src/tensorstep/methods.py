@@ -12,17 +12,18 @@ callables:
 * an oracle ``(k, x, fx) -> (bundle, used)``: derivatives at ``x`` (anything
   with a ``grad``) and the per-order component counts spent on them, given
   the loop's ``fx = f(x)`` so that a bundle needs no second value call;
-* a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``. The model
-  step of ITM and STM keeps the last step it took and hands it to the next
-  order-3 model solve as the inner loop's warm start.
+* a step ``(x, bundle) -> (x_next, step_norm, inner_iters)``.
 
-The method passes in ``f(x0)`` from ``_start_value``, which rejects a start
-point whose value is not finite before anything else is computed there.
+Every method starts from ``checked_start``: ``f(x0)``, rejected when it is
+not finite before anything else is computed at ``x0``, then the certified
+constants there. ITM and STM take their budget and sigma from
+``resolve_model`` and share one model step: ``solve_model_p2`` at p=2 (one
+inner iteration), ``bregman_minimize_zeta`` at p=3, warm-started from the
+previous outer step.
 
-``itm_run`` takes the exact bundle and minimizes the smooth regularized
-model. ``stm_run`` sizes per-order mini-batches from the concentration
-lemmas, samples the bundle, and takes the same model step.
-``gd_baseline`` takes a (momentum) gradient step.
+``itm_run`` takes the exact bundle. ``stm_run`` sizes per-order mini-batches
+from the concentration lemmas and samples the bundle. ``gd_baseline`` takes
+a (momentum) gradient step.
 
 The theory-side calculators mirror the convergence analysis:
 
@@ -201,42 +202,27 @@ def exact_bundle(problem, x, p: int, value: float | None = None) -> DerivativeBu
     return sample_bundle(problem, x, BatchPlan((EXACT,) * p), None, value)
 
 
-def resolve_kappas(config: RunConfig, profile: LipschitzProfile) -> tuple:
+def resolve_model(config: RunConfig, profile: LipschitzProfile):
+    """``(budget, mconfig)``: the run's inexactness budget and model regularization.
+
+    kappa is zero (``"exact"``), ``kappa_defaults`` (``"corollary"``) or the
+    explicit sequence. sigma is L_p at p=2, whose solve does not read tau, and
+    the tau coupling at p=3, whose inner solver's proved relative-smoothness
+    constants require it.
+    """
+    p, lip_top = config.p, profile.lip(config.p)
     if config.kappa == "exact":
-        return tuple(0.0 for _ in range(config.p))
-    if config.kappa == "corollary":
-        return kappa_defaults(profile.lip(config.p), config.diameter, config.p)
-    kappas = tuple(float(k) for k in config.kappa)
-    if len(kappas) != config.p:
-        raise ValueError(f"expected {config.p} tolerances, got {len(kappas)}")
-    return kappas
-
-
-def resolve_model_config(config: RunConfig, profile: LipschitzProfile,
-                         kappas: tuple) -> ModelConfig:
-    """Model regularization: the tau coupling for p=3, sigma = L_p at p=2.
-
-    The order-3 path has no free sigma, because the proved
-    relative-smoothness constants of the inner solver require the coupling.
-    The order-2 solve does not read tau.
-    """
-    lip_top = profile.lip(config.p)
-    if config.p == 3:
-        return ModelConfig.coupled(lip_top, kappas[2], config.tau)
-    return ModelConfig(sigma=lip_top)
-
-
-def model_step(bundle: DerivativeBundle, budget: InexactnessBudget,
-               mconfig: ModelConfig, h0=None):
-    """Minimize the smooth model; returns ``(step, inner_iterations)``.
-
-    ``h0``, the previous outer step, warm-starts the order-3 inner loop; the
-    order-2 solve is closed-form and does not read it.
-    """
-    if bundle.p == 2:
-        return solve_model_p2(bundle, budget, mconfig), 1
-    step, stats = bregman_minimize_zeta(bundle, budget, mconfig, h0)
-    return step, stats.iterations
+        kappas = (0.0,) * p
+    elif config.kappa == "corollary":
+        kappas = kappa_defaults(lip_top, config.diameter, p)
+    else:
+        kappas = tuple(float(k) for k in config.kappa)
+        if len(kappas) != p:
+            raise ValueError(f"expected {p} tolerances, got {len(kappas)}")
+    budget = InexactnessBudget(config.eps, kappas)
+    if p == 3:
+        return budget, ModelConfig.coupled(lip_top, kappas[2], config.tau)
+    return budget, ModelConfig(sigma=lip_top)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +235,35 @@ def _finish(trace: RunTrace, status: str, k: int, fx: float, calls) -> RunTrace:
     return trace
 
 
-def _start_value(problem, x0) -> float:
-    """``f(x0)``, checked before any constant or derivative is computed at ``x0``.
+def checked_start(problem, x0):
+    """``(f(x0), profile)``: the start value, checked, then the certified constants.
 
-    Raises ``StartPointError`` when it is not finite.
+    ``f(x0)`` is evaluated with numpy's overflow and invalid-value warnings
+    off, and a value that is not finite raises ``StartPointError``, so that
+    error is the only report of an overflow at the start. Only a finite start
+    gets its constants certified, by ``default_profile``.
     """
-    fx0 = problem.value(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx0 = problem.value(x0)
     if not math.isfinite(fx0):
         raise StartPointError(
             f"f(x0) = {fx0} is not finite at the start point "
             f"(max |x0_i| = {float(np.abs(x0).max(initial=0.0)):.3e})")
-    return fx0
+    return fx0, default_profile(problem, x0)
 
 
 def _outer_loop(problem, x0, fx0, config: RunConfig, f_ref, oracle, step) -> RunTrace:
     """Drive ``oracle`` and ``step`` (see the module docstring) to a stop.
 
-    ``fx0`` is ``f(x0)`` from ``_start_value``. Reads only ``eps``,
+    ``fx0`` is ``f(x0)`` from ``checked_start``. Reads only ``eps``,
     ``max_iter``, ``grad_stop`` and ``step_stop`` from ``config``. Every stop
     appends a closing record with zero step.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = fx0
-    trace = RunTrace(f_ref=f_ref)
+    trace = RunTrace(f_ref=f_ref, x_final=x)
     calls = (0, 0, 0)
     for k in itertools.count():
-        trace.x_final = x
         if f_ref is not None and fx - f_ref <= config.eps:
             return _finish(trace, "gap-target", k, fx, calls)
         if k == config.max_iter:
@@ -293,18 +282,18 @@ def _outer_loop(problem, x0, fx0, config: RunConfig, f_ref, oracle, step) -> Run
 
 
 def _model_method(problem, x0, config: RunConfig):
-    """``f(x0)``, then the certified profile, budget and model step shared by ITM and STM."""
-    fx0 = _start_value(problem, x0)
-    profile = default_profile(problem, x0)
-    kappas = resolve_kappas(config, profile)
-    budget = InexactnessBudget(config.eps, kappas)
-    mconfig = resolve_model_config(config, profile, kappas)
-
-    last = None  # the previous step, which warm-starts the next model solve
+    """The checked start, profile, budget and model step shared by ITM and STM."""
+    fx0, profile = checked_start(problem, x0)
+    budget, mconfig = resolve_model(config, profile)
+    last = None  # the previous step
 
     def step(x, bundle):
         nonlocal last
-        h, inner_iters = model_step(bundle, budget, mconfig, last)
+        if bundle.p == 2:
+            h, inner_iters = solve_model_p2(bundle, budget, mconfig), 1
+        else:
+            h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last)
+            inner_iters = stats.iterations
         last = h
         return x + h, float(np.linalg.norm(h)), inner_iters
 
@@ -352,8 +341,8 @@ def gd_baseline(problem, x0, config: RunConfig, f_ref=None,
     Reads only the stopping rules of ``config`` (``eps``, ``max_iter``,
     ``grad_stop``, ``step_stop``).
     """
-    fx0 = _start_value(problem, x0)
-    lr = 1.0 / default_profile(problem, x0).lip(1)
+    fx0, profile = checked_start(problem, x0)
+    lr = 1.0 / profile.lip(1)
     x_prev = np.asarray(x0, dtype=float)
     used = (problem.m, 0, 0)
 
@@ -380,19 +369,19 @@ def default_profile(problem, x0) -> LipschitzProfile:
     return problem.lipschitz_profile(np.asarray(x0, dtype=float), radius)
 
 
-def reference_solution(problem, x0=None, grad_tol: float = 1e-12,
-                       max_iter: int = 300):
-    """Approximate minimizer via the exact order-2 method.
+def reference_solution(problem, x0=None):
+    """Approximate minimizer via the exact order-2 method: ``(x_star, f_star)``.
 
     With zero tolerances the model epsilon only scales the regularizer, so it
     is pinned at 1 to keep the quartic term benign; the run is then a Newton
     method damped by a constant ``d_2`` term, which converges only linearly.
-    It stops at ``grad_tol`` or after ``max_iter`` steps, whichever comes
-    first, and returns ``(x_star, f_star)`` either way: on logistic n=50,
-    m=20000 it stops at ``max_iter`` 300 with ``||grad f|| ~ 4.5e-6``.
+    It stops at ``||grad f|| <= 1e-12`` or after 300 steps, whichever comes
+    first, and returns its last iterate and the value the run recorded there
+    either way: on logistic n=50, m=20000 it stops at 300 steps with
+    ``||grad f|| ~ 4.5e-6``.
     """
     x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
-    config = RunConfig(p=2, eps=1.0, kappa="exact", max_iter=max_iter,
-                       grad_stop=grad_tol, step_stop=1e-15)
+    config = RunConfig(p=2, eps=1.0, kappa="exact", max_iter=300,
+                       grad_stop=1e-12, step_stop=1e-15)
     trace = itm_run(problem, x0, config)
-    return trace.x_final, problem.value(trace.x_final)
+    return trace.x_final, trace.final.f

@@ -1,5 +1,6 @@
 """Exit-code contract of the command-line harness: bad input exits 1, never a traceback."""
 
+import dataclasses
 import json
 import os
 import re
@@ -112,14 +113,37 @@ class TestExitCodes:
             return certify(problem, x0, radius)
 
         monkeypatch.setattr(LogisticProblem, "lipschitz_profile", recording)
-        # f(x0) itself overflows here: its own numpy warning is the only one
-        with pytest.warns(RuntimeWarning, match="overflow") as warned:
-            code = cli.main(self.far_start_args(tmp_path, 1e300))
-        assert code == 2
-        assert len(warned) == 1
+        # f(x0) itself overflows here: the start-point error is the only report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(self.far_start_args(tmp_path, 1e300)) == 2
         assert centers == [0.0]  # only the reference solve, which starts at the origin
         assert capsys.readouterr().err.startswith(
             "error: f(x0) = inf is not finite at the start point")
+
+    @pytest.mark.parametrize("offset", [1e300, 1.7e308])
+    @pytest.mark.parametrize("problem", [
+        {"kind": "quadratic", "A": [[2.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]},
+        {"kind": "logistic-synthetic", "n": 4, "m": 50},
+    ], ids=["quadratic", "logistic"])
+    @pytest.mark.parametrize("command", ["itm", "gd", "verify-condition"])
+    def test_non_finite_start_exits_two_without_warnings(
+            self, tmp_path, capsys, command, problem, offset):
+        # f(x0) overflows to inf, or to nan at the largest floats
+        data = {"version": 1, "problem": problem, "x0_offset": offset}
+        if command == "verify-condition":
+            argv = ["verify-condition", "--trials", "1"]
+            data["kappa"] = [1.0, 1.0, 1.0]
+        else:
+            argv = ["run"]
+            data["method"] = command
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: f\(x0\) = (inf|nan) is not finite at the start point", err), err
 
 
 #: Problems whose certified L_1 is 0 before its floor.
@@ -384,3 +408,25 @@ class TestVerifyCondition:
         assert "plan sizes: (300, 300, 292)" in capsys.readouterr().out
         assert len(reports) == 3
         assert all(report.ratios[2] > 0.0 for report in reports)
+
+    def test_every_cell_is_checked(self, tmp_path, capsys, monkeypatch):
+        cli_verify = cli.verify_condition
+
+        def missing_at_the_loose_eps(problem, bundle, budget, rng=None):
+            report = cli_verify(problem, bundle, budget, rng=rng)
+            if budget.eps == 1e-2:
+                return dataclasses.replace(report, passes=(False,) * len(report.passes))
+            return report
+
+        monkeypatch.setattr(cli, "verify_condition", missing_at_the_loose_eps)
+        path = write_config(tmp_path, seeds=[0, 5])
+        argv = ["verify-condition", "--config", path, "--eps", "1e-2,1e-9", "--trials", "2"]
+        assert cli.main(argv) == 3
+        out = capsys.readouterr().out.splitlines()
+        # per cell: its eps and seed, its plan, one pass rate per order
+        assert out[::5] == [
+            "eps=0.01 seed=0", "eps=0.01 seed=5", "eps=1e-09 seed=0", "eps=1e-09 seed=5"]
+        assert len(out) == 4 * 5
+        assert all(line.startswith("plan sizes: ") for line in out[1::5])
+        assert out[2] == "order 1: pass rate 0.000 (target >= 0.900)"
+        assert out[12] == "order 1: pass rate 1.000 (target >= 0.900)"

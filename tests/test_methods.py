@@ -10,6 +10,7 @@ is intended) with
     PYTHONPATH=src python tests/test_methods.py
 """
 
+import functools
 import itertools
 import math
 import os
@@ -38,8 +39,7 @@ from tensorstep.methods import (
     default_profile,
     itm_run,
     monotonicity_guard,
-    resolve_kappas,
-    resolve_model_config,
+    resolve_model,
     stm_run,
 )
 
@@ -177,7 +177,9 @@ class TestSharedLadder:
         assert len(trace.records) == 31
         assert monotonicity_guard(trace) == []
 
-    @pytest.mark.parametrize("run", [itm_run, stm_run], ids=["itm", "stm"])
+    @pytest.mark.parametrize("run", [
+        itm_run, stm_run, gd_baseline, functools.partial(gd_baseline, accelerated=True)],
+        ids=["itm", "stm", "gd", "agd"])
     def test_one_value_call_per_record(self, logistic, monkeypatch, run):
         problem, x0 = logistic
         calls = []
@@ -191,6 +193,26 @@ class TestSharedLadder:
         trace = run(problem, x0, RunConfig(p=3, kappa=(1.0, 1.0, 1.0), max_iter=4))
         assert len(trace.records) == 5
         assert len(calls) == len(trace.records)
+
+    def test_reference_solution_returns_the_recorded_value(self, logistic, monkeypatch):
+        problem, _ = logistic
+        calls, traces = [], []
+        value, run = problem.value, methods.itm_run
+
+        def counted(x):
+            calls.append(x)
+            return value(x)
+
+        def kept(*args, **kwargs):
+            traces.append(run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(problem, "value", counted)
+        monkeypatch.setattr(methods, "itm_run", kept)
+        x_ref, f_ref = reference_solution(problem)
+        assert len(traces) == 1
+        assert len(calls) == len(traces[0].records)
+        assert f_ref == value(x_ref)
 
     @pytest.mark.parametrize("run", [itm_run, stm_run], ids=["itm", "stm"])
     def test_non_finite_start_fails_before_the_oracle(self, logistic, monkeypatch, run):
@@ -240,8 +262,8 @@ class TestRateTheory:
             run = RunConfig(p=p, eps=eps, kappa=config.kappa, tau=config.tau,
                             diameter=2.0 * float(np.linalg.norm(x0 - x_ref)))
             profile = default_profile(problem, x0)
-            kappas = resolve_kappas(run, profile)
-            sigma = resolve_model_config(run, profile, kappas).sigma
+            budget, mconfig = resolve_model(run, profile)
+            kappas, sigma = budget.kappas, mconfig.sigma
             for rec in trace.records:
                 if rec.k >= 1:
                     bound = theoretical_residual_bound(
