@@ -14,7 +14,8 @@ class StartPointError(TensorStepError):
 
 
 class ProblemScaleError(TensorStepError):
-    """The feature rows are too long for the problem's certified constants to be finite."""
+    """The problem's data (its feature rows, or a quadratic's linear term) are
+    too long for its certified constants to be finite."""
 
 
 class SubsolverError(TensorStepError):

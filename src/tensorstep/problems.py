@@ -31,6 +31,13 @@ bitwise symmetric. The margins ``y_j a_j^T x`` of all rows are kept for the
 last point evaluated, so the value and every derivative at one iterate, exact
 or sampled, share one pass over the features: support rows gather their
 margins from the kept ones.
+
+``lipschitz_profile`` certifies the constants on a ball around a start
+point. A logistic problem's L_3, which sets the tensor step's
+regularization, is the moment bound ``sup|phi^(4)| * lambda_max((1/m) sum_j
+||a_j||^2 a_j a_j^T)``, computed afresh by every call; L_0..L_2 and the
+per-sample ranges that size the mini-batches are still bounds of the
+longest row.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ LOGISTIC_LINK_BOUNDS = (1.0, 0.25, math.sqrt(3.0) / 18.0, 0.125)
 #: as the fourth power of the row norm and ``M_3`` as the third power of the
 #: norm clamp, and both stay below the float range up to this norm.
 MAX_ROW_NORM = sys.float_info.max ** 0.25
+
+#: Longest linear term ``b`` of a quadratic whose certified constants are
+#: finite: beyond it the squared gradient coordinates of its model (``b_i^2``
+#: at the origin) overflow.
+MAX_LINEAR_NORM = sys.float_info.max ** 0.5
 
 #: Floor of every certified constant, which the methods divide by (sigma >= L_p,
 #: the gradient step 1/L_1, the batch ranges 2 L_{i-1}): a quadratic's top
@@ -192,11 +204,21 @@ class QuadraticProblem:
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         """Certify L_0..L_3 (``L_1`` is the top eigenvalue of ``A``, L_2 = L_3 = 0),
-        each floored at ``LIPSCHITZ_FLOOR``, and the offline ranges ``2 L_{i-1}``."""
+        each floored at ``LIPSCHITZ_FLOOR``, and the offline ranges ``2 L_{i-1}``.
+
+        Raises ``ProblemScaleError`` when ``||b||`` exceeds ``MAX_LINEAR_NORM``;
+        the norm is taken by ``math.hypot``, which scales its operands and
+        returns inf, not a warning, when the norm itself overflows.
+        """
         if radius <= 0:
             raise ValueError("radius must be positive")
+        b_norm = math.hypot(*self.b.tolist())
+        if not b_norm <= MAX_LINEAR_NORM:
+            raise ProblemScaleError(
+                f"linear term norm ||b|| = {b_norm:.3e} exceeds {MAX_LINEAR_NORM:.3e}, "
+                "beyond which the model's squared gradient coordinates overflow")
         reach = float(np.linalg.norm(x0)) + radius
-        L0 = self._eig_max * reach + float(np.linalg.norm(self.b))
+        L0 = self._eig_max * reach + b_norm
         L = tuple(max(c, LIPSCHITZ_FLOOR) for c in (L0, self._eig_max, 0.0, 0.0))
         return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
 
@@ -391,19 +413,56 @@ class LogisticProblem:
 
     # -- constants -----------------------------------------------------------
 
+    def _fourth_moment_max(self) -> float:
+        """lambda_4 = lambda_max((1/m) sum_j ||a_j||^2 a_j a_j^T).
+
+        The matrix is the Gram (BLAS syrk) of the rows scaled by
+        ``||a_j|| / sqrt(m)``, summed over row slices, with the norms taken
+        per slice so that no length-m vector outlives a slice. Every entry is
+        at most ``max_j ||a_j||^4``, so rows within ``MAX_ROW_NORM`` do not
+        overflow it.
+        """
+        root_m = math.sqrt(self.m)
+
+        def gram(sl):
+            rows = self.features[sl]
+            scaled = rows * (np.linalg.norm(rows, axis=1) / root_m)[:, None]
+            return scaled.T @ scaled
+
+        return float(np.linalg.eigvalsh(row_slice_sum(self.m, gram))[-1])
+
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         """Certify L_0..L_3 and the per-sample ranges of orders 1..3.
 
-        The i-th derivative of one row term is phi^(i) scaled by an i-fold
-        outer power of the row, so its Lipschitz constant is bounded by
-        ``max_j ||a_j||^(i+1) sup|phi^(i+1)|``; the ridge shifts L_1 by mu and
-        the gradient bound by ``mu (||x0|| + radius)``. Each constant is
-        floored at ``LIPSCHITZ_FLOOR``. The order-i range is ``2 L_{i-1}``
-        offline; online it is ``M_i + L_{i-1}``, with the per-sample deviation
-        bound ``M_i = 2 clamp^i sup|phi^(i)|`` from the certified feature-norm
-        clamp, which cancels the ridge (it is common to every sample). Raises
-        ``ProblemScaleError`` when a row or the clamp is longer than
-        ``MAX_ROW_NORM``, where these constants overflow.
+        L_3 bounds the norm of the average loss's fourth derivative by the
+        moment bound ``s_4 lambda_4``, with ``s_4 = sup|phi^(4)|`` and
+        ``lambda_4`` from ``_fourth_moment_max``. Three facts make it a proof:
+
+        * a symmetric tensor's norm is its supremum on the diagonal,
+          ``max_{||h||=1} |D^4 f(x)[h]^4|``;
+        * ``|D^4 f(x)[h]^4| = |(1/m) sum_j phi^(4)(y_j a_j^T x) (a_j^T h)^4|
+          <= s_4 (1/m) sum_j (a_j^T h)^4`` (the ridge term is quadratic);
+        * ``(a^T h)^4 <= ||a||^2 (a^T h)^2`` for a unit ``h``, so that sum is
+          at most ``h^T [(1/m) sum_j ||a_j||^2 a_j a_j^T] h <= lambda_4``.
+
+        As ``lambda_4 <= max_j ||a_j||^4``, taking the smaller of the moment
+        bound and the worst-row bound ``s_4 max_j ||a_j||^4`` changes nothing
+        in exact arithmetic; it guards rounding near ``MAX_ROW_NORM``. The
+        offline and online settings certify the same L_3, and ``lambda_4`` is
+        computed afresh by every call (once per solve).
+
+        L_0..L_2 are still worst-row bounds: one row term's i-th derivative is
+        phi^(i) scaled by an i-fold outer power of the row, so its Lipschitz
+        constant is at most ``max_j ||a_j||^(i+1) sup|phi^(i+1)|``; the ridge
+        shifts L_1 by mu and the gradient bound by ``mu (||x0|| + radius)``.
+        Each constant is floored at ``LIPSCHITZ_FLOOR``. The order-i range is
+        ``2 L_{i-1}`` offline; online it is ``M_i + L_{i-1}``, with the
+        per-sample deviation bound ``M_i = 2 clamp^i sup|phi^(i)|`` from the
+        certified feature-norm clamp, which cancels the ridge (it is common to
+        every sample). The ranges read only L_0..L_2, so they and the batch
+        sizes they give are worst-row bounds too. Raises ``ProblemScaleError``
+        when a row or the clamp is longer than ``MAX_ROW_NORM``, where these
+        constants overflow.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -415,7 +474,7 @@ class LogisticProblem:
         reach = float(np.linalg.norm(x0)) + radius
         s1, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
         bounds = (amax * s1 + self.mu * reach, amax ** 2 * s2 + self.mu,
-                  amax ** 3 * s3, amax ** 4 * s4)
+                  amax ** 3 * s3, min(s4 * self._fourth_moment_max(), amax ** 4 * s4))
         L = tuple(max(c, LIPSCHITZ_FLOOR) for c in bounds)
         if self.mode == "offline":
             return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))

@@ -64,6 +64,35 @@ class TestExitCodes:
         assert cli.main(["run", "--config", path]) == 2
         assert "beyond which the certified constants overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["itm", "gd", "agd", "sweep"])
+    def test_overflowing_linear_term_exits_two_without_warnings(
+            self, tmp_path, capsys, command):
+        # ||b||^2 overflows: the run stops at the Lipschitz constants, and
+        # numpy warns of nothing
+        data = {"version": 1, "eps": [1e-2, 1e-3],
+                "problem": {"kind": "quadratic", "A": [[1.0]], "b": [-1e300]}}
+        if command == "sweep":
+            argv = ["sweep"]
+        else:
+            argv = ["run"]
+            data["method"] = command
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: linear term norm ||b|| = 1.000e+300 exceeds ")
+
+    def test_linear_term_just_inside_the_scale_limit_exits_two_without_warnings(
+            self, tmp_path, capsys):
+        path = write_config(tmp_path, method="itm", kappa="exact",
+                            problem={"kind": "quadratic", "A": [[1.0]], "b": [-1e154]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: secular bracket expansion failed")
+
     def far_start_args(self, tmp_path, offset):
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 4, "m": 50},
                             x0_offset=offset, out=str(tmp_path / "out"))

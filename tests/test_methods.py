@@ -170,11 +170,13 @@ class TestSharedLadder:
         assert stm.records == itm.records
         assert stm.status == itm.status == "max-iter"
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_exact_itm_is_monotone(self, logistic, p):
+    @pytest.mark.parametrize("p, status, records",
+                             [(2, "max-iter", 31), (3, "step-floor", 19)], ids=["2", "3"])
+    def test_exact_itm_is_monotone(self, logistic, p, status, records):
+        # at p=3 the run reaches the optimum and its steps fall to the floor
         problem, x0 = logistic
         trace = itm_run(problem, x0, RunConfig(p=p, max_iter=30))
-        assert len(trace.records) == 31
+        assert (trace.status, len(trace.records)) == (status, records)
         assert monotonicity_guard(trace) == []
 
     @pytest.mark.parametrize("run", [

@@ -13,10 +13,11 @@ from tensorstep import (
     make_quadratic,
 )
 from tensorstep import problems
-from tensorstep.linalg import ROW_BLOCK, row_slice_sum
+from tensorstep.linalg import ROW_BLOCK, row_slice_sum, t3_norm_estimate
 from tensorstep.problems import (
     DENSE_SUPPORT,
     LOGISTIC_LINK_BOUNDS,
+    MAX_ROW_NORM,
     _sigmoid,
     link_d1,
     link_d2,
@@ -268,21 +269,54 @@ class TestLogisticProblem:
             assert prof.range(i) == expected
 
     def test_lipschitz_certificate_on_random_pairs(self, rng):
-        prob = make_logistic(n=4, m=30, seed=10, mu=1e-3)
-        x0 = np.zeros(4)
-        radius = 2.0
-        prof = prob.lipschitz_profile(x0, radius)
-        for _ in range(100):
-            u = rng.standard_normal(4)
-            x = x0 + u / np.linalg.norm(u) * rng.uniform(0, radius)
-            v = rng.standard_normal(4)
-            y = x0 + v / np.linalg.norm(v) * rng.uniform(0, radius)
-            dist = np.linalg.norm(x - y)
-            assert abs(prob.value(x) - prob.value(y)) <= prof.lip(0) * dist * (1 + 1e-6)
-            assert np.linalg.norm(prob.gradient(x) - prob.gradient(y)) \
-                <= prof.lip(1) * dist * (1 + 1e-6)
-            hdiff = np.linalg.norm(prob.hessian(x) - prob.hessian(y), 2)
-            assert hdiff <= prof.lip(2) * dist * (1 + 1e-6)
+        # offline, online, and one row 30 times longer than the rest, whose
+        # margins stay in the link's curved region at radius 0.2
+        offline = make_logistic(n=4, m=30, seed=10, mu=1e-3)
+        features = offline.features.copy()
+        norms = np.linalg.norm(features, axis=1)
+        features[0] *= 30.0 * norms[1:].max() / norms[0]
+        instances = {
+            "offline": (offline, 2.0),
+            "online": (make_online_logistic(n=4, pool=30, seed=10), 2.0),
+            "long-row": (LogisticProblem(features, offline.labels, mu=1e-3), 0.2),
+        }
+        for name, (prob, radius) in instances.items():
+            x0 = np.zeros(4)
+            prof = prob.lipschitz_profile(x0, radius)
+            worst_row = LOGISTIC_LINK_BOUNDS[3] * np.linalg.norm(prob.features, axis=1).max() ** 4
+            assert prof.lip(3) <= worst_row, name
+            if name == "long-row":
+                assert prof.lip(3) <= worst_row / 10
+            for _ in range(100):
+                u = rng.standard_normal(4)
+                x = x0 + u / np.linalg.norm(u) * rng.uniform(0, radius)
+                v = rng.standard_normal(4)
+                y = x0 + v / np.linalg.norm(v) * rng.uniform(0, radius)
+                dist = np.linalg.norm(x - y)
+                assert abs(prob.value(x) - prob.value(y)) <= prof.lip(0) * dist * (1 + 1e-6)
+                assert np.linalg.norm(prob.gradient(x) - prob.gradient(y)) \
+                    <= prof.lip(1) * dist * (1 + 1e-6)
+                hdiff = np.linalg.norm(prob.hessian(x) - prob.hessian(y), 2)
+                assert hdiff <= prof.lip(2) * dist * (1 + 1e-6)
+                # t3_norm_estimate is a lower bound of the difference's norm
+                tdiff = RankOneSumTensor3(
+                    prob.features, prob.third(x).weights - prob.third(y).weights)
+                assert t3_norm_estimate(tdiff, n_dirs=4) <= prof.lip(3) * dist * (1 + 1e-6), name
+
+    @pytest.mark.parametrize("direction", ["axis", "generic"])
+    def test_row_just_inside_the_scale_limit(self, direction):
+        # the fourth-moment Gram's entries come within 0.4% of the float range
+        prob = make_logistic(n=4, m=30, seed=10)
+        features = prob.features.copy()
+        if direction == "axis":
+            features[0] = np.eye(4)[0]
+        features[0] *= 0.999 * MAX_ROW_NORM / np.linalg.norm(features[0])
+        prob = LogisticProblem(features, prob.labels, mu=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lip3 = prob.lipschitz_profile(np.zeros(4), 1.0).lip(3)
+        assert math.isfinite(lip3)
+        assert lip3 <= LOGISTIC_LINK_BOUNDS[3] * np.linalg.norm(features, axis=1).max() ** 4
 
 
 class TestDraws:
