@@ -86,6 +86,7 @@ class TestExitCodes:
 
     def test_linear_term_just_inside_the_scale_limit_exits_two_without_warnings(
             self, tmp_path, capsys):
+        # ||b|| = 1e154 passes the scale check; the subsolver's error is the only report
         path = write_config(tmp_path, method="itm", kappa="exact",
                             problem={"kind": "quadratic", "A": [[1.0]], "b": [-1e154]})
         with warnings.catch_warnings():

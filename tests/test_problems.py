@@ -303,10 +303,12 @@ class TestLogisticProblem:
                     prob.features, prob.third(x).weights - prob.third(y).weights)
                 assert t3_norm_estimate(tdiff, n_dirs=4) <= prof.lip(3) * dist * (1 + 1e-6), name
 
+    @pytest.mark.parametrize("m", [1, 30])
     @pytest.mark.parametrize("direction", ["axis", "generic"])
-    def test_row_just_inside_the_scale_limit(self, direction):
-        # the fourth-moment Gram's entries come within 0.4% of the float range
-        prob = make_logistic(n=4, m=30, seed=10)
+    def test_row_just_inside_the_scale_limit(self, direction, m):
+        # ||a||^4 is 0.996 of the float range, and so, at m=1 along an axis,
+        # is an entry of the fourth-moment matrix
+        prob = make_logistic(n=4, m=m, seed=10)
         features = prob.features.copy()
         if direction == "axis":
             features[0] = np.eye(4)[0]
