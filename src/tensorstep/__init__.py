@@ -41,7 +41,6 @@ from .sampling import (
     verify_condition,
 )
 from .subsolvers import (
-    RegularizedQuartic,
     bregman_minimize_zeta,
     relative_smoothness_constant,
     solve_model_p2,

@@ -206,9 +206,9 @@ class QuadraticProblem:
         """Certify L_0..L_3 (``L_1`` is the top eigenvalue of ``A``, L_2 = L_3 = 0),
         each floored at ``LIPSCHITZ_FLOOR``, and the offline ranges ``2 L_{i-1}``.
 
-        Raises ``ProblemScaleError`` when ``||b||`` exceeds ``MAX_LINEAR_NORM``;
-        the norm is taken by ``math.hypot``, which scales its operands and
-        returns inf, not a warning, when the norm itself overflows.
+        Raises ``ProblemScaleError`` when ``||b||`` or L_0 exceeds
+        ``MAX_LINEAR_NORM``; ``||b||`` is taken by ``math.hypot``, which scales
+        its operands and returns inf, not a warning, when the norm overflows.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -219,6 +219,10 @@ class QuadraticProblem:
                 "beyond which the model's squared gradient coordinates overflow")
         reach = float(np.linalg.norm(x0)) + radius
         L0 = self._eig_max * reach + b_norm
+        if not L0 <= MAX_LINEAR_NORM:
+            raise ProblemScaleError(
+                f"gradient bound L_0 = {L0:.3e} of curvature lambda_max(A) = {self._eig_max:.3e} "
+                f"exceeds {MAX_LINEAR_NORM:.3e}, beyond which squared gradients overflow")
         L = tuple(max(c, LIPSCHITZ_FLOOR) for c in (L0, self._eig_max, 0.0, 0.0))
         return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
 
@@ -462,7 +466,8 @@ class LogisticProblem:
         every sample). The ranges read only L_0..L_2, so they and the batch
         sizes they give are worst-row bounds too. Raises ``ProblemScaleError``
         when a row or the clamp is longer than ``MAX_ROW_NORM``, where these
-        constants overflow.
+        constants overflow, and when the ridge terms ``mu (||x0|| + radius)``
+        and ``mu`` make L_0 or L_1 overflow.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -475,6 +480,9 @@ class LogisticProblem:
         s1, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
         bounds = (amax * s1 + self.mu * reach, amax ** 2 * s2 + self.mu,
                   amax ** 3 * s3, min(s4 * self._fourth_moment_max(), amax ** 4 * s4))
+        if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
+            raise ProblemScaleError(f"ridge weight mu = {self.mu:.3e} on a ball of reach "
+                                    f"{reach:.3e} overflows the certified L_0 and L_1")
         L = tuple(max(c, LIPSCHITZ_FLOOR) for c in bounds)
         if self.mode == "offline":
             return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
@@ -502,7 +510,11 @@ def make_logistic(n: int, m: int, seed: int = 0, mu: float = 1e-3,
                   mode: str = "offline") -> LogisticProblem:
     """Synthetic logistic instance with planted labels and optional flips."""
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((m, n)) * (row_scale / math.sqrt(n))
+    with np.errstate(over="ignore"):
+        rows = rng.standard_normal((m, n)) * (row_scale / math.sqrt(n))
+    if not np.all(np.isfinite(rows)):
+        raise ProblemScaleError(f"feature row scale {row_scale:.3e} overflows the features; "
+                                f"rows beyond {MAX_ROW_NORM:.3e} have no finite constants")
     w_star = rng.standard_normal(n)
     w_star /= np.linalg.norm(w_star)
     labels = np.where(rows @ w_star >= 0, 1.0, -1.0)
@@ -523,7 +535,9 @@ def make_online_logistic(n: int, pool: int = 8192, seed: int = 0, mu: float = 1e
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((pool, n))
     norms = np.linalg.norm(rows, axis=1)
-    rows *= np.minimum(1.0, clamp / np.maximum(norms, 1e-300))[:, None]
+    with np.errstate(over="ignore"):
+        # a ratio that overflows is above 1, where the minimum keeps the row
+        rows *= np.minimum(1.0, clamp / np.maximum(norms, 1e-300))[:, None]
     w_star = rng.standard_normal(n)
     w_star /= np.linalg.norm(w_star)
     labels = np.where(rows @ w_star >= 0, 1.0, -1.0)

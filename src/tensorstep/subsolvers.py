@@ -1,18 +1,21 @@
 """Minimizers for the smooth model at one outer iteration.
 
-The workhorse is ``solve_regularized_quartic``: the global minimizer of
+Both model orders minimize the smooth model through one subproblem, the
+global minimizer of the regularized quartic
 
     q(h) = <c, h> + <B h, h>/2 + a/2 ||h||^2 + b/4 ||h||^4
 
-via one symmetric eigendecomposition of ``B`` followed by monotone
-scalar root finding. Writing ``mu = a + b ||h||^2``, stationarity reads
-``(B + mu I) h = -c``, and global optimality requires ``B + mu I >= 0``:
-``mu`` lies at or above the pole ``mu_lo = max(0, -lambda_min(B + a I))``.
-The unknown is the distance ``t = mu - mu_lo`` above the pole, so each
-``lambda_j + mu`` keeps full relative precision however close the root is
-(Nesterov, Math. Program. 2021). In the hard case (More & Sorensen 1983)
-``c`` has no weight at all on the pole's eigenvectors, ``mu = mu_lo``, and
-an eigenvector correction completes the solution.
+in the eigenbasis of ``B``, the model's Hessian or a fixed multiple of it,
+which ``EigenbasisZeta`` factors once per outer step; the scalar root of
+``solve_regularized_quartic`` does the rest. Writing ``mu = a + b ||h||^2``,
+stationarity reads ``(B + mu I) h = -c``, and global optimality requires
+``B + mu I >= 0``: ``mu`` lies at or above the pole
+``mu_lo = max(0, -lambda_min(B + a I))``. The unknown is the distance
+``t = mu - mu_lo`` above the pole, so each ``lambda_j + mu`` keeps full
+relative precision however close the root is (Nesterov, Math. Program.
+2021). In the hard case (More & Sorensen 1983) ``c`` has no weight at all on
+the pole's eigenvectors, ``mu = mu_lo``, and an eigenvector correction
+completes the solution.
 
 For ``p = 3``, ``bregman_minimize_zeta`` runs the relative-smoothness
 proximal-gradient iteration
@@ -29,10 +32,9 @@ Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its iterate as the
 eigen-coefficients ``y`` of ``h = vecs y``. In those coordinates ``B`` is
 the diagonal ``lam``, so ``zeta(h)``, ``grad zeta(h)`` and the Bregman
 linearization are elementwise in ``lam``, ``vecs^T grad`` and ``y``; each
-inner argmin is solved by the coefficient core that
-``solve_regularized_quartic`` also uses, hard case included, but without its
-residual postcondition. A step then costs one contraction ``T[h]^2``, two
-n-by-n matrix-vector products, ``h = vecs y`` for the contraction and
+inner argmin is one ``solve_regularized_quartic``, hard case included. A
+step then costs one contraction ``T[h]^2``, two n-by-n matrix-vector
+products, ``h = vecs y`` for the contraction and
 ``vecs^T T[h]^2`` to bring it back, and one secular solve. The value comes
 from the same contraction through ``T[h]^3 = <T[h]^2, h>``.
 The secular solve is warm-started from the previous step's ``mu``, which
@@ -55,13 +57,13 @@ costs no more contractions than a cold one, which is the same path with
 pair bitwise ends the loop at once: it would repeat it until the step cap.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
-solve. The Hessian of the reference function and the first-order minimizer
-that cross-checks these solvers are lemma checks, kept in ``tests/lemmas.py``.
+solve on the same factorization. The Hessian of the reference function and
+the first-order minimizer that cross-checks these solvers are lemma checks,
+kept in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -75,9 +77,7 @@ from .models import (
     zeta_radial_coefficients,
 )
 
-logger = logging.getLogger(__name__)
-
-#: Required stationarity residual of the quartic solver, relative to max(1, ||c||).
+#: Required stationarity residual of the order-2 step, relative to max(1, ||grad f||).
 QUARTIC_RESIDUAL_TOL = 1e-10
 
 #: Absolute model-gradient norm at which the inner Bregman loop stops.
@@ -88,25 +88,6 @@ SECULAR_TOL = 1e-14
 
 #: Inner Bregman steps after which ``bregman_minimize_zeta`` gives up.
 MAX_INNER_STEPS = 200
-
-
-@dataclass(frozen=True)
-class RegularizedQuartic:
-    """Data of ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4``."""
-
-    c: np.ndarray
-    B: np.ndarray
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.b <= 0:
-            raise ValueError("need a quadratic weight a >= 0 and a quartic weight b > 0")
-
-    def grad(self, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        r2 = float(h @ h)
-        return self.c + self.B @ h + (self.a + self.b * r2) * h
 
 
 @dataclass
@@ -166,55 +147,23 @@ def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
     raise SubsolverError("secular root did not converge in 200 steps")
 
 
-def solve_regularized_quartic(q: RegularizedQuartic) -> np.ndarray:
-    """Global minimizer of a regularized quartic, to tight stationarity.
-
-    Postcondition: ``||grad q(h*)|| <= 1e-10 * max(1, ||c||)``.
-    """
-    c = np.asarray(q.c, dtype=float)
-    mat = 0.5 * (q.B + q.B.T)
-    lam_b, vecs = _eigh(mat)
-    if lam_b[0] < -1e-12 * max(1.0, abs(lam_b[-1])):
-        logger.info("quartic subproblem: curvature matrix indefinite, "
-                    "bottom eigenvalue %.3e handled via the shifted secular path",
-                    lam_b[0])
-    coeff, _ = _quartic_coefficients(vecs.T @ c, lam_b + q.a, q.b)
-    h = vecs @ coeff
-
-    residual = float(np.linalg.norm(q.grad(h)))
-    tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(c)))
-    if residual > tol:
-        raise SubsolverError(
-            f"quartic stationarity residual {residual:.3e} exceeds {tol:.3e}",
-            best=h, residual=residual,
-        )
-    return h
-
-
-def _eigh(mat: np.ndarray):
-    """``np.linalg.eigh`` of a symmetric curvature matrix that must be finite.
-
-    Raises ``SubsolverError`` when it is not (an overflowing Hessian), which
-    LAPACK would otherwise report as eigenvalues that did not converge.
-    """
-    if not np.all(np.isfinite(mat)):
-        raise SubsolverError("curvature matrix of the model is not finite")
-    return np.linalg.eigh(mat)
-
-
-def _quartic_coefficients(ct, lam, b, mu0=None):
+def solve_regularized_quartic(ct, lam, b, mu0=None):
     """Eigen-coefficients of the global minimizer of a regularized quartic.
 
     The quartic is ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4`` with
     ``B = vecs diag(lam_B) vecs^T``; the arguments are its data in that
-    eigenbasis, ``ct = vecs^T c`` and ``lam = lam_B + a``. Returns ``(y, mu)``:
+    eigenbasis, ``ct = vecs^T c`` and ``lam = lam_B + a``, so a weight ``a``
+    of either sign is only a shift of ``lam``. Returns ``(y, mu)``:
     the minimizer is ``vecs y``, and ``mu = b ||y||^2`` is the shift of
     ``lam`` at the solution; ``mu0``, a guess of it, warm-starts the secular
     root. With ``mu_lo = max(0, -min(lam))`` and ``s = lam + mu_lo``, exactly
     0 on the pole entries, ``mu = mu_lo + t``. The hard case has ``ct`` exactly
     0 there and ``b ||ct/s||^2 <= mu_lo`` on the rest: then ``mu = mu_lo``, and
     ``y`` is padded along the first pole entry to ``b ||y||^2 = mu_lo``.
+    Raises ``ValueError`` for a quartic weight ``b <= 0``.
     """
+    if b <= 0:
+        raise ValueError("need a quartic weight b > 0")
     c2 = ct * ct
     mu_lo = max(0.0, -float(lam.min()))
     s = lam + mu_lo
@@ -266,15 +215,18 @@ def rho_reference_coefficients(budget: InexactnessBudget, config: ModelConfig):
 
 
 class EigenbasisZeta:
-    """The order-3 smooth model ``zeta`` in the eigenbasis of the Hessian.
+    """The smooth model ``zeta`` in the eigenbasis of the Hessian.
 
-    With the symmetrized Hessian ``B = vecs diag(lam) vecs^T`` and a point
-    ``h = vecs y``, ``zeta(h)`` and ``vecs^T grad zeta(h)`` are elementwise in
-    ``lam``, ``y`` and ``vecs^T grad``, plus one contraction ``T[h]^2``
-    brought into the eigenbasis; the cubic term of the value is
-    ``T[h]^3 = <vecs^T T[h]^2, y>``. This is the evaluation the inner loop of
-    ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
-    ``TaylorModel.zeta_grad``.
+    Construction factors the symmetrized Hessian ``B = vecs diag(lam)
+    vecs^T``, the one ``eigh`` of an outer step, on which both orders solve
+    their quartics; it raises ``SubsolverError`` when ``B`` is not finite (an
+    overflowing Hessian), which LAPACK would report as eigenvalues that did
+    not converge. At order 3, with ``h = vecs y``, ``zeta(h)`` and
+    ``vecs^T grad zeta(h)`` are elementwise in ``lam``, ``y`` and
+    ``gt = vecs^T grad``, plus one contraction ``T[h]^2`` brought into the
+    eigenbasis; the cubic term of the value is ``T[h]^3 = <vecs^T T[h]^2, y>``.
+    This is the evaluation the inner loop of ``bregman_minimize_zeta`` takes
+    in place of ``TaylorModel.zeta`` and ``TaylorModel.zeta_grad``.
     """
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
@@ -282,7 +234,10 @@ class EigenbasisZeta:
         self.bundle = bundle
         # zeta - phi = z0 + z2 r^2 + z4 r^4
         self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
-        self.lam, self.vecs = _eigh(0.5 * (bundle.hess + bundle.hess.T))
+        mat = 0.5 * (bundle.hess + bundle.hess.T)
+        if not np.all(np.isfinite(mat)):
+            raise SubsolverError("curvature matrix of the model is not finite")
+        self.lam, self.vecs = np.linalg.eigh(mat)
         self.gt = self.vecs.T @ bundle.grad
 
     def value_and_grad(self, y: np.ndarray, h: np.ndarray, vt=None) -> tuple:
@@ -343,8 +298,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
     coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)`` (use
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
-    a fixed multiple of ``B``, so the eigendecomposition of ``B`` itself is
-    computed once, and the iterate is kept as its coefficients ``y`` in that
+    a fixed multiple of ``B``, so ``EigenbasisZeta`` factors ``B`` itself
+    once, and the iterate is kept as its coefficients ``y`` in that
     eigenbasis. Each step then costs one contraction ``T[h]^2``, two n-by-n
     matrix-vector products (``h = vecs y`` and ``vecs^T T[h]^2``) and one
     secular solve, warm-started from the previous step's ``mu``; ``zeta(h)``,
@@ -400,7 +355,7 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                 best=h, residual=g_norm,
             )
         # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
-        y_next, mu_next = _quartic_coefficients(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
+        y_next, mu_next = solve_regularized_quartic(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
         stats.iterations += 1
         if mu_next == mu and np.array_equal(y_next, y):
             raise SubsolverError(
@@ -420,13 +375,26 @@ def solve_model_p2(bundle: DerivativeBundle, budget: InexactnessBudget,
                    config: ModelConfig) -> np.ndarray:
     """Exact minimizer of the order-2 smooth model.
 
-    The even-power model contains only ``||s||^2`` and ``||s||^4`` beyond the
-    quadratic polynomial, so it maps directly onto one regularized quartic:
-    quadratic weight ``2 * (kappa_1/2 + kappa_2/2 + sigma/6) eps^(1/2)`` and
-    quartic weight ``4 * (sigma/6) eps^(-1/2)``.
+    The even-power model contains only ``z2 ||s||^2 + z4 ||s||^4`` beyond the
+    quadratic polynomial, so it is one regularized quartic, solved on the
+    factorization of ``EigenbasisZeta`` as
+    ``vecs solve_regularized_quartic(gt, lam + 2 z2, 4 z4)``. Raises
+    ``SubsolverError``, carrying ``h`` and its residual, unless
+    ``||grad f + B h + (2 z2 + 4 z4 ||h||^2) h||`` is at most
+    ``QUARTIC_RESIDUAL_TOL max(1, ||grad f||)``.
     """
     if bundle.p != 2 or budget.p != 2:
         raise ValueError("solve_model_p2 requires an order-2 bundle and budget")
-    _, z2, z4 = zeta_radial_coefficients(budget, config)
-    q = RegularizedQuartic(c=bundle.grad, B=bundle.hess, a=2.0 * z2, b=4.0 * z4)
-    return solve_regularized_quartic(q)
+    zeta = EigenbasisZeta(bundle, budget, config)
+    a, b = 2.0 * zeta.z2, 4.0 * zeta.z4
+    y, _ = solve_regularized_quartic(zeta.gt, zeta.lam + a, b)
+    h = zeta.vecs @ y
+
+    residual = float(np.linalg.norm(bundle.grad + bundle.hess @ h + (a + b * float(h @ h)) * h))
+    tol = QUARTIC_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(bundle.grad)))
+    if residual > tol:
+        raise SubsolverError(
+            f"quartic stationarity residual {residual:.3e} exceeds {tol:.3e}",
+            best=h, residual=residual,
+        )
+    return h

@@ -94,6 +94,26 @@ class TestExitCodes:
             assert cli.main(["run", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("error: secular bracket expansion failed")
 
+    @pytest.mark.parametrize("command, problem, message", [
+        ("run", {"kind": "logistic-synthetic", "n": 3, "m": 20, "mu": 1.7e308},
+         "ridge weight mu = 1.700e+308 on a ball of reach "),
+        ("run", {"kind": "quadratic-synthetic", "n": 3, "cond": 1e-300},
+         "gradient bound L_0 = 4.000e+300 of curvature lambda_max(A) = 1.000e+300 "),
+        ("run", {"kind": "logistic-synthetic", "n": 3, "m": 20, "row_scale": 1.7e308},
+         "feature row scale 1.700e+308 overflows the features; rows beyond "),
+        ("verify-condition", {"kind": "online-logistic", "n": 4, "pool": 60, "clamp": 1.7e308},
+         "largest feature row norm "),
+    ], ids=["ridge", "curvature", "row-scale", "norm-clamp"])
+    def test_scale_at_the_float_range_exits_two_without_warnings(
+            self, tmp_path, capsys, command, problem, message):
+        # the scale error is the only report: no overflow warning comes first
+        path = write_config(tmp_path, method="itm", problem=problem)
+        argv = [command, "--config", path] + (["--trials", "1"] if command != "run" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def far_start_args(self, tmp_path, offset):
         path = write_config(tmp_path, problem={"kind": "logistic-synthetic", "n": 4, "m": 50},
                             x0_offset=offset, out=str(tmp_path / "out"))

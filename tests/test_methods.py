@@ -36,6 +36,8 @@ from tensorstep import (
 from tensorstep import bench, methods
 from tensorstep.bench import build_problem, start_point
 from tensorstep.methods import (
+    IterationRecord,
+    RunTrace,
     default_profile,
     itm_run,
     monotonicity_guard,
@@ -244,6 +246,29 @@ class TestSharedLadder:
         assert trace.status == "step-floor"
         assert trace.records[-2].step_norm <= 1e-12
         assert trace.final.k == len(trace.records) - 1
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("fields, message", [
+        ({"p": 4}, "shipped problems exercise p"),
+        ({"eps": 0.0}, "target accuracy must be positive"),
+        ({"kappa": "corollary", "diameter": -1.0}, "needs a positive diameter"),
+        ({"mode": "online"}, "unknown mode 'online'"),
+    ], ids=["p", "eps", "diameter", "mode"])
+    def test_run_config_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**fields)
+
+    @pytest.mark.parametrize("values, flagged", [
+        ([3.0, 2.0, 2.5, 1.0, 1.5], [2, 4]),
+        ([1.0, 1.0 + 1e-11], [1]),
+        ([1.0, 1.0 + 1e-13], []),
+        ([-1e6, -1e6 + 1e-7], []),
+    ], ids=["increases", "above-tol", "within-tol", "relative-tol"])
+    def test_monotonicity_guard_flags_increases(self, values, flagged):
+        trace = RunTrace(records=[IterationRecord(k, f, 0.0, 0, (0, 0, 0), 0, 0, 0)
+                                  for k, f in enumerate(values)])
+        assert monotonicity_guard(trace) == flagged
 
 
 class TestRateTheory:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from tensorstep import (
     InexactnessBudget,
     ModelConfig,
     RankOneSumTensor3,
-    RegularizedQuartic,
     SubsolverError,
     TaylorModel,
     bregman_minimize_zeta,
@@ -19,6 +19,7 @@ from tensorstep import (
     sample_bundle,
     solve_model_p2,
     solve_regularized_quartic,
+    zeta_radial_coefficients,
 )
 from tensorstep.methods import default_profile, exact_bundle
 from tensorstep import subsolvers
@@ -33,7 +34,27 @@ from tensorstep.subsolvers import (
 from lemmas import generic_model_minimize, rho_hessian, zeta_hess
 
 
-def quartic_values(q: RegularizedQuartic, z):
+@dataclass(frozen=True)
+class Quartic:
+    """Dense data of ``<c,h> + <B h,h>/2 + a/2 ||h||^2 + b/4 ||h||^4``."""
+
+    c: np.ndarray
+    B: np.ndarray
+    a: float
+    b: float
+
+    def grad(self, h):
+        return self.c + self.B @ h + (self.a + self.b * float(h @ h)) * h
+
+    def solve(self):
+        """The global minimizer through ``solve_regularized_quartic``: factor
+        ``B``, solve in its eigenbasis and map the coefficients back."""
+        lam, vecs = np.linalg.eigh(0.5 * (self.B + self.B.T))
+        y, _ = solve_regularized_quartic(vecs.T @ self.c, lam + self.a, self.b)
+        return vecs @ y
+
+
+def quartic_values(q: Quartic, z):
     """The quartic's value at every point along the last axis of ``z``."""
     r2 = np.einsum("...i,...i->...", z, z)
     return z @ q.c + 0.5 * np.einsum("...i,...i->...", z, z @ q.B.T) \
@@ -45,7 +66,7 @@ def quartic_values(q: RegularizedQuartic, z):
 HALVINGS = 0.5 ** np.arange(64)
 
 
-def descend(q: RegularizedQuartic, starts, iters):
+def descend(q: Quartic, starts, iters):
     """Backtracking gradient descent from every row of ``starts`` at once.
 
     Each row runs its own descent: step 0.25, doubled (up to 1e3) after an
@@ -77,7 +98,7 @@ def descend(q: RegularizedQuartic, starts, iters):
     return z
 
 
-def brute_force_minimum(q: RegularizedQuartic, rng, starts=60, iters=600):
+def brute_force_minimum(q: Quartic, rng, starts=60, iters=600):
     """Multi-start backtracking descent plus a radial grid refinement."""
     n = q.c.size
     points = [np.zeros(n)]
@@ -93,7 +114,7 @@ def brute_force_minimum(q: RegularizedQuartic, rng, starts=60, iters=600):
     return found[np.argmin(quartic_values(q, found))]
 
 
-def newton_minimizer(q: RegularizedQuartic, start, steps=40):
+def newton_minimizer(q: Quartic, start, steps=40):
     """Newton's method on ``grad q`` from ``start``: the minimizer of its well."""
     h = np.array(start, dtype=float)
     for _ in range(steps):
@@ -106,34 +127,37 @@ class TestRegularizedQuartic:
     def test_zero_linear_term_convex(self, rng):
         b_mat = rng.standard_normal((4, 4))
         b_mat = b_mat @ b_mat.T
-        q = RegularizedQuartic(c=np.zeros(4), B=b_mat, a=0.5, b=1.0)
-        np.testing.assert_allclose(solve_regularized_quartic(q), np.zeros(4), atol=1e-12)
+        q = Quartic(c=np.zeros(4), B=b_mat, a=0.5, b=1.0)
+        np.testing.assert_allclose(q.solve(), np.zeros(4), atol=1e-12)
 
     def test_stationarity_residual_contract(self, rng):
+        # solve_model_p2's postcondition, on random order-2 bundles whose
+        # Hessian may be indefinite
         for _ in range(50):
             n = int(rng.integers(2, 7))
             m = rng.standard_normal((n, n))
-            q = RegularizedQuartic(
-                c=rng.standard_normal(n) * rng.uniform(0.1, 10),
-                B=float(rng.uniform(0.2, 3.0)) * 0.5 * (m + m.T),
-                a=float(rng.uniform(0, 2.0)),
-                b=float(rng.uniform(0.05, 5.0)),
-            )
-            h = solve_regularized_quartic(q)
-            res = np.linalg.norm(q.grad(h))
-            assert res <= 1e-10 * max(1.0, np.linalg.norm(q.c))
+            grad = rng.standard_normal(n) * rng.uniform(0.1, 10)
+            bundle = DerivativeBundle(x=np.zeros(n), value=0.0, grad=grad,
+                                      hess=float(rng.uniform(0.2, 3.0)) * 0.5 * (m + m.T),
+                                      third=None)
+            budget = InexactnessBudget(10 ** rng.uniform(-3, 0), tuple(rng.uniform(0, 1, 2)))
+            config = ModelConfig(sigma=float(rng.uniform(0.05, 5.0)))
+            h = solve_model_p2(bundle, budget, config)
+            _, z2, z4 = zeta_radial_coefficients(budget, config)
+            res = np.linalg.norm(grad + bundle.hess @ h + (2 * z2 + 4 * z4 * float(h @ h)) * h)
+            assert res <= 1e-10 * max(1.0, np.linalg.norm(grad))
 
     def test_matches_brute_force_on_random_instances(self, rng):
         for trial in range(100):
             n = int(rng.integers(2, 6))
             m = rng.standard_normal((n, n))
-            q = RegularizedQuartic(
+            q = Quartic(
                 c=rng.standard_normal(n),
                 B=float(rng.uniform(0.3, 2.0)) * 0.5 * (m + m.T),
                 a=float(rng.uniform(0.0, 1.0)),
                 b=float(rng.uniform(0.1, 3.0)),
             )
-            h = solve_regularized_quartic(q)
+            h = q.solve()
             ref = brute_force_minimum(q, rng, starts=25, iters=300)
             assert quartic_values(q, h) <= quartic_values(q, ref) + 1e-6
 
@@ -141,8 +165,8 @@ class TestRegularizedQuartic:
         # c orthogonal to the bottom eigenspace of an indefinite curvature
         B = np.diag([-2.0, 1.0, 3.0])
         c = np.array([0.0, 0.3, 0.1])
-        q = RegularizedQuartic(c=c, B=B, a=0.0, b=0.5)
-        h = solve_regularized_quartic(q)
+        q = Quartic(c=c, B=B, a=0.0, b=0.5)
+        h = q.solve()
         assert np.linalg.norm(q.grad(h)) <= 1e-10 * max(1.0, np.linalg.norm(c))
         # the quartic multiplier is pinned: b ||h||^2 = -lambda_min
         assert q.b * float(h @ h) == pytest.approx(2.0, rel=1e-8)
@@ -161,16 +185,16 @@ class TestRegularizedQuartic:
     def test_root_just_above_the_pole(self, lam, c, rotate):
         # the bottom direction carries a small weight, so the secular root lies
         # between 7e-15 and 1e-4 above the pole mu_lo = 1
-        q = RegularizedQuartic(c=np.array(c), B=np.diag(lam), a=0.0, b=1e-3)
+        q = Quartic(c=np.array(c), B=np.diag(lam), a=0.0, b=1e-3)
         # Newton on grad q from the well of the global minimizer, h_0 < 0
         start = np.zeros(len(lam))
         start[0] = -math.sqrt(1.0 / q.b)
         ref = newton_minimizer(q, start)
         if rotate:
             rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((len(lam),) * 2))
-            q = RegularizedQuartic(c=rot @ q.c, B=rot @ q.B @ rot.T, a=q.a, b=q.b)
+            q = Quartic(c=rot @ q.c, B=rot @ q.B @ rot.T, a=q.a, b=q.b)
             ref = rot @ ref
-        h = solve_regularized_quartic(q)
+        h = q.solve()
         assert np.linalg.norm(q.grad(h)) <= 1e-10 * max(1.0, np.linalg.norm(q.c))
         q_star = float(quartic_values(q, ref))
         assert quartic_values(q, h) <= q_star + 1e-9 * abs(q_star)
@@ -183,27 +207,25 @@ class TestRegularizedQuartic:
     def test_tiny_pole_weight(self, c0):
         # the root lies ~c0 above the pole mu_lo = 1: the pole weight bounds it
         # below, so the secular solve neither bisects down to it nor underflows
-        q = RegularizedQuartic(c=np.array([c0, 0.3]), B=np.diag([-1.0, 1.0]), a=0.0, b=1e-3)
-        h = solve_regularized_quartic(q)
+        q = Quartic(c=np.array([c0, 0.3]), B=np.diag([-1.0, 1.0]), a=0.0, b=1e-3)
+        h = q.solve()
         ref = newton_minimizer(q, np.array([-math.sqrt(1.0 / q.b), 0.0]))
         np.testing.assert_allclose(h, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("c", [[0.1, 0.2], [0.0, 0.2], [0.0, 0.0]])
     def test_singular_psd_curvature(self, c):
         # an exact zero eigenvalue and no quadratic weight put the pole at zero shift
-        q = RegularizedQuartic(c=np.array(c), B=np.diag([0.0, 1.0]), a=0.0, b=1.0)
-        h = solve_regularized_quartic(q)
+        q = Quartic(c=np.array(c), B=np.diag([0.0, 1.0]), a=0.0, b=1.0)
+        h = q.solve()
         # q is strictly convex, so Newton from -c finds its minimizer
         ref = newton_minimizer(q, -q.c) if any(c) else np.zeros(2)
         np.testing.assert_allclose(h, ref, rtol=1e-12, atol=1e-15)
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            RegularizedQuartic(c=np.zeros(2), B=np.eye(2), a=0.0, b=0.0)
-        with pytest.raises(ValueError):
-            RegularizedQuartic(c=np.zeros(2), B=np.eye(2), a=-1.0, b=1.0)
-        with pytest.raises(ValueError):
-            RegularizedQuartic(c=np.zeros(2), B=np.eye(2), a=1.0, b=0.0)
+        # a quadratic weight of either sign is a shift of lam; only b is checked
+        for b in (0.0, -1.0):
+            with pytest.raises(ValueError, match="quartic weight"):
+                solve_regularized_quartic(np.zeros(2), np.ones(2), b)
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +258,7 @@ class TestBregman:
         budget = InexactnessBudget(1e-3, (0.0, 0.0, 0.0))
         config = ModelConfig.coupled(profile.lip(3), 0.0, tau=4.0)
         h, _ = bregman_minimize_zeta(bundle, budget, config)
-        direct = solve_regularized_quartic(RegularizedQuartic(
-            c=bundle.grad, B=bundle.hess, a=0.0, b=config.sigma / 2.0))
+        direct = Quartic(c=bundle.grad, B=bundle.hess, a=0.0, b=config.sigma / 2.0).solve()
         assert np.linalg.norm(h - direct) <= 1e-8
 
     def test_stationary_start_returns_zero(self, p3_setup):
@@ -350,14 +371,14 @@ class TestBregman:
     def test_repeated_step_ends_the_loop(self, p3_setup, monkeypatch):
         # from the third step on, the map returns the second step's (y, mu)
         _, bundle, budget, config, _ = p3_setup
-        solve = subsolvers._quartic_coefficients
+        solve = subsolvers.solve_regularized_quartic
         steps = []
 
         def stalling(ct, lam, b, mu0=None):
             steps.append(solve(ct, lam, b, mu0) if len(steps) < 2 else steps[-1])
             return steps[-1]
 
-        monkeypatch.setattr(subsolvers, "_quartic_coefficients", stalling)
+        monkeypatch.setattr(subsolvers, "solve_regularized_quartic", stalling)
         with pytest.raises(SubsolverError,
                            match="exhausted at step 3 of 200: it repeats") as err:
             bregman_minimize_zeta(bundle, budget, config)
@@ -608,6 +629,48 @@ class TestSolveModelP2:
             model = TaylorModel(bundle, budget, config)
             assert np.linalg.norm(model.zeta_grad(step)) <= 1e-10 * max(
                 1.0, np.linalg.norm(bundle.grad))
+
+
+    @pytest.mark.parametrize("shift", [1e-6, 1.0])
+    def test_residual_failure_carries_the_step(self, monkeypatch, shift):
+        prob = make_logistic(n=5, m=40, seed=36, mu=1e-2)
+        x = np.full(5, 0.3)
+        bundle = exact_bundle(prob, x, 2)
+        budget = InexactnessBudget(1e-2, (0.2, 0.4))
+        config = ModelConfig(sigma=default_profile(prob, x).lip(2))
+        solve, solved = subsolvers.solve_regularized_quartic, []
+
+        def perturbed(ct, lam, b, mu0=None):
+            y, mu = solve(ct, lam, b, mu0)
+            solved.append(y + shift)
+            return solved[-1], mu
+
+        monkeypatch.setattr(subsolvers, "solve_regularized_quartic", perturbed)
+        with pytest.raises(SubsolverError, match="quartic stationarity residual") as err:
+            solve_model_p2(bundle, budget, config)
+        h = EigenbasisZeta(bundle, budget, config).vecs @ solved[0]
+        assert np.array_equal(err.value.best, h)
+        _, z2, z4 = zeta_radial_coefficients(budget, config)
+        residual = np.linalg.norm(
+            bundle.grad + bundle.hess @ h + (2 * z2 + 4 * z4 * float(h @ h)) * h)
+        assert err.value.residual == pytest.approx(residual, rel=1e-12)
+        assert err.value.residual > subsolvers.QUARTIC_RESIDUAL_TOL * max(
+            1.0, np.linalg.norm(bundle.grad))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_curvature_is_subsolver_error(self, p3_setup, p, value):
+        _, bundle, budget, config, profile = p3_setup
+        hess = bundle.hess.copy()
+        hess[0, 1] = value
+        broken = DerivativeBundle(x=bundle.x, value=bundle.value, grad=bundle.grad,
+                                  hess=hess, third=bundle.third if p == 3 else None)
+        with pytest.raises(SubsolverError, match="curvature matrix of the model is not finite"):
+            if p == 3:
+                bregman_minimize_zeta(broken, budget, config)
+            else:
+                solve_model_p2(broken, InexactnessBudget(budget.eps, budget.kappas[:2]),
+                               ModelConfig(sigma=profile.lip(2)))
 
 
 class TestGenericFallback:
