@@ -25,7 +25,8 @@ class SubsolverError(TensorStepError):
     smooth model is not finite at a trial step, when the secular root cannot
     be bracketed or does not converge (only non-finite or overflowing data
     reach these), when a quartic solution misses its stationarity tolerance,
-    and when the curvature matrix to be factored is not finite.
+    when the curvature matrix to be factored is not finite, and when the
+    reference solve stops at its step cap short of its gradient and step floors.
     Carries the best iterate seen so far and its residual, where the solver
     has them, so callers can decide whether to accept it anyway.
     """

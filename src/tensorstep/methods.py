@@ -53,7 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import StartPointError
+from .errors import StartPointError, SubsolverError
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
 from .sampling import EXACT, BatchPlan, plan_batches, sample_bundle
@@ -374,14 +374,21 @@ def reference_solution(problem, x0=None):
 
     With zero tolerances the model epsilon only scales the regularizer, so it
     is pinned at 1 to keep the quartic term benign; the run is then a Newton
-    method damped by a constant ``d_2`` term, which converges only linearly.
-    It stops at ``||grad f|| <= 1e-12`` or after 300 steps, whichever comes
-    first, and returns its last iterate and the value the run recorded there
-    either way: on logistic n=50, m=20000 it stops at 300 steps with
-    ``||grad f|| ~ 4.5e-6``.
+    method damped by the constant ``d_2`` term ``L_2 / 3``. A logistic
+    problem's moment bound L_2 keeps that damping far below the Hessian's
+    curvature scale: on logistic n=50, m=20000 the run reaches ``||grad f||
+    <= 1e-12`` in 19 steps. It stops at that gradient floor or when a step
+    falls below 1e-15, and returns its last iterate and the value the run
+    recorded there. A run that reaches neither in 300 steps raises
+    ``SubsolverError``: its last iterate is no optimum to measure gaps from.
     """
     x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     config = RunConfig(p=2, eps=1.0, kappa="exact", max_iter=300,
                        grad_stop=1e-12, step_stop=1e-15)
     trace = itm_run(problem, x0, config)
+    if trace.status == "max-iter":
+        raise SubsolverError(
+            f"reference solve reached neither ||grad f|| <= {config.grad_stop:g} nor a step "
+            f"below {config.step_stop:g} in {config.max_iter} steps (f = {trace.final.f:.6e})",
+            best=trace.x_final)
     return trace.x_final, trace.final.f

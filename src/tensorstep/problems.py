@@ -33,17 +33,20 @@ or sampled, share one pass over the features: support rows gather their
 margins from the kept ones.
 
 ``lipschitz_profile`` certifies the constants on a ball around a start
-point. A logistic problem's L_3, which sets the tensor step's
-regularization, is the moment bound ``sup|phi^(4)| * lambda_max((1/m) sum_j
-||a_j||^2 a_j a_j^T)``, computed afresh by every call; L_0..L_2 and the
-per-sample ranges that size the mini-batches are still bounds of the
-longest row.
+point. A logistic problem's L_1..L_3, which set the gradient step and the
+tensor steps' regularization, are moment bounds: they read the top
+eigenvalues ``lambda_2`` of ``(1/m) sum_j a_j a_j^T`` and ``lambda_4`` of
+``(1/m) sum_j ||a_j||^2 a_j a_j^T``, each computed at most once per profile
+and only when a constant that needs it is read. L_0 and the per-sample
+ranges that size the mini-batches are still bounds of the longest row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,15 +133,36 @@ def link_d3(t):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
+class _LazyConstants(Sequence):
+    """Constants indexed by order, whose callable entries are called on each read.
+
+    A logistic profile's L_1..L_3 are such entries: they read moment
+    eigenvalues that the profile memoizes, so each is computed only if a
+    constant that needs it is read.
+    """
+
+    def __init__(self, entries):
+        self._entries = tuple(entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, order):
+        c = self._entries[order]
+        return c() if callable(c) else c
+
+
 @dataclass(frozen=True)
 class LipschitzProfile:
     """Certified constants of a problem on a ball around a center.
 
     ``L[i]`` bounds the Lipschitz constant of the i-th derivative (``L[0]``
-    bounds the gradient norm). ``S[i-1]`` is the per-sample range that sizes
-    the order-i mini-batch in the concentration lemma of the problem's
+    bounds the gradient norm); it is a tuple, or a sequence that computes a
+    constant when it is read. ``S[i-1]`` is the per-sample range that
+    sizes the order-i mini-batch in the concentration lemma of the problem's
     setting: ``2 L_{i-1}`` offline, ``M_i + L_{i-1}`` online, where ``M_i``
-    bounds the uniform per-sample deviation.
+    bounds the uniform per-sample deviation and ``L_{i-1}`` is a bound that
+    every single sample obeys.
     """
 
     L: tuple
@@ -417,6 +441,19 @@ class LogisticProblem:
 
     # -- constants -----------------------------------------------------------
 
+    def _second_moment_max(self) -> float:
+        """lambda_2 = lambda_max((1/m) sum_j a_j a_j^T), the top eigenvalue of A^T A / m.
+
+        The matrix is the Gram (BLAS syrk) of the rows, summed over row
+        slices and then divided by m. Every entry of the sum is at most
+        ``m max_j ||a_j||^2``, so rows within ``MAX_ROW_NORM`` do not overflow it.
+        """
+        def gram(sl):
+            rows = self.features[sl]
+            return rows.T @ rows
+
+        return float(np.linalg.eigvalsh(row_slice_sum(self.m, gram) / self.m)[-1])
+
     def _fourth_moment_max(self) -> float:
         """lambda_4 = lambda_max((1/m) sum_j ||a_j||^2 a_j a_j^T).
 
@@ -438,36 +475,52 @@ class LogisticProblem:
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         """Certify L_0..L_3 and the per-sample ranges of orders 1..3.
 
-        L_3 bounds the norm of the average loss's fourth derivative by the
-        moment bound ``s_4 lambda_4``, with ``s_4 = sup|phi^(4)|`` and
-        ``lambda_4`` from ``_fourth_moment_max``. Three facts make it a proof:
+        L_1..L_3 are moment bounds, with ``s_i = sup|phi^(i)|``, ``lambda_2``
+        from ``_second_moment_max`` and ``lambda_4`` from
+        ``_fourth_moment_max``:
+
+        * ``L_1 = s_2 lambda_2 + mu``, because ``H(x) = (1/m) sum_j
+          phi''(y_j a_j^T x) a_j a_j^T + mu I <= s_2 A^T A / m + mu I``;
+        * ``L_2 = s_3 sqrt(lambda_2 lambda_4)`` and ``L_3 = s_4 lambda_4``, which
+          bound the norms of the average loss's third and fourth derivatives
+          (the ridge term is quadratic).
+
+        For the order-k derivative (k = 3, 4) three facts make it a proof:
 
         * a symmetric tensor's norm is its supremum on the diagonal,
-          ``max_{||h||=1} |D^4 f(x)[h]^4|``;
-        * ``|D^4 f(x)[h]^4| = |(1/m) sum_j phi^(4)(y_j a_j^T x) (a_j^T h)^4|
-          <= s_4 (1/m) sum_j (a_j^T h)^4`` (the ridge term is quadratic);
-        * ``(a^T h)^4 <= ||a||^2 (a^T h)^2`` for a unit ``h``, so that sum is
-          at most ``h^T [(1/m) sum_j ||a_j||^2 a_j a_j^T] h <= lambda_4``.
+          ``max_{||h||=1} |D^k f(x)[h]^k|``;
+        * ``|D^k f(x)[h]^k| = |(1/m) sum_j phi^(k)(y_j a_j^T x) (a_j^T h)^k|
+          <= s_k (1/m) sum_j |a_j^T h|^k``;
+        * for a unit ``h``, ``(1/m) sum_j (a_j^T h)^2 <= lambda_2`` and, as
+          ``(a^T h)^4 <= ||a||^2 (a^T h)^2``, ``(1/m) sum_j (a_j^T h)^4 <=
+          h^T [(1/m) sum_j ||a_j||^2 a_j a_j^T] h <= lambda_4``. That bounds
+          the k = 4 sum by ``lambda_4``, and Cauchy-Schwarz bounds the k = 3
+          sum by ``sqrt((1/m) sum_j (a_j^T h)^2 (1/m) sum_j (a_j^T h)^4) <=
+          sqrt(lambda_2 lambda_4)``.
 
-        As ``lambda_4 <= max_j ||a_j||^4``, taking the smaller of the moment
-        bound and the worst-row bound ``s_4 max_j ||a_j||^4`` changes nothing
-        in exact arithmetic; it guards rounding near ``MAX_ROW_NORM``. The
-        offline and online settings certify the same L_3, and ``lambda_4`` is
-        computed afresh by every call (once per solve).
+        Each is the smaller of the moment bound and the worst-row bound
+        ``s_(i+1) max_j ||a_j||^(i+1)`` (plus mu for L_1): one row term's i-th
+        derivative is phi^(i) scaled by an i-fold outer power of the row. As
+        ``lambda_2 <= max_j ||a_j||^2`` and ``lambda_4 <= max_j ||a_j||^4``,
+        the minimum changes nothing in exact arithmetic; it guards rounding
+        near ``MAX_ROW_NORM``. The offline and online settings certify the
+        same L_1..L_3. Each moment eigenvalue is computed at most once per
+        profile, on the first read of a constant that needs it: ``lip(3)``
+        reads ``lambda_4``, ``lip(2)`` both and ``lip(1)`` ``lambda_2``, so a
+        run pays only for the constants it reads.
 
-        L_0..L_2 are still worst-row bounds: one row term's i-th derivative is
-        phi^(i) scaled by an i-fold outer power of the row, so its Lipschitz
-        constant is at most ``max_j ||a_j||^(i+1) sup|phi^(i+1)|``; the ridge
-        shifts L_1 by mu and the gradient bound by ``mu (||x0|| + radius)``.
-        Each constant is floored at ``LIPSCHITZ_FLOOR``. The order-i range is
-        ``2 L_{i-1}`` offline; online it is ``M_i + L_{i-1}``, with the
-        per-sample deviation bound ``M_i = 2 clamp^i sup|phi^(i)|`` from the
-        certified feature-norm clamp, which cancels the ridge (it is common to
-        every sample). The ranges read only L_0..L_2, so they and the batch
-        sizes they give are worst-row bounds too. Raises ``ProblemScaleError``
-        when a row or the clamp is longer than ``MAX_ROW_NORM``, where these
-        constants overflow, and when the ridge terms ``mu (||x0|| + radius)``
-        and ``mu`` make L_0 or L_1 overflow.
+        L_0 and the per-sample ranges stay worst-row bounds: L_0 is ``s_1
+        max_j ||a_j|| + mu (||x0|| + radius)``. Each constant is floored at
+        ``LIPSCHITZ_FLOOR``. The order-i range is ``2 L_{i-1}`` offline;
+        online it is ``M_i + L_{i-1}``, with the per-sample deviation bound
+        ``M_i = 2 clamp^i sup|phi^(i)|`` from the certified feature-norm clamp,
+        which cancels the ridge (it is common to every sample). The ranges
+        take L_0..L_2 from the worst-row bounds, which a single sample's
+        derivative obeys and a moment bound does not, so they and the batch
+        sizes they give read no moment eigenvalue. Raises
+        ``ProblemScaleError`` when a row or the clamp is longer than
+        ``MAX_ROW_NORM``, where these constants overflow, and when the ridge
+        terms ``mu (||x0|| + radius)`` and ``mu`` make L_0 or L_1 overflow.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -478,17 +531,28 @@ class LogisticProblem:
                 f"exceeds {MAX_ROW_NORM:.3e}, beyond which the certified constants overflow")
         reach = float(np.linalg.norm(x0)) + radius
         s1, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
-        bounds = (amax * s1 + self.mu * reach, amax ** 2 * s2 + self.mu,
-                  amax ** 3 * s3, min(s4 * self._fourth_moment_max(), amax ** 4 * s4))
-        if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
+        worst_row = (amax * s1 + self.mu * reach, amax ** 2 * s2 + self.mu,
+                     amax ** 3 * s3, amax ** 4 * s4)
+        if not (math.isfinite(worst_row[0]) and math.isfinite(worst_row[1])):
             raise ProblemScaleError(f"ridge weight mu = {self.mu:.3e} on a ball of reach "
                                     f"{reach:.3e} overflows the certified L_0 and L_1")
-        L = tuple(max(c, LIPSCHITZ_FLOOR) for c in bounds)
+        worst_row = tuple(max(c, LIPSCHITZ_FLOOR) for c in worst_row)
+        lam2 = functools.cache(self._second_moment_max)
+        lam4 = functools.cache(self._fourth_moment_max)
+
+        def moment_bound(bound, order):
+            return lambda: max(min(bound(), worst_row[order]), LIPSCHITZ_FLOOR)
+
+        L = _LazyConstants((
+            worst_row[0],
+            moment_bound(lambda: s2 * lam2() + self.mu, 1),
+            moment_bound(lambda: s3 * math.sqrt(lam2()) * math.sqrt(lam4()), 2),
+            moment_bound(lambda: s4 * lam4(), 3)))
         if self.mode == "offline":
-            return LipschitzProfile(L=L, S=tuple(2.0 * c for c in L[:3]))
+            return LipschitzProfile(L=L, S=tuple(2.0 * c for c in worst_row[:3]))
         rho = self.clamp
         M = (2.0 * rho * s1, 2.0 * rho ** 2 * s2, 2.0 * rho ** 3 * s3)
-        return LipschitzProfile(L=L, S=tuple(m + c for m, c in zip(M, L)))
+        return LipschitzProfile(L=L, S=tuple(m + c for m, c in zip(M, worst_row)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ from test_methods import GOLDEN_DIR, golden_data, read_tree
 GOLDEN_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "golden", "itm-p3", "trace_eps1e-06_seed0.csv")
 
+#: Start of the error of a reference solve that stops at its step cap.
+REFERENCE_CAP_ERROR = "error: reference solve reached neither ||grad f|| <= 1e-12 "
+
 
 def write_config(tmp_path, **fields):
     data = {"version": 1, "problem": {"kind": "logistic-synthetic", "n": 8, "m": 300},
@@ -86,13 +89,26 @@ class TestExitCodes:
 
     def test_linear_term_just_inside_the_scale_limit_exits_two_without_warnings(
             self, tmp_path, capsys):
-        # ||b|| = 1e154 passes the scale check; the subsolver's error is the only report
+        # ||b|| = 1e154 passes the scale check; the reference solve, which runs
+        # first, stops at its step cap, and its error is the only report
         path = write_config(tmp_path, method="itm", kappa="exact",
                             problem={"kind": "quadratic", "A": [[1.0]], "b": [-1e154]})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["run", "--config", path]) == 2
-        assert capsys.readouterr().err.startswith("error: secular bracket expansion failed")
+        assert capsys.readouterr().err.startswith(REFERENCE_CAP_ERROR)
+
+    @pytest.mark.parametrize("method", ["gd", "agd"])
+    def test_unconverged_reference_exits_two_without_warnings(self, tmp_path, capsys, method):
+        # the reference solve stops at its step cap far from x* = -1e154, so
+        # there is no optimum to measure a gap from (itm: the test above)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"version": 1, "method": method, "problem": {
+            "kind": "quadratic", "A": [[1.0]], "b": [-1e154]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(REFERENCE_CAP_ERROR)
 
     @pytest.mark.parametrize("command, problem, message", [
         ("run", {"kind": "logistic-synthetic", "n": 3, "m": 20, "mu": 1.7e308},
@@ -147,12 +163,15 @@ class TestExitCodes:
         {"kind": "logistic-finite-sum", "features": [[1.0, 2.0]], "labels": [1]},
     ], ids=["ridge", "one-row"])
     def test_overflowing_model_exits_two_without_warnings(self, tmp_path, capsys, problem):
-        # the inner loop's model gradient overflows: its error is the only report
+        # the inner loop's model gradient overflows: its error is the only report.
+        # One unregularized row has no minimizer, so there the reference solve,
+        # which runs first, stops at its step cap and reports that instead.
         path = write_config(tmp_path, method="itm", kappa="exact", problem=problem)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["run", "--config", path]) == 2
-        assert capsys.readouterr().err.startswith("error: smooth model is not finite")
+        message = REFERENCE_CAP_ERROR if "features" in problem else "error: smooth model is not finite"
+        assert capsys.readouterr().err.startswith(message)
 
     def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys, monkeypatch):
         centers = []

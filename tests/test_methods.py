@@ -21,6 +21,7 @@ import pytest
 
 from tensorstep import (
     ExperimentConfig,
+    LogisticProblem,
     RunConfig,
     StartPointError,
     complexity_sweep,
@@ -217,6 +218,38 @@ class TestSharedLadder:
         assert len(traces) == 1
         assert len(calls) == len(traces[0].records)
         assert f_ref == value(x_ref)
+
+    def test_reference_solution_reaches_the_gradient_floor(self, logistic, monkeypatch):
+        problem, _ = logistic
+        traces, run = [], methods.itm_run
+
+        def kept(*args, **kwargs):
+            traces.append(run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(methods, "itm_run", kept)
+        x_ref, _ = reference_solution(problem)
+        assert traces[0].status == "grad-floor"
+        assert traces[0].final.k < 100
+        assert np.linalg.norm(problem.gradient(x_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("run, p, computed", [
+        (itm_run, 3, (0, 1)), (stm_run, 3, (0, 1)), (itm_run, 2, (1, 1)),
+        (gd_baseline, 3, (1, 0)), (functools.partial(gd_baseline, accelerated=True), 3, (1, 0)),
+    ], ids=["itm-p3", "stm-p3", "itm-p2", "gd", "agd"])
+    def test_each_moment_eigenvalue_only_for_the_runs_that_read_it(
+            self, logistic, monkeypatch, run, p, computed):
+        # (lambda_2, lambda_4): L_3 reads lambda_4, L_2 both and L_1 lambda_2
+        problem, x0 = logistic
+        calls = {"_second_moment_max": 0, "_fourth_moment_max": 0}
+        for name in calls:
+            def counted(prob, original=getattr(LogisticProblem, name), name=name):
+                calls[name] += 1
+                return original(prob)
+
+            monkeypatch.setattr(LogisticProblem, name, counted)
+        run(problem, x0, RunConfig(p=p, kappa=(1e-6,) * p, max_iter=3))
+        assert (calls["_second_moment_max"], calls["_fourth_moment_max"]) == computed
 
     @pytest.mark.parametrize("run", [itm_run, stm_run], ids=["itm", "stm"])
     def test_non_finite_start_fails_before_the_oracle(self, logistic, monkeypatch, run):

@@ -260,13 +260,19 @@ class TestLogisticProblem:
 
     @pytest.mark.parametrize("mode", ["offline", "online"])
     def test_per_sample_ranges(self, mode):
-        # 2 L_{i-1} offline; M_i + L_{i-1} online, M_i = 2 clamp^i sup|phi^(i)|
+        # 2 L_{i-1} offline; M_i + L_{i-1} online, M_i = 2 clamp^i sup|phi^(i)|,
+        # with the worst-row L_0..L_2 that every single sample obeys
         prob = make_logistic(n=4, m=30, seed=10, mode=mode)
         prof = prob.lipschitz_profile(np.zeros(4), 2.0)
+        amax = np.linalg.norm(prob.features, axis=1).max()
+        s1, s2, s3, _ = LOGISTIC_LINK_BOUNDS
+        worst_row = (amax * s1 + prob.mu * 2.0, amax ** 2 * s2 + prob.mu, amax ** 3 * s3)
         for i in (1, 2, 3):
             deviation = 2.0 * prob.clamp ** i * LOGISTIC_LINK_BOUNDS[i - 1]
-            expected = 2.0 * prof.lip(i - 1) if mode == "offline" else deviation + prof.lip(i - 1)
+            expected = 2.0 * worst_row[i - 1] if mode == "offline" \
+                else deviation + worst_row[i - 1]
             assert prof.range(i) == expected
+        assert prof.lip(1) < worst_row[1] and prof.lip(2) < worst_row[2]
 
     def test_lipschitz_certificate_on_random_pairs(self, rng):
         # offline, online, and one row 30 times longer than the rest, whose
@@ -283,10 +289,14 @@ class TestLogisticProblem:
         for name, (prob, radius) in instances.items():
             x0 = np.zeros(4)
             prof = prob.lipschitz_profile(x0, radius)
-            worst_row = LOGISTIC_LINK_BOUNDS[3] * np.linalg.norm(prob.features, axis=1).max() ** 4
-            assert prof.lip(3) <= worst_row, name
-            if name == "long-row":
-                assert prof.lip(3) <= worst_row / 10
+            amax = np.linalg.norm(prob.features, axis=1).max()
+            worst_row = {1: LOGISTIC_LINK_BOUNDS[1] * amax ** 2 + prob.mu,
+                         2: LOGISTIC_LINK_BOUNDS[2] * amax ** 3,
+                         3: LOGISTIC_LINK_BOUNDS[3] * amax ** 4}
+            for order, bound in worst_row.items():
+                assert prof.lip(order) <= bound, (name, order)
+                if name == "long-row":
+                    assert prof.lip(order) <= bound / 10, order
             for _ in range(100):
                 u = rng.standard_normal(4)
                 x = x0 + u / np.linalg.norm(u) * rng.uniform(0, radius)
@@ -316,9 +326,30 @@ class TestLogisticProblem:
         prob = LogisticProblem(features, prob.labels, mu=1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lip3 = prob.lipschitz_profile(np.zeros(4), 1.0).lip(3)
-        assert math.isfinite(lip3)
-        assert lip3 <= LOGISTIC_LINK_BOUNDS[3] * np.linalg.norm(features, axis=1).max() ** 4
+            prof = prob.lipschitz_profile(np.zeros(4), 1.0)
+            lips = [prof.lip(order) for order in (1, 2, 3)]
+        amax = np.linalg.norm(features, axis=1).max()
+        for order, lip in enumerate(lips, start=1):
+            assert math.isfinite(lip)
+            assert lip <= LOGISTIC_LINK_BOUNDS[order] * amax ** (order + 1) + prob.mu * (order == 1)
+
+    def test_moment_eigenvalues_are_computed_once_per_profile(self, monkeypatch):
+        prob = make_logistic(n=4, m=30, seed=10)
+        calls = []
+        for name in ("_second_moment_max", "_fourth_moment_max"):
+            def counted(problem, original=getattr(LogisticProblem, name), name=name):
+                calls.append(name)
+                return original(problem)
+
+            monkeypatch.setattr(LogisticProblem, name, counted)
+        prof = prob.lipschitz_profile(np.zeros(4), 1.0)
+        prof.lip(0), [prof.range(i) for i in (1, 2, 3)]
+        assert calls == []  # L_0 and the ranges are worst-row bounds
+        first = [prof.lip(order) for order in (3, 1, 2, 3, 2, 1)]
+        assert sorted(calls) == ["_fourth_moment_max", "_second_moment_max"]
+        assert first[3:] == [first[0], first[2], first[1]]
+        prob.lipschitz_profile(np.zeros(4), 1.0).lip(2)
+        assert len(calls) == 4  # a new profile computes both afresh
 
 
 class TestDraws:
