@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
 
+from tensorstep import LogisticProblem
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def moment_calls(monkeypatch):
+    """Names of the logistic moment eigenvalues computed, in call order."""
+    calls = []
+    for name in ("_second_moment_max", "_fourth_moment_max"):
+        def counted(problem, original=getattr(LogisticProblem, name), name=name):
+            calls.append(name)
+            return original(problem)
+
+        monkeypatch.setattr(LogisticProblem, name, counted)
+    return calls
 
 
 def central_diff_grad(f, x, h=1e-6):

@@ -333,23 +333,16 @@ class TestLogisticProblem:
             assert math.isfinite(lip)
             assert lip <= LOGISTIC_LINK_BOUNDS[order] * amax ** (order + 1) + prob.mu * (order == 1)
 
-    def test_moment_eigenvalues_are_computed_once_per_profile(self, monkeypatch):
+    def test_moment_eigenvalues_are_computed_once_per_profile(self, moment_calls):
         prob = make_logistic(n=4, m=30, seed=10)
-        calls = []
-        for name in ("_second_moment_max", "_fourth_moment_max"):
-            def counted(problem, original=getattr(LogisticProblem, name), name=name):
-                calls.append(name)
-                return original(problem)
-
-            monkeypatch.setattr(LogisticProblem, name, counted)
         prof = prob.lipschitz_profile(np.zeros(4), 1.0)
         prof.lip(0), [prof.range(i) for i in (1, 2, 3)]
-        assert calls == []  # L_0 and the ranges are worst-row bounds
-        first = [prof.lip(order) for order in (3, 1, 2, 3, 2, 1)]
-        assert sorted(calls) == ["_fourth_moment_max", "_second_moment_max"]
-        assert first[3:] == [first[0], first[2], first[1]]
+        assert moment_calls == []  # L_0 and the ranges are worst-row bounds
+        lips = [prof.lip(order) for order in (3, 1, 2, 3, 2, 1)]
+        assert moment_calls == ["_fourth_moment_max", "_second_moment_max"]
+        assert lips[3:] == [lips[0], lips[2], lips[1]]
         prob.lipschitz_profile(np.zeros(4), 1.0).lip(2)
-        assert len(calls) == 4  # a new profile computes both afresh
+        assert len(moment_calls) == 4  # a new profile computes both afresh
 
 
 class TestDraws:
