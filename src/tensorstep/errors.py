@@ -26,7 +26,8 @@ class SubsolverError(TensorStepError):
     be bracketed or does not converge (only non-finite or overflowing data
     reach these), when a quartic solution misses its stationarity tolerance,
     when the curvature matrix to be factored is not finite, and when the
-    reference solve stops at its step cap short of its gradient and step floors.
+    reference solve stops at its step cap short of its gradient and step floors
+    while every step still lowered f.
     Carries the best iterate seen so far and its residual, where the solver
     has them, so callers can decide whether to accept it anyway.
     """

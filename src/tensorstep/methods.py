@@ -379,16 +379,26 @@ def reference_solution(problem, x0=None):
     curvature scale: on logistic n=50, m=20000 the run reaches ``||grad f||
     <= 1e-12`` in 19 steps. It stops at that gradient floor or when a step
     falls below 1e-15, and returns its last iterate and the value the run
-    recorded there. A run that reaches neither in 300 steps raises
-    ``SubsolverError``: its last iterate is no optimum to measure gaps from.
+    recorded there.
+
+    Both floors are absolute, so a run whose gradient rounds to more than
+    1e-12 at ``x*`` (a large ``||x*||`` or curvature) reaches neither. It
+    then stops at 300 steps, and whether that last iterate is an optimum is
+    read from the recorded values: with sigma = L_2 the model bounds f from
+    above, so in exact arithmetic every step lowers f, and a step that does
+    not shows the run at the rounding floor of f. The run returns if some
+    step did not lower f, and raises ``SubsolverError`` if every step did:
+    it was still descending, and its last iterate is no optimum to measure
+    gaps from.
     """
     x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     config = RunConfig(p=2, eps=1.0, kappa="exact", max_iter=300,
                        grad_stop=1e-12, step_stop=1e-15)
     trace = itm_run(problem, x0, config)
-    if trace.status == "max-iter":
+    values = [r.f for r in trace.records]
+    if trace.status == "max-iter" and all(b < a for a, b in zip(values, values[1:])):
         raise SubsolverError(
             f"reference solve reached neither ||grad f|| <= {config.grad_stop:g} nor a step "
-            f"below {config.step_stop:g} in {config.max_iter} steps (f = {trace.final.f:.6e})",
-            best=trace.x_final)
+            f"below {config.step_stop:g} in {config.max_iter} steps, and lowered f at every "
+            f"step (f = {trace.final.f:.6e})", best=trace.x_final)
     return trace.x_final, trace.final.f

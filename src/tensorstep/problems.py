@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,43 +133,28 @@ def link_d3(t):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-class _LazyConstants(Sequence):
-    """Constants indexed by order, whose callable entries are called on each read.
-
-    A logistic profile's L_1..L_3 are such entries: they read moment
-    eigenvalues that the profile memoizes, so each is computed only if a
-    constant that needs it is read.
-    """
-
-    def __init__(self, entries):
-        self._entries = tuple(entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __getitem__(self, order):
-        c = self._entries[order]
-        return c() if callable(c) else c
-
-
 @dataclass(frozen=True)
 class LipschitzProfile:
     """Certified constants of a problem on a ball around a center.
 
     ``L[i]`` bounds the Lipschitz constant of the i-th derivative (``L[0]``
-    bounds the gradient norm); it is a tuple, or a sequence that computes a
-    constant when it is read. ``S[i-1]`` is the per-sample range that
-    sizes the order-i mini-batch in the concentration lemma of the problem's
-    setting: ``2 L_{i-1}`` offline, ``M_i + L_{i-1}`` online, where ``M_i``
-    bounds the uniform per-sample deviation and ``L_{i-1}`` is a bound that
-    every single sample obeys.
+    bounds the gradient norm). An entry is a float, or a function of no
+    arguments that computes the constant, which ``lip`` calls on each read; a
+    logistic problem's L_1..L_3 are such functions, so each moment
+    eigenvalue they share is computed only if a constant that needs it is
+    read. ``S[i-1]`` is the per-sample range that sizes the order-i
+    mini-batch in the concentration lemma of the problem's setting: ``2
+    L_{i-1}`` offline, ``M_i + L_{i-1}`` online, where ``M_i`` bounds the
+    uniform per-sample deviation and ``L_{i-1}`` is a bound that every single
+    sample obeys.
     """
 
-    L: tuple
-    S: tuple
+    L: tuple[float | Callable[[], float], ...]
+    S: tuple[float, ...]
 
     def lip(self, order: int) -> float:
-        return self.L[order]
+        c = self.L[order]
+        return c() if callable(c) else c
 
     def range(self, order: int) -> float:
         return self.S[order - 1]
@@ -543,11 +528,10 @@ class LogisticProblem:
         def moment_bound(bound, order):
             return lambda: max(min(bound(), worst_row[order]), LIPSCHITZ_FLOOR)
 
-        L = _LazyConstants((
-            worst_row[0],
-            moment_bound(lambda: s2 * lam2() + self.mu, 1),
-            moment_bound(lambda: s3 * math.sqrt(lam2()) * math.sqrt(lam4()), 2),
-            moment_bound(lambda: s4 * lam4(), 3)))
+        L = (worst_row[0],
+             moment_bound(lambda: s2 * lam2() + self.mu, 1),
+             moment_bound(lambda: s3 * math.sqrt(lam2()) * math.sqrt(lam4()), 2),
+             moment_bound(lambda: s4 * lam4(), 3))
         if self.mode == "offline":
             return LipschitzProfile(L=L, S=tuple(2.0 * c for c in worst_row[:3]))
         rho = self.clamp

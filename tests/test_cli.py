@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tensorstep import LogisticProblem, bench, cli, subsolvers
+from tensorstep import (LogisticProblem, QuadraticProblem, RunConfig, SubsolverError, bench, cli,
+                        itm_run, make_quadratic, subsolvers)
 from tensorstep.bench import build_problem
 
 from test_methods import GOLDEN_DIR, golden_data, read_tree
@@ -110,6 +111,16 @@ class TestExitCodes:
             assert cli.main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(REFERENCE_CAP_ERROR)
 
+    def test_reference_at_the_rounding_floor_exits_zero(self, tmp_path, capsys):
+        # ||x*|| ~ 5e4: the gradient rounds above 1e-12 there, so the reference
+        # solve stops at its step cap, but after steps that did not lower f
+        quadratic = make_quadratic(20, seed=0, cond=10.0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"version": 1, "method": "gd", "max_iter": 5, "problem": {
+            "kind": "quadratic", "A": quadratic.A.tolist(), "b": (1e4 * quadratic.b).tolist()}}))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command, problem, message", [
         ("run", {"kind": "logistic-synthetic", "n": 3, "m": 20, "mu": 1.7e308},
          "ridge weight mu = 1.700e+308 on a ball of reach "),
@@ -158,23 +169,38 @@ class TestExitCodes:
         assert match, err
         assert int(match[1]) < int(match[2]) == subsolvers.MAX_INNER_STEPS
 
-    @pytest.mark.parametrize("problem", [
-        {"kind": "logistic-synthetic", "n": 4, "m": 60, "mu": 1e300},
-        {"kind": "logistic-finite-sum", "features": [[1.0, 2.0]], "labels": [1]},
+    @pytest.mark.parametrize("problem, message", [
+        ({"kind": "logistic-synthetic", "n": 4, "m": 60, "mu": 1e300},
+         "error: smooth model is not finite"),
+        ({"kind": "logistic-finite-sum", "features": [[1.0, 2.0]], "labels": [1]},
+         REFERENCE_CAP_ERROR),
     ], ids=["ridge", "one-row"])
-    def test_overflowing_model_exits_two_without_warnings(self, tmp_path, capsys, problem):
+    def test_overflowing_model_exits_two_without_warnings(
+            self, tmp_path, capsys, problem, message):
         # the inner loop's model gradient overflows: its error is the only report.
         # One unregularized row has no minimizer, so there the reference solve,
-        # which runs first, stops at its step cap and reports that instead.
+        # which runs first, stops at its step cap and reports that instead
+        # (the run's own error: test_model_overflow_of_the_run_without_warnings).
         path = write_config(tmp_path, method="itm", kappa="exact", problem=problem)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["run", "--config", path]) == 2
-        err = capsys.readouterr().err
-        if "features" in problem:
-            assert err.startswith(REFERENCE_CAP_ERROR)
-        else:
-            assert err.startswith("error: smooth model is not finite")
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("problem, offset, message", [
+        (QuadraticProblem(np.array([[1.0]]), np.array([-1e154])), 0.0,
+         "secular bracket expansion failed"),
+        (LogisticProblem(np.array([[1.0, 2.0]]), np.array([1.0])), 1.0,
+         "smooth model is not finite"),
+    ], ids=["linear-term", "one-row"])
+    def test_model_overflow_of_the_run_without_warnings(self, problem, offset, message):
+        # the runs whose reference solve reports first on the command line:
+        # without a reference, their own subsolver error is the only report
+        x0 = bench.start_point(problem, offset, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SubsolverError, match=message):
+                itm_run(problem, x0, RunConfig(p=3, kappa="exact", max_iter=2), f_ref=None)
 
     def test_far_start_overflowing_the_model_exits_two(self, tmp_path, capsys, monkeypatch):
         centers = []

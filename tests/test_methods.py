@@ -21,6 +21,7 @@ import pytest
 
 from tensorstep import (
     ExperimentConfig,
+    QuadraticProblem,
     RunConfig,
     StartPointError,
     complexity_sweep,
@@ -198,28 +199,9 @@ class TestSharedLadder:
         assert len(trace.records) == 5
         assert len(calls) == len(trace.records)
 
-    def test_reference_solution_returns_the_recorded_value(self, logistic, monkeypatch):
-        problem, _ = logistic
-        calls, traces = [], []
-        value, run = problem.value, methods.itm_run
-
-        def counted(x):
-            calls.append(x)
-            return value(x)
-
-        def kept(*args, **kwargs):
-            traces.append(run(*args, **kwargs))
-            return traces[-1]
-
-        monkeypatch.setattr(problem, "value", counted)
-        monkeypatch.setattr(methods, "itm_run", kept)
-        x_ref, f_ref = reference_solution(problem)
-        assert len(traces) == 1
-        assert len(calls) == len(traces[0].records)
-        assert f_ref == value(x_ref)
-
-    def test_reference_solution_reaches_the_gradient_floor(self, logistic, monkeypatch):
-        problem, _ = logistic
+    @pytest.fixture
+    def reference_traces(self, monkeypatch):
+        """The traces of the runs that ``reference_solution`` makes."""
         traces, run = [], methods.itm_run
 
         def kept(*args, **kwargs):
@@ -227,10 +209,40 @@ class TestSharedLadder:
             return traces[-1]
 
         monkeypatch.setattr(methods, "itm_run", kept)
+        return traces
+
+    def test_reference_solution_returns_the_recorded_value(
+            self, logistic, monkeypatch, reference_traces):
+        problem, _ = logistic
+        calls = []
+        value = problem.value
+
+        def counted(x):
+            calls.append(x)
+            return value(x)
+
+        monkeypatch.setattr(problem, "value", counted)
+        x_ref, f_ref = reference_solution(problem)
+        assert len(reference_traces) == 1
+        assert len(calls) == len(reference_traces[0].records)
+        assert f_ref == value(x_ref)
+
+    def test_reference_solution_reaches_the_gradient_floor(self, logistic, reference_traces):
+        problem, _ = logistic
         x_ref, _ = reference_solution(problem)
-        assert traces[0].status == "grad-floor"
-        assert traces[0].final.k < 100
+        assert reference_traces[0].status == "grad-floor"
+        assert reference_traces[0].final.k < 100
         assert np.linalg.norm(problem.gradient(x_ref)) <= 1e-12
+
+    def test_reference_solution_at_the_rounding_floor_returns(self, reference_traces):
+        # ||x*|| ~ 5e4: the gradient rounds above 1e-12 there, so the run stops
+        # at its step cap, and some of its steps did not lower f
+        quadratic = make_quadratic(20, seed=0, cond=10.0)
+        problem = QuadraticProblem(quadratic.A, 1e4 * quadratic.b)
+        _, f_ref = reference_solution(problem)
+        assert reference_traces[0].status == "max-iter"
+        f_star = problem.value(np.linalg.solve(problem.A, problem.b))
+        assert abs(f_ref - f_star) <= 1e-14 * abs(f_star)
 
     @pytest.mark.parametrize("run, p, computed", [
         (itm_run, 3, (0, 1)), (stm_run, 3, (0, 1)), (itm_run, 2, (1, 1)),

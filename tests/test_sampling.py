@@ -113,7 +113,7 @@ class TestPlanAndBundle:
         budget = InexactnessBudget(EPS, (1000.0, 100.0, 10.0))
         plan = plan_batches(budget, DELTA, problem, profile)
         assert EXACT not in plan.sizes
-        lower = dataclasses.replace(profile, L=tuple(c / 100 for c in profile.L))
+        lower = dataclasses.replace(profile, L=tuple(profile.lip(i) / 100 for i in range(4)))
         assert plan_batches(budget, DELTA, problem, lower) == plan
         wider = dataclasses.replace(profile, S=tuple(10 * s for s in profile.S))
         assert plan_batches(budget, DELTA, problem, wider) != plan
