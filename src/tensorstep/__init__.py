@@ -53,7 +53,6 @@ from .methods import (
     exact_bundle,
     gd_baseline,
     itm_run,
-    iteration_budget,
     kappa_defaults,
     monotonicity_guard,
     reference_solution,

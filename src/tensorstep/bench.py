@@ -377,13 +377,16 @@ def _fmt(value):
 
 def load_trace_csv(path):
     """Columns of a trace CSV as a dict of arrays; ``ValueError`` unless ``k``
-    strictly increases and every ``f_gap`` is finite, as a rate fit needs."""
+    is finite and strictly increases and every ``f_gap`` is finite, as a rate
+    fit needs."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     out = {}
     for col in TRACE_COLUMNS:
         out[col] = np.array([float(r[col]) for r in rows])
+    if not np.all(np.isfinite(out["k"])):
+        raise ValueError("column k is not finite")
     if not np.all(np.diff(out["k"]) > 0):
         raise ValueError("column k is not strictly increasing")
     if not np.all(np.isfinite(out["f_gap"])):
@@ -409,6 +412,10 @@ def run_cell(problem, config: ExperimentConfig, eps: float, seed: int,
     diameter = None
     if config.kappa == "corollary":
         diameter = config.diameter or 2.0 * float(np.linalg.norm(x0 - x_ref))
+        if not diameter > 0:
+            raise ConfigError([f"diameter: the corollary kappa policy needs a positive "
+                               f"diameter, and 2 ||x0 - x_ref|| is {diameter:g} at seed "
+                               f"{seed}; set one in the config"])
     run_cfg = RunConfig(
         p=config.p, eps=eps, kappa=config.kappa, tau=config.tau,
         diameter=diameter, max_iter=config.max_iter, seed=seed,

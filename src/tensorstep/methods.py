@@ -29,11 +29,11 @@ The theory-side calculators mirror the convergence analysis:
 
 * ``theoretical_residual_bound(t, ...)`` evaluates the objective-residual
   bound after ``t + 1`` iterations,
-* ``iteration_budget`` solves the iteration count ``T`` from
-  ``(T+p+1)^p = (p+1)^(p+2)/(p+1)! * (L_p + p sigma)/eps * D^(p+1)``,
 * ``kappa_defaults`` produces the per-order tolerance choice
   ``kappa_i ~ L^((i-1)/p) i! / D^((p-i+1)/p)``. As printed, those values are
-  inconsistent with the budget: the order-1 term alone contributes
+  inconsistent with the paper's iteration budget ``T``, the root of
+  ``(T+p+1)^p = (p+1)^(p+2)/(p+1)! * (L_p + p sigma)/eps * D^(p+1)``
+  (``tests/lemmas.py`` computes it): the order-1 term alone contributes
   ``2 (p+1) eps`` to the bound, so the residual target can never be met.
   ``kappa_defaults`` therefore scales order ``i`` by ``1 / (2 (p+1)^(i+1))``,
   which makes every term of the bound at the budget at most ``eps / (p+1)``
@@ -81,18 +81,6 @@ def kappa_defaults(lip_top: float, diameter: float, p: int) -> tuple:
         raw /= 2.0 * (p + 1) ** (i + 1)
         out.append(raw)
     return tuple(out)
-
-
-def iteration_budget(eps: float, lip_top: float, sigma: float, diameter: float,
-                     p: int) -> int:
-    """Iteration count sufficient for an eps-solution under the default kappas."""
-    if p < 2:
-        raise ValueError("tensor methods need p >= 2")
-    if min(eps, lip_top, sigma, diameter) <= 0:
-        raise ValueError("all budget inputs must be positive")
-    rhs = (p + 1) ** (p + 2) / math.factorial(p + 1) * (lip_top + p * sigma) / eps \
-        * diameter ** (p + 1)
-    return max(0, math.ceil(rhs ** (1.0 / p) - (p + 1)))
 
 
 def theoretical_residual_bound(t: float, kappas, eps: float, diameter: float,

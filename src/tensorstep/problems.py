@@ -36,17 +36,15 @@ margins from the kept ones.
 point. A logistic problem's L_1..L_3, which set the gradient step and the
 tensor steps' regularization, are moment bounds: they read the top
 eigenvalues ``lambda_2`` of ``(1/m) sum_j a_j a_j^T`` and ``lambda_4`` of
-``(1/m) sum_j ||a_j||^2 a_j a_j^T``, each computed at most once per profile
-and only when a constant that needs it is read. L_0 and the per-sample
-ranges that size the mini-batches are still bounds of the longest row.
+``(1/m) sum_j ||a_j||^2 a_j a_j^T``, both computed in one pass over the rows
+when the profile is built. L_0 and the per-sample ranges that size the
+mini-batches are still bounds of the longest row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,23 +136,19 @@ class LipschitzProfile:
     """Certified constants of a problem on a ball around a center.
 
     ``L[i]`` bounds the Lipschitz constant of the i-th derivative (``L[0]``
-    bounds the gradient norm). An entry is a float, or a function of no
-    arguments that computes the constant, which ``lip`` calls on each read; a
-    logistic problem's L_1..L_3 are such functions, so each moment
-    eigenvalue they share is computed only if a constant that needs it is
-    read. ``S[i-1]`` is the per-sample range that sizes the order-i
+    bounds the gradient norm). Every entry is a float, computed when the
+    profile is built. ``S[i-1]`` is the per-sample range that sizes the order-i
     mini-batch in the concentration lemma of the problem's setting: ``2
     L_{i-1}`` offline, ``M_i + L_{i-1}`` online, where ``M_i`` bounds the
     uniform per-sample deviation and ``L_{i-1}`` is a bound that every single
     sample obeys.
     """
 
-    L: tuple[float | Callable[[], float], ...]
+    L: tuple[float, ...]
     S: tuple[float, ...]
 
     def lip(self, order: int) -> float:
-        c = self.L[order]
-        return c() if callable(c) else c
+        return self.L[order]
 
     def range(self, order: int) -> float:
         return self.S[order - 1]
@@ -426,43 +420,33 @@ class LogisticProblem:
 
     # -- constants -----------------------------------------------------------
 
-    def _second_moment_max(self) -> float:
-        """lambda_2 = lambda_max((1/m) sum_j a_j a_j^T), the top eigenvalue of A^T A / m.
+    def _moment_maxima(self) -> tuple[float, float]:
+        """``(lambda_2, lambda_4)``: the top eigenvalues of ``(1/m) sum_j a_j a_j^T``
+        and ``(1/m) sum_j ||a_j||^2 a_j a_j^T``, from one pass over the rows.
 
-        The matrix is the Gram (BLAS syrk) of the rows, summed over row
-        slices and then divided by m. Every entry of the sum is at most
-        ``m max_j ||a_j||^2``, so rows within ``MAX_ROW_NORM`` do not overflow it.
-        """
-        def gram(sl):
-            rows = self.features[sl]
-            return rows.T @ rows
-
-        return float(np.linalg.eigvalsh(row_slice_sum(self.m, gram) / self.m)[-1])
-
-    def _fourth_moment_max(self) -> float:
-        """lambda_4 = lambda_max((1/m) sum_j ||a_j||^2 a_j a_j^T).
-
-        The matrix is the Gram (BLAS syrk) of the rows scaled by
-        ``||a_j|| / sqrt(m)``, summed over row slices, with the norms taken
-        per slice so that no length-m vector outlives a slice. Every entry is
-        at most ``max_j ||a_j||^4``, so rows within ``MAX_ROW_NORM`` do not
-        overflow it.
+        Each row slice contributes the Grams (BLAS syrk) of its rows and of
+        its rows scaled by ``||a_j|| / sqrt(m)``, stacked, with the norms
+        taken per slice so that no length-m vector outlives a slice. The
+        first sum is divided by m afterwards. Its entries are at most ``m
+        max_j ||a_j||^2`` and the second's at most ``max_j ||a_j||^4``, so
+        rows within ``MAX_ROW_NORM`` overflow neither.
         """
         root_m = math.sqrt(self.m)
 
-        def gram(sl):
+        def grams(sl):
             rows = self.features[sl]
             scaled = rows * (np.linalg.norm(rows, axis=1) / root_m)[:, None]
-            return scaled.T @ scaled
+            return np.stack((rows.T @ rows, scaled.T @ scaled))
 
-        return float(np.linalg.eigvalsh(row_slice_sum(self.m, gram))[-1])
+        second, fourth = row_slice_sum(self.m, grams)
+        return (float(np.linalg.eigvalsh(second / self.m)[-1]),
+                float(np.linalg.eigvalsh(fourth)[-1]))
 
     def lipschitz_profile(self, x0, radius) -> LipschitzProfile:
         """Certify L_0..L_3 and the per-sample ranges of orders 1..3.
 
-        L_1..L_3 are moment bounds, with ``s_i = sup|phi^(i)|``, ``lambda_2``
-        from ``_second_moment_max`` and ``lambda_4`` from
-        ``_fourth_moment_max``:
+        L_1..L_3 are moment bounds, with ``s_i = sup|phi^(i)|`` and
+        ``(lambda_2, lambda_4)`` from ``_moment_maxima``:
 
         * ``L_1 = s_2 lambda_2 + mu``, because ``H(x) = (1/m) sum_j
           phi''(y_j a_j^T x) a_j a_j^T + mu I <= s_2 A^T A / m + mu I``;
@@ -489,10 +473,11 @@ class LogisticProblem:
         ``lambda_2 <= max_j ||a_j||^2`` and ``lambda_4 <= max_j ||a_j||^4``,
         the minimum changes nothing in exact arithmetic; it guards rounding
         near ``MAX_ROW_NORM``. The offline and online settings certify the
-        same L_1..L_3. Each moment eigenvalue is computed at most once per
-        profile, on the first read of a constant that needs it: ``lip(3)``
-        reads ``lambda_4``, ``lip(2)`` both and ``lip(1)`` ``lambda_2``, so a
-        run pays only for the constants it reads.
+        same L_1..L_3. Both moment eigenvalues are computed once, when the
+        profile is built, so every run pays for both: a p=3 run, which reads
+        only L_3, also pays ``lambda_2``, and a gradient run, which reads
+        only L_1, also pays ``lambda_4``. Nothing is cached on the problem,
+        so each profile computes them afresh.
 
         L_0 and the per-sample ranges stay worst-row bounds: L_0 is ``s_1
         max_j ||a_j|| + mu (||x0|| + radius)``. Each constant is floored at
@@ -522,16 +507,10 @@ class LogisticProblem:
             raise ProblemScaleError(f"ridge weight mu = {self.mu:.3e} on a ball of reach "
                                     f"{reach:.3e} overflows the certified L_0 and L_1")
         worst_row = tuple(max(c, LIPSCHITZ_FLOOR) for c in worst_row)
-        lam2 = functools.cache(self._second_moment_max)
-        lam4 = functools.cache(self._fourth_moment_max)
-
-        def moment_bound(bound, order):
-            return lambda: max(min(bound(), worst_row[order]), LIPSCHITZ_FLOOR)
-
-        L = (worst_row[0],
-             moment_bound(lambda: s2 * lam2() + self.mu, 1),
-             moment_bound(lambda: s3 * math.sqrt(lam2()) * math.sqrt(lam4()), 2),
-             moment_bound(lambda: s4 * lam4(), 3))
+        lam2, lam4 = self._moment_maxima()
+        moment = (s2 * lam2 + self.mu, s3 * math.sqrt(lam2) * math.sqrt(lam4), s4 * lam4)
+        L = (worst_row[0], *(max(min(bound, worst), LIPSCHITZ_FLOOR)
+                             for bound, worst in zip(moment, worst_row[1:])))
         if self.mode == "offline":
             return LipschitzProfile(L=L, S=tuple(2.0 * c for c in worst_row[:3]))
         rho = self.clamp

@@ -11,14 +11,15 @@ def rng():
 
 @pytest.fixture
 def moment_calls(monkeypatch):
-    """Names of the logistic moment eigenvalues computed, in call order."""
+    """One entry per pass of the logistic moment eigenvalues (``_moment_maxima``)."""
     calls = []
-    for name in ("_second_moment_max", "_fourth_moment_max"):
-        def counted(problem, original=getattr(LogisticProblem, name), name=name):
-            calls.append(name)
-            return original(problem)
+    original = LogisticProblem._moment_maxima
 
-        monkeypatch.setattr(LogisticProblem, name, counted)
+    def counted(problem):
+        calls.append("_moment_maxima")
+        return original(problem)
+
+    monkeypatch.setattr(LogisticProblem, "_moment_maxima", counted)
     return calls
 
 

@@ -17,6 +17,8 @@ are called from the tests only:
 * the Taylor-residual bounds of an inexact model on the value, gradient and
   Hessian (``residual_bound_report``) and the two-sided Hessian bound
   ``0 <= hess f(x+s) <= hess phi(s) + shift I`` (``hessian_sandwich_report``);
+* the iteration budget ``T`` that the default kappas are scaled to meet
+  (``iteration_budget``);
 * the sigma coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)``
   (``coupling_residual``) and the relative-smoothness sandwich
   ``hess rho <= hess zeta <= k(tau) hess rho`` of the Bregman inner solver
@@ -286,6 +288,26 @@ def hessian_sandwich_report(problem, bundle: DerivativeBundle, budget: Inexactne
         upper_margin=float(np.linalg.eigvalsh(0.5 * (upper + upper.T)).min()),
         tol=tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# the iteration budget
+# ---------------------------------------------------------------------------
+
+def iteration_budget(eps: float, lip_top: float, sigma: float, diameter: float,
+                     p: int) -> int:
+    """Iteration count sufficient for an eps-solution under the default kappas.
+
+    Solves ``T`` from ``(T+p+1)^p = (p+1)^(p+2)/(p+1)! * (L_p + p sigma)/eps
+    * D^(p+1)``.
+    """
+    if p < 2:
+        raise ValueError("tensor methods need p >= 2")
+    if min(eps, lip_top, sigma, diameter) <= 0:
+        raise ValueError("all budget inputs must be positive")
+    rhs = (p + 1) ** (p + 2) / math.factorial(p + 1) * (lip_top + p * sigma) / eps \
+        * diameter ** (p + 1)
+    return max(0, math.ceil(rhs ** (1.0 / p) - (p + 1)))
 
 
 # ---------------------------------------------------------------------------

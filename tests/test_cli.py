@@ -442,6 +442,10 @@ MALFORMED = {
     "agd-kappa": (lambda tmp: run_args(tmp, method="agd"), "kappa"),
     "itm-delta": (lambda tmp: run_args(tmp, method="itm", delta=0.5), "delta"),
     "diameter-without-corollary": (lambda tmp: run_args(tmp, diameter=7), "diameter"),
+    # the start point is the optimum, so the derived diameter 2 ||x0 - x_ref|| is 0
+    "corollary-zero-diameter": (lambda tmp: run_args(
+        tmp, method="itm", kappa="corollary", x0_offset=0,
+        problem={"kind": "quadratic", "A": [[1.0]], "b": [0.0]}), "diameter"),
     "method-list": (lambda tmp: run_args(tmp, method=["stm"]), "method"),
     "p2-tau": (lambda tmp: run_args(tmp, p=2, kappa=[1.0, 1.0], tau=3.0), "tau"),
     # online batch sizes that cannot be drawn: the target underflows to 0, the
@@ -458,6 +462,10 @@ MALFORMED = {
     # a fit to these would print slope=nan, or numpy's RankWarning and a slope
     "fit-gap-infinite": (lambda tmp: fit_args(tmp, trace_text(range(9), ["inf"] * 9)),
                          "trace"),
+    # increasing up to inf: numpy's SVD would not converge on it
+    "fit-k-infinite": (lambda tmp: fit_args(
+        tmp, trace_text([0, 1, 2, *(10.0 ** e for e in range(300, 309)), "inf"],
+                        [0.1 ** j for j in range(1, 14)])), "trace"),
     "fit-k-repeated": (lambda tmp: fit_args(
         tmp, trace_text([0] * 9, [0.1 * j for j in range(9, 0, -1)])), "trace"),
 }

@@ -336,13 +336,25 @@ class TestLogisticProblem:
     def test_moment_eigenvalues_are_computed_once_per_profile(self, moment_calls):
         prob = make_logistic(n=4, m=30, seed=10)
         prof = prob.lipschitz_profile(np.zeros(4), 1.0)
-        prof.lip(0), [prof.range(i) for i in (1, 2, 3)]
-        assert moment_calls == []  # L_0 and the ranges are worst-row bounds
-        lips = [prof.lip(order) for order in (3, 1, 2, 3, 2, 1)]
-        assert moment_calls == ["_fourth_moment_max", "_second_moment_max"]
-        assert lips[3:] == [lips[0], lips[2], lips[1]]
-        prob.lipschitz_profile(np.zeros(4), 1.0).lip(2)
-        assert len(moment_calls) == 4  # a new profile computes both afresh
+        assert moment_calls == ["_moment_maxima"]
+        prof.lip(0), [(prof.lip(i), prof.range(i)) for i in (1, 2, 3)]
+        assert moment_calls == ["_moment_maxima"]  # reads compute nothing more
+        # nothing is cached on the problem: a second profile pays again
+        prob.lipschitz_profile(np.zeros(4), 1.0)
+        assert moment_calls == ["_moment_maxima"] * 2
+        for constants in (prof.L, prof.L[:3]):
+            assert all(type(c) is float for c in constants), constants
+
+    def test_moment_bounds_match_the_unsliced_moments(self):
+        # three row slices; lambda_2 and lambda_4 of matrices built in one expression
+        prob = make_logistic(n=5, m=2 * ROW_BLOCK + 7, seed=4)
+        a, m = prob.features, prob.m
+        lam2 = np.linalg.eigvalsh(a.T @ a / m)[-1]
+        lam4 = np.linalg.eigvalsh((a * (a * a).sum(axis=1)[:, None]).T @ a / m)[-1]
+        _, s2, s3, s4 = LOGISTIC_LINK_BOUNDS
+        prof = prob.lipschitz_profile(np.zeros(5), 1.0)
+        expected = (s2 * lam2 + prob.mu, s3 * math.sqrt(lam2 * lam4), s4 * lam4)
+        assert prof.L[1:] == pytest.approx(expected, rel=1e-12)
 
 
 class TestDraws:
