@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -124,8 +125,13 @@ class RunConfig:
     def __post_init__(self):
         if self.p not in (2, 3):
             raise ValueError("shipped problems exercise p in {2, 3}")
-        if self.eps <= 0:
-            raise ValueError("target accuracy must be positive")
+        # a NaN eps or a max_iter that never equals k would silently disable the stop
+        if isinstance(self.eps, bool) or not (
+                isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"target accuracy must be positive and finite, got {self.eps!r}")
+        if isinstance(self.max_iter, bool) or not (
+                isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
         if self.kappa == "corollary" and (self.diameter is None or self.diameter <= 0):
             raise ValueError("the corollary kappa policy needs a positive diameter")
         if self.mode not in ("deterministic", "stochastic"):

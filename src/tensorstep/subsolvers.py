@@ -20,26 +20,48 @@ completes the solution.
 For ``p = 3``, ``bregman_minimize_zeta`` runs the relative-smoothness
 proximal-gradient iteration
 
-    h_{k+1} = argmin { <grad zeta(h_k), h> + k(tau) * breg_rho(h_k, h) }
+    h_{k+1} = argmin { <grad zeta(h_k), h> + L_k * breg_rho(h_k, h) }
 
 with reference function ``rho(h) = (1 - 2/tau)(<B h, h>/2 + C2 d_2(h))
-+ Q d_4(h)`` and ``k(tau) = (tau + 2)/(tau - 2)``; under the sigma coupling
-``2 sigma + 2 kappa_t = 3 tau^2 (L_3 + kappa_t)`` the model satisfies
-``hess rho <= hess zeta <= k(tau) hess rho``, and the model value decreases
-monotonically with a linear rate. Each inner step is one regularized quartic
-in the fixed matrix ``k(tau) (1 - 2/tau) B``, so the loop factors the
-Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its iterate as the
-eigen-coefficients ``y`` of ``h = vecs y``. In those coordinates ``B`` is
-the diagonal ``lam``, so ``zeta(h)``, ``grad zeta(h)`` and the Bregman
-linearization are elementwise in ``lam``, ``vecs^T grad`` and ``y``; each
-inner argmin is one ``solve_regularized_quartic``, hard case included. A
-step then costs one contraction ``T[h]^2``, two n-by-n matrix-vector
-products, ``h = vecs y`` for the contraction and
-``vecs^T T[h]^2`` to bring it back, and one secular solve. The value comes
-from the same contraction through ``T[h]^3 = <T[h]^2, h>``.
-The secular solve is warm-started from the previous step's ``mu``, which
-moves little from step to step, so it typically takes 3 to 6 evaluations of
-the secular function, the one that opens its bracket included.
++ Q d_4(h)``. Under the sigma coupling ``2 sigma + 2 kappa_t = 3 tau^2
+(L_3 + kappa_t)`` the model satisfies ``hess rho <= hess zeta <= k(tau) hess
+rho`` with ``k(tau) = (tau + 2)/(tau - 2)``, so ``L_k = k(tau)`` decreases
+the model monotonically at the linear rate ``1 - 1/k(tau)`` (Lu, Freund &
+Nesterov, arXiv:1610.05708). That constant is the worst case: at
+``tau = 4`` and ``kappa = 0`` the model's quartic weight is only 1.2 times
+rho's, and at ``k(tau) = 3`` each step shrinks the model gradient by a
+factor near ``1 - 1.2/3 = 0.6``. So ``L_k`` is
+found by backtracking in ``[1, k(tau)]``. Each step first tries
+``max(1, SHRINK L_{k-1})``, from ``L_{-1} = k(tau)``, and accepts the trial
+``h+`` at constant ``L`` when
+
+    zeta(h+) <= zeta(h_k) + <grad zeta(h_k), h+ - h_k> + L breg_rho(h+, h_k),
+
+the descent inequality the rate proof uses; otherwise it retries at
+``min(k(tau), GROW L)``. A trial at ``k(tau)`` is accepted without the test,
+which the sandwich proves, and once a step is taken there the call keeps
+``k(tau)``: no smaller constant passed the test, which near the rounding
+floor of ``zeta`` is rounding deciding it. A trial below ``k(tau)`` that
+does not move the iterate is rejected and retried at ``k(tau)``.
+
+Each trial is one regularized quartic in ``L (1 - 2/tau) B``, so the loop
+factors the Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its
+iterate as the eigen-coefficients ``y`` of ``h = vecs y``. In those
+coordinates ``B`` is the diagonal ``lam``, so ``zeta(h)``,
+``grad zeta(h)``, the Bregman linearization and the descent test are
+elementwise in ``lam``, ``vecs^T grad`` and ``y``; each inner argmin is one
+``solve_regularized_quartic``, hard case included. A trial then costs one
+contraction ``T[h]^2``, two n-by-n matrix-vector products, ``h = vecs y``
+for the contraction and ``vecs^T T[h]^2`` to bring it back, and one secular
+solve. The value comes from the same contraction through
+``T[h]^3 = <T[h]^2, h>``, and an accepted trial's contraction serves the
+next step, so only a rejected trial costs an extra contraction. The test
+compares ``zeta(h) - zeta(0)``, summed without ``f(x)``, whose rounding
+would otherwise decide it long before ``INNER_GRAD_TOL``. The secular solve
+is warm-started from the previous step's shift ``mu``, scaled by the ratio of
+the constants (at the solution ``mu = L Q ||y||^2``), so it typically takes
+3 to 6 evaluations of the secular function, the one that opens its bracket
+included.
 
 The loop itself is warm-started from the previous outer step ``h0``, which
 moves little from one outer step to the next. It starts at ``alpha h0``, the
@@ -52,9 +74,9 @@ or 0 (the cold start) when none goes below 0. The start is no worse than 0,
 so the accepted step still has ``zeta(h) <= zeta(0)``. The first evaluation
 of the loop takes its contraction as ``alpha^2 vt``, so a warm-started call
 costs no more contractions than a cold one, which is the same path with
-``h0 = 0``. The map from one step's
-``(y, mu)`` to the next is deterministic, so a step that repeats the previous
-pair bitwise ends the loop at once: it would repeat it until the step cap.
+``h0 = 0``. At ``k(tau)`` the map from one step's ``(y, mu)`` to the next is
+deterministic, so a step there that repeats the previous pair bitwise ends
+the loop at once: it would repeat it until the step cap.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve on the same factorization. The Hessian of the reference function and
@@ -89,14 +111,30 @@ SECULAR_TOL = 1e-14
 #: Inner Bregman steps after which ``bregman_minimize_zeta`` gives up.
 MAX_INNER_STEPS = 200
 
+#: An inner step first tries this multiple of the last accepted
+#: relative-smoothness constant, and at least 1.
+SHRINK = 0.9
+
+#: A rejected trial's constant times this, and at most k(tau), is the next trial's.
+GROW = 1.2
+
 
 @dataclass
 class InnerStats:
-    """Per-call record of the inner loop, kept for diagnostics and tests."""
+    """Per-call record of the inner loop, kept for diagnostics and tests.
+
+    ``iterations`` counts accepted steps. ``zeta_values`` and ``grad_norms``
+    hold ``zeta`` and ``||grad zeta||`` at the start and after each accepted
+    step, and ``constants`` the relative-smoothness constant of each accepted
+    step. ``rejected`` holds ``(step, constant)`` for each rejected trial,
+    in order, where ``step`` counts the steps accepted before it.
+    """
 
     iterations: int = 0
     zeta_values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
+    constants: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
 
 
 def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
@@ -225,8 +263,9 @@ class EigenbasisZeta:
     ``vecs^T grad zeta(h)`` are elementwise in ``lam``, ``y`` and
     ``gt = vecs^T grad``, plus one contraction ``T[h]^2`` brought into the
     eigenbasis; the cubic term of the value is ``T[h]^3 = <vecs^T T[h]^2, y>``.
-    This is the evaluation the inner loop of ``bregman_minimize_zeta`` takes
-    in place of ``TaylorModel.zeta`` and ``TaylorModel.zeta_grad``.
+    ``change_and_grad`` is the evaluation the inner loop of
+    ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
+    ``TaylorModel.zeta_grad``.
     """
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
@@ -234,26 +273,28 @@ class EigenbasisZeta:
         self.bundle = bundle
         # zeta - phi = z0 + z2 r^2 + z4 r^4
         self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
+        self.value0 = bundle.value + self.z0
         mat = 0.5 * (bundle.hess + bundle.hess.T)
         if not np.all(np.isfinite(mat)):
             raise SubsolverError("curvature matrix of the model is not finite")
         self.lam, self.vecs = np.linalg.eigh(mat)
         self.gt = self.vecs.T @ bundle.grad
 
-    def value_and_grad(self, y: np.ndarray, h: np.ndarray, vt=None) -> tuple:
-        """``(zeta(h), vecs^T grad zeta(h))`` at ``h = vecs y``.
+    def change_and_grad(self, y: np.ndarray, h: np.ndarray, vt=None) -> tuple:
+        """``(zeta(h) - zeta(0), vecs^T grad zeta(h))`` at ``h = vecs y``.
 
         ``vt``, when given, is ``vecs^T T[h]^2``, which is then not contracted.
+        The change is summed without ``zeta(0) = value0 = f(x) + z0``, so it
+        keeps the precision of its own size rather than that of ``f(x)``.
         """
-        b = self.bundle
         if vt is None:
-            vt = self.vecs.T @ b.third.apply2(h)
+            vt = self.vecs.T @ self.bundle.third.apply2(h)
         r2 = float(y @ y)
         ly = self.lam * y
         g = self.gt + ly + 0.5 * vt + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
-        val = (b.value + float(self.gt @ y) + 0.5 * float(ly @ y)
-               + float(vt @ y) / 6.0 + self.z0 + (self.z2 + self.z4 * r2) * r2)
-        return val, g
+        change = (float(self.gt @ y) + 0.5 * float(ly @ y) + float(vt @ y) / 6.0
+                  + (self.z2 + self.z4 * r2) * r2)
+        return change, g
 
     def line_start(self, h0: np.ndarray) -> tuple:
         """``(y, h, vt)`` at ``alpha h0``, the minimizer of ``zeta`` on the line
@@ -298,30 +339,32 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
     coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)`` (use
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
-    a fixed multiple of ``B``, so ``EigenbasisZeta`` factors ``B`` itself
-    once, and the iterate is kept as its coefficients ``y`` in that
-    eigenbasis. Each step then costs one contraction ``T[h]^2``, two n-by-n
-    matrix-vector products (``h = vecs y`` and ``vecs^T T[h]^2``) and one
-    secular solve, warm-started from the previous step's ``mu``; ``zeta(h)``,
-    ``grad zeta(h)`` and the Bregman linearization are elementwise in the
-    eigenvalues, with the cubic term of the value from
-    ``T[h]^3 = <T[h]^2, h>``.
+    a multiple of ``B``, so ``EigenbasisZeta`` factors ``B`` itself once,
+    and the iterate is kept as its coefficients ``y`` in that eigenbasis.
+    Each step backtracks its relative-smoothness constant in ``[1, k(tau)]``
+    (see the module docstring): a trial costs one contraction ``T[h]^2``,
+    two n-by-n matrix-vector products (``h = vecs y`` and ``vecs^T T[h]^2``)
+    and one secular solve, warm-started from the previous step's ``mu``;
+    ``zeta(h)``, ``grad zeta(h)``, the Bregman linearization and the descent
+    test are elementwise in the eigenvalues, with the cubic term of the value
+    from ``T[h]^3 = <T[h]^2, h>``.
 
     The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
     through 0 and the guess ``h0`` (the previous outer step; 0 when not
     given, which starts the loop at 0): a quartic in ``alpha`` whose
     coefficients come from the contraction ``T[h0]^2``, which the first
     evaluation reuses as ``alpha^2 T[h0]^2``. So a call that takes ``k``
-    steps contracts ``k + 1`` times, and ``zeta`` at the start is at most
-    ``zeta(0)``.
+    steps and rejects ``r`` trials contracts ``k + r + 1`` times, one less
+    for each rejected trial that did not move the iterate, and ``zeta`` at
+    the start is at most ``zeta(0)``.
 
     Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
     ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate
     and its residual when that takes more than ``MAX_INNER_STEPS`` steps, or
-    as soon as a step returns the previous step's ``(y, mu)`` bitwise, which
-    the deterministic map would repeat up to the cap; and ``SubsolverError``
-    when the model is not finite, which is then the only report of an
-    overflow: numpy's overflow warnings are off for the call.
+    as soon as a step at ``k(tau)`` returns the previous step's ``(y, mu)``
+    bitwise, which the deterministic map would repeat up to the cap; and
+    ``SubsolverError`` when the model is not finite, which is then the only
+    report of an overflow: numpy's overflow warnings are off for the call.
     """
     if bundle.p != 3 or budget.p != 3:
         raise ValueError("the Bregman path is the p = 3 solver")
@@ -329,19 +372,19 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ktau = relative_smoothness_constant(config.tau)
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
     zeta = EigenbasisZeta(bundle, budget, config)
-    # every step's quartic: curvature k(tau) (beta_b B + a_coef I), quartic weight k(tau) Q
-    lam_q = ktau * beta_b * zeta.lam + ktau * a_coef
-    b_q = ktau * Q
+    # the quadratic part of rho in eigen coordinates: grad rho(h) is (curv + Q r^2) y
+    curv = beta_b * zeta.lam + a_coef
     stats = InnerStats()
 
     y, h, vt = zeta.line_start(np.zeros(bundle.dim) if h0 is None
                                else np.asarray(h0, dtype=float))
-    mu = None  # secular shift of the previous step, the next step's warm start
+    change, g = zeta.change_and_grad(y, h, vt)
+    const, mu = ktau, None  # the last accepted constant and its secular shift
+    start = max(1.0, SHRINK * ktau)  # the next step's first trial
     while True:
-        val, g = zeta.value_and_grad(y, h, vt)
-        vt = None
         r2 = float(y @ y)
         g_norm = float(np.linalg.norm(g))
+        val = zeta.value0 + change
         if not (math.isfinite(val) and math.isfinite(g_norm)):
             raise SubsolverError(
                 f"smooth model is not finite at ||s|| = {math.sqrt(r2):.3e}")
@@ -354,17 +397,53 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                 f"inner loop exhausted {MAX_INNER_STEPS} steps, residual {g_norm:.3e}",
                 best=h, residual=g_norm,
             )
-        # in eigen coordinates k(tau) grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
-        y_next, mu_next = solve_regularized_quartic(g - (lam_q + b_q * r2) * y, lam_q, b_q, mu)
+        trial = start
+        while True:
+            # the secular shift scales with the constant: mu = trial Q ||y_next||^2
+            guess = None if mu is None else mu * (trial / const)
+            lam_q, b_q = trial * curv, trial * Q
+            # trial grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
+            y_next, mu_next = solve_regularized_quartic(
+                g - (lam_q + b_q * r2) * y, lam_q, b_q, guess)
+            if np.array_equal(y_next, y):
+                if trial < ktau:
+                    # a step that does not move proves nothing: retry at k(tau)
+                    stats.rejected.append((stats.iterations, trial))
+                    trial = ktau
+                    continue
+                if mu_next == guess:
+                    raise SubsolverError(
+                        f"inner loop exhausted at step {stats.iterations + 1} of "
+                        f"{MAX_INNER_STEPS}: it repeats the previous step, "
+                        f"residual {g_norm:.3e}",
+                        best=h, residual=g_norm,
+                    )
+            h_next = zeta.vecs @ y_next
+            change_next, g_next = zeta.change_and_grad(y_next, h_next)
+            if trial == ktau or _descends(change_next - change, g, y, y_next - y, curv, Q, trial):
+                break
+            stats.rejected.append((stats.iterations, trial))
+            trial = min(ktau, GROW * trial)
         stats.iterations += 1
-        if mu_next == mu and np.array_equal(y_next, y):
-            raise SubsolverError(
-                f"inner loop exhausted at step {stats.iterations} of {MAX_INNER_STEPS}: "
-                f"it repeats the previous step, residual {g_norm:.3e}",
-                best=h, residual=g_norm,
-            )
-        y, mu = y_next, mu_next
-        h = zeta.vecs @ y
+        stats.constants.append(trial)
+        # no smaller constant passed the test: the loop keeps k(tau) from here on
+        start = trial if trial == ktau else max(1.0, SHRINK * trial)
+        y, h, change, g, const, mu = y_next, h_next, change_next, g_next, trial, mu_next
+
+
+def _descends(dval, g, y, d, curv, Q, const) -> bool:
+    """Whether ``zeta(h + d) - zeta(h) = dval`` is at most
+    ``<g, d> + const D_rho(y + d, y)``, all in eigen coordinates.
+
+    With ``rho(y) = <curv y, y>/2 + Q ||y||^4/4``, the Bregman distance is
+    ``<curv d, d>/2 + Q/4 ((||y + d||^2 - ||y||^2)^2 + 2 ||y||^2 ||d||^2)``,
+    which sums terms of one sign for ``curv >= 0`` instead of subtracting
+    values of ``rho``. A value that is not finite fails.
+    """
+    dd = float(d @ d)
+    dr2 = float((2.0 * y + d) @ d)
+    bregman = 0.5 * float((curv * d) @ d) + 0.25 * Q * (dr2 * dr2 + 2.0 * float(y @ y) * dd)
+    return dval <= float(g @ d) + const * bregman
 
 
 # ---------------------------------------------------------------------------

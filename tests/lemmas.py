@@ -329,6 +329,20 @@ def rho_hessian(h: np.ndarray, B: np.ndarray, budget: InexactnessBudget,
     return beta_b * B + a_coef * np.eye(n) + Q * (2.0 * np.outer(h, h) + r2 * np.eye(n))
 
 
+def rho_bregman(h_new: np.ndarray, h: np.ndarray, B: np.ndarray,
+                budget: InexactnessBudget, config: ModelConfig) -> float:
+    """Bregman distance ``rho(h_new) - rho(h) - <grad rho(h), h_new - h>`` of
+    the reference function, from its value and gradient."""
+    beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
+
+    def rho(v):
+        r2 = float(v @ v)
+        return 0.5 * beta_b * float(v @ B @ v) + 0.5 * a_coef * r2 + 0.25 * Q * r2 * r2
+
+    grad = beta_b * (B @ h) + (a_coef + Q * float(h @ h)) * h
+    return rho(h_new) - rho(h) - float(grad @ (h_new - h))
+
+
 # ---------------------------------------------------------------------------
 # first-order cross-check of the model solvers
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from tensorstep import (
     run_experiment,
     theoretical_residual_bound,
 )
-from tensorstep import bench, methods
+from tensorstep import bench, methods, subsolvers
 from tensorstep.bench import build_problem, start_point
 from tensorstep.methods import (
     IterationRecord,
@@ -120,6 +120,27 @@ class TestGoldenTraces:
             return sum(r.inner_iters for t in result.traces.values() for r in t.records)
 
         assert inner_total(warm) < inner_total(cold)
+
+    def test_adaptive_constant_only_cuts_inner_steps(self, golden_run, monkeypatch):
+        # the itm-p3 and stm-p3 configs again, with every inner step taken at
+        # the fixed k(tau): SHRINK = 1 makes k(tau) each step's first trial
+        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
+        for name in ("itm-p3", "stm-p3"):
+            adaptive = golden_run(name)[0]
+            fixed = run_experiment(golden_config(name))
+            assert adaptive.traces.keys() == fixed.traces.keys()
+
+            def columns(trace):
+                return [(r.k, r.batch, r.grad_calls, r.hess_calls, r.third_calls)
+                        for r in trace.records]
+
+            for key, trace in adaptive.traces.items():
+                assert columns(trace) == columns(fixed.traces[key])
+
+            def inner_total(result):
+                return sum(r.inner_iters for t in result.traces.values() for r in t.records)
+
+            assert inner_total(adaptive) < inner_total(fixed)
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")
@@ -293,10 +314,24 @@ class TestRunChecks:
         ({"eps": 0.0}, "target accuracy must be positive"),
         ({"kappa": "corollary", "diameter": -1.0}, "needs a positive diameter"),
         ({"mode": "online"}, "unknown mode 'online'"),
-    ], ids=["p", "eps", "diameter", "mode"])
+        ({"eps": math.nan}, "target accuracy must be positive"),
+        ({"eps": math.inf}, "target accuracy must be positive"),
+        ({"eps": True}, "target accuracy must be positive"),
+        ({"max_iter": -1}, "max_iter must be a non-negative integer"),
+        ({"max_iter": 2.5}, "max_iter must be a non-negative integer"),
+        ({"max_iter": 3.0}, "max_iter must be a non-negative integer"),
+        ({"max_iter": True}, "max_iter must be a non-negative integer"),
+    ], ids=["p", "eps", "diameter", "mode", "eps-nan", "eps-inf", "eps-bool",
+            "max-iter-negative", "max-iter-fraction", "max-iter-float", "max-iter-bool"])
     def test_run_config_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**fields)
+
+    @pytest.mark.parametrize("max_iter", [0, np.int64(2)])
+    def test_integer_step_caps_stop_the_run(self, max_iter):
+        problem = make_logistic(n=4, m=40, seed=5)
+        trace = itm_run(problem, np.zeros(4), RunConfig(p=3, max_iter=max_iter))
+        assert trace.status == "max-iter" and trace.final.k == max_iter
 
     @pytest.mark.parametrize("values, flagged", [
         ([3.0, 2.0, 2.5, 1.0, 1.5], [2, 4]),

@@ -214,8 +214,10 @@ class TestZetaAndGrad:
         for _ in range(5):
             y = scale * rng.standard_normal(6)
             h = zeta.vecs @ y
-            value, grad = zeta.value_and_grad(y, h)
-            assert value == pytest.approx(model.zeta(h), rel=1e-12, abs=0.0)
+            change, grad = zeta.change_and_grad(y, h)
+            assert change == pytest.approx(model.zeta(h) - model.zeta(0 * h), rel=1e-12,
+                                           abs=1e-15 * abs(model.zeta(h)))
+            assert zeta.value0 + change == pytest.approx(model.zeta(h), rel=1e-12, abs=0.0)
             # the two evaluations round differently, each to about ||grad zeta||
             direct = model.zeta_grad(h)
             tol = 1e-14 * max(1.0, float(np.linalg.norm(direct)))

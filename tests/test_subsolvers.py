@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from tensorstep.subsolvers import (
     rho_reference_coefficients,
 )
 
-from lemmas import generic_model_minimize, rho_hessian, zeta_hess
+from lemmas import generic_model_minimize, rho_bregman, rho_hessian, zeta_hess
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,16 @@ def next_step(p3_setup):
     return exact_bundle(prob, bundle.x + h_prev, 3), h_prev
 
 
+def accepted_contractions(stats):
+    """Indices, among a call's contractions in order, of its start and of each
+    accepted step: the rejected trials of a step come before its accepted one."""
+    rejected_at = collections.Counter(step for step, _ in stats.rejected)
+    indices = [0]
+    for step in range(stats.iterations):
+        indices.append(indices[-1] + rejected_at[step] + 1)
+    return indices
+
+
 class TestBregman:
     def test_quadratic_matches_single_quartic_solve(self, rng):
         prob = make_quadratic(5, seed=32)
@@ -302,14 +313,15 @@ class TestBregman:
         for third in (bundle.third, next_step[0].third):
             for name in calls:
                 monkeypatch.setattr(third, name, counting(third, name))
+        # one contraction per trial: an accepted trial's serves the next step
         _, stats = bregman_minimize_zeta(bundle, budget, config)
-        assert stats.iterations > 0
-        assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
+        assert stats.iterations > 0 and stats.rejected
+        assert calls == {"apply2": stats.iterations + len(stats.rejected) + 1, "apply3": 0}
         # a warm start's one contraction serves its line search and first evaluation
         calls["apply2"] = 0
         _, stats = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
         assert stats.iterations > 0
-        assert calls == {"apply2": stats.iterations + 1, "apply3": 0}
+        assert calls == {"apply2": stats.iterations + len(stats.rejected) + 1, "apply3": 0}
 
     @pytest.mark.parametrize("sampled, warm", [
         (False, False), (True, False), (False, True), (True, True)],
@@ -337,7 +349,9 @@ class TestBregman:
         h, stats = bregman_minimize_zeta(bundle, budget, config, h0)
         monkeypatch.undo()
         assert stats.iterations > 0
-        assert len(iterates) == stats.iterations + 1 and np.array_equal(iterates[-1], h)
+        assert len(iterates) == stats.iterations + len(stats.rejected) + 1
+        assert np.array_equal(iterates[-1], h)
+        iterates = [iterates[i] for i in accepted_contractions(stats)]
         if warm:
             # the first contraction is of h0; the first record is at alpha h0,
             # whose contraction the loop takes as alpha^2 T[h0]^2
@@ -369,7 +383,10 @@ class TestBregman:
         assert err.value.residual > 0
 
     def test_repeated_step_ends_the_loop(self, p3_setup, monkeypatch):
-        # from the third step on, the map returns the second step's (y, mu)
+        # from the third quartic on, the map returns the second one's (y, mu),
+        # the second step's. The third step's first trial does not move, so it
+        # is retried at k(tau) and taken there; the fourth step, at k(tau) with
+        # that mu as its warm start, repeats it
         _, bundle, budget, config, _ = p3_setup
         solve = subsolvers.solve_regularized_quartic
         steps = []
@@ -380,9 +397,9 @@ class TestBregman:
 
         monkeypatch.setattr(subsolvers, "solve_regularized_quartic", stalling)
         with pytest.raises(SubsolverError,
-                           match="exhausted at step 3 of 200: it repeats") as err:
+                           match="exhausted at step 4 of 200: it repeats") as err:
             bregman_minimize_zeta(bundle, budget, config)
-        assert len(steps) == 3
+        assert len(steps) == 5
         assert err.value.best is not None and err.value.residual > 0
 
     def test_relative_smoothness_sandwich(self, p3_setup, rng):
@@ -407,6 +424,84 @@ class TestBregman:
         with pytest.raises(ValueError):
             bregman_minimize_zeta(bundle, InexactnessBudget(1e-2, (0.0, 0.0)),
                                   ModelConfig(sigma=1.0))
+
+
+@pytest.fixture(scope="module", params=["exact", "sampled"])
+def backtracked(request, p3_setup):
+    """``(bundle, stats, iterates)`` of one cold call on an exact bundle and on
+    an STM bundle, with ``iterates`` the start and each accepted step."""
+    prob, bundle, budget, config, _ = p3_setup
+    if request.param == "sampled":
+        bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
+                               np.random.default_rng(5))
+    contracted = []
+    third = RankOneSumTensor3(bundle.third.rows, bundle.third.weights)
+    contract = third.apply2
+
+    def recording(s):
+        contracted.append(np.array(s))
+        return contract(s)
+
+    third.apply2 = recording
+    recorded = DerivativeBundle(x=bundle.x, value=bundle.value, grad=bundle.grad,
+                                hess=bundle.hess, third=third)
+    h, stats = bregman_minimize_zeta(recorded, budget, config)
+    assert len(contracted) == stats.iterations + len(stats.rejected) + 1
+    assert np.array_equal(contracted[-1], h)
+    return bundle, stats, [contracted[i] for i in accepted_contractions(stats)]
+
+
+class TestBacktracking:
+    """The inner loop's relative-smoothness constant, found by backtracking."""
+
+    def test_accepted_steps_satisfy_the_descent_inequality(self, p3_setup, backtracked):
+        _, _, budget, config, _ = p3_setup
+        bundle, stats, iterates = backtracked
+        ktau = relative_smoothness_constant(config.tau)
+        assert len(stats.constants) == stats.iterations
+        assert all(1.0 <= c <= ktau for c in stats.constants)
+        assert min(stats.constants) < ktau
+        model = TaylorModel(bundle, budget, config)
+        B = 0.5 * (bundle.hess + bundle.hess.T)
+        for h, h_new, const in zip(iterates, iterates[1:], stats.constants):
+            d = h_new - h
+            lhs = model.zeta(h_new) - model.zeta(h) - float(model.zeta_grad(h) @ d)
+            rhs = const * rho_bregman(h_new, h, B, budget, config)
+            assert lhs <= rhs + 1e-14 * max(1.0, abs(model.zeta(h)))
+
+    def test_model_value_does_not_increase(self, backtracked):
+        vals = backtracked[1].zeta_values
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_trial_at_k_tau_is_never_rejected(self, p3_setup, backtracked):
+        ktau = relative_smoothness_constant(p3_setup[3].tau)
+        stats = backtracked[1]
+        assert stats.rejected
+        assert all(1.0 <= const < ktau for _, const in stats.rejected)
+
+    def test_failed_tests_fall_back_to_k_tau(self, p3_setup, monkeypatch):
+        # with every test failing, the first step grows its trial to k(tau), and
+        # from there each step is the fixed loop's
+        _, bundle, budget, config, _ = p3_setup
+        ktau = relative_smoothness_constant(config.tau)
+        h_adaptive, _ = bregman_minimize_zeta(bundle, budget, config)
+        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+        h, stats = bregman_minimize_zeta(bundle, budget, config)
+        assert stats.constants == [ktau] * stats.iterations
+        assert stats.rejected == [(0, subsolvers.SHRINK * ktau)]
+        assert stats.grad_norms[-1] <= subsolvers.INNER_GRAD_TOL
+        assert np.linalg.norm(h - h_adaptive) <= 1e-7 * np.linalg.norm(h_adaptive)
+
+    def test_no_shrink_is_the_fixed_loop(self, p3_setup, backtracked, monkeypatch):
+        # SHRINK = 1 tries k(tau) first at every step, which needs no test
+        _, _, budget, config, _ = p3_setup
+        bundle, adaptive, _ = backtracked
+        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
+        monkeypatch.setattr(subsolvers, "_descends", None)
+        _, fixed = bregman_minimize_zeta(bundle, budget, config)
+        ktau = relative_smoothness_constant(config.tau)
+        assert fixed.constants == [ktau] * fixed.iterations and not fixed.rejected
+        assert fixed.iterations > adaptive.iterations + len(adaptive.rejected)
 
 
 class TestWarmStart:
@@ -582,7 +677,8 @@ class TestSecularRoot:
 
         monkeypatch.setattr(subsolvers, "_secular_root", both)
         _, stats = bregman_minimize_zeta(bundle, budget, config)
-        assert len(pairs) == stats.iterations > 1
+        # one root per trial
+        assert len(pairs) == stats.iterations + len(stats.rejected) > 1
         assert pairs[0][2] is None and all(t0 is not None for _, _, t0 in pairs[1:])
         for warm, cold, _ in pairs:
             assert abs(warm - cold) <= 1e-12 * cold
