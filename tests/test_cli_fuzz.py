@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import random
+import traceback
 import warnings
 
 import pytest
@@ -192,8 +193,8 @@ CASES = cases()
 
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
-    """Per case: the exit code, or the exception that escaped ``main``, and
-    the messages of the ``RuntimeWarning``s it issued."""
+    """Per case: the exit code, or the traceback of the exception that escaped
+    ``main``, and the messages of the ``RuntimeWarning``s it issued."""
     folder = tmp_path_factory.mktemp("fuzz")
     out = []
     for index, (command, data, extra) in enumerate(CASES):
@@ -205,8 +206,8 @@ def outcomes(tmp_path_factory):
             warnings.simplefilter("always")
             try:
                 result = cli.main([command, "--config", str(path), *extra])
-            except Exception as exc:  # noqa: BLE001 - the escape is the failure
-                result = f"{type(exc).__name__}: {exc}"
+            except Exception:  # noqa: BLE001 - the escape is the failure
+                result = traceback.format_exc(limit=-3)
         out.append((result, [str(w.message) for w in caught
                              if issubclass(w.category, RuntimeWarning)]))
     return out

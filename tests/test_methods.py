@@ -93,6 +93,24 @@ def golden_run(tmp_path_factory):
     return run
 
 
+def assert_only_fewer_inner_steps(result, baseline):
+    """``result`` has the iterations, batches and call counts of ``baseline``,
+    in fewer inner steps."""
+    assert result.traces.keys() == baseline.traces.keys()
+
+    def columns(trace):
+        return [(r.k, r.batch, r.grad_calls, r.hess_calls, r.third_calls)
+                for r in trace.records]
+
+    for key, trace in result.traces.items():
+        assert columns(trace) == columns(baseline.traces[key])
+
+    def inner_total(run):
+        return sum(r.inner_iters for t in run.traces.values() for r in t.records)
+
+    assert inner_total(result) < inner_total(baseline)
+
+
 class TestGoldenTraces:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_replay_is_byte_identical(self, name, golden_run):
@@ -106,41 +124,14 @@ class TestGoldenTraces:
         solve = methods.bregman_minimize_zeta
         monkeypatch.setattr(methods, "bregman_minimize_zeta",
                             lambda bundle, budget, config, h0=None: solve(bundle, budget, config))
-        cold = run_experiment(golden_config("itm-p3"))
-        assert warm.traces.keys() == cold.traces.keys()
+        assert_only_fewer_inner_steps(warm, run_experiment(golden_config("itm-p3")))
 
-        def columns(trace):
-            return [(r.k, r.batch, r.grad_calls, r.hess_calls, r.third_calls)
-                    for r in trace.records]
-
-        for key, trace in warm.traces.items():
-            assert columns(trace) == columns(cold.traces[key])
-
-        def inner_total(result):
-            return sum(r.inner_iters for t in result.traces.values() for r in t.records)
-
-        assert inner_total(warm) < inner_total(cold)
-
-    def test_adaptive_constant_only_cuts_inner_steps(self, golden_run, monkeypatch):
-        # the itm-p3 and stm-p3 configs again, with every inner step taken at
-        # the fixed k(tau): SHRINK = 1 makes k(tau) each step's first trial
+    @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
+    def test_adaptive_constant_only_cuts_inner_steps(self, golden_run, monkeypatch, name):
+        # the config again with every inner step taken at the fixed k(tau):
+        # SHRINK = 1 makes k(tau) each step's first trial
         monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
-        for name in ("itm-p3", "stm-p3"):
-            adaptive = golden_run(name)[0]
-            fixed = run_experiment(golden_config(name))
-            assert adaptive.traces.keys() == fixed.traces.keys()
-
-            def columns(trace):
-                return [(r.k, r.batch, r.grad_calls, r.hess_calls, r.third_calls)
-                        for r in trace.records]
-
-            for key, trace in adaptive.traces.items():
-                assert columns(trace) == columns(fixed.traces[key])
-
-            def inner_total(result):
-                return sum(r.inner_iters for t in result.traces.values() for r in t.records)
-
-            assert inner_total(adaptive) < inner_total(fixed)
+        assert_only_fewer_inner_steps(golden_run(name)[0], run_experiment(golden_config(name)))
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")

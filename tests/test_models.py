@@ -215,8 +215,6 @@ class TestZetaAndGrad:
             y = scale * rng.standard_normal(6)
             h = zeta.vecs @ y
             change, grad = zeta.change_and_grad(y, h)
-            assert change == pytest.approx(model.zeta(h) - model.zeta(0 * h), rel=1e-12,
-                                           abs=1e-15 * abs(model.zeta(h)))
             assert zeta.value0 + change == pytest.approx(model.zeta(h), rel=1e-12, abs=0.0)
             # the two evaluations round differently, each to about ||grad zeta||
             direct = model.zeta_grad(h)
