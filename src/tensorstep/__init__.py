@@ -57,7 +57,6 @@ from .methods import (
     monotonicity_guard,
     reference_solution,
     stm_run,
-    theoretical_residual_bound,
 )
 from .bench import (
     ComplexitySummary,

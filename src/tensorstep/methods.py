@@ -25,19 +25,16 @@ previous outer step.
 from the concentration lemmas and samples the bundle. ``gd_baseline`` takes
 a (momentum) gradient step.
 
-The theory-side calculators mirror the convergence analysis:
-
-* ``theoretical_residual_bound(t, ...)`` evaluates the objective-residual
-  bound after ``t + 1`` iterations,
-* ``kappa_defaults`` produces the per-order tolerance choice
-  ``kappa_i ~ L^((i-1)/p) i! / D^((p-i+1)/p)``. As printed, those values are
-  inconsistent with the paper's iteration budget ``T``, the root of
-  ``(T+p+1)^p = (p+1)^(p+2)/(p+1)! * (L_p + p sigma)/eps * D^(p+1)``
-  (``tests/lemmas.py`` computes it): the order-1 term alone contributes
-  ``2 (p+1) eps`` to the bound, so the residual target can never be met.
-  ``kappa_defaults`` therefore scales order ``i`` by ``1 / (2 (p+1)^(i+1))``,
-  which makes every term of the bound at the budget at most ``eps / (p+1)``
-  and the total at most ``eps``.
+The theory-side calculator ``kappa_defaults`` produces the per-order
+tolerance choice ``kappa_i ~ L^((i-1)/p) i! / D^((p-i+1)/p)``. As printed,
+those values are inconsistent with the paper's iteration budget ``T``, the
+root of ``(T+p+1)^p = (p+1)^(p+2)/(p+1)! * (L_p + p sigma)/eps * D^(p+1)``:
+the order-1 term alone contributes ``2 (p+1) eps`` to the objective-residual
+bound, so the residual target can never be met. ``kappa_defaults`` therefore
+scales order ``i`` by ``1 / (2 (p+1)^(i+1))``, which makes every term of the
+bound at the budget at most ``eps / (p+1)`` and the total at most ``eps``.
+The budget and the bound, which no run evaluates, are computed in
+``tests/lemmas.py``.
 
 Whether a sampled bundle meets the per-order inexactness condition is
 checked outside the loop, by ``sampling.verify_condition`` (the CLI's
@@ -82,24 +79,6 @@ def kappa_defaults(lip_top: float, diameter: float, p: int) -> tuple:
         raw /= 2.0 * (p + 1) ** (i + 1)
         out.append(raw)
     return tuple(out)
-
-
-def theoretical_residual_bound(t: float, kappas, eps: float, diameter: float,
-                               lip_top: float, sigma: float, p: int) -> float:
-    """Objective-residual bound after ``t + 1`` iterations.
-
-    ``2 sum_i kappa_i eps^((p-i+1)/p) D^i / i! * (p+1)^i / (t+p+1)^(i-1)
-    + (L_p + p sigma)/(p+1)! * (p+1)^(p+1) / (t+p+1)^p * D^(p+1)``.
-    """
-    if t < 0:
-        raise ValueError("iteration index must be nonnegative")
-    base = t + p + 1
-    total = (lip_top + p * sigma) / math.factorial(p + 1) \
-        * (p + 1) ** (p + 1) / base ** p * diameter ** (p + 1)
-    for i in range(1, p + 1):
-        total += 2.0 * kappas[i - 1] * eps ** ((p - i + 1) / p) * diameter ** i \
-            / math.factorial(i) * (p + 1) ** i / base ** (i - 1)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ EXACT = "exact"
 #: Largest batch a draw can take: numpy's samplers count in int64.
 MAX_BATCH = int(np.iinfo(np.int64).max)
 
-#: Safety factor applied to the randomized (lower-bound) order-3 norm
-#: estimate before comparing against kappa_3.
+#: Safety factor applied to the order-3 norm estimate, a power-method lower
+#: bound (``linalg.t3_norm_estimate``), before comparing against kappa_3.
 THIRD_ORDER_SAFETY = 2.0
 
 
@@ -182,8 +182,9 @@ class ConditionReport:
     """Measured per-order deviation ratios against their tolerances.
 
     ``ratios[i-1]`` estimates ``sup_s ||(G_i - D^i f)[s]^(i-1)|| /
-    (eps^((p-i+1)/p) ||s||^(i-1))``; the order-3 entry is a randomized lower
-    bound and its pass flag applies the declared safety factor.
+    (eps^((p-i+1)/p) ||s||^(i-1))``; the order-3 entry is a lower bound, by
+    the power method from seeded random directions, and its pass flag
+    applies the declared safety factor.
     """
 
     ratios: tuple
@@ -191,12 +192,14 @@ class ConditionReport:
 
 
 def verify_condition(problem, bundle: DerivativeBundle, budget: InexactnessBudget,
-                     rng=None) -> ConditionReport:
+                     rng) -> ConditionReport:
     """Compare sampled derivatives against exact ones, order by order.
 
     Orders 1 and 2 are exact (vector norm, symmetric operator norm); order 3
-    uses the randomized lower-bound estimator with ``THIRD_ORDER_SAFETY``
-    folded into the pass threshold. Requires exact derivatives (test mode).
+    takes the power-method lower bound ``t3_norm_estimate``, seeded from
+    ``rng`` and contracting the difference tensor only by ``apply2``, with
+    ``THIRD_ORDER_SAFETY`` folded into the pass threshold. Requires exact
+    derivatives (test mode).
     """
     p = bundle.p
     x = bundle.x
@@ -212,7 +215,7 @@ def verify_condition(problem, bundle: DerivativeBundle, budget: InexactnessBudge
     passes.append(r2 <= budget.kappa(2))
 
     if p >= 3:
-        seed = int(rng.integers(0, 2 ** 31 - 1)) if rng is not None else 0
+        seed = int(rng.integers(0, 2 ** 31 - 1))
         err = bundle.third - problem.third(x)
         est = t3_norm_estimate(err, n_dirs=32, seed=seed)
         r3 = est / budget.eps_power(3)

@@ -48,3 +48,20 @@ def central_diff_jacobian(g, x, h=1e-6):
 def symmetrized_fd_hessian(g, x, h=1e-6):
     jac = central_diff_jacobian(g, x, h)
     return 0.5 * (jac + jac.T)
+
+
+def sphere_grid_norm(tensor):
+    """Largest ``||T[s]^2||`` over a 120 x 240 polar grid of the unit sphere in R^3.
+
+    A brute-force oracle for ``t3_norm_estimate`` in dimension 3; the grid is
+    itself only a lower bound of the true maximum.
+    """
+    phis = np.linspace(0, 2 * np.pi, 240, endpoint=False)
+    best = 0.0
+    for th in np.linspace(0, np.pi, 120):
+        dirs = np.column_stack([np.sin(th) * np.cos(phis), np.sin(th) * np.sin(phis),
+                                np.full(phis.size, np.cos(th))])
+        proj = tensor.rows @ dirs.T
+        vals = (tensor.weights[:, None] * proj * proj).T @ tensor.rows
+        best = max(best, float(np.linalg.norm(vals, axis=1).max()))
+    return best

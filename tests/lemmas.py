@@ -17,8 +17,9 @@ are called from the tests only:
 * the Taylor-residual bounds of an inexact model on the value, gradient and
   Hessian (``residual_bound_report``) and the two-sided Hessian bound
   ``0 <= hess f(x+s) <= hess phi(s) + shift I`` (``hessian_sandwich_report``);
-* the iteration budget ``T`` that the default kappas are scaled to meet
-  (``iteration_budget``);
+* the objective-residual bound after ``t + 1`` iterations
+  (``theoretical_residual_bound``) and the iteration budget ``T`` at which
+  the default kappas make it at most ``eps`` (``iteration_budget``);
 * the sigma coupling ``2 sigma + 2 kappa_3 = 3 tau^2 (L_3 + kappa_3)``
   (``coupling_residual``) and the relative-smoothness sandwich
   ``hess rho <= hess zeta <= k(tau) hess rho`` of the Bregman inner solver
@@ -291,7 +292,7 @@ def hessian_sandwich_report(problem, bundle: DerivativeBundle, budget: Inexactne
 
 
 # ---------------------------------------------------------------------------
-# the iteration budget
+# the iteration budget and the residual bound
 # ---------------------------------------------------------------------------
 
 def iteration_budget(eps: float, lip_top: float, sigma: float, diameter: float,
@@ -308,6 +309,24 @@ def iteration_budget(eps: float, lip_top: float, sigma: float, diameter: float,
     rhs = (p + 1) ** (p + 2) / math.factorial(p + 1) * (lip_top + p * sigma) / eps \
         * diameter ** (p + 1)
     return max(0, math.ceil(rhs ** (1.0 / p) - (p + 1)))
+
+
+def theoretical_residual_bound(t: float, kappas, eps: float, diameter: float,
+                               lip_top: float, sigma: float, p: int) -> float:
+    """Objective-residual bound after ``t + 1`` iterations.
+
+    ``2 sum_i kappa_i eps^((p-i+1)/p) D^i / i! * (p+1)^i / (t+p+1)^(i-1)
+    + (L_p + p sigma)/(p+1)! * (p+1)^(p+1) / (t+p+1)^p * D^(p+1)``.
+    """
+    if t < 0:
+        raise ValueError("iteration index must be nonnegative")
+    base = t + p + 1
+    total = (lip_top + p * sigma) / math.factorial(p + 1) \
+        * (p + 1) ** (p + 1) / base ** p * diameter ** (p + 1)
+    for i in range(1, p + 1):
+        total += 2.0 * kappas[i - 1] * eps ** ((p - i + 1) / p) * diameter ** i \
+            / math.factorial(i) * (p + 1) ** i / base ** (i - 1)
+    return total
 
 
 # ---------------------------------------------------------------------------

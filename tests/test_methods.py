@@ -31,7 +31,6 @@ from tensorstep import (
     make_quadratic,
     reference_solution,
     run_experiment,
-    theoretical_residual_bound,
 )
 from tensorstep import bench, methods, subsolvers
 from tensorstep.bench import build_problem, start_point
@@ -45,7 +44,7 @@ from tensorstep.methods import (
     stm_run,
 )
 
-from lemmas import iteration_budget
+from lemmas import iteration_budget, theoretical_residual_bound
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

@@ -9,6 +9,7 @@ import pytest
 from tensorstep import (
     EXACT,
     InexactnessBudget,
+    RankOneSumTensor3,
     batch_size_offline,
     batch_size_online,
     exact_bundle,
@@ -20,6 +21,8 @@ from tensorstep import (
 )
 from tensorstep.bench import start_point
 from tensorstep.methods import default_profile
+
+from conftest import sphere_grid_norm
 
 EPS = 1e-3
 DELTA = 0.1
@@ -155,3 +158,34 @@ class TestPlanAndBundle:
             bundle = sample_bundle(problem, x0, plan, rng)
             passes += verify_condition(problem, bundle, budget, rng=rng).passes
         assert np.all(passes / trials >= 1.0 - DELTA)
+
+
+class TestOrderThreeCondition:
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        """A sampled bundle of a logistic problem in R^3 whose order 3 is sampled."""
+        problem = make_logistic(3, 300)
+        x0 = start_point(problem, 1.0, 0)
+        budget = InexactnessBudget(EPS, (100.0, 100.0, 100.0))
+        plan = plan_batches(budget, DELTA, problem, default_profile(problem, x0))
+        assert plan.size(3) < problem.m
+        return problem, sample_bundle(problem, x0, plan, np.random.default_rng(0)), budget
+
+    def test_bound_meets_the_spherical_grid_without_forming_matrices(self, sampled,
+                                                                     monkeypatch):
+        def no_matrix(tensor, s):
+            raise AssertionError("verify_condition formed the n-by-n matrix T[s]")
+
+        monkeypatch.setattr(RankOneSumTensor3, "apply", no_matrix)
+        problem, bundle, budget = sampled
+        report = verify_condition(problem, bundle, budget, rng=np.random.default_rng(0))
+        grid = sphere_grid_norm(bundle.third - problem.third(bundle.x))
+        assert report.ratios[2] * budget.eps_power(3) == pytest.approx(grid, rel=1e-3)
+
+    @pytest.mark.parametrize("margin, passes", [(1.9, False), (2.1, True)])
+    def test_order_three_fails_within_the_safety_factor(self, sampled, margin, passes):
+        problem, bundle, budget = sampled
+        r3 = verify_condition(problem, bundle, budget, rng=np.random.default_rng(0)).ratios[2]
+        tight = InexactnessBudget(EPS, (100.0, 100.0, margin * r3))
+        report = verify_condition(problem, bundle, tight, rng=np.random.default_rng(0))
+        assert report.passes[2] is passes
