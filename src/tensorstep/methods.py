@@ -51,7 +51,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import StartPointError, SubsolverError
+from .errors import ConfigError, StartPointError, SubsolverError
 from .models import DerivativeBundle, InexactnessBudget, ModelConfig
 from .problems import LipschitzProfile
 from .sampling import EXACT, BatchPlan, plan_batches, sample_bundle
@@ -181,13 +181,18 @@ def resolve_model(config: RunConfig, profile: LipschitzProfile):
     kappa is zero (``"exact"``), ``kappa_defaults`` (``"corollary"``) or the
     explicit sequence. sigma is L_p at p=2, whose solve does not read tau, and
     the tau coupling at p=3, whose inner solver's proved relative-smoothness
-    constants require it.
+    constants require it. Corollary tolerances that are not finite (a
+    ``diameter`` so small that ``1/diameter`` overflows) raise ``ConfigError``.
     """
     p, lip_top = config.p, profile.lip(config.p)
     if config.kappa == "exact":
         kappas = (0.0,) * p
     elif config.kappa == "corollary":
         kappas = kappa_defaults(lip_top, config.diameter, p)
+        if not all(map(math.isfinite, kappas)):
+            shown = ", ".join(f"{k:.3g}" for k in kappas)
+            raise ConfigError([f"diameter: {config.diameter:g} makes the corollary "
+                               f"tolerances ({shown}) overflow"])
     else:
         kappas = tuple(float(k) for k in config.kappa)
         if len(kappas) != p:

@@ -165,13 +165,14 @@ class QuadraticProblem:
         n = b.size
         if A.shape != (n, n):
             raise DimensionMismatchError(f"A has shape {A.shape}, b has size {n}")
-        dev = float(np.abs(A - A.T).max())
-        if dev > 1e-12 * max(1.0, float(np.abs(A).max())):
+        # by halves, so that neither A + A.T nor A - A.T can overflow
+        half, half_t = 0.5 * A, 0.5 * A.T
+        if float(np.abs(half - half_t).max()) > 0.5e-12 * max(1.0, float(np.abs(A).max())):
             raise ValueError("A must be symmetric")
-        eigs = np.linalg.eigvalsh(A)
+        self.A = half + half_t
+        eigs = np.linalg.eigvalsh(self.A)
         if eigs.min() < -1e-10 * max(1.0, eigs.max()):
             raise ValueError(f"A must be PSD, min eigenvalue {eigs.min():.3e}")
-        self.A = 0.5 * (A + A.T)
         self.b = b
         self.dim = n
         self.m = 1
@@ -523,13 +524,18 @@ class LogisticProblem:
 # ---------------------------------------------------------------------------
 
 def make_quadratic(n: int, seed: int = 0, cond: float = 10.0) -> QuadraticProblem:
-    """Random SPD quadratic with eigenvalues spread over [1/cond, 1]."""
+    """Random SPD quadratic with eigenvalues spread over [1/cond, 1].
+
+    Raises ``ValueError`` when ``1/cond`` is not finite.
+    """
+    if not math.isfinite(1.0 / cond):
+        raise ValueError(f"cond {cond:g} is too small: 1/cond overflows")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.geomspace(1.0 / cond, 1.0, n)
     A = (q * eigs) @ q.T
     b = rng.standard_normal(n) / math.sqrt(n)
-    return QuadraticProblem(0.5 * (A + A.T), b)
+    return QuadraticProblem(A, b)
 
 
 def make_logistic(n: int, m: int, seed: int = 0, mu: float = 1e-3,

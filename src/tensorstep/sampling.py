@@ -22,6 +22,7 @@ failure probability is split evenly across orders.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ EXACT = "exact"
 #: Largest batch a draw can take: numpy's samplers count in int64.
 MAX_BATCH = int(np.iinfo(np.int64).max)
 
+#: The exact and the sampled oracle of each derivative order, by name: they
+#: are looked up on the problem at call time.
+ORACLES = (("gradient", "batch_gradient"), ("hessian", "batch_hessian"),
+           ("third", "batch_third"))
+
 #: Safety factor applied to the order-3 norm estimate, a power-method lower
 #: bound (``linalg.t3_norm_estimate``), before comparing against kappa_3.
 THIRD_ORDER_SAFETY = 2.0
@@ -45,16 +51,13 @@ THIRD_ORDER_SAFETY = 2.0
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Per-order batch sizes; ``EXACT`` marks an exact derivative."""
+    """Batch sizes of orders 1, 2, ... in ``sizes``; ``EXACT`` marks an exact derivative."""
 
     sizes: tuple
 
     def __post_init__(self):
         if any((s != EXACT and s < 1) for s in self.sizes):
             raise ValueError("batch sizes must be at least 1")
-
-    def size(self, order: int):
-        return self.sizes[order - 1]
 
 
 def _log_terms(order: int, dim: int, delta: float) -> float:
@@ -92,8 +95,10 @@ def batch_size_offline(order: int, budget: InexactnessBudget, delta: float,
     """Smallest without-replacement batch size meeting the tail bound.
 
     Never exceeds ``m``: the variance factor vanishes at the full batch, so
-    ``m`` satisfies the bound for any positive deviation target. ``delta``
-    is in (0, 1], as ``plan_batches`` checks.
+    ``m`` satisfies the bound for any positive deviation target. The tail
+    predicate is monotone in ``n``, so ``bisect`` finds its first ``n`` in
+    ``1 .. m-1``, and ``m`` when there is none. ``delta`` is in (0, 1], as
+    ``plan_batches`` checks.
     """
     if m < 1:
         raise ValueError("need at least one component")
@@ -105,28 +110,23 @@ def batch_size_offline(order: int, budget: InexactnessBudget, delta: float,
     rhs = _log_terms(order, dim, delta)
 
     def satisfied(n):
-        if n >= m:
-            return True
         return t * t * n * n / (2.0 * s * s * (n + 1) * (1.0 - n / m)) >= rhs
 
-    lo, hi = 1, m
-    if satisfied(lo):
-        return lo
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return 1 + bisect.bisect_left(range(1, m), True, key=satisfied)
 
 
 def plan_batches(budget: InexactnessBudget, delta: float, problem,
                  profile: LipschitzProfile) -> BatchPlan:
-    """Per-order plan with the failure probability split evenly across orders."""
+    """Per-order plan with the failure probability split evenly across orders.
+
+    Raises ``ConfigError`` when ``delta / p`` underflows to 0, whose
+    ``ln(2/delta)`` term has no value.
+    """
     if not 0 < delta <= 1:
         raise ValueError("confidence delta must be in (0, 1]")
     per_order_delta = delta / budget.p
+    if per_order_delta == 0.0:
+        raise ConfigError([f"delta: {delta:g} split over {budget.p} orders underflows to 0"])
     sizes = []
     for i in range(1, budget.p + 1):
         if problem.mode == "offline":
@@ -143,36 +143,29 @@ def sample_bundle(problem, x, plan: BatchPlan, rng,
     """The derivative bundle at ``x`` of order ``len(plan.sizes)``, sampled per ``plan``.
 
     The one builder of the bundles a run takes: an all-``EXACT`` plan (and
-    then no ``rng``) gives the exact bundle. Each sampled order draws its own
-    ``(rows, weights)`` pair with ``problem.draw`` and reduces over those
-    support rows only, so it costs its support rather than ``m``. An
-    ``EXACT`` entry and a draw that touches every row (``rows=None``:
-    offline, a full batch) take the all-rows reduction of the exact
-    derivatives, which is why they reproduce them bitwise. A logistic
-    gradient or Hessian whose support covers at least
-    ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path too, with
-    zero weights off the support. Every order, sampled or exact, reads the
-    margins the problem keeps for ``x``, so the bundle makes one pass over
-    the features (none when ``f(x)`` was just evaluated). The bundle value
-    is the exact ``f(x)``: ``value`` when the caller already has it, else one
-    ``problem.value`` call.
+    then no ``rng``) gives the exact bundle. Every order takes the same step,
+    orders 1, 2, 3 in turn, since the ``rng`` stream follows that order: an
+    ``EXACT`` entry calls the order's exact oracle in ``ORACLES``; a size
+    draws the order's own ``(rows, weights)`` pair with ``problem.draw`` and
+    calls its batch oracle, which reduces over those support rows only, so it
+    costs its support rather than ``m``. The oracles are looked up on
+    ``problem`` at each call, and a two-entry plan touches no third-order
+    method and leaves ``third`` empty. An ``EXACT`` entry and a draw that
+    touches every row (``rows=None``: offline, a full batch) take the
+    all-rows reduction of the exact derivatives, which is why they reproduce
+    them bitwise. A logistic gradient or Hessian whose support covers at
+    least ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path
+    too, with zero weights off the support. Every order, sampled or exact,
+    reads the margins the problem keeps for ``x``, so the bundle makes one
+    pass over the features (none when ``f(x)`` was just evaluated). The
+    bundle value is the exact ``f(x)``: ``value`` when the caller already
+    has it, else one ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
-
-    def batch(order):
-        size = plan.size(order)
-        if size == EXACT:
-            return None
-        return problem.draw(size, rng)
-
-    draw1 = batch(1)
-    grad = problem.gradient(x) if draw1 is None else problem.batch_gradient(x, draw1)
-    draw2 = batch(2)
-    hess = problem.hessian(x) if draw2 is None else problem.batch_hessian(x, draw2)
-    third = None
-    if len(plan.sizes) >= 3:
-        draw3 = batch(3)
-        third = problem.third(x) if draw3 is None else problem.batch_third(x, draw3)
+    derivatives = [getattr(problem, exact)(x) if size == EXACT
+                   else getattr(problem, batch)(x, problem.draw(size, rng))
+                   for size, (exact, batch) in zip(plan.sizes, ORACLES)]
+    grad, hess, third = derivatives + [None] * (len(ORACLES) - len(derivatives))
     value = problem.value(x) if value is None else value
     return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third)
 

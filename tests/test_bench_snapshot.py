@@ -116,6 +116,30 @@ def test_verdict_by_pairs_and_parent_iqr(tmp_path, capsys, case, shift, expected
     assert out["outer_iters"][-1] == "unresolved"  # ties never make a gain
 
 
+@pytest.mark.parametrize("factor,expected", [(1.3, "worse"), (1.2, "unresolved")])
+def test_worse_beyond_the_benchmark_bound(tmp_path, capsys, factor, expected):
+    """A median above the parent's by more than the metric's relative bound in
+    BENCHMARK.json (25% for solve_s) is "worse"; within it, "unresolved"."""
+    assert bench_snapshot.end_to_end_bounds()["solve_s"] == 0.25
+    for seed, base in enumerate(PARENT_SOLVE_S, start=1):
+        write_result(tmp_path / "parent", seed, base, env={**ENV, "git_sha": "p"})
+        write_result(tmp_path / "change", seed, base * factor)
+    assert snapshot(tmp_path, tmp_path / "parent", label="parent")[0] == 0
+    code, data = snapshot(tmp_path, tmp_path / "change")
+    assert code == 0
+    out = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert out["solve_s"][-1] == expected
+    assert out["outer_iters"][-1] == "unresolved"  # unchanged
+    row = {row[0]: row for row in bench_snapshot.compare(data)}["solve_s"]
+    assert bench_snapshot.verdict(row, 0.45) == "unresolved"  # no bound, never worse
+
+
+def test_worse_from_a_zero_parent_median():
+    row = ("failed", "count", 0.0, 1.0, None, 0, 10)
+    assert bench_snapshot.verdict(row, 0.0, 0.1) == "worse"
+    assert bench_snapshot.verdict(row[:3] + (0.0,) + row[4:], 0.0, 0.1) == "unresolved"
+
+
 @pytest.mark.parametrize("case", ["no-results", "mixed-checkouts"])
 def test_unusable_results_exit_one(tmp_path, capsys, case):
     results = tmp_path / "out"

@@ -113,6 +113,14 @@ PINNED = (
     ({"problem": {"kind": "quadratic-synthetic", "n": 3, "cond": 1e-300}}, 2),
     ({"problem": {"kind": "online-logistic", "n": 3, "pool": 60, "clamp": 1.7e308},
       "command": "verify-condition"}, 5),
+    ({"delta": 5e-324}, 1),
+    ({"delta": 5e-324, "command": "verify-condition"}, 1),
+    ({"delta": 5e-324}, 5),
+    ({"kappa": "corollary", "diameter": 5e-324}, 0),
+    ({"kappa": "corollary", "diameter": 5e-324}, 2),
+    ({"problem": {"kind": "quadratic", "A": [[1.7e308, 0.0], [0.0, 1.0]], "b": [1.0, -1.0]}}, 3),
+    ({"problem": {"kind": "quadratic", "A": [[1.0, 9e307], [-9e307, 1.0]], "b": [1.0, -1.0]}}, 3),
+    ({"problem": {"kind": "quadratic-synthetic", "n": 3, "cond": 5e-324}}, 2),
 )
 
 

@@ -56,6 +56,25 @@ class TestQuadratic:
         assert prof.lip(3) == pytest.approx(1e-8)
         assert prof.S == tuple(2.0 * prof.lip(i) for i in range(3))  # one offline component
 
+    def test_symmetrizes_by_halves(self, rng):
+        """``0.5 A + 0.5 A^T`` is bitwise ``0.5 (A + A^T)`` in the normal range,
+        and neither it nor the symmetry check overflows near the float range."""
+        A = rng.standard_normal((4, 4))
+        A = A @ A.T + 1e-14 * rng.standard_normal((4, 4))
+        assert np.array_equal(QuadraticProblem(A, np.zeros(4)).A, 0.5 * (A + A.T))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = QuadraticProblem(np.diag([1.7e308, 1.0]), np.zeros(2))
+            assert np.array_equal(wide.A, np.diag([1.7e308, 1.0]))
+            with pytest.raises(ValueError, match="symmetric"):
+                QuadraticProblem(np.array([[1.0, 9e307], [-9e307, 1.0]]), np.zeros(2))
+
+    def test_condition_number_whose_inverse_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cond"):
+                make_quadratic(3, cond=5e-324)
+
     def test_single_component_equals_full(self, rng):
         prob = make_quadratic(3, seed=1)
         x = rng.standard_normal(3)

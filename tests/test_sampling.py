@@ -8,6 +8,8 @@ import pytest
 
 from tensorstep import (
     EXACT,
+    BatchPlan,
+    ConfigError,
     InexactnessBudget,
     RankOneSumTensor3,
     batch_size_offline,
@@ -61,23 +63,31 @@ class TestBatchSizeOffline:
                                   profile) == EXACT
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    @pytest.mark.parametrize("kappa", [1e-2, 1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 1.0, 10.0, 100.0, 1e4, 1e6])
     def test_smallest_size_meeting_the_tail(self, offline, order, kappa):
         problem, _, profile = offline
         m, dim = problem.m, problem.dim
         n = batch_size_offline(order, budget_of(kappa), DELTA, m, dim, profile)
         assert 1 <= n <= m
         assert offline_tail_met(order, kappa, n, m, dim, profile, 3)
-        if 1 < n < m:
+        if n > 1:
+            # at n = m this checks that m - 1 misses
             assert not offline_tail_met(order, kappa, n - 1, m, dim, profile, 3)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("kappa", [1e-4, 1.0, 1e6])
+    def test_one_component_is_one_sample(self, offline, order, kappa):
+        problem, _, profile = offline
+        assert batch_size_offline(order, budget_of(kappa), DELTA, 1, problem.dim, profile) == 1
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_nonincreasing_in_kappa(self, offline, order):
         problem, _, profile = offline
         sizes = [batch_size_offline(order, budget_of(kappa), DELTA, problem.m, problem.dim,
-                                    profile) for kappa in np.logspace(-2, 4, 25)]
+                                    profile) for kappa in np.logspace(-4, 6, 41)]
         assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == problem.m and sizes[-1] < problem.m
+        # both ends of the search: the full batch, and a single sample
+        assert sizes[0] == problem.m and sizes[-1] == 1
 
 
 class TestBatchSizeOnline:
@@ -136,6 +146,42 @@ class TestPlanAndBundle:
             assert np.array_equal(sampled.third.weights, exact.third.weights)
             assert np.array_equal(sampled.third.rows, exact.third.rows)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_delta_that_splits_to_zero_is_a_config_error(self, offline, p):
+        problem, _, profile = offline
+        budget = InexactnessBudget(EPS, (1.0,) * p)
+        with pytest.raises(ConfigError, match="^delta: "):
+            plan_batches(budget, 5e-324, problem, profile)
+        # the next float still plans: ln(2/delta) is inf, so every batch is full
+        assert plan_batches(budget, 1e-323, problem, profile).sizes == (problem.m,) * p
+
+    @pytest.mark.parametrize("sizes,calls", [
+        ((40, EXACT), ["draw", "batch_gradient", "hessian", "value"]),
+        ((EXACT, 30, 20), ["gradient", "draw", "batch_hessian", "draw", "batch_third", "value"]),
+        ((40, 30, EXACT), ["draw", "batch_gradient", "draw", "batch_hessian", "third", "value"]),
+    ])
+    def test_bundle_takes_the_orders_in_turn(self, offline, sizes, calls):
+        """Order 1, then 2, then 3, each by its exact or its batch oracle; a
+        two-entry plan touches no third-order method."""
+        problem, x, _ = offline
+
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def __getattr__(self, name):
+                method = getattr(problem, name)
+
+                def call(*args):
+                    self.calls.append(name)
+                    return method(*args)
+                return call
+
+        recorder = Recorder()
+        bundle = sample_bundle(recorder, x, BatchPlan(sizes), np.random.default_rng(0))
+        assert recorder.calls == calls
+        assert bundle.p == len(sizes)
+
     def test_exact_bundle_meets_the_condition(self, offline):
         problem, x, _ = offline
         budget = InexactnessBudget(EPS, (1.0, 1.0, 1.0))
@@ -168,7 +214,7 @@ class TestOrderThreeCondition:
         x0 = start_point(problem, 1.0, 0)
         budget = InexactnessBudget(EPS, (100.0, 100.0, 100.0))
         plan = plan_batches(budget, DELTA, problem, default_profile(problem, x0))
-        assert plan.size(3) < problem.m
+        assert plan.sizes[2] < problem.m
         return problem, sample_bundle(problem, x0, plan, np.random.default_rng(0)), budget
 
     def test_bound_meets_the_spherical_grid_without_forming_matrices(self, sampled,

@@ -20,7 +20,10 @@ seed-matched pairs ``change`` read lower (ties count for neither side), and a
 verdict. Every end-to-end metric of the benchmark is better lower, so the
 verdict is "gain" when ``change`` read lower in at least nine of ten pairs
 (``GAIN_SHARE`` of at least ``MIN_PAIRS`` pairs) and its median is below the
-parent's by more than the parent's interquartile range; else "unresolved".
+parent's by more than the parent's interquartile range; "worse" when its
+median is above the parent's by more than the metric's relative ``bound`` in
+the ``end_to_end`` list of ``BENCHMARK.json`` (read, never written); else
+"unresolved".
 """
 
 from __future__ import annotations
@@ -133,15 +136,24 @@ def compare(snapshot: dict) -> list:
     return rows
 
 
-def verdict(row: tuple, parent_iqr: float) -> str:
-    """The verdict on one ``compare`` row, "gain" or "unresolved"; lower is better."""
+def end_to_end_bounds() -> dict:
+    """The relative ``bound`` of each end-to-end metric in ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {metric["name"]: metric["bound"] for metric in json.load(fh)["end_to_end"]}
+
+
+def verdict(row: tuple, parent_iqr: float, bound: float | None = None) -> str:
+    """The verdict on one ``compare`` row, "gain", "worse" or "unresolved";
+    lower is better. Without a ``bound`` a row is never "worse"."""
     _, _, base, new, _, lower, pairs = row
     if pairs >= MIN_PAIRS and lower >= GAIN_SHARE * pairs and base - new > parent_iqr:
         return "gain"
+    if bound is not None and new - base > bound * abs(base):
+        return "worse"
     return "unresolved"
 
 
-def format_comparison(snapshot: dict) -> str:
+def format_comparison(snapshot: dict, bounds: dict) -> str:
     parent = snapshot["runs"]["parent"]["metrics"]
     lines = [f"{'metric':<14} {'unit':<6} {'parent':>12} {'change':>12} {'rel':>8}  "
              f"change lower        verdict"]
@@ -149,7 +161,8 @@ def format_comparison(snapshot: dict) -> str:
         name, unit, base, new, rel, lower, pairs = row
         rel_text = "-" if rel is None else f"{rel:+.1%}"
         lines.append(f"{name:<14} {unit:<6} {base:>12.6g} {new:>12.6g} {rel_text:>8}  "
-                     f"{lower:>2} of {pairs:>2} pairs  {verdict(row, parent[name]['iqr'])}")
+                     f"{lower:>2} of {pairs:>2} pairs  "
+                     f"{verdict(row, parent[name]['iqr'], bounds.get(name))}")
     return "\n".join(lines)
 
 
@@ -165,6 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     output = args.output or os.path.join(ROOT, f"BENCH_{args.workload}.json")
     try:
+        bounds = end_to_end_bounds()
         snapshot = write_snapshot(args.workload, args.label, args.results, output)
     except (OSError, SnapshotError) as exc:
         print(f"bench_snapshot: {exc}", file=sys.stderr)
@@ -173,7 +187,7 @@ def main(argv=None) -> int:
     print(f"{output}: {args.label} at {run['git_sha'][:12]}, {len(run['seeds'])} runs, "
           f"{run['failed']} of {run['attempted']} operations failed")
     if {"parent", "change"} <= snapshot["runs"].keys():
-        print(format_comparison(snapshot))
+        print(format_comparison(snapshot, bounds))
     return 0
 
 
