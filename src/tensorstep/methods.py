@@ -19,7 +19,13 @@ not finite before anything else is computed at ``x0``, then the certified
 constants there. ITM and STM take their budget and sigma from
 ``resolve_model`` and share one model step: ``solve_model_p2`` at p=2 (one
 inner iteration), ``bregman_minimize_zeta`` at p=3, warm-started from the
-previous outer step.
+previous outer step. At p=3 the model is exact at every step, but its
+Bregman reference is built on the eigenbasis of the last Hessian the step
+factored, whose ``eigh`` dominates a wide step. The step factors again when a
+call on that stale basis raises, and then redoes the step, or when one takes
+more than ``2 k + 2`` inner steps, where the last fresh call took ``k``; that
+slow call's step stands. A step's ``inner_iters`` counts the call whose step
+it took.
 
 ``itm_run`` takes the exact bundle. ``stm_run`` sizes per-order mini-batches
 from the concentration lemmas and samples the bundle. ``gd_baseline`` takes
@@ -264,13 +270,25 @@ def _model_method(problem, x0, config: RunConfig):
     fx0, profile = checked_start(problem, x0)
     budget, mconfig = resolve_model(config, profile)
     last = None  # the previous step
+    # the eigenbasis rho was last built on, and the inner steps a call on it may take
+    basis, limit = None, 0
 
     def step(x, bundle):
-        nonlocal last
+        nonlocal last, basis, limit
         if bundle.p == 2:
             h, inner_iters = solve_model_p2(bundle, budget, mconfig), 1
         else:
-            h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last)
+            stats = None
+            if basis is not None:
+                try:
+                    h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last, basis)
+                except SubsolverError:
+                    pass  # the step is redone on a fresh factorization
+            if stats is None:
+                h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last)
+                limit = 2 * stats.iterations + 2
+            # a slower stale call keeps its step; the next step factors B afresh
+            basis = stats.basis if stats.iterations <= limit else None
             inner_iters = stats.iterations
         last = h
         return x + h, float(np.linalg.norm(h)), inner_iters

@@ -62,7 +62,10 @@ class BatchPlan:
 
 def _log_terms(order: int, dim: int, delta: float) -> float:
     k0 = 2.0 * order / math.log(1.5)
-    return order * dim * math.log(k0) + math.log(2.0 / delta)
+    ratio = 2.0 / delta
+    # a subnormal delta overflows 2 / delta, not its logarithm
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
+    return order * dim * math.log(k0) + log_ratio
 
 
 def batch_size_online(order: int, budget: InexactnessBudget, delta: float,

@@ -6,8 +6,9 @@ global minimizer of the regularized quartic
     q(h) = <c, h> + <B h, h>/2 + a/2 ||h||^2 + b/4 ||h||^4
 
 in the eigenbasis of ``B``, the model's Hessian or a fixed multiple of it,
-which ``EigenbasisZeta`` factors once per outer step; the scalar root of
-``solve_regularized_quartic`` does the rest. Writing ``mu = a + b ||h||^2``,
+which ``EigenbasisZeta`` factors, or at order 3 takes from an earlier outer
+step (see below); the scalar root of ``solve_regularized_quartic`` does the
+rest. Writing ``mu = a + b ||h||^2``,
 stationarity reads ``(B + mu I) h = -c``, and global optimality requires
 ``B + mu I >= 0``: ``mu`` lies at or above the pole
 ``mu_lo = max(0, -lambda_min(B + a I))``. The unknown is the distance
@@ -42,7 +43,9 @@ the descent inequality the rate proof uses; otherwise it retries at
 which the sandwich proves, and once a step is taken there the call keeps
 ``k(tau)``: no smaller constant passed the test, which near the rounding
 floor of ``zeta`` is rounding deciding it. A trial below ``k(tau)`` that
-does not move the iterate is rejected and retried at ``k(tau)``.
+does not move the iterate is rejected and retried at ``k(tau)``. All of this
+holds on the eigenbasis of ``B`` itself; a stale basis tests every trial
+(see below).
 
 Each trial is one regularized quartic in ``L (1 - 2/tau) B``, so the loop
 factors the Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its
@@ -77,6 +80,25 @@ costs no more contractions than a cold one, which is the same path with
 ``h0 = 0``. At ``k(tau)`` the map from one step's ``(y, mu)`` to the next is
 deterministic, so a step there that repeats the previous pair bitwise ends
 the loop at once: it would repeat it until the step cap.
+
+The factorization, not the Hessian, is the cost of an outer step at large n
+(Doikov, Chayti & Jaggi, "Second-order optimization with lazy Hessians",
+arXiv:2212.00781), so the loop also runs on a stale eigenbasis: ``rho`` built
+on ``vecs diag(lam) vecs^T``, the last Hessian the run factored, while
+``zeta`` keeps this step's exact gradient, ``B`` and third derivative.
+Relative smoothness survives a reference that is spectrally close to ``B``
+(Lu, Freund & Nesterov), but ``k(tau)`` is then no longer proved. In that
+basis ``B`` is not diagonal: the quadratic term of ``zeta`` is
+``vecs^T (B h)``, two n-by-n products per trial in place of ``lam y``, and
+the line start's ``A2`` is ``<vecs^T B h0, yp>/2``; ``rho``'s curvature stays
+``beta_B lam + a`` on the stale eigenvalues. So every trial takes the
+descent test, at ``k(tau)`` too, and no stale trial is accepted untested; a
+failed test grows the constant by ``GROW`` up to ``STALE_CAP k(tau)``, and a
+test that fails there raises ``SubsolverError``. An accepted step still
+lowers ``zeta``, and the stop rule is unchanged, because ``vecs`` is
+orthogonal and ``||vecs^T grad zeta|| = ||grad zeta||``: a stale call that
+converges returns a step as valid as a fresh call's. Which basis a call
+gets is the model step's choice (``methods._model_method``).
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve on the same factorization. The Hessian of the reference function and
@@ -118,16 +140,21 @@ SHRINK = 0.9
 #: A rejected trial's constant times this, and at most k(tau), is the next trial's.
 GROW = 1.2
 
+#: On a stale eigenbasis a trial's constant may grow to this multiple of k(tau).
+STALE_CAP = 1e6
+
 
 @dataclass
 class InnerStats:
-    """Per-call record of the inner loop, kept for diagnostics and tests.
+    """Per-call record of the inner loop.
 
     ``iterations`` counts accepted steps. ``zeta_values`` and ``grad_norms``
     hold ``zeta`` and ``||grad zeta||`` at the start and after each accepted
     step, and ``constants`` the relative-smoothness constant of each accepted
     step. ``rejected`` holds ``(step, constant)`` for each rejected trial,
-    in order, where ``step`` counts the steps accepted before it.
+    in order, where ``step`` counts the steps accepted before it. ``basis``
+    is the ``(lam, vecs)`` that ``rho`` was built on. The model step reads
+    ``iterations`` and ``basis`` to choose the next call's basis.
     """
 
     iterations: int = 0
@@ -135,6 +162,7 @@ class InnerStats:
     grad_norms: list = field(default_factory=list)
     constants: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
+    basis: tuple = ()
 
 
 def _secular_root(s: np.ndarray, c2: np.ndarray, b: float, mu_lo: float,
@@ -256,20 +284,21 @@ class EigenbasisZeta:
     """The smooth model ``zeta`` in the eigenbasis of the Hessian.
 
     Construction factors the symmetrized Hessian ``B = vecs diag(lam)
-    vecs^T``, the one ``eigh`` of an outer step, on which both orders solve
-    their quartics; it raises ``SubsolverError`` when ``B`` is not finite (an
-    overflowing Hessian), which LAPACK would report as eigenvalues that did
-    not converge. At order 3, with ``h = vecs y``, ``zeta(h)`` and
-    ``vecs^T grad zeta(h)`` are elementwise in ``lam``, ``y`` and
-    ``gt = vecs^T grad``, plus one contraction ``T[h]^2`` brought into the
-    eigenbasis; the cubic term of the value is ``T[h]^3 = <vecs^T T[h]^2, y>``.
-    ``change_and_grad`` is the evaluation the inner loop of
-    ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
-    ``TaylorModel.zeta_grad``.
+    vecs^T``, on which both orders solve their quartics, unless it is given
+    ``basis``, the ``(lam, vecs)`` of an earlier Hessian: a stale basis, in
+    which ``B`` acts as a product instead (``curvature``). It raises
+    ``SubsolverError`` when ``B`` is not finite (an overflowing Hessian),
+    which LAPACK would report as eigenvalues that did not converge. At order
+    3, with ``h = vecs y``, ``zeta(h)`` and ``vecs^T grad zeta(h)`` are
+    elementwise in ``vecs^T B h``, ``y`` and ``gt = vecs^T grad``, plus one
+    contraction ``T[h]^2`` brought into the eigenbasis; the cubic term of the
+    value is ``T[h]^3 = <vecs^T T[h]^2, y>``. ``change_and_grad`` is the
+    evaluation the inner loop of ``bregman_minimize_zeta`` takes in place of
+    ``TaylorModel.zeta`` and ``TaylorModel.zeta_grad``.
     """
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
-                 config: ModelConfig):
+                 config: ModelConfig, basis=None):
         self.bundle = bundle
         # zeta - phi = z0 + z2 r^2 + z4 r^4
         self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
@@ -277,8 +306,19 @@ class EigenbasisZeta:
         mat = 0.5 * (bundle.hess + bundle.hess.T)
         if not np.all(np.isfinite(mat)):
             raise SubsolverError("curvature matrix of the model is not finite")
-        self.lam, self.vecs = np.linalg.eigh(mat)
+        if basis is None:
+            self.lam, self.vecs = np.linalg.eigh(mat)
+            self.mat = None
+        else:
+            # a stale basis does not diagonalize B, which then acts as a product
+            self.lam, self.vecs = basis
+            self.mat = mat
         self.gt = self.vecs.T @ bundle.grad
+
+    def curvature(self, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``vecs^T B h`` at ``h = vecs y``: ``lam y`` on the basis of ``B``
+        itself, and two n-by-n products on a stale one."""
+        return self.lam * y if self.mat is None else self.vecs.T @ (self.mat @ h)
 
     def change_and_grad(self, y: np.ndarray, h: np.ndarray, vt=None) -> tuple:
         """``(zeta(h) - zeta(0), vecs^T grad zeta(h))`` at ``h = vecs y``.
@@ -290,7 +330,7 @@ class EigenbasisZeta:
         if vt is None:
             vt = self.vecs.T @ self.bundle.third.apply2(h)
         r2 = float(y @ y)
-        ly = self.lam * y
+        ly = self.curvature(y, h)
         g = self.gt + ly + 0.5 * vt + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
         change = (float(self.gt @ y) + 0.5 * float(ly @ y) + float(vt @ y) / 6.0
                   + (self.z2 + self.z4 * r2) * r2)
@@ -305,7 +345,7 @@ class EigenbasisZeta:
         r2 = float(yp @ yp)
         alpha = _quartic_line_minimizer(
             float(self.gt @ yp),
-            0.5 * float((self.lam * yp) @ yp) + self.z2 * r2,
+            0.5 * float(self.curvature(yp, h0) @ yp) + self.z2 * r2,
             float(vt @ yp) / 6.0,
             self.z4 * r2 * r2,
         )
@@ -333,7 +373,7 @@ def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float
 
 @np.errstate(over="ignore")
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
-                          config: ModelConfig, h0=None):
+                          config: ModelConfig, h0=None, basis=None):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
 
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
@@ -349,6 +389,14 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     test are elementwise in the eigenvalues, with the cubic term of the value
     from ``T[h]^3 = <T[h]^2, h>``.
 
+    ``basis``, the ``InnerStats.basis`` of an earlier call, replaces the
+    factorization: ``rho`` is built on that stale eigenbasis, and ``B h``
+    costs two more n-by-n products per trial. ``k(tau)`` is not proved
+    there, so every trial takes the descent test, no stale trial is accepted
+    untested, and a failed test grows the constant by ``GROW`` up to
+    ``STALE_CAP k(tau)``. The model, its minimizer and the stop rule are
+    those of a fresh call.
+
     The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
     through 0 and the guess ``h0`` (the previous outer step; 0 when not
     given, which starts the loop at 0): a quartic in ``alpha`` whose
@@ -360,9 +408,10 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
     ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate
-    and its residual when that takes more than ``MAX_INNER_STEPS`` steps, or
-    as soon as a step at ``k(tau)`` returns the previous step's ``(y, mu)``
-    bitwise, which the deterministic map would repeat up to the cap; and
+    and its residual when that takes more than ``MAX_INNER_STEPS`` steps, as
+    soon as a step at ``k(tau)`` returns the previous step's ``(y, mu)``
+    bitwise, which the deterministic map would repeat up to the cap, or when
+    a stale basis's descent test fails at ``STALE_CAP k(tau)``; and
     ``SubsolverError`` when the model is not finite, which is then the only
     report of an overflow: numpy's overflow warnings are off for the call.
     """
@@ -371,10 +420,13 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
 
     ktau = relative_smoothness_constant(config.tau)
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
-    zeta = EigenbasisZeta(bundle, budget, config)
+    zeta = EigenbasisZeta(bundle, budget, config, basis)
+    # k(tau) is proved on the basis of B only: on a stale one every trial is tested
+    stale = basis is not None
+    top = STALE_CAP * ktau if stale else ktau
     # the quadratic part of rho in eigen coordinates: grad rho(h) is (curv + Q r^2) y
     curv = beta_b * zeta.lam + a_coef
-    stats = InnerStats()
+    stats = InnerStats(basis=(zeta.lam, zeta.vecs))
 
     y, h, vt = zeta.line_start(np.zeros(bundle.dim) if h0 is None
                                else np.asarray(h0, dtype=float))
@@ -420,10 +472,17 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                     )
             h_next = zeta.vecs @ y_next
             change_next, g_next = zeta.change_and_grad(y_next, h_next)
-            if trial == ktau or _descends(change_next - change, g, y, y_next - y, curv, Q, trial):
+            if (trial == ktau and not stale) or _descends(
+                    change_next - change, g, y, y_next - y, curv, Q, trial):
                 break
             stats.rejected.append((stats.iterations, trial))
-            trial = min(ktau, GROW * trial)
+            if trial == top:
+                raise SubsolverError(
+                    f"descent test failed at constant {top:.3e} on a stale eigenbasis, "
+                    f"step {stats.iterations + 1}, residual {g_norm:.3e}",
+                    best=h, residual=g_norm,
+                )
+            trial = min(top, GROW * trial)
         stats.iterations += 1
         stats.constants.append(trial)
         # no smaller constant passed the test: the loop keeps k(tau) from here on

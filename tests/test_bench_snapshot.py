@@ -140,6 +140,31 @@ def test_worse_from_a_zero_parent_median():
     assert bench_snapshot.verdict(row[:3] + (0.0,) + row[4:], 0.0, 0.1) == "unresolved"
 
 
+@pytest.mark.parametrize("iqr,flagged", [(0.125, True), (0.1, False), (0.0, False)])
+def test_noisy_when_the_parent_spread_rivals_the_bound(tmp_path, capsys, iqr, flagged):
+    """A metric whose parent IQR is at least half of its bound times its
+    median is named "noisy" below the table; its verdict stands as it is."""
+    # median 1 and quartiles 1 -/+ iqr/2; half of the 25% bound is 0.125
+    a = iqr / 2
+    values = [1 - 2 * a, 1 - a, 1 - a, 1 - a, 1.0, 1.0, 1 + a, 1 + a, 1 + a, 1 + 2 * a]
+    for seed, value in enumerate(values, start=1):
+        write_result(tmp_path / "parent", seed, value, env={**ENV, "git_sha": "p"})
+        write_result(tmp_path / "change", seed, value)
+    assert snapshot(tmp_path, tmp_path / "parent", label="parent")[0] == 0
+    code, data = snapshot(tmp_path, tmp_path / "change")
+    assert code == 0
+    parent = data["runs"]["parent"]["metrics"]
+    assert parent["solve_s"]["median"] == 1.0
+    assert parent["solve_s"]["iqr"] == pytest.approx(iqr)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines if line.startswith("solve_s")] == ["unresolved"]
+    noisy = [line for line in lines if line.startswith("noisy:")]
+    assert noisy == (["noisy: solve_s: the parent's IQR 0.125 is 12.5% of its median 1, "
+                      "against a bound of 25%"] if flagged else [])
+    assert not bench_snapshot.noisy(parent["outer_iters"], 0.1)  # zero spread
+    assert not bench_snapshot.noisy(parent["solve_s"], None)      # no bound
+
+
 @pytest.mark.parametrize("case", ["no-results", "mixed-checkouts"])
 def test_unusable_results_exit_one(tmp_path, capsys, case):
     results = tmp_path / "out"

@@ -7,7 +7,8 @@ the wrong type, or nothing. It goes through ``cli.main`` as ``run``,
 {0, 1, 2, 3}, no exception escapes ``main`` (so no traceback is printed),
 and numpy issues no ``RuntimeWarning``. The cases are drawn from a fixed
 seed of the standard library's ``random``, so a failure replays; the
-scales that once broke the contract are pinned in ``PINNED``.
+scales that once broke the contract, or gave a wrong result, are pinned in
+``PINNED``.
 """
 
 import contextlib
@@ -100,7 +101,8 @@ KIND_FIELDS = {
 TOP_FIELDS = ("method", "diameter", "version", *METHOD_FIELDS["stm"])
 PROBLEM_FIELDS = ("kind", *sorted({f for fields in KIND_FIELDS.values() for f in fields}))
 
-#: Scales that once printed a warning or a traceback, each on one of ``BASES``.
+#: Scales that once printed a warning or a traceback, or a wrong result, each
+#: on one of ``BASES``; a third entry is text the output must contain.
 PINNED = (
     ({"x0_offset": 1e100}, 0),
     ({"problem": {"kind": "logistic-synthetic", "n": 4, "m": 50, "row_scale": 1e76},
@@ -121,6 +123,11 @@ PINNED = (
     ({"problem": {"kind": "quadratic", "A": [[1.7e308, 0.0], [0.0, 1.0]], "b": [1.0, -1.0]}}, 3),
     ({"problem": {"kind": "quadratic", "A": [[1.0, 9e307], [-9e307, 1.0]], "b": [1.0, -1.0]}}, 3),
     ({"problem": {"kind": "quadratic-synthetic", "n": 3, "cond": 5e-324}}, 2),
+    # a subnormal delta / p, whose 2 / delta overflows: the online plan was
+    # inf samples (exit 1), and the offline plan full batches at every order
+    ({"delta": 1e-323}, 5, "status=max-iter"),
+    ({"delta": 1e-323, "kappa": [1.0, 1.0, 100.0], "command": "verify-condition"}, 1,
+     "plan sizes: (40, 40, 7)"),
 )
 
 
@@ -161,19 +168,21 @@ def _mutate(rng, config):
             return
 
 
-def _case(config, command="run", extra=()):
+def _case(config, command="run", extra=(), expected=None):
     data = {"version": 1, "eps": [1e-3], "seeds": [0], "max_iter": 3, **config}
-    return command, data, list(extra)
+    return command, data, list(extra), expected
 
 
 def cases():
-    """``(command, config data, extra arguments)`` of every case, in order."""
+    """``(command, config data, extra arguments, expected output or None)`` of
+    every case, in order."""
     out = []
-    for fields, base in PINNED:
+    for fields, base, *expected in PINNED:
         fields = copy.deepcopy(fields)
         command = fields.pop("command", "run")
         extra = ["--trials", "2"] if command == "verify-condition" else []
-        out.append(_case({**copy.deepcopy(BASES[base]), **fields}, command, extra))
+        out.append(_case({**copy.deepcopy(BASES[base]), **fields}, command, extra,
+                         *expected))
     rng = random.Random(FUZZ_SEED)
     for _ in range(DRAWN):
         config = copy.deepcopy(rng.choice(BASES))
@@ -202,10 +211,10 @@ CASES = cases()
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     """Per case: the exit code, or the traceback of the exception that escaped
-    ``main``, and the messages of the ``RuntimeWarning``s it issued."""
+    ``main``, the messages of the ``RuntimeWarning``s it issued, and its output."""
     folder = tmp_path_factory.mktemp("fuzz")
     out = []
-    for index, (command, data, extra) in enumerate(CASES):
+    for index, (command, data, extra, _) in enumerate(CASES):
         path = folder / f"case{index}.json"
         path.write_text(json.dumps(data))
         sink = io.StringIO()
@@ -217,23 +226,23 @@ def outcomes(tmp_path_factory):
             except Exception:  # noqa: BLE001 - the escape is the failure
                 result = traceback.format_exc(limit=-3)
         out.append((result, [str(w.message) for w in caught
-                             if issubclass(w.category, RuntimeWarning)]))
+                             if issubclass(w.category, RuntimeWarning)], sink.getvalue()))
     return out
 
 
 @pytest.mark.parametrize("group", range(GROUPS))
 def test_every_case_keeps_the_exit_code_contract(outcomes, group):
     failures = [
-        f"case {index} {CASES[index]}: exit {result!r}, warnings {runtime}"
+        f"case {index} {CASES[index]}: exit {result!r}, warnings {runtime}, output {output!r}"
         for index in range(group, len(CASES), GROUPS)
-        for result, runtime in [outcomes[index]]
-        if result not in (0, 1, 2, 3) or runtime
+        for (result, runtime, output), expected in [(outcomes[index], CASES[index][3])]
+        if result not in (0, 1, 2, 3) or runtime or (expected and expected not in output)
     ]
     assert not failures, "\n".join(failures)
 
 
 def test_cases_reach_the_solvers(outcomes):
     # cases that all failed validation would test only the config parser
-    codes = [result for result, _ in outcomes]
+    codes = [result for result, _, _ in outcomes]
     assert {0, 1, 2} <= set(codes)
     assert sum(code in (0, 2, 3) for code in codes) >= 0.4 * len(codes)

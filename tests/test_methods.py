@@ -24,6 +24,8 @@ from tensorstep import (
     QuadraticProblem,
     RunConfig,
     StartPointError,
+    SubsolverError,
+    TaylorModel,
     complexity_sweep,
     gd_baseline,
     kappa_defaults,
@@ -38,6 +40,7 @@ from tensorstep.methods import (
     IterationRecord,
     RunTrace,
     default_profile,
+    exact_bundle,
     itm_run,
     monotonicity_guard,
     resolve_model,
@@ -122,7 +125,8 @@ class TestGoldenTraces:
         warm = golden_run("itm-p3")[0]
         solve = methods.bregman_minimize_zeta
         monkeypatch.setattr(methods, "bregman_minimize_zeta",
-                            lambda bundle, budget, config, h0=None: solve(bundle, budget, config))
+                            lambda bundle, budget, config, h0=None, basis=None:
+                            solve(bundle, budget, config, basis=basis))
         assert_only_fewer_inner_steps(warm, run_experiment(golden_config("itm-p3")))
 
     @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
@@ -131,6 +135,27 @@ class TestGoldenTraces:
         # SHRINK = 1 makes k(tau) each step's first trial
         monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
         assert_only_fewer_inner_steps(golden_run(name)[0], run_experiment(golden_config(name)))
+
+    @pytest.mark.parametrize("name, steps", [("itm-p3", 54), ("stm-p3", 157)])
+    def test_every_step_majorizes(self, monkeypatch, name, steps):
+        # f(x + h) <= zeta(h) at every accepted model step pins the model's
+        # assembly (z0, z2, z4, the kappa terms, a bundle taken at x); the
+        # eigenbasis the inner loop runs on changes only its path to the step
+        problem = build_problem(GOLDEN_PROBLEM)
+        solve = methods.bregman_minimize_zeta
+        slacks = []
+
+        def checked(bundle, budget, config, h0=None, basis=None):
+            h, stats = solve(bundle, budget, config, h0, basis)
+            f = problem.value(bundle.x + h)
+            slacks.append(TaylorModel(bundle, budget, config).zeta(h) - f
+                          + 1e-12 * max(1.0, abs(f)))
+            return h, stats
+
+        monkeypatch.setattr(methods, "bregman_minimize_zeta", checked)
+        run_experiment(golden_config(name))
+        assert len(slacks) == steps
+        assert min(slacks) >= 0.0
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")
@@ -169,6 +194,108 @@ def quadratic():
     # at cond 1e3 the minimizer is far enough that six steps stay above the step floor
     problem = make_quadratic(8, seed=0, cond=1e3)
     return problem, start_point(problem, 1.0, 0)
+
+
+def logged_model_calls(monkeypatch, basis_for=None):
+    """``(fresh, iterations)`` of each order-3 model solve from here on, with
+    ``iterations`` None for a call that raised. ``basis_for``, when given,
+    replaces each stale basis the step passes."""
+    solve, log = methods.bregman_minimize_zeta, []
+
+    def logged(bundle, budget, config, h0=None, basis=None):
+        fresh = basis is None
+        if not fresh and basis_for is not None:
+            basis = basis_for(basis)
+        try:
+            h, stats = solve(bundle, budget, config, h0, basis)
+        except SubsolverError:
+            log.append((fresh, None))
+            raise
+        log.append((fresh, stats.iterations))
+        return h, stats
+
+    monkeypatch.setattr(methods, "bregman_minimize_zeta", logged)
+    return log
+
+
+def assert_refresh_rule(log):
+    """Each call of one run, after the first, is fresh exactly when the call
+    before it was stale and raised, or took more than ``2 k + 2`` inner steps
+    where the last fresh call took ``k``."""
+    assert log[0][0]
+    for (fresh, iterations), (next_fresh, _) in zip(log, log[1:]):
+        if fresh:
+            assert iterations is not None  # a fresh call that raises ends the run
+            limit = 2 * iterations + 2
+        assert next_fresh == (iterations is None or iterations > limit)
+
+
+class TestStaleEigenbasis:
+    """The model step keeps the last factored eigenbasis of the Hessian across
+    outer steps, and factors again after a stale call that was slow or raised."""
+
+    def test_one_factorization_serves_many_steps(self, monkeypatch):
+        problem = make_logistic(60, 120)
+        _, f_ref = reference_solution(problem)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        trace = itm_run(problem, np.zeros(60), RunConfig(p=3, eps=1e-6), f_ref)
+        assert trace.status == "gap-target" and monotonicity_guard(trace) == []
+        assert 0 < len(calls) < trace.final.k
+
+    def test_run_on_a_badly_stale_basis_reaches_the_target(self, monkeypatch):
+        # every stale call runs on the eigenbasis of the Hessian at 50 * 1,
+        # where only the ridge term is left
+        problem = make_logistic(n=7, m=60, seed=31, mu=1e-2)
+        _, f_ref = reference_solution(problem)
+        far = exact_bundle(problem, np.full(7, 50.0), 3).hess
+        far = np.linalg.eigh(0.5 * (far + far.T))
+        log = logged_model_calls(monkeypatch, lambda basis: far)
+        trace = itm_run(problem, np.zeros(7), RunConfig(p=3, eps=1e-6), f_ref)
+        assert trace.status == "gap-target" and monotonicity_guard(trace) == []
+        assert sum(not fresh for fresh, _ in log) >= len(trace.records) // 2
+        assert_refresh_rule(log)
+
+    def test_slow_stale_call_keeps_its_step(self, logistic, monkeypatch):
+        # every stale call reports 100 extra steps: its step stands, and the
+        # next step factors again
+        problem, x0 = logistic
+        solve = methods.bregman_minimize_zeta
+
+        def slow(bundle, budget, config, h0=None, basis=None):
+            h, stats = solve(bundle, budget, config, h0, basis)
+            stats.iterations += 0 if basis is None else 100
+            return h, stats
+
+        monkeypatch.setattr(methods, "bregman_minimize_zeta", slow)
+        log = logged_model_calls(monkeypatch)
+        trace = itm_run(problem, x0, RunConfig(p=3, max_iter=6))
+        assert [fresh for fresh, _ in log] == [True, False] * 3
+        assert [r.inner_iters > 100 for r in trace.records[:-1]] == [False, True] * 3
+        assert_refresh_rule(log)
+
+    def test_failed_stale_call_is_redone_fresh(self, logistic, monkeypatch):
+        # with every descent test failing, each stale call raises at its cap
+        # and the step is redone on a fresh factorization: the run is that of
+        # a fresh factorization at every step
+        problem, x0 = logistic
+        config = RunConfig(p=3, max_iter=4)
+        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+        solve = methods.bregman_minimize_zeta
+        log = logged_model_calls(monkeypatch)
+        trace = itm_run(problem, x0, config)
+        assert [fresh for fresh, _ in log] == [True] + [False, True] * 3
+        assert all(iterations is None for fresh, iterations in log if not fresh)
+        assert_refresh_rule(log)
+        monkeypatch.setattr(methods, "bregman_minimize_zeta",
+                            lambda bundle, budget, config, h0=None, basis=None:
+                            solve(bundle, budget, config, h0))
+        assert itm_run(problem, x0, config).records == trace.records
 
 
 class TestSharedLadder:

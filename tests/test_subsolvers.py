@@ -558,6 +558,132 @@ class TestWarmStart:
         assert _quartic_line_minimizer(*coeffs) == 0.0
 
 
+@pytest.fixture(scope="module")
+def far_basis(p3_setup):
+    """A badly stale eigenbasis: that of the Hessian at ``x = 50 * 1``, where
+    every sigmoid saturates and only the ridge term is left."""
+    prob = p3_setup[0]
+    hess = exact_bundle(prob, np.full(7, 50.0), 3).hess
+    return np.linalg.eigh(0.5 * (hess + hess.T))
+
+
+def recording_descents(monkeypatch):
+    """``(constant, result)`` of every ``_descends`` call from here on, in order."""
+    results = []
+    test = subsolvers._descends
+
+    def recorded(*args):
+        results.append((args[-1], test(*args)))
+        return results[-1][1]
+
+    monkeypatch.setattr(subsolvers, "_descends", recorded)
+    return results
+
+
+class TestStaleBasis:
+    """The inner loop on the eigenbasis of an earlier Hessian."""
+
+    @pytest.fixture(params=["previous", "far"])
+    def stale(self, request, p3_setup, next_step, far_basis):
+        """``(bundle, h0, basis)``: the next outer step's solve on the basis of
+        this step's Hessian, or on ``far_basis``."""
+        _, bundle, budget, config, _ = p3_setup
+        if request.param == "far":
+            return bundle, None, far_basis
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        return next_step[0], next_step[1], stats.basis
+
+    def test_fresh_call_returns_its_own_basis(self, p3_setup):
+        _, bundle, budget, config, _ = p3_setup
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        lam, vecs = np.linalg.eigh(0.5 * (bundle.hess + bundle.hess.T))
+        assert np.array_equal(stats.basis[0], lam) and np.array_equal(stats.basis[1], vecs)
+
+    def test_converges_to_the_fresh_minimizer_or_raises(self, p3_setup, stale):
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, basis = stale
+        h_fresh, _ = bregman_minimize_zeta(bundle, budget, config, h0)
+        try:
+            h, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        except SubsolverError:
+            return
+        assert stats.basis[1] is basis[1]
+        assert stats.grad_norms[-1] <= subsolvers.INNER_GRAD_TOL
+        assert np.linalg.norm(h - h_fresh) <= 1e-7 * np.linalg.norm(h_fresh)
+        vals = stats.zeta_values
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_records_match_the_direct_model(self, p3_setup, stale, monkeypatch):
+        # B is no longer diagonal in the basis: the quadratic term is B h itself
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, basis = stale
+        iterates = []
+        contract = bundle.third.apply2
+
+        def recording(s):
+            iterates.append(np.array(s))
+            return contract(s)
+
+        monkeypatch.setattr(bundle.third, "apply2", recording)
+        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        monkeypatch.undo()
+        iterates = [iterates[i] for i in accepted_contractions(stats)]
+        if h0 is not None:
+            iterates[0] = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
+        model = TaylorModel(bundle, budget, config)
+        scale = stats.grad_norms[0]
+        for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
+            assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
+            assert abs(grad_norm - np.linalg.norm(model.zeta_grad(s))) <= 1e-12 * scale
+
+    def test_every_accepted_step_is_tested(self, p3_setup, stale, far_basis, monkeypatch):
+        # k(tau) is proved on the basis of B alone, so a stale call accepts
+        # only on the descent test, at any constant; on the far basis some
+        # steps are taken above k(tau), where a fresh call never goes
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, basis = stale
+        tests = recording_descents(monkeypatch)
+        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        passed = [const for const, ok in tests if ok]
+        assert passed == stats.constants and stats.iterations > 0
+        assert [const for const, ok in tests if not ok] == [c for _, c in stats.rejected]
+        if basis is far_basis:
+            assert max(stats.constants) > relative_smoothness_constant(config.tau)
+
+    def test_trials_at_k_tau_are_tested(self, p3_setup, stale, monkeypatch):
+        # with SHRINK = 1 every step tries k(tau) first: a fresh call takes it
+        # untested, a stale call tests it and every constant above it. Near
+        # the rounding floor of zeta the test may fail up to the cap, which
+        # raises; the steps accepted before that were tested all the same
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, basis = stale
+        ktau = relative_smoothness_constant(config.tau)
+        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
+        tests = recording_descents(monkeypatch)
+        _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
+        assert fresh.constants == [ktau] * fresh.iterations and not tests
+        try:
+            _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        except SubsolverError:
+            stats = None
+        assert tests and all(const >= ktau for const, _ in tests)
+        if stats is not None:
+            assert [const for const, ok in tests if ok] == stats.constants
+
+    def test_descent_that_never_holds_raises_at_the_cap(self, p3_setup, next_step, monkeypatch):
+        _, bundle, budget, config, _ = p3_setup
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+        ktau = relative_smoothness_constant(config.tau)
+        with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
+            bregman_minimize_zeta(next_step[0], budget, config, next_step[1], stats.basis)
+        assert f"{subsolvers.STALE_CAP * ktau:.3e}" in str(err.value)
+        assert err.value.best is not None and err.value.residual > 0
+        # the fresh call on the same bundle falls back to the proved k(tau)
+        _, fresh = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
+        assert fresh.constants == [ktau] * fresh.iterations
+
+
 def pole_data(lam):
     """The pole ``mu_lo = max(0, -lam_min)`` of ``lam``: ``(lam + mu_lo, mu_lo)``."""
     lam = np.asarray(lam, float)

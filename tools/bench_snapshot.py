@@ -23,7 +23,10 @@ verdict is "gain" when ``change`` read lower in at least nine of ten pairs
 parent's by more than the parent's interquartile range; "worse" when its
 median is above the parent's by more than the metric's relative ``bound`` in
 the ``end_to_end`` list of ``BENCHMARK.json`` (read, never written); else
-"unresolved".
+"unresolved". Below the table, a metric is named "noisy" when the parent's
+own interquartile range is at least half of its bound times its median
+(``NOISY_SHARE``): a shift of that size is the runs' spread, so its verdict
+says little either way.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: for a gain.
 GAIN_SHARE = 0.9
 MIN_PAIRS = 10
+
+#: Share of ``bound × |median|`` at or above which the parent's IQR makes a
+#: metric "noisy".
+NOISY_SHARE = 0.5
 
 
 class SnapshotError(Exception):
@@ -153,6 +160,13 @@ def verdict(row: tuple, parent_iqr: float, bound: float | None = None) -> str:
     return "unresolved"
 
 
+def noisy(parent_metric: dict, bound: float | None) -> bool:
+    """Whether the parent's spread rivals the metric's bound: a positive IQR
+    of at least ``NOISY_SHARE × bound × |median|``. Without a bound, never."""
+    iqr = parent_metric["iqr"]
+    return bound is not None and iqr > 0 and iqr >= NOISY_SHARE * bound * abs(parent_metric["median"])
+
+
 def format_comparison(snapshot: dict, bounds: dict) -> str:
     parent = snapshot["runs"]["parent"]["metrics"]
     lines = [f"{'metric':<14} {'unit':<6} {'parent':>12} {'change':>12} {'rel':>8}  "
@@ -163,6 +177,11 @@ def format_comparison(snapshot: dict, bounds: dict) -> str:
         lines.append(f"{name:<14} {unit:<6} {base:>12.6g} {new:>12.6g} {rel_text:>8}  "
                      f"{lower:>2} of {pairs:>2} pairs  "
                      f"{verdict(row, parent[name]['iqr'], bounds.get(name))}")
+    for name, metric in parent.items():
+        if noisy(metric, bounds.get(name)):
+            lines.append(f"noisy: {name}: the parent's IQR {metric['iqr']:.3g} is "
+                         f"{metric['iqr'] / abs(metric['median']):.1%} of its median "
+                         f"{metric['median']:.3g}, against a bound of {bounds[name]:.0%}")
     return "\n".join(lines)
 
 
