@@ -137,7 +137,8 @@ MAX_INNER_STEPS = 200
 #: relative-smoothness constant, and at least 1.
 SHRINK = 0.9
 
-#: A rejected trial's constant times this, and at most k(tau), is the next trial's.
+#: A rejected trial's constant times this, and at most k(tau) (``STALE_CAP``
+#: times k(tau) on a stale eigenbasis), is the next trial's.
 GROW = 1.2
 
 #: On a stale eigenbasis a trial's constant may grow to this multiple of k(tau).

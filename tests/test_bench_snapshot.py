@@ -159,8 +159,8 @@ def test_noisy_when_the_parent_spread_rivals_the_bound(tmp_path, capsys, iqr, fl
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[-1] for line in lines if line.startswith("solve_s")] == ["unresolved"]
     noisy = [line for line in lines if line.startswith("noisy:")]
-    assert noisy == (["noisy: solve_s: the parent's IQR 0.125 is 12.5% of its median 1, "
-                      "against a bound of 25%"] if flagged else [])
+    assert noisy == (["noisy: solve_s: the parent's IQR 0.125 is at least 0.5 x the 25% "
+                      "bound of its median 1"] if flagged else [])
     assert not bench_snapshot.noisy(parent["outer_iters"], 0.1)  # zero spread
     assert not bench_snapshot.noisy(parent["solve_s"], None)      # no bound
 

@@ -179,9 +179,9 @@ def format_comparison(snapshot: dict, bounds: dict) -> str:
                      f"{verdict(row, parent[name]['iqr'], bounds.get(name))}")
     for name, metric in parent.items():
         if noisy(metric, bounds.get(name)):
-            lines.append(f"noisy: {name}: the parent's IQR {metric['iqr']:.3g} is "
-                         f"{metric['iqr'] / abs(metric['median']):.1%} of its median "
-                         f"{metric['median']:.3g}, against a bound of {bounds[name]:.0%}")
+            lines.append(f"noisy: {name}: the parent's IQR {metric['iqr']:.3g} is at least "
+                         f"{NOISY_SHARE:g} x the {bounds[name]:.0%} bound of its median "
+                         f"{metric['median']:.3g}")
     return "\n".join(lines)
 
 
