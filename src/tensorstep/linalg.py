@@ -2,10 +2,12 @@
 
 Provides the one representation of symmetric third-order tensors
 (``RankOneSumTensor3``, a rank-one-sum operator that never materializes the
-``n^3`` array), the operator norm of a symmetric matrix (its largest absolute
-eigenvalue, from ``eigvalsh``), and a lower bound of the induced norm of a
-symmetric third-order tensor by the power method from seeded random
-directions (``t3_norm_estimate``). The power prox
+``n^3`` array), the fused products ``B s + T[s]^2 / 2``, ``<B s, s>`` and
+``T[s]^3`` of a row-sum matrix and tensor over the same rows
+(``quadratic_cubic_terms``), the operator norm of a symmetric matrix (its
+largest absolute eigenvalue, from ``eigvalsh``), and a lower bound of the
+induced norm of a symmetric third-order tensor by the power method from seeded
+random directions (``t3_norm_estimate``). The power prox
 ``d_p(x) = ||x||^p / p``, which the analysis uses and no run evaluates, lives
 with the other lemma checks in ``tests/lemmas.py``.
 
@@ -128,6 +130,34 @@ class RankOneSumTensor3:
         rows = np.vstack([self.rows, other.rows])
         weights = np.concatenate([self.weights, -other.weights])
         return RankOneSumTensor3(rows, weights, dim=self.dim)
+
+
+def quadratic_cubic_terms(rows: np.ndarray, w2: np.ndarray, w3: np.ndarray, s):
+    """``(B s + T[s]^2 / 2, <B s, s>, T[s]^3)`` for ``B = sum_j w2_j a_j a_j^T``
+    and ``T = sum_j w3_j a_j (x) a_j (x) a_j`` over the same ``rows`` ``a_j``.
+
+    With ``p = rows @ s`` these are ``sum_j (w2_j p_j + w3_j p_j^2 / 2) a_j``,
+    ``sum_j w2_j p_j^2`` and ``sum_j w3_j p_j^3``: Hessian-free products
+    (Pearlmutter, Neural Comput. 1994) that share the projection ``p``, so
+    each slice of rows is projected once and accumulated once, the two
+    passes of one contraction, and the n-by-n ``B`` is never formed.
+    """
+    n = rows.shape[1]
+
+    def part(sl):
+        block = rows[sl]
+        proj = block @ s
+        quad = w2[sl] * proj
+        cube = w3[sl] * proj
+        cube *= proj
+        out = np.empty(n + 2)
+        out[:n] = (quad + 0.5 * cube) @ block
+        out[n] = quad @ proj
+        out[n + 1] = cube @ proj
+        return out
+
+    acc = row_slice_sum(rows.shape[0], part)
+    return acc[:n], float(acc[n]), float(acc[n + 1])
 
 
 def zero_tensor3(n: int) -> RankOneSumTensor3:

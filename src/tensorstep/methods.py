@@ -25,7 +25,10 @@ factored, whose ``eigh`` dominates a wide step. The step factors again when a
 call on that stale basis raises, and then redoes the step, or when one takes
 more than ``2 k + 2`` inner steps, where the last fresh call took ``k``; that
 slow call's step stands. A step's ``inner_iters`` counts the call whose step
-it took.
+it took. A bundle builds its dense Hessian only when something reads it,
+which a call on a stale basis does not (``models.DerivativeBundle``): an
+exact run builds one Hessian per ``eigh``, at p=2 one per step, and none for
+an oracle call that ends the run.
 
 ``itm_run`` takes the exact bundle. ``stm_run`` sizes per-order mini-batches
 from the concentration lemmas and samples the bundle. ``gd_baseline`` takes

@@ -26,7 +26,8 @@ quantities no run evaluates; they live with the other lemma checks in
 The run path does not evaluate ``zeta`` through ``TaylorModel``: the order-3
 inner loop (``subsolvers.bregman_minimize_zeta``) evaluates the model and its
 gradient in the eigenbasis of the Hessian (``subsolvers.EigenbasisZeta``),
-and the order-2 step is one quartic solve. ``TaylorModel`` is the direct
+on a stale eigenbasis through ``DerivativeBundle.taylor_terms``, and the
+order-2 step is one quartic solve. ``TaylorModel`` is the direct
 evaluation in the original coordinates that checks them.
 """
 
@@ -37,30 +38,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankOneSumTensor3
+from .linalg import RankOneSumTensor3, quadratic_cubic_terms
 
 
-@dataclass(frozen=True)
 class DerivativeBundle:
     """Possibly inexact derivatives at a center point.
 
     The model order ``p`` is read off the bundle: 3 when ``third`` (a
     rank-one-sum operator) is present, 2 otherwise. ``sampling.sample_bundle``
     is the one builder of bundles in the library.
+
+    ``hess`` is the n-by-n Hessian, or a callable of no arguments that builds
+    it: an exact bundle (or a full batch) passes its all-rows Hessian oracle
+    at ``x``, which then runs on the first read of ``hess``, once, and never
+    if nothing reads it. A fresh factorization, the order-2 solve,
+    ``sampling.verify_condition`` and ``TaylorModel`` read it; the order-3
+    inner loop on a stale eigenbasis takes the Hessian only through
+    ``taylor_terms``, which ``hess_rows``, when given, lets do without it: a
+    callable of no arguments returning ``(rows, weights, ridge)`` with ``hess
+    = rows^T diag(weights) rows + ridge I``, called once, on first use.
     """
 
-    x: np.ndarray
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-    third: RankOneSumTensor3 | None
+    def __init__(self, x: np.ndarray, value: float, grad: np.ndarray, hess,
+                 third: RankOneSumTensor3 | None, hess_rows=None):
+        n = x.size
+        if grad.shape != (n,):
+            raise ValueError(f"gradient shape {grad.shape} != ({n},)")
+        self.x, self.value, self.grad, self.third = x, value, grad, third
+        self._build, self._hess = (hess, None) if callable(hess) else (None, self._checked(hess))
+        self._rows_source, self._rows = hess_rows, None
 
-    def __post_init__(self):
+    def _checked(self, hess: np.ndarray) -> np.ndarray:
         n = self.x.size
-        if self.grad.shape != (n,):
-            raise ValueError(f"gradient shape {self.grad.shape} != ({n},)")
-        if self.hess.shape != (n, n):
-            raise ValueError(f"Hessian shape {self.hess.shape} != ({n}, {n})")
+        if hess.shape != (n, n):
+            raise ValueError(f"Hessian shape {hess.shape} != ({n}, {n})")
+        return hess
+
+    @property
+    def hess(self) -> np.ndarray:
+        if self._hess is None:
+            self._hess = self._checked(self._build())
+        return self._hess
 
     @property
     def p(self) -> int:
@@ -69,6 +87,29 @@ class DerivativeBundle:
     @property
     def dim(self) -> int:
         return self.x.size
+
+    def taylor_terms(self, h: np.ndarray) -> tuple:
+        """``(B h + T[h]^2 / 2, <B h, h>, T[h]^3)`` with ``B = hess`` and
+        ``T = third`` (zero at ``p = 2``).
+
+        When ``hess_rows`` was given and ``third`` sums over the same rows
+        (an exact logistic bundle), one fused pass over those rows gives all
+        three (``linalg.quadratic_cubic_terms``) and ``hess`` is not built.
+        Otherwise (a quadratic or a sampled bundle) they are ``hess @ h``
+        and the contraction ``third.apply2(h)``.
+        """
+        if self._rows_source is not None and self.third is not None:
+            if self._rows is None:
+                self._rows = self._rows_source()
+            rows, weights, ridge = self._rows
+            if self.third.rows is rows:
+                bh, quad, cubic = quadratic_cubic_terms(rows, weights, self.third.weights, h)
+                return bh + ridge * h, quad + ridge * float(h @ h), cubic
+        bh = self.hess @ h
+        if self.third is None:
+            return bh, float(bh @ h), 0.0
+        t2 = self.third.apply2(h)
+        return bh + 0.5 * t2, float(bh @ h), float(t2 @ h)
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,19 @@ streaming every row as a view beats gathering most of them. The rule sits in
 the reduction, not in ``draw``, and a sampled third derivative always keeps
 only its support rows.
 
-Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK``
-rows, so the scaled-feature temporary of a Hessian is one slice, not the whole
-feature matrix, and a sampled draw gathers its support rows one slice at a
-time instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
+Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK`` rows,
+so the scaled-feature temporary of a Hessian is one slice, not the whole
+feature matrix, and a sampled draw gathers its support rows one slice at a time
+instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
 slice, and the reduction is the unsliced expression bit for bit. A Hessian is
 the Gram matrix of its sqrt-weighted slices, ``scaled.T @ scaled``, which numpy
 computes with BLAS syrk at half the flops of a general product and which is
-bitwise symmetric. The margins ``y_j a_j^T x`` of all rows are kept for the
-last point evaluated, so the value and every derivative at one iterate, exact
-or sampled, share one pass over the features: support rows gather their
-margins from the kept ones.
+bitwise symmetric. ``hessian_rows`` gives the same all-rows Hessian as its row
+weights and ridge instead, so that a product with it, fused with the third
+derivative's contraction over the same rows, never forms the n-by-n matrix. The
+margins ``y_j a_j^T x`` of all rows are kept for the last point evaluated, so
+the value and every derivative at one iterate, exact or sampled, share one pass
+over the features: support rows gather their margins from the kept ones.
 
 ``lipschitz_profile`` certifies the constants on a ball around a start
 point. A logistic problem's L_1..L_3, which set the gradient step and the
@@ -375,6 +377,20 @@ class LogisticProblem:
 
     def third(self, x) -> RankOneSumTensor3:
         return self._weighted_third(x, None, self._full_weights)
+
+    def hessian_rows(self, x, draw=None):
+        """``(features, weights, mu)``, an all-rows Hessian as the row sum it
+        reduces: ``features^T diag(weights) features + mu I`` is ``hessian(x)``
+        (``draw`` None) or ``batch_hessian(x, draw)`` for a draw that touches
+        every row.
+
+        ``third(x)`` and such a draw's ``batch_third`` sum over the same
+        ``features``, so products with both share one pass over the rows and
+        never form the n-by-n matrix (``models.DerivativeBundle.taylor_terms``).
+        """
+        _, _, t = self._margins(x)
+        weights = self._full_weights if draw is None else draw[1]
+        return self.features, weights * link_d2(t), self.mu
 
     # -- batch access --------------------------------------------------------
 

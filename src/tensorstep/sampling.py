@@ -23,6 +23,7 @@ failure probability is split evenly across orders.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,23 +155,37 @@ def sample_bundle(problem, x, plan: BatchPlan, rng,
     costs its support rather than ``m``. The oracles are looked up on
     ``problem`` at each call, and a two-entry plan touches no third-order
     method and leaves ``third`` empty. An ``EXACT`` entry and a draw that
-    touches every row (``rows=None``: offline, a full batch) take the
-    all-rows reduction of the exact derivatives, which is why they reproduce
-    them bitwise. A logistic gradient or Hessian whose support covers at
-    least ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path
-    too, with zero weights off the support. Every order, sampled or exact,
-    reads the margins the problem keeps for ``x``, so the bundle makes one
-    pass over the features (none when ``f(x)`` was just evaluated). The
-    bundle value is the exact ``f(x)``: ``value`` when the caller already
-    has it, else one ``problem.value`` call.
+    touches every row (``rows=None``: offline, a full batch) take the all-rows
+    reduction of the exact derivatives, which is why they reproduce them
+    bitwise. Such an all-rows Hessian is built on the first read of the
+    bundle's ``hess``, not here (its draw is taken here all the same, so the
+    ``rng`` stream does not move), and a problem with ``hessian_rows`` also
+    hands the bundle its row form for ``DerivativeBundle.taylor_terms``. A
+    logistic gradient or Hessian whose support covers at least
+    ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path too, with
+    zero weights off the support. Every order, sampled or exact, reads the
+    margins the problem keeps for ``x``, so the bundle makes one pass over the
+    features (none when ``f(x)`` was just evaluated). The bundle value is the
+    exact ``f(x)``: ``value`` when the caller already has it, else one
+    ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
-    derivatives = [getattr(problem, exact)(x) if size == EXACT
-                   else getattr(problem, batch)(x, problem.draw(size, rng))
-                   for size, (exact, batch) in zip(plan.sizes, ORACLES)]
+    derivatives, hess_rows = [], None
+    for size, (exact, batch) in zip(plan.sizes, ORACLES):
+        draw = None if size == EXACT else problem.draw(size, rng)
+        oracle = (functools.partial(getattr(problem, exact), x) if draw is None
+                  else functools.partial(getattr(problem, batch), x, draw))
+        if exact != "hessian" or not (draw is None or draw[0] is None):
+            derivatives.append(oracle())
+            continue
+        # an all-rows Hessian is built on the first read of the bundle's ``hess``
+        derivatives.append(oracle)
+        if hasattr(problem, "hessian_rows"):
+            hess_rows = functools.partial(problem.hessian_rows, x, draw)
     grad, hess, third = derivatives + [None] * (len(ORACLES) - len(derivatives))
     value = problem.value(x) if value is None else value
-    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third)
+    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third,
+                            hess_rows=hess_rows)
 
 
 @dataclass(frozen=True)

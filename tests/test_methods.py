@@ -248,6 +248,20 @@ class TestStaleEigenbasis:
         assert trace.status == "gap-target" and monotonicity_guard(trace) == []
         assert 0 < len(calls) < trace.final.k
 
+    def test_hessian_is_built_only_to_be_factored(self, monkeypatch):
+        # a stale call takes B h from the bundle's fused row pass, so the
+        # exact Hessian is built once per eigh and never for a stale call
+        problem = make_logistic(60, 120)
+        _, f_ref = reference_solution(problem)
+        builds, eigh = [], np.linalg.eigh
+        hessian = problem.hessian
+        monkeypatch.setattr(problem, "hessian", lambda x: builds.append("hessian") or hessian(x))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: builds.append("eigh") or eigh(a))
+        trace = itm_run(problem, np.zeros(60), RunConfig(p=3, eps=1e-6), f_ref)
+        assert trace.status == "gap-target" and monotonicity_guard(trace) == []
+        assert 0 < builds.count("hessian") == builds.count("eigh") < trace.final.k
+        assert builds[::2] == ["hessian"] * (len(builds) // 2)
+
     def test_run_on_a_badly_stale_basis_reaches_the_target(self, monkeypatch):
         # every stale call runs on the eigenbasis of the Hessian at 50 * 1,
         # where only the ridge term is left
@@ -296,6 +310,48 @@ class TestStaleEigenbasis:
                             lambda bundle, budget, config, h0=None, basis=None:
                             solve(bundle, budget, config, h0))
         assert itm_run(problem, x0, config).records == trace.records
+
+
+def counted_oracles(monkeypatch, problem, names):
+    """Calls of each ``problem`` method in ``names`` from here on, in order."""
+    calls = []
+    for name in names:
+        method = getattr(problem, name)
+        monkeypatch.setattr(problem, name, functools.partial(
+            lambda method, name, *args: calls.append(name) or method(*args), method, name))
+    return calls
+
+
+class TestOneDerivativePerStep:
+    """Every model step builds or draws its Hessian once; only a stale
+    order-3 call, which never reads it, builds none."""
+
+    def test_order_two_builds_one_hessian_per_step(self, logistic, monkeypatch):
+        problem, x0 = logistic
+        calls = counted_oracles(monkeypatch, problem, ["hessian"])
+        trace = itm_run(problem, x0, RunConfig(p=2, max_iter=6))
+        assert trace.status == "max-iter" and len(calls) == 6
+
+    def test_reference_closing_oracle_builds_no_hessian(self, monkeypatch):
+        # the run ends at the gradient floor, whose bundle no step reads
+        problem = make_logistic(8, 300, seed=0)
+        calls = counted_oracles(monkeypatch, problem, ["hessian", "gradient"])
+        steps = []
+        solve = methods.solve_model_p2
+        monkeypatch.setattr(methods, "solve_model_p2",
+                            lambda *args: steps.append(1) or solve(*args))
+        reference_solution(problem)
+        assert calls.count("hessian") == len(steps) == calls.count("gradient") - 1
+
+    def test_sampled_run_draws_one_hessian_per_step(self, logistic, monkeypatch):
+        # eps 1e-2 and kappa 10 sample orders 2 and 3: plan (298, 212, 23) of 300
+        problem, x0 = logistic
+        calls = counted_oracles(monkeypatch, problem, ["hessian", "batch_hessian"])
+        trace = stm_run(problem, x0, RunConfig(p=3, eps=1e-2, kappa=(10.0,) * 3,
+                                               max_iter=6))
+        assert trace.status == "max-iter"
+        assert all(0 < r.batch[1] < problem.m for r in trace.records[:-1])
+        assert calls == ["batch_hessian"] * 6
 
 
 class TestSharedLadder:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from tensorstep import (
+    EXACT,
+    BatchPlan,
     InexactnessBudget,
     ModelConfig,
     TaylorModel,
     make_logistic,
     make_quadratic,
+    sample_bundle,
 )
+from tensorstep.linalg import ROW_BLOCK
 from tensorstep.methods import default_profile, exact_bundle
 from tensorstep.models import zeta_radial_coefficients
 from tensorstep.subsolvers import EigenbasisZeta
@@ -208,9 +212,14 @@ class TestZetaAndGrad:
         assert bundle.p == request.param
         return TaylorModel(bundle, budget, config)
 
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
     @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 3.0])
-    def test_matches_zeta_and_zeta_grad(self, model, rng, scale):
-        zeta = EigenbasisZeta(model.bundle, model.budget, model.config)
+    def test_matches_zeta_and_zeta_grad(self, model, logistic, rng, scale, stale):
+        # a stale basis: the eigenbasis of the Hessian at another point
+        basis = None
+        if stale:
+            basis = np.linalg.eigh(exact_bundle(logistic, rng.standard_normal(6), 3).hess)
+        zeta = EigenbasisZeta(model.bundle, model.budget, model.config, basis)
         for _ in range(5):
             y = scale * rng.standard_normal(6)
             h = zeta.vecs @ y
@@ -220,6 +229,65 @@ class TestZetaAndGrad:
             direct = model.zeta_grad(h)
             tol = 1e-14 * max(1.0, float(np.linalg.norm(direct)))
             assert np.linalg.norm(zeta.vecs @ grad - direct) <= tol
+
+
+def assert_taylor_terms(bundle, h):
+    """``bundle.taylor_terms(h)`` against the dense ``hess @ h`` and the
+    contractions of ``third``, each to 1e-12 relative."""
+    bh = bundle.hess @ h
+    t2 = bundle.third.apply2(h)
+    u, quad, cubic = bundle.taylor_terms(h)
+    want = bh + 0.5 * t2
+    assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+    assert quad == pytest.approx(float(h @ bh), rel=1e-12, abs=0.0)
+    assert cubic == pytest.approx(bundle.third.apply3(h), rel=1e-12, abs=0.0)
+
+
+class TestTaylorTerms:
+    """``DerivativeBundle.taylor_terms``: ``B h + T[h]^2 / 2``, ``<B h, h>`` and
+    ``T[h]^3``, the one product the inner loop takes on a stale eigenbasis."""
+
+    def test_exact_logistic_builds_no_hessian(self, monkeypatch, rng):
+        # more rows than one slice, so the fused pass sums several slices
+        problem = make_logistic(n=6, m=ROW_BLOCK + 500, seed=3, mu=1e-2)
+        builds = []
+        hessian = problem.hessian
+        monkeypatch.setattr(problem, "hessian", lambda x: builds.append(1) or hessian(x))
+        bundle = exact_bundle(problem, 0.5 * rng.standard_normal(6), 3)
+        directions = [rng.standard_normal(6) * scale for scale in (1e-3, 1.0, 30.0)]
+        for h in directions:
+            bundle.taylor_terms(h)
+        assert builds == []
+        for h in directions:
+            assert_taylor_terms(bundle, h)
+        assert builds == [1]
+
+    @pytest.mark.parametrize("kind", ["sampled", "quadratic", "arrays"])
+    def test_dense_path(self, logistic_setup, rng, kind):
+        prob, bundle, _, _, _ = logistic_setup
+        if kind == "sampled":
+            bundle = sample_bundle(prob, bundle.x, BatchPlan((30, 20, 10)), rng)
+        elif kind == "quadratic":
+            bundle = exact_bundle(make_quadratic(6, seed=5), bundle.x, 3)
+        else:
+            bundle = type(bundle)(x=bundle.x, value=bundle.value, grad=bundle.grad,
+                                  hess=bundle.hess, third=bundle.third)
+        for scale in (1e-3, 1.0, 30.0):
+            assert_taylor_terms(bundle, scale * rng.standard_normal(6))
+
+    def test_full_batch_is_bitwise_the_exact_terms(self, logistic_setup, rng):
+        prob, bundle, _, _, _ = logistic_setup
+        full = sample_bundle(prob, bundle.x, BatchPlan((EXACT, prob.m, prob.m)), rng)
+        h = rng.standard_normal(6)
+        for got, want in zip(full.taylor_terms(h), bundle.taylor_terms(h)):
+            assert np.array_equal(got, want)
+
+    def test_order_two_has_no_tensor_terms(self, logistic, rng):
+        bundle = exact_bundle(logistic, rng.standard_normal(6), 2)
+        h = rng.standard_normal(6)
+        u, quad, cubic = bundle.taylor_terms(h)
+        assert np.array_equal(u, bundle.hess @ h) and cubic == 0.0
+        assert quad == pytest.approx(float(h @ bundle.hess @ h), rel=1e-12)
 
 
 class TestCoupling:

@@ -155,14 +155,17 @@ class TestPlanAndBundle:
         # the next float still plans: ln(2/delta) is inf, so every batch is full
         assert plan_batches(budget, 1e-323, problem, profile).sizes == (problem.m,) * p
 
-    @pytest.mark.parametrize("sizes,calls", [
-        ((40, EXACT), ["draw", "batch_gradient", "hessian", "value"]),
-        ((EXACT, 30, 20), ["gradient", "draw", "batch_hessian", "draw", "batch_third", "value"]),
-        ((40, 30, EXACT), ["draw", "batch_gradient", "draw", "batch_hessian", "third", "value"]),
+    @pytest.mark.parametrize("sizes,calls,on_read", [
+        ((40, EXACT), ["draw", "batch_gradient", "value"], ["hessian"]),
+        ((EXACT, 30, 20), ["gradient", "draw", "batch_hessian", "draw", "batch_third", "value"],
+         []),
+        ((40, 30, EXACT), ["draw", "batch_gradient", "draw", "batch_hessian", "third", "value"],
+         []),
     ])
-    def test_bundle_takes_the_orders_in_turn(self, offline, sizes, calls):
+    def test_bundle_takes_the_orders_in_turn(self, offline, sizes, calls, on_read):
         """Order 1, then 2, then 3, each by its exact or its batch oracle; a
-        two-entry plan touches no third-order method."""
+        two-entry plan touches no third-order method. An exact Hessian is
+        built on the first read of ``hess``, and only then."""
         problem, x, _ = offline
 
         class Recorder:
@@ -181,6 +184,9 @@ class TestPlanAndBundle:
         bundle = sample_bundle(recorder, x, BatchPlan(sizes), np.random.default_rng(0))
         assert recorder.calls == calls
         assert bundle.p == len(sizes)
+        first = bundle.hess
+        assert bundle.hess is first  # built once, on the first read
+        assert recorder.calls == calls + on_read
 
     def test_exact_bundle_meets_the_condition(self, offline):
         problem, x, _ = offline

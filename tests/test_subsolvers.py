@@ -614,32 +614,36 @@ class TestStaleBasis:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_records_match_the_direct_model(self, p3_setup, stale, monkeypatch):
-        # B is no longer diagonal in the basis: the quadratic term is B h itself
+        # B is no longer diagonal in the basis: the loop reads B h and T[h]^2
+        # only through the bundle's taylor_terms, once per iterate
         _, _, budget, config, _ = p3_setup
         bundle, h0, basis = stale
         iterates = []
-        contract = bundle.third.apply2
+        terms = bundle.taylor_terms
 
         def recording(s):
             iterates.append(np.array(s))
-            return contract(s)
+            return terms(s)
 
-        monkeypatch.setattr(bundle.third, "apply2", recording)
+        monkeypatch.setattr(bundle, "taylor_terms", recording)
         _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
         monkeypatch.undo()
-        iterates = [iterates[i] for i in accepted_contractions(stats)]
         if h0 is not None:
-            iterates[0] = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
+            # the line start takes its coefficients at h0, then its start afresh
+            assert np.array_equal(iterates.pop(0), h0)
+            start = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
+            assert np.array_equal(iterates[0], start) and np.linalg.norm(start) > 0
+        assert len(iterates) == stats.iterations + len(stats.rejected) + 1
+        iterates = [iterates[i] for i in accepted_contractions(stats)]
         model = TaylorModel(bundle, budget, config)
         scale = stats.grad_norms[0]
         for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
             assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
             assert abs(grad_norm - np.linalg.norm(model.zeta_grad(s))) <= 1e-12 * scale
 
-    def test_every_accepted_step_is_tested(self, p3_setup, stale, far_basis, monkeypatch):
+    def test_every_accepted_step_is_tested(self, p3_setup, stale, monkeypatch):
         # k(tau) is proved on the basis of B alone, so a stale call accepts
-        # only on the descent test, at any constant; on the far basis some
-        # steps are taken above k(tau), where a fresh call never goes
+        # only on the descent test, at any constant
         _, _, budget, config, _ = p3_setup
         bundle, h0, basis = stale
         tests = recording_descents(monkeypatch)
@@ -647,8 +651,23 @@ class TestStaleBasis:
         passed = [const for const, ok in tests if ok]
         assert passed == stats.constants and stats.iterations > 0
         assert [const for const, ok in tests if not ok] == [c for _, c in stats.rejected]
-        if basis is far_basis:
-            assert max(stats.constants) > relative_smoothness_constant(config.tau)
+
+    def test_steps_above_k_tau_are_taken_on_the_test(self, p3_setup, far_basis, monkeypatch):
+        # on a basis where no constant up to k(tau) passes, a stale call
+        # takes its steps above k(tau), where a fresh call never goes; at the
+        # rounding floor of zeta it then raises, as the test no longer passes
+        _, bundle, budget, config, _ = p3_setup
+        ktau = relative_smoothness_constant(config.tau)
+        test = subsolvers._descends
+        monkeypatch.setattr(subsolvers, "_descends",
+                            lambda *args: args[-1] > ktau and test(*args))
+        tests = recording_descents(monkeypatch)
+        try:
+            bregman_minimize_zeta(bundle, budget, config, None, far_basis)
+        except SubsolverError:
+            pass
+        passed = [const for const, ok in tests if ok]
+        assert len(passed) > 10 and min(passed) > ktau
 
     def test_trials_at_k_tau_are_tested(self, p3_setup, stale, monkeypatch):
         # with SHRINK = 1 every step tries k(tau) first: a fresh call takes it
@@ -682,6 +701,23 @@ class TestStaleBasis:
         # the fresh call on the same bundle falls back to the proved k(tau)
         _, fresh = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
         assert fresh.constants == [ktau] * fresh.iterations
+
+
+    def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch):
+        # started at its own minimizer with the stop rule off, a stale call's
+        # trials change zeta only at its rounding: a test that fails there
+        # raises once the constant reaches FLOOR_CAP k(tau), not STALE_CAP k(tau)
+        _, bundle, budget, config, _ = p3_setup
+        h, stats = bregman_minimize_zeta(bundle, budget, config)
+        monkeypatch.setattr(subsolvers, "INNER_GRAD_TOL", 0.0)
+        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+        tests = recording_descents(monkeypatch)
+        with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
+            bregman_minimize_zeta(bundle, budget, config, h, stats.basis)
+        floor = subsolvers.FLOOR_CAP * relative_smoothness_constant(config.tau)
+        constants = [const for const, _ in tests]
+        assert constants[-2] < floor <= constants[-1] < subsolvers.GROW * floor
+        assert f"{constants[-1]:.3e}" in str(err.value)
 
 
 def pole_data(lam):
