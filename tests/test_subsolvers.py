@@ -702,7 +702,6 @@ class TestStaleBasis:
         _, fresh = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
         assert fresh.constants == [ktau] * fresh.iterations
 
-
     def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch):
         # started at its own minimizer with the stop rule off, a stale call's
         # trials change zeta only at its rounding: a test that fails there
