@@ -2,12 +2,13 @@
 
 Provides the one representation of symmetric third-order tensors
 (``RankOneSumTensor3``, a rank-one-sum operator that never materializes the
-``n^3`` array), the fused products ``B s + T[s]^2 / 2``, ``<B s, s>`` and
-``T[s]^3`` of a row-sum matrix and tensor over the same rows
-(``quadratic_cubic_terms``), the operator norm of a symmetric matrix (its
-largest absolute eigenvalue, from ``eigvalsh``), and a lower bound of the
-induced norm of a symmetric third-order tensor by the power method from seeded
-random directions (``t3_norm_estimate``). The power prox
+``n^3`` array), a symmetric matrix built only when it is read densely
+(``LazyMatrix``), whose row-sum form (``RowSumMatrix``) takes its product
+with a vector in the same pass over the rows as a tensor contraction, the
+operator norm of a symmetric matrix (its largest absolute eigenvalue, from
+``eigvalsh``), and a lower bound of the induced norm of a symmetric
+third-order tensor by the power method from seeded random directions
+(``t3_norm_estimate``). The power prox
 ``d_p(x) = ||x||^p / p``, which the analysis uses and no run evaluates, lives
 with the other lemma checks in ``tests/lemmas.py``.
 
@@ -132,32 +133,58 @@ class RankOneSumTensor3:
         return RankOneSumTensor3(rows, weights, dim=self.dim)
 
 
-def quadratic_cubic_terms(rows: np.ndarray, w2: np.ndarray, w3: np.ndarray, s):
-    """``(B s + T[s]^2 / 2, <B s, s>, T[s]^3)`` for ``B = sum_j w2_j a_j a_j^T``
-    and ``T = sum_j w3_j a_j (x) a_j (x) a_j`` over the same ``rows`` ``a_j``.
+class LazyMatrix:
+    """A symmetric n-by-n matrix that ``build`` makes on the first ``dense()``, once.
 
-    With ``p = rows @ s`` these are ``sum_j (w2_j p_j + w3_j p_j^2 / 2) a_j``,
-    ``sum_j w2_j p_j^2`` and ``sum_j w3_j p_j^3``: Hessian-free products
-    (Pearlmutter, Neural Comput. 1994) that share the projection ``p``, so
-    each slice of rows is projected once and accumulated once, the two
-    passes of one contraction, and the n-by-n ``B`` is never formed.
+    ``products(third, s)`` is the 2-by-n array whose rows are ``B s`` and
+    ``T[s]^2`` for a ``RankOneSumTensor3`` ``third``: here ``dense() @ s`` and
+    ``third.apply2(s)``, so the matrix is built for it.
     """
-    n = rows.shape[1]
 
-    def part(sl):
-        block = rows[sl]
-        proj = block @ s
-        quad = w2[sl] * proj
-        cube = w3[sl] * proj
-        cube *= proj
-        out = np.empty(n + 2)
-        out[:n] = (quad + 0.5 * cube) @ block
-        out[n] = quad @ proj
-        out[n + 1] = cube @ proj
+    def __init__(self, build):
+        self._build, self._dense = build, None
+
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = self._build()
+        return self._dense
+
+    def products(self, third: RankOneSumTensor3, s: np.ndarray) -> np.ndarray:
+        return np.stack((self.dense() @ s, third.apply2(s)))
+
+
+class RowSumMatrix(LazyMatrix):
+    """``rows^T diag(weights) rows + ridge I``, a ``LazyMatrix`` kept as the row
+    sum it reduces; ``build`` makes the same matrix densely.
+
+    When ``third`` sums over the same ``rows``, ``products(third, s)`` never
+    builds the matrix: with ``p = rows @ s``, ``B s`` and ``T[s]^2`` are
+    ``sum_j weights_j p_j a_j + ridge s`` and ``sum_j w3_j p_j^2 a_j``,
+    Hessian-free products (Pearlmutter, Neural Comput. 1994) that share the
+    projection ``p``, so each slice of rows is projected once and accumulated
+    once for both, the two passes of one contraction.
+    """
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, ridge: float, build):
+        super().__init__(build)
+        self.rows, self.weights, self.ridge = rows, weights, ridge
+
+    def products(self, third: RankOneSumTensor3, s: np.ndarray) -> np.ndarray:
+        if third.rows is not self.rows:
+            return super().products(third, s)
+
+        def part(sl):
+            block = self.rows[sl]
+            proj = block @ s
+            coef = np.empty((2, proj.size))
+            np.multiply(self.weights[sl], proj, out=coef[0])
+            np.multiply(third.weights[sl], proj, out=coef[1])
+            coef[1] *= proj
+            return coef @ block
+
+        out = row_slice_sum(self.rows.shape[0], part)
+        out[0] += self.ridge * s
         return out
-
-    acc = row_slice_sum(rows.shape[0], part)
-    return acc[:n], float(acc[n]), float(acc[n + 1])
 
 
 def zero_tensor3(n: int) -> RankOneSumTensor3:

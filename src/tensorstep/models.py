@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankOneSumTensor3, quadratic_cubic_terms
+from .linalg import LazyMatrix, RankOneSumTensor3
 
 
 class DerivativeBundle:
@@ -48,25 +48,25 @@ class DerivativeBundle:
     rank-one-sum operator) is present, 2 otherwise. ``sampling.sample_bundle``
     is the one builder of bundles in the library.
 
-    ``hess`` is the n-by-n Hessian, or a callable of no arguments that builds
-    it: an exact bundle (or a full batch) passes its all-rows Hessian oracle
-    at ``x``, which then runs on the first read of ``hess``, once, and never
-    if nothing reads it. A fresh factorization, the order-2 solve,
-    ``sampling.verify_condition`` and ``TaylorModel`` read it; the order-3
-    inner loop on a stale eigenbasis takes the Hessian only through
-    ``taylor_terms``, which ``hess_rows``, when given, lets do without it: a
-    callable of no arguments returning ``(rows, weights, ridge)`` with ``hess
-    = rows^T diag(weights) rows + ridge I``, called once, on first use.
+    ``hess`` is given as the n-by-n Hessian or as a ``linalg.LazyMatrix``,
+    which is built on the first read of ``hess``, once, and never if nothing
+    reads it; ``sample_bundle`` passes the problem's ``hessian_operator``. A
+    fresh factorization, the order-2 solve, ``sampling.verify_condition`` and
+    ``TaylorModel`` read it; the order-3 inner loop on a stale eigenbasis
+    takes the Hessian only through ``taylor_terms``, which on an exact
+    logistic bundle (a ``linalg.RowSumMatrix`` over the rows of ``third``)
+    does without it.
     """
 
     def __init__(self, x: np.ndarray, value: float, grad: np.ndarray, hess,
-                 third: RankOneSumTensor3 | None, hess_rows=None):
+                 third: RankOneSumTensor3 | None):
         n = x.size
         if grad.shape != (n,):
             raise ValueError(f"gradient shape {grad.shape} != ({n},)")
         self.x, self.value, self.grad, self.third = x, value, grad, third
-        self._build, self._hess = (hess, None) if callable(hess) else (None, self._checked(hess))
-        self._rows_source, self._rows = hess_rows, None
+        if not isinstance(hess, LazyMatrix):
+            hess = LazyMatrix(lambda matrix=self._checked(hess): matrix)
+        self._hess = hess
 
     def _checked(self, hess: np.ndarray) -> np.ndarray:
         n = self.x.size
@@ -76,9 +76,7 @@ class DerivativeBundle:
 
     @property
     def hess(self) -> np.ndarray:
-        if self._hess is None:
-            self._hess = self._checked(self._build())
-        return self._hess
+        return self._checked(self._hess.dense())
 
     @property
     def p(self) -> int:
@@ -88,28 +86,15 @@ class DerivativeBundle:
     def dim(self) -> int:
         return self.x.size
 
-    def taylor_terms(self, h: np.ndarray) -> tuple:
-        """``(B h + T[h]^2 / 2, <B h, h>, T[h]^3)`` with ``B = hess`` and
-        ``T = third`` (zero at ``p = 2``).
-
-        When ``hess_rows`` was given and ``third`` sums over the same rows
-        (an exact logistic bundle), one fused pass over those rows gives all
-        three (``linalg.quadratic_cubic_terms``) and ``hess`` is not built.
-        Otherwise (a quadratic or a sampled bundle) they are ``hess @ h``
-        and the contraction ``third.apply2(h)``.
+    def taylor_terms(self, h: np.ndarray) -> np.ndarray:
+        """The 2-by-n array whose rows are ``B h`` and ``T[h]^2``, with ``B =
+        hess`` and ``T = third`` (``p = 3``): the products the quadratic and
+        cubic terms of the model take at ``h``
+        (``linalg.LazyMatrix.products``). On an exact logistic bundle they
+        come from one pass over the rows and ``hess`` is not built; otherwise
+        they are ``hess @ h`` and ``third.apply2(h)``.
         """
-        if self._rows_source is not None and self.third is not None:
-            if self._rows is None:
-                self._rows = self._rows_source()
-            rows, weights, ridge = self._rows
-            if self.third.rows is rows:
-                bh, quad, cubic = quadratic_cubic_terms(rows, weights, self.third.weights, h)
-                return bh + ridge * h, quad + ridge * float(h @ h), cubic
-        bh = self.hess @ h
-        if self.third is None:
-            return bh, float(bh @ h), 0.0
-        t2 = self.third.apply2(h)
-        return bh + 0.5 * t2, float(bh @ h), float(t2 @ h)
+        return self._hess.products(self.third, h)
 
 
 @dataclass(frozen=True)

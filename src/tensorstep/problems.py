@@ -20,18 +20,20 @@ streaming every row as a view beats gathering most of them. The rule sits in
 the reduction, not in ``draw``, and a sampled third derivative always keeps
 only its support rows.
 
-Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK`` rows,
-so the scaled-feature temporary of a Hessian is one slice, not the whole
-feature matrix, and a sampled draw gathers its support rows one slice at a time
-instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
+Gradients and Hessians reduce over slices of at most ``linalg.ROW_BLOCK``
+rows, so the scaled-feature temporary of a Hessian is one slice, not the whole
+feature matrix, and a sampled draw gathers its support rows one slice at a
+time instead of copying them all. With at most ``ROW_BLOCK`` rows there is one
 slice, and the reduction is the unsliced expression bit for bit. A Hessian is
 the Gram matrix of its sqrt-weighted slices, ``scaled.T @ scaled``, which numpy
 computes with BLAS syrk at half the flops of a general product and which is
-bitwise symmetric. ``hessian_rows`` gives the same all-rows Hessian as its row
-weights and ridge instead, so that a product with it, fused with the third
-derivative's contraction over the same rows, never forms the n-by-n matrix. The
-margins ``y_j a_j^T x`` of all rows are kept for the last point evaluated, so
-the value and every derivative at one iterate, exact or sampled, share one pass
+bitwise symmetric. ``hessian_operator`` hands a Hessian out unbuilt, as a
+``linalg.LazyMatrix`` that calls ``hessian`` or ``batch_hessian`` on its
+first dense read; an all-rows Hessian is a ``linalg.RowSumMatrix`` of its row
+weights and ridge, whose product with a vector shares the third derivative's
+pass over the same rows and never forms the n-by-n matrix. The margins
+``y_j a_j^T x`` of all rows are kept for the last point evaluated, so the
+value and every derivative at one iterate, exact or sampled, share one pass
 over the features: support rows gather their margins from the kept ones.
 
 ``lipschitz_profile`` certifies the constants on a ball around a start
@@ -45,6 +47,7 @@ mini-batches are still bounds of the longest row.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ProblemScaleError
-from .linalg import RankOneSumTensor3, row_slice_sum, zero_tensor3
+from .linalg import (LazyMatrix, RankOneSumTensor3, RowSumMatrix, row_slice_sum,
+                     zero_tensor3)
 
 #: sup over t of |phi^(i)(t)| for the logistic link phi(t) = log(1 + e^-t),
 #: orders i = 1..4. The third-order bound is sqrt(3)/18, attained at
@@ -192,6 +196,10 @@ class QuadraticProblem:
 
     def third(self, x) -> RankOneSumTensor3:
         return zero_tensor3(self.dim)
+
+    def hessian_operator(self, x, draw=None):
+        """``hessian(x)`` as a ``linalg.LazyMatrix``; every draw is the one component."""
+        return LazyMatrix(functools.partial(self.hessian, x))
 
     def batch_gradient(self, x, draw):
         return self.gradient(x)
@@ -378,19 +386,23 @@ class LogisticProblem:
     def third(self, x) -> RankOneSumTensor3:
         return self._weighted_third(x, None, self._full_weights)
 
-    def hessian_rows(self, x, draw=None):
-        """``(features, weights, mu)``, an all-rows Hessian as the row sum it
-        reduces: ``features^T diag(weights) features + mu I`` is ``hessian(x)``
-        (``draw`` None) or ``batch_hessian(x, draw)`` for a draw that touches
-        every row.
+    def hessian_operator(self, x, draw=None):
+        """``hessian(x)`` (``draw`` None) or ``batch_hessian(x, draw)`` as a
+        ``linalg.LazyMatrix``, built on its first dense read.
 
-        ``third(x)`` and such a draw's ``batch_third`` sum over the same
-        ``features``, so products with both share one pass over the rows and
-        never form the n-by-n matrix (``models.DerivativeBundle.taylor_terms``).
+        The exact Hessian and a draw that touches every row are a
+        ``linalg.RowSumMatrix`` over ``features``, the rows that ``third(x)``
+        and such a draw's ``batch_third`` sum over, so a product with both
+        takes one pass and never forms the n-by-n matrix.
         """
+        if draw is None:
+            build, weights = functools.partial(self.hessian, x), self._full_weights
+        else:
+            build, weights = functools.partial(self.batch_hessian, x, draw), draw[1]
+            if draw[0] is not None:
+                return LazyMatrix(build)
         _, _, t = self._margins(x)
-        weights = self._full_weights if draw is None else draw[1]
-        return self.features, weights * link_d2(t), self.mu
+        return RowSumMatrix(self.features, weights * link_d2(t), self.mu, build)
 
     # -- batch access --------------------------------------------------------
 

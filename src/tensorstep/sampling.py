@@ -23,7 +23,6 @@ failure probability is split evenly across orders.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,9 @@ EXACT = "exact"
 MAX_BATCH = int(np.iinfo(np.int64).max)
 
 #: The exact and the sampled oracle of each derivative order, by name: they
-#: are looked up on the problem at call time.
-ORACLES = (("gradient", "batch_gradient"), ("hessian", "batch_hessian"),
+#: are looked up on the problem at call time. Order 2 takes one oracle for
+#: both, which hands the Hessian out unbuilt (``problems``' ``hessian_operator``).
+ORACLES = (("gradient", "batch_gradient"), ("hessian_operator", "hessian_operator"),
            ("third", "batch_third"))
 
 #: Safety factor applied to the order-3 norm estimate, a power-method lower
@@ -155,37 +155,25 @@ def sample_bundle(problem, x, plan: BatchPlan, rng,
     costs its support rather than ``m``. The oracles are looked up on
     ``problem`` at each call, and a two-entry plan touches no third-order
     method and leaves ``third`` empty. An ``EXACT`` entry and a draw that
-    touches every row (``rows=None``: offline, a full batch) take the all-rows
-    reduction of the exact derivatives, which is why they reproduce them
-    bitwise. Such an all-rows Hessian is built on the first read of the
-    bundle's ``hess``, not here (its draw is taken here all the same, so the
-    ``rng`` stream does not move), and a problem with ``hessian_rows`` also
-    hands the bundle its row form for ``DerivativeBundle.taylor_terms``. A
-    logistic gradient or Hessian whose support covers at least
-    ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path too, with
-    zero weights off the support. Every order, sampled or exact, reads the
-    margins the problem keeps for ``x``, so the bundle makes one pass over the
-    features (none when ``f(x)`` was just evaluated). The bundle value is the
-    exact ``f(x)``: ``value`` when the caller already has it, else one
-    ``problem.value`` call.
+    touches every row (``rows=None``: offline, a full batch) take the
+    all-rows reduction of the exact derivatives, which is why they reproduce
+    them bitwise. A logistic gradient or Hessian whose support covers at
+    least ``problems.DENSE_SUPPORT`` of the rows takes that all-rows path
+    too, with zero weights off the support. Every order, sampled or exact,
+    reads the margins the problem keeps for ``x``, so the bundle makes one
+    pass over the features (none when ``f(x)`` was just evaluated). The
+    Hessian is handed over unbuilt and built on the first read of the
+    bundle's ``hess``; its draw is taken here all the same, so the ``rng``
+    stream does not move. The bundle value is the exact ``f(x)``: ``value``
+    when the caller already has it, else one ``problem.value`` call.
     """
     x = np.asarray(x, dtype=float)
-    derivatives, hess_rows = [], None
-    for size, (exact, batch) in zip(plan.sizes, ORACLES):
-        draw = None if size == EXACT else problem.draw(size, rng)
-        oracle = (functools.partial(getattr(problem, exact), x) if draw is None
-                  else functools.partial(getattr(problem, batch), x, draw))
-        if exact != "hessian" or not (draw is None or draw[0] is None):
-            derivatives.append(oracle())
-            continue
-        # an all-rows Hessian is built on the first read of the bundle's ``hess``
-        derivatives.append(oracle)
-        if hasattr(problem, "hessian_rows"):
-            hess_rows = functools.partial(problem.hessian_rows, x, draw)
+    derivatives = [getattr(problem, exact)(x) if size == EXACT
+                   else getattr(problem, batch)(x, problem.draw(size, rng))
+                   for size, (exact, batch) in zip(plan.sizes, ORACLES)]
     grad, hess, third = derivatives + [None] * (len(ORACLES) - len(derivatives))
     value = problem.value(x) if value is None else value
-    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third,
-                            hess_rows=hess_rows)
+    return DerivativeBundle(x=x, value=value, grad=grad, hess=hess, third=third)
 
 
 @dataclass(frozen=True)

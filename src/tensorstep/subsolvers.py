@@ -88,20 +88,20 @@ survives a reference that is spectrally close to ``B`` (Lu, Freund &
 Nesterov), but ``k(tau)`` is then no longer proved, and ``rho``'s curvature
 stays ``beta_B lam + a`` on the stale eigenvalues. In that basis ``B`` is not
 diagonal, and the loop reads it only as a product: each trial takes the
-bundle's ``taylor_terms(h)``, ``B h + T[h]^2 / 2`` with ``<B h, h>`` and
-``T[h]^3``, which gives ``vecs^T grad zeta`` with one n-by-n product and the
-value with none. On an exact logistic bundle those come from one pass over
-the rows that the Hessian and the third derivative both sum over,
+bundle's ``taylor_terms(h)``, the rows ``B h`` and ``T[h]^2``, in place of
+the contraction ``T[h]^2``. On an exact logistic bundle both come from one
+pass over the rows that the Hessian and the third derivative sum over,
 Hessian-free products (Pearlmutter, Neural Comput. 1994), so a step on a
 stale basis builds no Hessian at all (``models.DerivativeBundle``): the
 factorization and the dense Hessian, both paid only when the basis is
 refreshed, are the cost of an outer step at large n (Doikov, Chayti &
 Jaggi, "Second-order optimization with lazy Hessians", arXiv:2212.00781). A
-stale trial then costs that pass, two n-by-n products (``h = vecs y`` and
-``vecs^T`` of the pass's vector) and one secular solve. The line start
-takes ``A2 = <B h0, h0>/2 + z2 r^2`` and ``A3 = T[h0]^3 / 6`` from the terms
-at ``h0``; its start ``alpha h0`` takes its own, so a warm-started stale
-call contracts once more than a fresh one.
+stale trial then costs that pass, the n-by-n products ``h = vecs y``,
+``vecs^T (B h + T[h]^2 / 2)`` for the gradient and ``vecs^T`` of both rows
+for the value, and one secular solve. The line start scales the rows at
+``h0`` to its start ``alpha h0``, ``B h`` by ``alpha`` and ``T[h]^2`` by
+``alpha^2``, as a fresh call scales ``T[h0]^2``, so a warm stale call
+contracts no more often than a fresh one.
 
 So every stale trial takes the descent test, at ``k(tau)`` too, and no
 stale trial is accepted untested; a failed test grows the constant by
@@ -316,12 +316,13 @@ class EigenbasisZeta:
     ``SubsolverError`` when the ``B`` it factors is not finite (an
     overflowing Hessian), which LAPACK would report as eigenvalues that did
     not converge. At order 3, with ``h = vecs y``, ``zeta(h)`` and
-    ``vecs^T grad zeta(h)`` come from ``gt = vecs^T grad``, ``y`` and one
-    contraction at ``h`` (``contract``): on the basis of ``B`` the quadratic
-    term is ``lam y`` and the contraction is ``T[h]^2`` brought into the
-    eigenbasis, whose ``<vecs^T T[h]^2, y>`` is the cubic term of the value;
-    on a stale basis it is the bundle's ``taylor_terms(h)``, ``B h +
-    T[h]^2 / 2`` with ``<B h, h>`` and ``T[h]^3``. ``change_and_grad`` is the
+    ``vecs^T grad zeta(h)`` are elementwise in ``vecs^T B h``, ``y``,
+    ``gt = vecs^T grad`` and ``vecs^T T[h]^2`` (``projected``), from one
+    contraction at ``h`` (``contract``); the cubic term of the value is
+    ``T[h]^3 = <vecs^T T[h]^2, y>``. On the basis of ``B`` the quadratic
+    term is ``lam y`` and the contraction is ``T[h]^2``; on a stale basis
+    the contraction is the bundle's ``taylor_terms(h)``, both rows ``B h``
+    and ``T[h]^2``. ``change_and_grad`` is the
     evaluation the inner loop of ``bregman_minimize_zeta`` takes in place of
     ``TaylorModel.zeta`` and ``TaylorModel.zeta_grad``.
     """
@@ -341,12 +342,21 @@ class EigenbasisZeta:
         self.lam, self.vecs = basis
         self.gt = self.vecs.T @ bundle.grad
 
-    def contract(self, h: np.ndarray):
-        """The one contraction ``change_and_grad`` takes at ``h``: ``vecs^T
-        T[h]^2`` on the basis of ``B``, ``bundle.taylor_terms(h)`` on a stale one."""
+    def contract(self, h: np.ndarray) -> np.ndarray:
+        """The one contraction at ``h``: ``vecs^T T[h]^2`` on the basis of
+        ``B``, and on a stale one the bundle's ``taylor_terms(h)``, the rows
+        ``B h`` and ``T[h]^2``."""
         if self.stale:
             return self.bundle.taylor_terms(h)
         return self.vecs.T @ self.bundle.third.apply2(h)
+
+    def projected(self, y: np.ndarray, terms: np.ndarray) -> tuple:
+        """``(vecs^T B h, vecs^T T[h]^2)`` at ``h = vecs y`` from ``terms =
+        contract(h)``: ``lam y`` on the basis of ``B``."""
+        if self.stale:
+            ly, vt = terms @ self.vecs
+            return ly, vt
+        return self.lam * y, terms
 
     def change_and_grad(self, y: np.ndarray, h: np.ndarray, terms=None) -> tuple:
         """``(zeta(h) - zeta(0), vecs^T grad zeta(h))`` at ``h = vecs y``.
@@ -357,44 +367,38 @@ class EigenbasisZeta:
         """
         if terms is None:
             terms = self.contract(h)
+        ly, vt = self.projected(y, terms)
         r2 = float(y @ y)
-        radial = (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
         if self.stale:
-            bt, quad, cubic = terms
-            g = self.gt + self.vecs.T @ bt + radial
-            change = float(self.gt @ y) + 0.5 * quad + cubic / 6.0
+            # one projection of B h + T[h]^2 / 2 rounds less than a sum of two
+            g = self.gt + self.vecs.T @ (terms[0] + 0.5 * terms[1])
         else:
-            ly = self.lam * y
-            g = self.gt + ly + 0.5 * terms + radial
-            change = float(self.gt @ y) + 0.5 * float(ly @ y) + float(terms @ y) / 6.0
-        return change + (self.z2 + self.z4 * r2) * r2, g
+            g = self.gt + ly + 0.5 * vt
+        change = (float(self.gt @ y) + 0.5 * float(ly @ y) + float(vt @ y) / 6.0
+                  + (self.z2 + self.z4 * r2) * r2)
+        return change, g + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
 
     def line_start(self, h0: np.ndarray) -> tuple:
         """``(y, h, terms)`` at ``alpha h0``, the minimizer of ``zeta`` on the
-        line through 0 and ``h0``, with ``terms = contract(h)``. ``alpha`` is
-        0 when no point of the line lies below ``zeta(0)``.
-
-        The quartic in ``alpha`` takes its quadratic and cubic coefficients
-        from one contraction at ``h0``. On the basis of ``B`` that is ``vecs^T
-        T[h0]^2``, whose ``alpha^2`` multiple is ``terms``; on a stale one,
-        ``B h0`` and ``T[h0]^2`` come summed, so ``terms`` is a second
-        contraction, at ``alpha h0``.
-        """
+        line through 0 and ``h0``, with ``terms = contract(h)`` scaled from the
+        one contraction at ``h0``: ``T[h]^2`` by ``alpha^2`` and ``B h`` by
+        ``alpha``. ``alpha`` is 0 when no point of the line lies below
+        ``zeta(0)``."""
         yp = self.vecs.T @ h0
         terms = self.contract(h0)
+        ly, vt = self.projected(yp, terms)
         r2 = float(yp @ yp)
-        if self.stale:
-            _, quad, cubic = terms
-            a2, a3 = 0.5 * quad, cubic / 6.0
-        else:
-            a2, a3 = 0.5 * float((self.lam * yp) @ yp), float(terms @ yp) / 6.0
-        alpha = _quartic_line_minimizer(float(self.gt @ yp), a2 + self.z2 * r2, a3,
-                                        self.z4 * r2 * r2)
+        alpha = _quartic_line_minimizer(
+            float(self.gt @ yp),
+            0.5 * float(ly @ yp) + self.z2 * r2,
+            float(vt @ yp) / 6.0,
+            self.z4 * r2 * r2,
+        )
         if alpha == 0.0:
             zero = np.zeros(h0.size)
-            return zero, zero, (zero, 0.0, 0.0) if self.stale else zero
-        y, h = alpha * yp, alpha * h0
-        return y, h, self.contract(h) if self.stale else alpha * alpha * terms
+            return zero, zero, np.zeros_like(terms)
+        scale = np.array([[alpha], [alpha * alpha]]) if self.stale else alpha * alpha
+        return alpha * yp, alpha * h0, scale * terms
 
 
 def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float:
@@ -434,8 +438,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``basis``, the ``InnerStats.basis`` of an earlier call, replaces the
     factorization: ``rho`` is built on that stale eigenbasis, the Hessian is
     not read, and each trial's contraction is the bundle's
-    ``taylor_terms(h)`` in place of ``T[h]^2`` (one pass over the rows on an
-    exact logistic bundle, no Hessian built). ``k(tau)`` is not proved
+    ``taylor_terms(h)``, ``B h`` and ``T[h]^2``, in place of ``T[h]^2`` (one
+    pass over the rows on an exact logistic bundle, no Hessian built), and
+    it takes two more n-by-n products. ``k(tau)`` is not proved
     there, so every trial takes the descent test, no stale trial is accepted
     untested, and a failed test grows the constant by ``GROW`` up to
     ``STALE_CAP k(tau)``, or up to ``FLOOR_CAP k(tau)`` once the model
@@ -445,12 +450,11 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
     through 0 and the guess ``h0`` (the previous outer step; 0 when not
     given, which starts the loop at 0): a quartic in ``alpha`` whose
-    coefficients come from one contraction at ``h0``, which on the basis of
-    ``B`` the first evaluation reuses as ``alpha^2 T[h0]^2``. So a call that
-    takes ``k`` steps and rejects ``r`` trials contracts ``k + r + 1`` times,
-    one less for each rejected trial that did not move the iterate and one
-    more on a stale basis with ``alpha != 0``, and ``zeta`` at the start is
-    at most ``zeta(0)``.
+    coefficients come from one contraction at ``h0``, which the first
+    evaluation reuses as ``alpha^2 T[h0]^2`` (and, on a stale basis, ``alpha
+    B h0``). So a call that takes ``k`` steps and rejects ``r`` trials
+    contracts ``k + r + 1`` times, one less for each rejected trial that did
+    not move the iterate, and ``zeta`` at the start is at most ``zeta(0)``.
 
     Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
     ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate

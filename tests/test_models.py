@@ -240,19 +240,22 @@ def assert_matches_direct_model(zeta, model, rng, scale):
 
 def assert_taylor_terms(bundle, h):
     """``bundle.taylor_terms(h)`` against the dense ``hess @ h`` and the
-    contractions of ``third``, each to 1e-12 relative."""
-    bh = bundle.hess @ h
-    t2 = bundle.third.apply2(h)
-    u, quad, cubic = bundle.taylor_terms(h)
+    contractions of ``third``, each to 1e-12 relative: the rows ``B h`` and
+    ``T[h]^2``, and from them ``B h + T[h]^2 / 2``, ``<B h, h>`` and ``T[h]^3``."""
+    bh, t2 = bundle.hess @ h, bundle.third.apply2(h)
+    got = bundle.taylor_terms(h)
+    assert got.shape == (2, h.size)
+    for row, want in zip(got, (bh, t2, bh + 0.5 * t2)):
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
     want = bh + 0.5 * t2
-    assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
-    assert quad == pytest.approx(float(h @ bh), rel=1e-12, abs=0.0)
-    assert cubic == pytest.approx(bundle.third.apply3(h), rel=1e-12, abs=0.0)
+    assert np.linalg.norm(got[0] + 0.5 * got[1] - want) <= 1e-12 * np.linalg.norm(want)
+    assert float(got[0] @ h) == pytest.approx(float(h @ bh), rel=1e-12, abs=0.0)
+    assert float(got[1] @ h) == pytest.approx(bundle.third.apply3(h), rel=1e-12, abs=0.0)
 
 
 class TestTaylorTerms:
-    """``DerivativeBundle.taylor_terms``: ``B h + T[h]^2 / 2``, ``<B h, h>`` and
-    ``T[h]^3``, the one product the inner loop takes on a stale eigenbasis."""
+    """``DerivativeBundle.taylor_terms``: the rows ``B h`` and ``T[h]^2``, the
+    one product the inner loop takes on a stale eigenbasis."""
 
     def test_exact_logistic_builds_no_hessian(self, monkeypatch, rng):
         # more rows than one slice, so the fused pass sums several slices
@@ -286,15 +289,7 @@ class TestTaylorTerms:
         prob, bundle, _, _, _ = logistic_setup
         full = sample_bundle(prob, bundle.x, BatchPlan((EXACT, prob.m, prob.m)), rng)
         h = rng.standard_normal(6)
-        for got, want in zip(full.taylor_terms(h), bundle.taylor_terms(h)):
-            assert np.array_equal(got, want)
-
-    def test_order_two_has_no_tensor_terms(self, logistic, rng):
-        bundle = exact_bundle(logistic, rng.standard_normal(6), 2)
-        h = rng.standard_normal(6)
-        u, quad, cubic = bundle.taylor_terms(h)
-        assert np.array_equal(u, bundle.hess @ h) and cubic == 0.0
-        assert quad == pytest.approx(float(h @ bundle.hess @ h), rel=1e-12)
+        assert np.array_equal(full.taylor_terms(h), bundle.taylor_terms(h))
 
 
 class TestCoupling:

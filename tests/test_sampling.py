@@ -156,14 +156,16 @@ class TestPlanAndBundle:
         assert plan_batches(budget, 1e-323, problem, profile).sizes == (problem.m,) * p
 
     @pytest.mark.parametrize("sizes,calls", [
-        ((40, EXACT), ["draw", "batch_gradient", "value"]),
-        ((EXACT, 30, 20), ["gradient", "draw", "batch_hessian", "draw", "batch_third", "value"]),
-        ((40, 30, EXACT), ["draw", "batch_gradient", "draw", "batch_hessian", "third", "value"]),
+        ((40, EXACT), ["draw", "batch_gradient", "hessian_operator", "value"]),
+        ((EXACT, 30, 20), ["gradient", "draw", "hessian_operator", "draw", "batch_third",
+                           "value"]),
+        ((40, 30, EXACT), ["draw", "batch_gradient", "draw", "hessian_operator", "third",
+                           "value"]),
     ])
-    def test_bundle_takes_the_orders_in_turn(self, offline, sizes, calls):
+    def test_bundle_takes_the_orders_in_turn(self, offline, sizes, calls, monkeypatch):
         """Order 1, then 2, then 3, each by its exact or its batch oracle; a
-        two-entry plan touches no third-order method. An exact Hessian is
-        built on the first read of ``hess``, and only then."""
+        two-entry plan touches no third-order method. The Hessian is built
+        on the first read of ``hess``, once, and only then."""
         problem, x, _ = offline
 
         class Recorder:
@@ -178,13 +180,20 @@ class TestPlanAndBundle:
                     return method(*args)
                 return call
 
+        builds = []
+        for name in ("hessian", "batch_hessian"):
+            build = getattr(problem, name)
+            monkeypatch.setattr(problem, name,
+                                lambda *args, name=name, build=build:
+                                builds.append(name) or build(*args))
         recorder = Recorder()
         bundle = sample_bundle(recorder, x, BatchPlan(sizes), np.random.default_rng(0))
         assert recorder.calls == calls
         assert bundle.p == len(sizes)
+        assert builds == []
         first = bundle.hess
-        assert bundle.hess is first  # built once, on the first read
-        assert recorder.calls == calls + (["hessian"] if sizes[1] == EXACT else [])
+        assert bundle.hess is first
+        assert builds == ["hessian" if sizes[1] == EXACT else "batch_hessian"]
 
     def test_exact_bundle_meets_the_condition(self, offline):
         problem, x, _ = offline

@@ -628,13 +628,10 @@ class TestStaleBasis:
         monkeypatch.setattr(bundle, "taylor_terms", recording)
         _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
         monkeypatch.undo()
-        if h0 is not None:
-            # the line start takes its coefficients at h0, then its start afresh
-            assert np.array_equal(iterates.pop(0), h0)
-            start = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
-            assert np.array_equal(iterates[0], start) and np.linalg.norm(start) > 0
         assert len(iterates) == stats.iterations + len(stats.rejected) + 1
         iterates = [iterates[i] for i in accepted_contractions(stats)]
+        if h0 is not None:
+            iterates[0] = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
         model = TaylorModel(bundle, budget, config)
         scale = stats.grad_norms[0]
         for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
@@ -651,6 +648,33 @@ class TestStaleBasis:
         passed = [const for const, ok in tests if ok]
         assert passed == stats.constants and stats.iterations > 0
         assert [const for const, ok in tests if not ok] == [c for _, c in stats.rejected]
+
+    def test_far_basis_near_the_minimizer_needs_constants_above_k_tau(
+            self, p3_setup, far_basis, monkeypatch):
+        # near the minimizer of f the steps are short, so rho's quadratic part
+        # must bound B alone, and on the far basis it holds only the ridge:
+        # the call takes a step above k(tau) after a test that failed on a
+        # model change far above the rounding of zeta
+        prob, bundle, budget, config, _ = p3_setup
+        ktau = relative_smoothness_constant(config.tau)
+        x = bundle.x.copy()
+        for _ in range(30):
+            x -= np.linalg.solve(prob.hessian(x), prob.gradient(x))
+        near = exact_bundle(prob, x + 0.01 * (bundle.x - x), 3)
+        tests = []
+        test = subsolvers._descends
+
+        def recorded(*args):
+            tests.append((args[-1], args[0], test(*args)))
+            return tests[-1][-1]
+
+        monkeypatch.setattr(subsolvers, "_descends", recorded)
+        _, stats = bregman_minimize_zeta(near, budget, config, None, far_basis)
+        assert [const for const, _, ok in tests if ok] == stats.constants
+        assert max(stats.constants) > ktau
+        above = next(i for i, (const, _, ok) in enumerate(tests) if ok and const > ktau)
+        _, change, ok = tests[above - 1]
+        assert not ok and abs(change) > 1e6 * math.ulp(near.value)
 
     def test_steps_above_k_tau_are_taken_on_the_test(self, p3_setup, far_basis, monkeypatch):
         # on a basis where no constant up to k(tau) passes, a stale call
