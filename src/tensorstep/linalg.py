@@ -150,7 +150,10 @@ class LazyMatrix:
         return self._dense
 
     def products(self, third: RankOneSumTensor3, s: np.ndarray) -> np.ndarray:
-        return np.stack((self.dense() @ s, third.apply2(s)))
+        out = np.empty((2, s.size))
+        np.matmul(self.dense(), s, out=out[0])
+        out[1] = third.apply2(s)
+        return out
 
 
 class RowSumMatrix(LazyMatrix):
