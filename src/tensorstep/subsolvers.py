@@ -165,8 +165,8 @@ STALE_CAP = 1e6
 #: of zeta(0) raises from this multiple of k(tau) on. Over every stale call of
 #: the itm-p3 and stm-p3 golden configs and of the three order-3 benchmark
 #: workloads at seed 1, a call whose test failed at that rounding and later
-#: passed did so below 2.2 k(tau); the four that never passed failed at every
-#: constant up to ``STALE_CAP`` k(tau).
+#: passed did so below 3.8 k(tau); the three that raise failed at every
+#: constant of their last step up to ``STALE_CAP`` k(tau).
 FLOOR_CAP = 10.0
 
 
@@ -322,9 +322,9 @@ class EigenbasisZeta:
     ``T[h]^3 = <vecs^T T[h]^2, y>``. On the basis of ``B`` the quadratic
     term is ``lam y`` and the contraction is ``T[h]^2``; on a stale basis
     the contraction is the bundle's ``taylor_terms(h)``, both rows ``B h``
-    and ``T[h]^2``. ``change_and_grad`` is the
-    evaluation the inner loop of ``bregman_minimize_zeta`` takes in place of
-    ``TaylorModel.zeta`` and ``TaylorModel.zeta_grad``.
+    and ``T[h]^2``. ``change_and_grad`` is the evaluation the inner loop of
+    ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
+    ``TaylorModel.zeta_grad``.
     """
 
     def __init__(self, bundle: DerivativeBundle, budget: InexactnessBudget,
