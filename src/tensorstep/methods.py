@@ -21,14 +21,13 @@ constants there. ITM and STM take their budget and sigma from
 inner iteration), ``bregman_minimize_zeta`` at p=3, warm-started from the
 previous outer step. At p=3 the model is exact at every step, but its
 Bregman reference is built on the eigenbasis of the last Hessian the step
-factored, whose ``eigh`` dominates a wide step. The step factors again when a
-call on that stale basis raises, and then redoes the step, or when one takes
-more than ``2 k + 2`` inner steps, where the last fresh call took ``k``; that
-slow call's step stands. A step's ``inner_iters`` counts the call whose step
-it took. A bundle builds its dense Hessian only when something reads it,
-which a call on a stale basis does not (``models.DerivativeBundle``): an
-exact run builds one Hessian per ``eigh``, at p=2 one per step, and none for
-an oracle call that ends the run.
+factored, whose ``eigh`` dominates a wide step. The step factors again only
+when a call on that stale basis raises, and then redoes the step on the
+fresh basis, which later steps keep. A step's ``inner_iters`` counts the
+call whose step it took. A bundle builds its dense Hessian only when
+something reads it, which a call on a stale basis does not
+(``models.DerivativeBundle``): an exact run builds one Hessian per ``eigh``,
+at p=2 one per step, and none for an oracle call that ends the run.
 
 ``itm_run`` takes the exact bundle. ``stm_run`` sizes per-order mini-batches
 from the concentration lemmas and samples the bundle. ``gd_baseline`` takes
@@ -191,7 +190,8 @@ def resolve_model(config: RunConfig, profile: LipschitzProfile):
     explicit sequence. sigma is L_p at p=2, whose solve does not read tau, and
     the tau coupling at p=3, whose inner solver's proved relative-smoothness
     constants require it. Corollary tolerances that are not finite (a
-    ``diameter`` so small that ``1/diameter`` overflows) raise ``ConfigError``.
+    ``diameter`` so small that ``1/diameter`` overflows) raise ``ConfigError``,
+    as does a finite tau whose coupled sigma overflows.
     """
     p, lip_top = config.p, profile.lip(config.p)
     if config.kappa == "exact":
@@ -208,7 +208,11 @@ def resolve_model(config: RunConfig, profile: LipschitzProfile):
             raise ValueError(f"expected {p} tolerances, got {len(kappas)}")
     budget = InexactnessBudget(config.eps, kappas)
     if p == 3:
-        return budget, ModelConfig.coupled(lip_top, kappas[2], config.tau)
+        tau = config.tau
+        if math.isfinite(tau) and math.isinf(1.5 * tau * tau * (lip_top + kappas[2])):
+            raise ConfigError([f"tau: the coupled sigma overflows at tau = {tau:g}, "
+                               f"L_3 = {lip_top:.3g}, kappa_3 = {kappas[2]:.3g}"])
+        return budget, ModelConfig.coupled(lip_top, kappas[2], tau)
     return budget, ModelConfig(sigma=lip_top)
 
 
@@ -273,11 +277,10 @@ def _model_method(problem, x0, config: RunConfig):
     fx0, profile = checked_start(problem, x0)
     budget, mconfig = resolve_model(config, profile)
     last = None  # the previous step
-    # the eigenbasis rho was last built on, and the inner steps a call on it may take
-    basis, limit = None, 0
+    basis = None  # the eigenbasis rho was last built on
 
     def step(x, bundle):
-        nonlocal last, basis, limit
+        nonlocal last, basis
         if bundle.p == 2:
             h, inner_iters = solve_model_p2(bundle, budget, mconfig), 1
         else:
@@ -289,10 +292,7 @@ def _model_method(problem, x0, config: RunConfig):
                     pass  # the step is redone on a fresh factorization
             if stats is None:
                 h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last)
-                limit = 2 * stats.iterations + 2
-            # a slower stale call keeps its step; the next step factors B afresh
-            basis = stats.basis if stats.iterations <= limit else None
-            inner_iters = stats.iterations
+            basis, inner_iters = stats.basis, stats.iterations
         last = h
         return x + h, float(np.linalg.norm(h)), inner_iters
 

@@ -105,10 +105,12 @@ class InexactnessBudget:
     kappas: tuple
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("target accuracy must be positive")
-        if any(k < 0 for k in self.kappas):
-            raise ValueError("tolerances must be nonnegative")
+        # NaN passes every comparison that rejects a bound, so finiteness is asked first
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"target accuracy eps must be positive and finite, got {self.eps!r}")
+        if not all(math.isfinite(k) and k >= 0 for k in self.kappas):
+            raise ValueError(f"tolerances kappas must be nonnegative and finite, "
+                             f"got {self.kappas!r}")
 
     @property
     def p(self) -> int:
@@ -135,10 +137,10 @@ class ModelConfig:
     tau: float = 4.0
 
     def __post_init__(self):
-        if self.tau <= 2:
-            raise ValueError("tau > 2 required")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 2):
+            raise ValueError(f"finite tau > 2 required, got {self.tau!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     @classmethod
     def coupled(cls, lip_top: float, kappa_top: float, tau: float) -> "ModelConfig":

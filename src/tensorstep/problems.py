@@ -204,9 +204,6 @@ class QuadraticProblem:
     def batch_gradient(self, x, draw):
         return self.gradient(x)
 
-    def batch_hessian(self, x, draw):
-        return self.hessian(x)
-
     def batch_third(self, x, draw):
         return self.third(x)
 

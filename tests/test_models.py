@@ -310,6 +310,18 @@ class TestCoupling:
         with pytest.raises(ValueError, match="tau > 2"):
             ModelConfig(sigma=1.0, tau=2.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: InexactnessBudget(v, (0.0, 0.0)), "eps"),
+        (lambda v: InexactnessBudget(1e-2, (v, 0.0)), "kappas"),
+        (lambda v: ModelConfig(sigma=v), "sigma"),
+        (lambda v: ModelConfig(sigma=1.0, tau=v), "tau"),
+    ], ids=["eps", "kappas", "sigma", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_input_is_rejected(self, make, field, value):
+        # NaN passes every bound check, and inf every lower bound
+        with pytest.raises(ValueError, match=field):
+            make(value)
+
 
 class TestResidualReports:
     def test_exact_quadratic_all_zero_residuals(self, rng):

@@ -714,33 +714,28 @@ class TestStaleBasis:
             assert [const for const, ok in tests if ok] == stats.constants
 
     def test_descent_that_never_holds_raises_at_the_cap(self, p3_setup, next_step, monkeypatch):
+        # a stale call whose test never passes raises at STALE_CAP k(tau). The
+        # floor start is a call at its own minimizer with the stop rule off,
+        # whose trials change zeta only at its rounding: it raises at the same cap
         _, bundle, budget, config, _ = p3_setup
-        _, stats = bregman_minimize_zeta(bundle, budget, config)
-        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+        h_star, stats = bregman_minimize_zeta(bundle, budget, config)
         ktau = relative_smoothness_constant(config.tau)
-        with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
-            bregman_minimize_zeta(next_step[0], budget, config, next_step[1], stats.basis)
-        assert f"{subsolvers.STALE_CAP * ktau:.3e}" in str(err.value)
-        assert err.value.best is not None and err.value.residual > 0
-        # the fresh call on the same bundle falls back to the proved k(tau)
-        _, fresh = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
-        assert fresh.constants == [ktau] * fresh.iterations
-
-    def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch):
-        # started at its own minimizer with the stop rule off, a stale call's
-        # trials change zeta only at its rounding: a test that fails there
-        # raises once the constant reaches FLOOR_CAP k(tau), not STALE_CAP k(tau)
-        _, bundle, budget, config, _ = p3_setup
-        h, stats = bregman_minimize_zeta(bundle, budget, config)
-        monkeypatch.setattr(subsolvers, "INNER_GRAD_TOL", 0.0)
+        cap = subsolvers.STALE_CAP * ktau
         monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
-        tests = recording_descents(monkeypatch)
-        with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
-            bregman_minimize_zeta(bundle, budget, config, h, stats.basis)
-        floor = subsolvers.FLOOR_CAP * relative_smoothness_constant(config.tau)
-        constants = [const for const, _ in tests]
-        assert constants[-2] < floor <= constants[-1] < subsolvers.GROW * floor
-        assert f"{constants[-1]:.3e}" in str(err.value)
+        cases = [(*next_step, subsolvers.INNER_GRAD_TOL), (bundle, h_star, 0.0)]
+        for case_bundle, h0, grad_tol in cases:
+            with monkeypatch.context() as scoped:
+                scoped.setattr(subsolvers, "INNER_GRAD_TOL", grad_tol)
+                tests = recording_descents(scoped)
+                with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
+                    bregman_minimize_zeta(case_bundle, budget, config, h0, stats.basis)
+            constants = [const for const, _ in tests]
+            assert constants[-2] < cap == constants[-1]
+            assert f"{cap:.3e}" in str(err.value)
+            assert err.value.best is not None and err.value.residual > 0
+            # the fresh call on the same bundle falls back to the proved k(tau)
+            _, fresh = bregman_minimize_zeta(case_bundle, budget, config, h0)
+            assert fresh.constants == [ktau] * fresh.iterations
 
 
 def pole_data(lam):
