@@ -714,29 +714,39 @@ class TestStaleBasis:
             assert [const for const, ok in tests if ok] == stats.constants
 
     def test_descent_that_never_holds_raises_at_the_cap(self, p3_setup, next_step, monkeypatch):
-        # a stale call whose test never passes raises at STALE_CAP k(tau). The
-        # floor start is a call at its own minimizer with the stop rule off,
-        # whose trials change zeta only at its rounding: it raises at the same cap
+        # a stale call whose test never passes raises at STALE_CAP k(tau)
+        _, bundle, budget, config, _ = p3_setup
+        _, stats = bregman_minimize_zeta(bundle, budget, config)
+        assert_raises_at_the_stale_cap(monkeypatch, budget, config, stats.basis, *next_step,
+                                       subsolvers.INNER_GRAD_TOL)
+
+    def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch):
+        # started at its own minimizer with the stop rule off, a stale call's
+        # trials change zeta only at its rounding: the floor has no cap of its
+        # own, so a test that fails there raises at the same STALE_CAP k(tau)
         _, bundle, budget, config, _ = p3_setup
         h_star, stats = bregman_minimize_zeta(bundle, budget, config)
-        ktau = relative_smoothness_constant(config.tau)
-        cap = subsolvers.STALE_CAP * ktau
-        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
-        cases = [(*next_step, subsolvers.INNER_GRAD_TOL), (bundle, h_star, 0.0)]
-        for case_bundle, h0, grad_tol in cases:
-            with monkeypatch.context() as scoped:
-                scoped.setattr(subsolvers, "INNER_GRAD_TOL", grad_tol)
-                tests = recording_descents(scoped)
-                with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
-                    bregman_minimize_zeta(case_bundle, budget, config, h0, stats.basis)
-            constants = [const for const, _ in tests]
-            assert constants[-2] < cap == constants[-1]
-            assert f"{cap:.3e}" in str(err.value)
-            assert err.value.best is not None and err.value.residual > 0
-            # the fresh call on the same bundle falls back to the proved k(tau)
-            _, fresh = bregman_minimize_zeta(case_bundle, budget, config, h0)
-            assert fresh.constants == [ktau] * fresh.iterations
+        assert_raises_at_the_stale_cap(monkeypatch, budget, config, stats.basis, bundle, h_star,
+                                       0.0)
 
+
+def assert_raises_at_the_stale_cap(monkeypatch, budget, config, basis, bundle, h0, grad_tol):
+    """A stale call from ``h0`` whose descent test never holds raises at exactly
+    STALE_CAP k(tau); the fresh call on the same bundle falls back to the proved k(tau)."""
+    ktau = relative_smoothness_constant(config.tau)
+    cap = subsolvers.STALE_CAP * ktau
+    monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
+    with monkeypatch.context() as scoped:
+        scoped.setattr(subsolvers, "INNER_GRAD_TOL", grad_tol)
+        tests = recording_descents(scoped)
+        with pytest.raises(SubsolverError, match="descent test failed at constant") as err:
+            bregman_minimize_zeta(bundle, budget, config, h0, basis)
+    constants = [const for const, _ in tests]
+    assert constants[-2] < cap == constants[-1]
+    assert f"{cap:.3e}" in str(err.value)
+    assert err.value.best is not None and err.value.residual > 0
+    _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
+    assert fresh.constants == [ktau] * fresh.iterations
 
 def pole_data(lam):
     """The pole ``mu_lo = max(0, -lam_min)`` of ``lam``: ``(lam + mu_lo, mu_lo)``."""
