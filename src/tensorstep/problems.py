@@ -9,6 +9,10 @@ Two problem families are shipped:
   The same class serves the finite-sum (offline) setting and, built over a
   large seeded pool with i.i.d.-with-replacement draws, the online setting.
 
+Each states a strong-convexity modulus ``mu`` (f is ``mu``-strongly convex;
+0 when no modulus is known), from which ``methods.reference_solution``
+certifies the gap of its optimum.
+
 A draw is ``(rows, weights)``: the rows its picks touch and their multiplicity
 weights. A batch quantity is the weighted sum over those rows, so it costs
 O(support * n) rather than O(m * n). A draw that touches every row (a full
@@ -161,7 +165,13 @@ class LipschitzProfile:
 
 
 class QuadraticProblem:
-    """f(x) = x^T A x / 2 - b^T x with A symmetric positive semidefinite."""
+    """f(x) = x^T A x / 2 - b^T x with A symmetric positive semidefinite.
+
+    ``mu`` is its strong-convexity modulus: ``max(0, lambda_min - n eps_mach
+    lambda_max)`` from the eigenvalues of A, which lowers the computed
+    ``lambda_min`` by the error bound of ``eigvalsh`` so that it stays a lower
+    bound on the true one. It is 0 for a singular A.
+    """
 
     mode = "offline"
 
@@ -183,6 +193,7 @@ class QuadraticProblem:
         self.dim = n
         self.m = 1
         self._eig_max = float(eigs.max())
+        self.mu = max(0.0, float(eigs.min()) - n * np.finfo(float).eps * self._eig_max)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -249,7 +260,8 @@ class LogisticProblem:
         Features and labels are not to be changed after construction: the
         margins kept for the last point evaluated are keyed on the point only.
     mu : float
-        Ridge weight; ``mu > 0`` makes the minimizer unique.
+        Ridge weight, and so the strong-convexity modulus of f; ``mu > 0``
+        makes the minimizer unique.
     mode : {"offline", "online"}
         Offline draws sample components without replacement; online treats
         the rows as a concrete sample pool and draws i.i.d. with replacement.

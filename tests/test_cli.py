@@ -19,7 +19,7 @@ GOLDEN_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "golden", "itm-p3", "trace_eps1e-06_seed0.csv")
 
 #: Start of the error of a reference solve that stops at its step cap.
-REFERENCE_CAP_ERROR = "error: reference solve reached neither ||grad f|| <= 1e-12 "
+REFERENCE_CAP_ERROR = "error: reference solve stopped at its 300-step cap with "
 
 
 def write_config(tmp_path, **fields):

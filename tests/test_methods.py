@@ -10,10 +10,12 @@ is intended) with
     PYTHONPATH=src python tests/test_methods.py
 """
 
+import dataclasses
 import functools
 import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -426,21 +428,72 @@ class TestSharedLadder:
         assert f_ref == value(x_ref)
 
     def test_reference_solution_reaches_the_gradient_floor(self, logistic, reference_traces):
+        # the floor sqrt(2 mu eps_mach) certifies f(x_ref) - f_star <= eps_mach
         problem, _ = logistic
         x_ref, _ = reference_solution(problem)
         assert reference_traces[0].status == "grad-floor"
         assert reference_traces[0].final.k < 100
-        assert np.linalg.norm(problem.gradient(x_ref)) <= 1e-12
+        grad_norm = float(np.linalg.norm(problem.gradient(x_ref)))
+        assert grad_norm ** 2 / (2.0 * problem.mu) <= methods.EPS_MACH
 
     def test_reference_solution_at_the_rounding_floor_returns(self, reference_traces):
-        # ||x*|| ~ 5e4: the gradient rounds above 1e-12 there, so the run stops
-        # at its step cap, and some of its steps did not lower f
+        # ||x*|| ~ 5e4, f_star ~ -2.7e8: the gradient rounds above 1e-12 there,
+        # but not above the certified floor sqrt(2 mu eps_mach) ~ 6.7e-9
         quadratic = make_quadratic(20, seed=0, cond=10.0)
         problem = QuadraticProblem(quadratic.A, 1e4 * quadratic.b)
         _, f_ref = reference_solution(problem)
-        assert reference_traces[0].status == "max-iter"
+        assert reference_traces[0].status == "grad-floor"
         f_star = problem.value(np.linalg.solve(problem.A, problem.b))
         assert abs(f_ref - f_star) <= 1e-14 * abs(f_star)
+
+    def test_reference_solution_without_modulus_at_the_rounding_floor_returns(
+            self, reference_traces):
+        # the quadratic above with its least eigenvalue set to 0, so mu = 0 and
+        # the floor is 1e-12, and ||x*|| ~ 4e5: the gradient rounds above the
+        # floor, the run stops at its step cap, and some of its steps did not
+        # lower f
+        quadratic = make_quadratic(20, seed=0, cond=10.0)
+        eigs, vecs = np.linalg.eigh(quadratic.A)
+        eigs[0] = 0.0
+        singular = (vecs * eigs) @ vecs.T
+        x_star = 1e5 * np.random.default_rng(1).standard_normal(20)
+        problem = QuadraticProblem(singular, singular @ x_star)
+        assert problem.mu == 0.0
+        _, f_ref = reference_solution(problem)
+        assert reference_traces[0].status == "max-iter"
+        f_star = problem.value(np.linalg.lstsq(problem.A, problem.b, rcond=None)[0])
+        assert abs(f_ref - f_star) <= 1e-14 * abs(f_star)
+
+    def test_reference_solution_without_modulus_keeps_the_absolute_floor(self, reference_traces):
+        # value recorded with the absolute floor 1e-12 that every problem
+        # stopped at before a modulus set it
+        problem = make_logistic(8, 300, seed=0, mu=0.0)
+        _, f_ref = reference_solution(problem)
+        assert (reference_traces[0].status, reference_traces[0].final.k) == ("grad-floor", 36)
+        assert f_ref == 0.4456693185698778
+
+    @pytest.mark.parametrize("mu, max_iter, outcome", [
+        (1e-3, 300, "returns"), (0.0, 300, "returns"),
+        (1e-3, 3, "certified gap ||grad f||^2/(2 mu) = "), (0.0, 3, "mu = 0, no certified gap"),
+    ], ids=["certified", "rounding-floor", "uncertified", "descending"])
+    def test_reference_solution_at_its_step_cap(self, monkeypatch, mu, max_iter, outcome):
+        # with both floors off the run reaches the step cap: at the optimum after
+        # 300 steps, where the certificate (mu > 0) or a step that did not lower
+        # f (mu = 0) accepts it, and still descending after 3, where it raises
+        problem = make_logistic(8, 300, seed=0, mu=mu)
+        _, f_floor = reference_solution(problem)
+        run = methods.itm_run
+        monkeypatch.setattr(methods, "itm_run", lambda problem, x0, config: run(
+            problem, x0, dataclasses.replace(config, grad_stop=0.0, step_stop=0.0,
+                                             max_iter=max_iter)))
+        if outcome == "returns":
+            _, f_ref = reference_solution(problem)
+            assert abs(f_ref - f_floor) <= 4 * methods.EPS_MACH
+        else:
+            # the message names the cap of the solve, not the shortened run's
+            with pytest.raises(SubsolverError, match=re.escape(
+                    "reference solve stopped at its 300-step cap with " + outcome)):
+                reference_solution(problem)
 
     @pytest.mark.parametrize("run, p", [
         (itm_run, 3), (stm_run, 3), (itm_run, 2),

@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tensorstep import (
     make_logistic,
     make_online_logistic,
     make_quadratic,
+    reference_solution,
 )
 from tensorstep import problems
 from tensorstep.linalg import ROW_BLOCK, row_slice_sum, t3_norm_estimate
@@ -28,6 +31,22 @@ from tensorstep.sampling import BatchPlan, sample_bundle
 
 from conftest import central_diff_grad, central_diff_jacobian
 from lemmas import component_gradient, component_hessian, component_value
+
+
+def exactly_positive_definite(A, shift):
+    """Whether ``A - shift I`` is positive definite, decided in exact rational
+    arithmetic: symmetric Gaussian elimination must meet only positive pivots."""
+    a = [[Fraction(v) for v in row] for row in A.tolist()]
+    for i in range(len(a)):
+        a[i][i] -= Fraction(shift)
+    for k, pivot_row in enumerate(a):
+        if pivot_row[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            ratio = row[k] / pivot_row[k]
+            for j in range(k + 1, len(a)):
+                row[j] -= ratio * pivot_row[j]
+    return True
 
 
 class TestQuadratic:
@@ -74,6 +93,28 @@ class TestQuadratic:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="cond"):
                 make_quadratic(3, cond=5e-324)
+
+    @pytest.mark.parametrize("cond", [10.0, 1e4, 1e8])
+    def test_mu_is_a_lower_bound_on_the_least_eigenvalue(self, cond):
+        # exactly: A - mu I is positive definite, while A less a millionth
+        # more than the computed least eigenvalue is not
+        for seed in range(3):
+            prob = make_quadratic(6, seed=seed, cond=cond)
+            least = float(np.linalg.eigvalsh(prob.A)[0])
+            assert 0 < prob.mu < least
+            assert exactly_positive_definite(prob.A, prob.mu)
+            assert not exactly_positive_definite(prob.A, least * (1 + 1e-6))
+
+    @pytest.mark.parametrize("A", [
+        np.diag([1.0, 0.0, 2.0]), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        "make_quadratic",
+    ], ids=["diagonal", "rank-one", "rotated"])
+    def test_mu_is_zero_for_a_singular_matrix(self, A):
+        if isinstance(A, str):
+            eigs, vecs = np.linalg.eigh(make_quadratic(6, seed=0).A)
+            eigs[0] = 0.0
+            A = (vecs * eigs) @ vecs.T
+        assert QuadraticProblem(A, np.zeros(len(A))).mu == 0.0
 
     def test_single_component_equals_full(self, rng):
         prob = make_quadratic(3, seed=1)
@@ -558,3 +599,68 @@ def spy_reduced_rows(monkeypatch):
 
     monkeypatch.setattr(problems, "row_slice_sum", recording)
     return reduced
+
+
+def newton_optimum(prob):
+    """``(x_star, f_star)`` by Newton's method with halved steps, from 0 until
+    the gradient norm stops falling."""
+    x = np.zeros(prob.dim)
+    grad = prob.gradient(x)
+    for _ in range(100):
+        step, t, fx = np.linalg.solve(prob.hessian(x), grad), 1.0, prob.value(x)
+        while prob.value(x - t * step) > fx and t > 1e-9:
+            t /= 2
+        x_next = x - t * step
+        grad_next = prob.gradient(x_next)
+        if np.linalg.norm(grad_next) >= np.linalg.norm(grad):
+            break
+        x, grad = x_next, grad_next
+    return x, prob.value(x)
+
+
+def certified_gap_excess(prob, x, f_star):
+    """``f(x) - f_star - ||grad f(x)||^2 / (2 mu)`` in units of the rounding of
+    f at x, ``eps_mach (1 + |f_star| + ||H(x)|| ||x||^2)``: at most a few when
+    the certificate bounds the gap."""
+    bound = float(np.linalg.norm(prob.gradient(x))) ** 2 / (2.0 * prob.mu)
+    rounding = np.finfo(float).eps * (
+        1.0 + abs(f_star) + np.linalg.norm(prob.hessian(x), 2) * (x @ x))
+    return (prob.value(x) - f_star - bound) / rounding
+
+
+def strongly_convex_instances():
+    """Random quadratics (cond 10 to 1e4, f_star by ``np.linalg.solve``) and
+    ridge logistic instances (f_star by ``newton_optimum``)."""
+    for seed, cond in itertools.product(range(3), (10.0, 1e2, 1e3, 1e4)):
+        prob = make_quadratic(10, seed=seed, cond=cond)
+        x_star = np.linalg.solve(prob.A, prob.b)
+        yield f"quadratic-cond{cond:g}-seed{seed}", prob, x_star, prob.value(x_star)
+    for seed, mu in itertools.product(range(3), (1e-3, 1e-1)):
+        prob = make_logistic(6, 200, seed=seed, mu=mu)
+        yield (f"logistic-mu{mu:g}-seed{seed}", prob, *newton_optimum(prob))
+
+
+class TestStrongConvexityCertificate:
+    """f(x) - f_star <= ||grad f(x)||^2 / (2 mu) with each problem's ``mu``
+    (Nesterov, Lectures on Convex Optimization, 2018, Thm 2.1.10)."""
+
+    def test_bounds_the_gap_at_random_points(self, rng):
+        # along random directions and the least-curvature one, where the bound
+        # is tight for a quadratic, from 1e-6 to 1e2 away from x_star
+        for name, prob, x_star, f_star in strongly_convex_instances():
+            least = np.linalg.eigh(prob.hessian(x_star))[1][:, 0]
+            directions = [least] + [u / np.linalg.norm(u)
+                                    for u in rng.standard_normal((4, prob.dim))]
+            for u, radius in itertools.product(directions, np.logspace(-6, 2, 5)):
+                excess = certified_gap_excess(prob, x_star + radius * u, f_star)
+                assert excess <= 4.0, (name, radius)
+
+    def test_bounds_the_gap_along_the_reference_iterates(self, monkeypatch):
+        for name, prob, _, f_star in strongly_convex_instances():
+            iterates, value = [], prob.value
+            monkeypatch.setattr(prob, "value", lambda x: iterates.append(x) or value(x))
+            reference_solution(prob)
+            monkeypatch.undo()
+            assert len(iterates) > 2
+            for k, x in enumerate(iterates):
+                assert certified_gap_excess(prob, x, f_star) <= 4.0, (name, k)
