@@ -390,7 +390,8 @@ def reference_solution(problem, x0=None):
     step falls below 1e-15. On logistic n=50, m=20000 (``mu`` = 1e-3) it
     reaches the floor, 6.7e-10, in 15 steps.
 
-    A run whose gradient rounds above the floor at ``x*`` stops at 300 steps.
+    A run that does not reach the floor, because it is still descending or
+    because its gradient rounds above the floor at ``x*``, stops at 300 steps.
     With ``mu > 0`` its last iterate is accepted when one more gradient
     certifies ``||grad f||^2 / (2 mu) <= eps_mach max(1, |f|)``, and
     ``SubsolverError`` is raised, with that certified gap, when it does not.

@@ -112,8 +112,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(REFERENCE_CAP_ERROR)
 
     def test_reference_at_the_rounding_floor_exits_zero(self, tmp_path, capsys):
-        # ||x*|| ~ 5e4: the gradient rounds above 1e-12 there, so the reference
-        # solve stops at its step cap, but after steps that did not lower f
+        # ||x*|| ~ 5e4: the gradient rounds above 1e-12 there, but not above
+        # the reference solve's certified floor sqrt(2 mu eps_mach) ~ 6.7e-9
         quadratic = make_quadratic(20, seed=0, cond=10.0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"version": 1, "method": "gd", "max_iter": 5, "problem": {

@@ -51,6 +51,7 @@ from tensorstep.methods import (
 )
 
 from lemmas import iteration_budget, theoretical_residual_bound
+from test_problems import with_least_eigenvalue_zero
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -452,10 +453,7 @@ class TestSharedLadder:
         # the floor is 1e-12, and ||x*|| ~ 4e5: the gradient rounds above the
         # floor, the run stops at its step cap, and some of its steps did not
         # lower f
-        quadratic = make_quadratic(20, seed=0, cond=10.0)
-        eigs, vecs = np.linalg.eigh(quadratic.A)
-        eigs[0] = 0.0
-        singular = (vecs * eigs) @ vecs.T
+        singular = with_least_eigenvalue_zero(make_quadratic(20, seed=0, cond=10.0).A)
         x_star = 1e5 * np.random.default_rng(1).standard_normal(20)
         problem = QuadraticProblem(singular, singular @ x_star)
         assert problem.mu == 0.0

@@ -33,6 +33,14 @@ from conftest import central_diff_grad, central_diff_jacobian
 from lemmas import component_gradient, component_hessian, component_value
 
 
+def with_least_eigenvalue_zero(A):
+    """The symmetric ``A`` with its least eigenvalue set to 0: singular, and
+    positive semidefinite up to rounding."""
+    eigs, vecs = np.linalg.eigh(A)
+    eigs[0] = 0.0
+    return (vecs * eigs) @ vecs.T
+
+
 def exactly_positive_definite(A, shift):
     """Whether ``A - shift I`` is positive definite, decided in exact rational
     arithmetic: symmetric Gaussian elimination must meet only positive pivots."""
@@ -107,13 +115,9 @@ class TestQuadratic:
 
     @pytest.mark.parametrize("A", [
         np.diag([1.0, 0.0, 2.0]), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
-        "make_quadratic",
+        with_least_eigenvalue_zero(make_quadratic(6, seed=0).A),
     ], ids=["diagonal", "rank-one", "rotated"])
     def test_mu_is_zero_for_a_singular_matrix(self, A):
-        if isinstance(A, str):
-            eigs, vecs = np.linalg.eigh(make_quadratic(6, seed=0).A)
-            eigs[0] = 0.0
-            A = (vecs * eigs) @ vecs.T
         assert QuadraticProblem(A, np.zeros(len(A))).mu == 0.0
 
     def test_single_component_equals_full(self, rng):
