@@ -463,8 +463,8 @@ class TestSharedLadder:
         assert abs(f_ref - f_star) <= 1e-14 * abs(f_star)
 
     def test_reference_solution_without_modulus_keeps_the_absolute_floor(self, reference_traces):
-        # value recorded with the absolute floor 1e-12 that every problem
-        # stopped at before a modulus set it
+        # with mu = 0 the floor is the absolute 1e-12, and the run and its
+        # value are pinned bit for bit
         problem = make_logistic(8, 300, seed=0, mu=0.0)
         _, f_ref = reference_solution(problem)
         assert (reference_traces[0].status, reference_traces[0].final.k) == ("grad-floor", 36)
