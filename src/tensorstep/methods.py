@@ -23,11 +23,14 @@ previous outer step. At p=3 the model is exact at every step, but its
 Bregman reference is built on the eigenbasis of the last Hessian the step
 factored, whose ``eigh`` dominates a wide step. The step factors again only
 when a call on that stale basis raises, and then redoes the step on the
-fresh basis, which later steps keep. A step's ``inner_iters`` counts the
-call whose step it took. A bundle builds its dense Hessian only when
-something reads it, which a call on a stale basis does not
-(``models.DerivativeBundle``): an exact run builds one Hessian per ``eigh``,
-at p=2 one per step, and none for an oracle call that ends the run.
+fresh basis, which later steps keep. Every call evaluates the model the
+same way, through the bundle's ``taylor_terms``; a stale call differs only
+in testing every constant it tries (``subsolvers``). A step's
+``inner_iters`` counts the call whose step it took. A bundle builds its
+dense Hessian only when something reads it (``models.DerivativeBundle``),
+which on an exact bundle at p=3 only the factorization does: an exact run
+builds one Hessian per ``eigh``, at p=2 one per step, and none for an
+oracle call that ends the run.
 
 ``itm_run`` takes the exact bundle. ``stm_run`` sizes per-order mini-batches
 from the concentration lemmas and samples the bundle. ``gd_baseline`` takes
@@ -99,9 +102,22 @@ def kappa_defaults(lip_top: float, diameter: float, p: int) -> tuple:
 # run configuration and traces
 # ---------------------------------------------------------------------------
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is finite as a float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 @dataclass
 class RunConfig:
-    """Everything needed to drive one deterministic or stochastic run."""
+    """Everything needed to drive one deterministic or stochastic run.
+
+    ``kappa`` is ``"exact"``, ``"corollary"`` or ``p`` finite non-negative
+    tolerances, which are kept as a tuple of floats.
+    """
 
     p: int = 3
     eps: float = 1e-6
@@ -119,9 +135,21 @@ class RunConfig:
         if self.p not in (2, 3):
             raise ValueError("shipped problems exercise p in {2, 3}")
         # a NaN eps or a max_iter that never equals k would silently disable the stop
-        if isinstance(self.eps, bool) or not (
-                isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
+        if not (_is_real(self.eps) and self.eps > 0):
             raise ValueError(f"target accuracy must be positive and finite, got {self.eps!r}")
+        if isinstance(self.kappa, str):
+            valid = self.kappa in ("exact", "corollary")
+        else:
+            try:
+                kappas = tuple(self.kappa)
+            except TypeError:
+                kappas = ()
+            valid = len(kappas) == self.p and all(_is_real(k) and k >= 0 for k in kappas)
+            if valid:
+                self.kappa = tuple(float(k) for k in kappas)
+        if not valid:
+            raise ValueError(f"kappa must be 'exact', 'corollary' or {self.p} finite "
+                             f"non-negative kappas, got {self.kappa!r}")
         if isinstance(self.max_iter, bool) or not (
                 isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
             raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
@@ -209,9 +237,7 @@ def resolve_model(config: RunConfig, profile: LipschitzProfile):
             raise ConfigError([f"diameter: {config.diameter:g} makes the corollary "
                                f"tolerances ({shown}) overflow"])
     else:
-        kappas = tuple(float(k) for k in config.kappa)
-        if len(kappas) != p:
-            raise ValueError(f"expected {p} tolerances, got {len(kappas)}")
+        kappas = config.kappa
     budget = InexactnessBudget(config.eps, kappas)
     if p == 3:
         tau = config.tau

@@ -25,10 +25,11 @@ quantities no run evaluates; they live with the other lemma checks in
 
 The run path does not evaluate ``zeta`` through ``TaylorModel``: the order-3
 inner loop (``subsolvers.bregman_minimize_zeta``) evaluates the model and its
-gradient in the eigenbasis of the Hessian (``subsolvers.EigenbasisZeta``),
-on a stale eigenbasis through ``DerivativeBundle.taylor_terms``, and the
-order-2 step is one quartic solve. ``TaylorModel`` is the direct
-evaluation in the original coordinates that checks them.
+gradient from ``DerivativeBundle.taylor_terms`` projected on an eigenbasis,
+the Hessian's own or an earlier one's, the same way in either
+(``subsolvers.EigenbasisZeta``), and the order-2 step is one quartic solve.
+``TaylorModel`` is the direct evaluation in the original coordinates that
+checks them.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ class DerivativeBundle:
 
     ``hess`` is given as the n-by-n Hessian or as a ``linalg.LazyMatrix``,
     which is built on the first read of ``hess``, once, and never if nothing
-    reads it; ``sample_bundle`` passes the problem's ``hessian_operator``. A
-    fresh factorization, the order-2 solve, ``sampling.verify_condition`` and
-    ``TaylorModel`` read it; the order-3 inner loop on a stale eigenbasis
-    takes the Hessian only through ``taylor_terms``, which on an exact
-    logistic bundle (a ``linalg.RowSumMatrix`` over the rows of ``third``)
-    does without it.
+    reads it; ``sample_bundle`` passes the problem's ``hessian_operator``.
+    The factorization of ``hess`` (by an order-3 call given no eigenbasis, or
+    by the order-2 solve), the order-2 residual, ``sampling.verify_condition``
+    and ``TaylorModel`` read it. The order-3 inner loop takes the Hessian only
+    through ``taylor_terms``, on any basis, which on an exact logistic bundle
+    (a ``linalg.RowSumMatrix`` over the rows of ``third``) does without it.
     """
 
     def __init__(self, x: np.ndarray, value: float, grad: np.ndarray, hess,

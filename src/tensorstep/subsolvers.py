@@ -50,58 +50,55 @@ holds on the eigenbasis of ``B`` itself; a stale basis tests every trial
 Each trial is one regularized quartic in ``L (1 - 2/tau) B``, so the loop
 factors the Hessian ``B = vecs diag(lam) vecs^T`` once and keeps its
 iterate as the eigen-coefficients ``y`` of ``h = vecs y``. In those
-coordinates ``B`` is the diagonal ``lam``, so ``zeta(h)``,
-``grad zeta(h)``, the Bregman linearization and the descent test are
-elementwise in ``lam``, ``vecs^T grad`` and ``y``; each inner argmin is one
-``solve_regularized_quartic``, hard case included. A trial then costs one
-contraction ``T[h]^2``, two n-by-n matrix-vector products, ``h = vecs y``
-for the contraction and ``vecs^T T[h]^2`` to bring it back, and one secular
-solve. The value comes from the same contraction through
-``T[h]^3 = <T[h]^2, h>``, and an accepted trial's contraction serves the
-next step, so only a rejected trial costs an extra contraction. The test
-compares ``zeta(h) - zeta(0)``, summed without ``f(x)``, whose rounding
-would otherwise decide it long before ``INNER_GRAD_TOL``. The secular solve
-is warm-started from the previous step's shift ``mu``, scaled by the ratio of
-the constants (at the solution ``mu = L Q ||y||^2``), so it typically takes
-3 to 6 evaluations of the secular function, the one that opens its bracket
-included.
+coordinates ``rho``, its Bregman distance and each inner argmin are
+elementwise in ``lam`` and ``y``, and each argmin is one
+``solve_regularized_quartic``, hard case included. The model is read only
+through the bundle's ``taylor_terms(h)``, the rows ``B h`` and ``T[h]^2``,
+projected on ``vecs``: ``vecs^T grad zeta(h)`` is ``gt`` plus one projection
+of ``B h + T[h]^2 / 2`` plus the radial terms, and ``zeta(h) - zeta(0)`` sums
+``<gt, y>``, ``<vecs^T B h, y>/2``, ``<vecs^T T[h]^2, y>/6`` (the cubic term
+``T[h]^3 = <T[h]^2, h>``) and the radial terms. On an exact logistic bundle
+both rows come from one pass over the rows that the Hessian and the third
+derivative sum over, Hessian-free products (Pearlmutter, Neural Comput.
+1994), so no trial reads the dense Hessian (``models.DerivativeBundle``). A
+trial costs that pass, the n-by-n products ``h = vecs y``, ``vecs^T (B h +
+T[h]^2 / 2)`` for the gradient and ``vecs^T`` of both rows for the value,
+and one secular solve. An
+accepted trial's rows serve the next step, so only a rejected trial costs an
+extra pass. The test compares ``zeta(h) - zeta(0)``, summed without
+``f(x)``, whose rounding would otherwise decide it long before
+``INNER_GRAD_TOL``. The secular solve is warm-started from the previous
+step's shift ``mu``, scaled by the ratio of the constants (at the solution
+``mu = L Q ||y||^2``), so it typically takes 3 to 6 evaluations of the
+secular function, the one that opens its bracket included.
 
 The loop itself is warm-started from the previous outer step ``h0``, which
 moves little from one outer step to the next. It starts at ``alpha h0``, the
 minimizer of ``zeta`` on the line through 0 and ``h0``: with ``yp = vecs^T h0``
-and ``vt = vecs^T T[h0]^2``, ``zeta(alpha h0) - zeta(0)`` is the quartic
-``alpha A1 + alpha^2 A2 + alpha^3 A3 + alpha^4 A4`` with ``A1 = <gt, yp>``,
-``A2 = <lam yp, yp>/2 + z2 r^2``, ``A3 = <vt, yp>/6`` and ``A4 = z4 r^4``
-(``r = ||yp||``), so ``alpha`` is the best real root of its cubic derivative,
-or 0 (the cold start) when none goes below 0. The start is no worse than 0,
-so the accepted step still has ``zeta(h) <= zeta(0)``. The first evaluation
-of the loop takes its contraction as ``alpha^2 vt``, so a warm-started call
-costs no more contractions than a cold one, which is the same path with
-``h0 = 0``. At ``k(tau)`` the map from one step's ``(y, mu)`` to the next is
-deterministic, so a step there that repeats the previous pair bitwise ends
-the loop at once: it would repeat it until the step cap.
+and ``(by, vt)`` the projections of the rows at ``h0``, ``zeta(alpha h0) -
+zeta(0)`` is the quartic ``alpha A1 + alpha^2 A2 + alpha^3 A3 + alpha^4 A4``
+with ``A1 = <gt, yp>``, ``A2 = <by, yp>/2 + z2 r^2``, ``A3 = <vt, yp>/6`` and
+``A4 = z4 r^4`` (``r = ||yp||``), so ``alpha`` is the best real root of its
+cubic derivative, or 0 (the cold start) when none goes below 0. The start is
+no worse than 0, so the accepted step still has ``zeta(h) <= zeta(0)``. The
+first evaluation of the loop scales the rows at ``h0`` to its start, ``B h``
+by ``alpha`` and ``T[h]^2`` by ``alpha^2``, so a warm-started call costs no
+more passes than a cold one, which is the same path with ``h0 = 0``. At
+``k(tau)`` the map from one step's ``(y, mu)`` to the next is deterministic,
+so a step there that repeats the previous pair bitwise ends the loop at once:
+it would repeat it until the step cap.
 
 The loop also runs on a stale eigenbasis: ``rho`` built on ``vecs diag(lam)
 vecs^T``, the last Hessian the run factored, while ``zeta`` keeps this
-step's exact gradient, ``B`` and third derivative. Relative smoothness
-survives a reference that is spectrally close to ``B`` (Lu, Freund &
-Nesterov), but ``k(tau)`` is then no longer proved, and ``rho``'s curvature
-stays ``beta_B lam + a`` on the stale eigenvalues. In that basis ``B`` is not
-diagonal, and the loop reads it only as a product: each trial takes the
-bundle's ``taylor_terms(h)``, the rows ``B h`` and ``T[h]^2``, in place of
-the contraction ``T[h]^2``. On an exact logistic bundle both come from one
-pass over the rows that the Hessian and the third derivative sum over,
-Hessian-free products (Pearlmutter, Neural Comput. 1994), so a step on a
-stale basis builds no Hessian at all (``models.DerivativeBundle``): the
+step's exact gradient, ``B`` and third derivative and is evaluated as above,
+in whatever orthonormal basis ``vecs`` is. Relative smoothness survives a
+reference that is spectrally close to ``B`` (Lu, Freund & Nesterov), but
+``k(tau)`` is then no longer proved, and ``rho``'s curvature stays ``beta_B
+lam + a`` on the stale eigenvalues. A step on a stale basis factors nothing
+and, on an exact logistic bundle, builds no Hessian at all: the
 factorization and the dense Hessian, both paid only when the basis is
-refreshed, are the cost of an outer step at large n (Doikov, Chayti &
-Jaggi, "Second-order optimization with lazy Hessians", arXiv:2212.00781). A
-stale trial then costs that pass, the n-by-n products ``h = vecs y``,
-``vecs^T (B h + T[h]^2 / 2)`` for the gradient and ``vecs^T`` of both rows
-for the value, and one secular solve. The line start scales the rows at
-``h0`` to its start ``alpha h0``, ``B h`` by ``alpha`` and ``T[h]^2`` by
-``alpha^2``, as a fresh call scales ``T[h0]^2``, so a warm stale call
-contracts no more often than a fresh one.
+refreshed, are the cost of an outer step at large n (Doikov, Chayti & Jaggi,
+"Second-order optimization with lazy Hessians", arXiv:2212.00781).
 
 So every stale trial takes the descent test, at ``k(tau)`` too, and no
 stale trial is accepted untested; a failed test grows the constant by
@@ -109,10 +106,13 @@ stale trial is accepted untested; a failed test grows the constant by
 ``SubsolverError``. That one rule also ends a call at the rounding floor of
 ``zeta``, where the test can fail at every constant: the model change it
 compares is rounding, and a larger constant only shrinks the decrease it
-predicts. An accepted step still lowers ``zeta``, and the stop rule is
-unchanged, because ``vecs`` is orthogonal and ``||vecs^T grad zeta|| =
-||grad zeta||``: a stale call that converges returns a step as valid as a
-fresh call's. Which basis a call gets is the model step's choice
+predicts. The basis is all that tells the two kinds of call apart: a call
+given the basis it would factor itself tests the trials a fresh call takes
+untested, and takes the fresh call's trials bitwise when the fresh call
+takes no step at ``k(tau)``. An accepted step still lowers ``zeta``, and the
+stop rule is unchanged, because ``vecs`` is orthogonal and ``||vecs^T grad
+zeta|| = ||grad zeta||``: a stale call that converges returns a step as
+valid as a fresh call's. Which basis a call gets is the model step's choice
 (``methods._model_method``), which redoes a raised step on a fresh
 factorization.
 
@@ -161,7 +161,7 @@ GROW = 1.2
 #: k(tau), and a call raises when the descent test fails there. Over the stale
 #: calls of the itm-p3 and stm-p3 golden configs and of the three order-3
 #: benchmark workloads at seeds 1 to 10, no accepted constant exceeded
-#: 3.8 k(tau), and every call that raised failed the test at every constant of
+#: 2.6 k(tau), and every call that raised failed the test at every constant of
 #: its last step, its model change at the rounding of zeta(0).
 STALE_CAP = 10.0
 
@@ -248,10 +248,12 @@ def solve_regularized_quartic(ct, lam, b, mu0=None):
     0 on the pole entries, ``mu = mu_lo + t``. The hard case has ``ct`` exactly
     0 there and ``b ||ct/s||^2 <= mu_lo`` on the rest: then ``mu = mu_lo``, and
     ``y`` is padded along the first pole entry to ``b ||y||^2 = mu_lo``.
-    Raises ``ValueError`` for a quartic weight ``b <= 0``.
+    Raises ``ValueError`` unless the quartic weight ``b`` is positive and
+    finite.
     """
-    if b <= 0:
-        raise ValueError("need a quartic weight b > 0")
+    # NaN passes b <= 0, so finiteness is asked first
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"need a finite quartic weight b > 0, got {b!r}")
     c2 = ct * ct
     mu_lo = max(0.0, -float(lam.min()))
     s = lam + mu_lo
@@ -303,22 +305,19 @@ def rho_reference_coefficients(budget: InexactnessBudget, config: ModelConfig):
 
 
 class EigenbasisZeta:
-    """The smooth model ``zeta`` in the eigenbasis of the Hessian.
+    """The smooth model ``zeta`` in an eigenbasis of a Hessian.
 
     Construction factors the symmetrized Hessian ``B = vecs diag(lam)
     vecs^T``, on which both orders solve their quartics, unless it is given
-    ``basis``, the ``(lam, vecs)`` of an earlier Hessian: a stale basis, in
-    which ``B`` is not diagonal and is never read as a matrix. It raises
-    ``SubsolverError`` when the ``B`` it factors is not finite (an
+    ``basis``, the ``(lam, vecs)`` of an earlier Hessian (a stale basis). It
+    raises ``SubsolverError`` when the ``B`` it factors is not finite (an
     overflowing Hessian), which LAPACK would report as eigenvalues that did
-    not converge. At order 3, with ``h = vecs y``, ``zeta(h)`` and
-    ``vecs^T grad zeta(h)`` are elementwise in ``vecs^T B h``, ``y``,
-    ``gt = vecs^T grad`` and ``vecs^T T[h]^2`` (``projected``), from one
-    contraction at ``h`` (``contract``); the cubic term of the value is
-    ``T[h]^3 = <vecs^T T[h]^2, y>``. On the basis of ``B`` the quadratic
-    term is ``lam y`` and the contraction is ``T[h]^2``; on a stale basis
-    the contraction is the bundle's ``taylor_terms(h)``, both rows ``B h``
-    and ``T[h]^2``. ``change_and_grad`` is the evaluation the inner loop of
+    not converge. At order 3 the evaluation does not depend on which basis
+    it holds: with ``h = vecs y``, ``zeta(h)`` and ``vecs^T grad zeta(h)``
+    come from the bundle's ``taylor_terms(h)``, the rows ``B h`` and
+    ``T[h]^2``, projected on ``vecs``, and from ``y`` and ``gt = vecs^T
+    grad``; the cubic term of the value is ``T[h]^3 = <vecs^T T[h]^2, y>``.
+    ``change_and_grad`` is the evaluation the inner loop of
     ``bregman_minimize_zeta`` takes in place of ``TaylorModel.zeta`` and
     ``TaylorModel.zeta_grad``.
     """
@@ -329,7 +328,6 @@ class EigenbasisZeta:
         # zeta - phi = z0 + z2 r^2 + z4 r^4
         self.z0, self.z2, self.z4 = zeta_radial_coefficients(budget, config)
         self.value0 = bundle.value + self.z0
-        self.stale = basis is not None
         if basis is None:
             mat = 0.5 * (bundle.hess + bundle.hess.T)
             if not np.all(np.isfinite(mat)):
@@ -338,63 +336,44 @@ class EigenbasisZeta:
         self.lam, self.vecs = basis
         self.gt = self.vecs.T @ bundle.grad
 
-    def contract(self, h: np.ndarray) -> np.ndarray:
-        """The one contraction at ``h``: ``vecs^T T[h]^2`` on the basis of
-        ``B``, and on a stale one the bundle's ``taylor_terms(h)``, the rows
-        ``B h`` and ``T[h]^2``."""
-        if self.stale:
-            return self.bundle.taylor_terms(h)
-        return self.vecs.T @ self.bundle.third.apply2(h)
-
-    def projected(self, y: np.ndarray, terms: np.ndarray) -> tuple:
-        """``(vecs^T B h, vecs^T T[h]^2)`` at ``h = vecs y`` from ``terms =
-        contract(h)``: ``lam y`` on the basis of ``B``."""
-        if self.stale:
-            ly, vt = terms @ self.vecs
-            return ly, vt
-        return self.lam * y, terms
-
     def change_and_grad(self, y: np.ndarray, h: np.ndarray, terms=None) -> tuple:
         """``(zeta(h) - zeta(0), vecs^T grad zeta(h))`` at ``h = vecs y``.
 
-        ``terms``, when given, is ``contract(h)``, which is then not taken.
-        The change is summed without ``zeta(0) = value0 = f(x) + z0``, so it
-        keeps the precision of its own size rather than that of ``f(x)``.
+        ``terms``, when given, is the bundle's ``taylor_terms(h)``, which is
+        then not taken. The change is summed without ``zeta(0) = value0 =
+        f(x) + z0``, so it keeps the precision of its own size rather than
+        that of ``f(x)``.
         """
         if terms is None:
-            terms = self.contract(h)
-        ly, vt = self.projected(y, terms)
+            terms = self.bundle.taylor_terms(h)
+        by, vt = terms @ self.vecs
         r2 = float(y @ y)
-        if self.stale:
-            # one projection of B h + T[h]^2 / 2 rounds less than a sum of two
-            g = self.gt + self.vecs.T @ (terms[0] + 0.5 * terms[1])
-        else:
-            g = self.gt + ly + 0.5 * vt
-        change = (float(self.gt @ y) + 0.5 * float(ly @ y) + float(vt @ y) / 6.0
+        # one projection of B h + T[h]^2 / 2 rounds less than a sum of two
+        g = self.gt + self.vecs.T @ (terms[0] + 0.5 * terms[1])
+        change = (float(self.gt @ y) + 0.5 * float(by @ y) + float(vt @ y) / 6.0
                   + (self.z2 + self.z4 * r2) * r2)
         return change, g + (2.0 * self.z2 + 4.0 * self.z4 * r2) * y
 
     def line_start(self, h0: np.ndarray) -> tuple:
         """``(y, h, terms)`` at ``alpha h0``, the minimizer of ``zeta`` on the
-        line through 0 and ``h0``, with ``terms = contract(h)`` scaled from the
-        one contraction at ``h0``: ``T[h]^2`` by ``alpha^2`` and ``B h`` by
-        ``alpha``. ``alpha`` is 0 when no point of the line lies below
-        ``zeta(0)``."""
+        line through 0 and ``h0``, with ``terms``, the bundle's
+        ``taylor_terms(h)``, scaled from those at ``h0``: ``B h`` by ``alpha``
+        and ``T[h]^2`` by ``alpha^2``. ``alpha`` is 0 when no point of the
+        line lies below ``zeta(0)``."""
         yp = self.vecs.T @ h0
-        terms = self.contract(h0)
-        ly, vt = self.projected(yp, terms)
+        terms = self.bundle.taylor_terms(h0)
+        by, vt = terms @ self.vecs
         r2 = float(yp @ yp)
         alpha = _quartic_line_minimizer(
             float(self.gt @ yp),
-            0.5 * float(ly @ yp) + self.z2 * r2,
+            0.5 * float(by @ yp) + self.z2 * r2,
             float(vt @ yp) / 6.0,
             self.z4 * r2 * r2,
         )
         if alpha == 0.0:
             zero = np.zeros(h0.size)
             return zero, zero, np.zeros_like(terms)
-        scale = np.array([[alpha], [alpha * alpha]]) if self.stale else alpha * alpha
-        return alpha * yp, alpha * h0, scale * terms
+        return alpha * yp, alpha * h0, np.array([[alpha], [alpha * alpha]]) * terms
 
 
 def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float:
@@ -424,32 +403,30 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     a multiple of ``B``, so ``EigenbasisZeta`` factors ``B`` itself once,
     and the iterate is kept as its coefficients ``y`` in that eigenbasis.
     Each step backtracks its relative-smoothness constant in ``[1, k(tau)]``
-    (see the module docstring): a trial costs one contraction ``T[h]^2``,
-    two n-by-n matrix-vector products (``h = vecs y`` and ``vecs^T T[h]^2``)
-    and one secular solve, warm-started from the previous step's ``mu``;
-    ``zeta(h)``, ``grad zeta(h)``, the Bregman linearization and the descent
-    test are elementwise in the eigenvalues, with the cubic term of the value
-    from ``T[h]^3 = <T[h]^2, h>``.
+    (see the module docstring): a trial costs one ``taylor_terms(h)``, the
+    rows ``B h`` and ``T[h]^2`` (one pass over the rows on an exact logistic
+    bundle, no Hessian built), four n-by-n matrix-vector products (``h =
+    vecs y``, ``vecs^T`` of each row and ``vecs^T (B h + T[h]^2 / 2)``) and
+    one secular solve, warm-started from the previous step's ``mu``;
+    ``rho``, the Bregman linearization and the descent test are elementwise
+    in the eigenvalues.
 
     ``basis``, the ``InnerStats.basis`` of an earlier call, replaces the
-    factorization: ``rho`` is built on that stale eigenbasis, the Hessian is
-    not read, and each trial's contraction is the bundle's
-    ``taylor_terms(h)``, ``B h`` and ``T[h]^2``, in place of ``T[h]^2`` (one
-    pass over the rows on an exact logistic bundle, no Hessian built), and
-    it takes two more n-by-n products. ``k(tau)`` is not proved
-    there, so every trial takes the descent test, no stale trial is accepted
-    untested, and a failed test grows the constant by ``GROW`` up to
-    ``STALE_CAP k(tau)``. The model, its minimizer and the stop rule are
-    those of a fresh call.
+    factorization: ``rho`` is built on that stale eigenbasis and the Hessian
+    is not factored; the model, its evaluation, its minimizer and the stop
+    rule are those of a fresh call. The one difference is the rule for the
+    constant: ``k(tau)`` is not proved on a given basis, so every trial
+    takes the descent test, none is accepted untested, and a failed test
+    grows the constant by ``GROW`` up to ``STALE_CAP k(tau)``.
 
     The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
     through 0 and the guess ``h0`` (the previous outer step; 0 when not
     given, which starts the loop at 0): a quartic in ``alpha`` whose
-    coefficients come from one contraction at ``h0``, which the first
-    evaluation reuses as ``alpha^2 T[h0]^2`` (and, on a stale basis, ``alpha
-    B h0``). So a call that takes ``k`` steps and rejects ``r`` trials
-    contracts ``k + r + 1`` times, one less for each rejected trial that did
-    not move the iterate, and ``zeta`` at the start is at most ``zeta(0)``.
+    coefficients come from one ``taylor_terms(h0)``, which the first
+    evaluation reuses as ``alpha B h0`` and ``alpha^2 T[h0]^2``. So a call
+    that takes ``k`` steps and rejects ``r`` trials takes ``taylor_terms``
+    ``k + r + 1`` times, one less for each rejected trial that did not move
+    the iterate, and ``zeta`` at the start is at most ``zeta(0)``.
 
     Stops once ``||grad zeta(h)|| <= INNER_GRAD_TOL`` and returns
     ``(h, InnerStats)``. Raises ``SubsolverError`` carrying the last iterate

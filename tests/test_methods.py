@@ -548,11 +548,32 @@ class TestRunChecks:
         ({"max_iter": 2.5}, "max_iter must be a non-negative integer"),
         ({"max_iter": 3.0}, "max_iter must be a non-negative integer"),
         ({"max_iter": True}, "max_iter must be a non-negative integer"),
+        ({"kappa": "bogus"}, "kappa must be 'exact', 'corollary' or 3 finite"),
+        ({"kappa": (0.1, 0.1)}, "kappa must be 'exact', 'corollary' or 3 finite"),
+        ({"p": 2, "kappa": (0.1,) * 3}, "kappa must be 'exact', 'corollary' or 2 finite"),
+        ({"kappa": ["a", "b", "c"]}, "kappa must be"),
+        ({"kappa": (math.nan, 0.0, 0.0)}, "kappa must be"),
+        ({"kappa": (-1.0, 0.0, 0.0)}, "kappa must be"),
+        ({"kappa": (True, 0.0, 0.0)}, "kappa must be"),
+        ({"kappa": 0.1}, "kappa must be"),
+        ({"kappa": np.full((1, 3), 0.1)}, "kappa must be"),
     ], ids=["p", "eps", "diameter", "mode", "eps-nan", "eps-inf", "eps-bool",
-            "max-iter-negative", "max-iter-fraction", "max-iter-float", "max-iter-bool"])
+            "max-iter-negative", "max-iter-fraction", "max-iter-float", "max-iter-bool",
+            "kappa-unknown", "kappa-short", "kappa-long", "kappa-strings", "kappa-nan",
+            "kappa-negative", "kappa-bool", "kappa-scalar", "kappa-matrix"])
     def test_run_config_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**fields)
+
+    @pytest.mark.parametrize("kappa", [np.full(3, 0.1), [0.1, 0.1, 0.1], (np.float64(0.1),) * 3],
+                             ids=["array", "list", "numpy-scalars"])
+    def test_explicit_kappa_is_kept_as_floats(self, kappa):
+        # any sequence of p tolerances builds; the run reads the tuple
+        config = RunConfig(p=3, kappa=kappa, max_iter=1)
+        assert config.kappa == (0.1, 0.1, 0.1)
+        assert all(type(k) is float for k in config.kappa)
+        problem = make_logistic(n=4, m=40, seed=5)
+        assert itm_run(problem, np.zeros(4), config).status == "max-iter"
 
     @pytest.mark.parametrize("run, fields, field", [
         (itm_run, {"tau": math.nan}, "tau"),

@@ -223,8 +223,9 @@ class TestRegularizedQuartic:
         np.testing.assert_allclose(h, ref, rtol=1e-12, atol=1e-15)
 
     def test_invalid_weights_rejected(self):
-        # a quadratic weight of either sign is a shift of lam; only b is checked
-        for b in (0.0, -1.0):
+        # a quadratic weight of either sign is a shift of lam; only b is checked,
+        # a non-finite one before the secular root would search a bracket for it
+        for b in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="quartic weight"):
                 solve_regularized_quartic(np.zeros(2), np.ones(2), b)
 
@@ -258,6 +259,21 @@ def accepted_contractions(stats):
     for step in range(stats.iterations):
         indices.append(indices[-1] + rejected_at[step] + 1)
     return indices
+
+
+def recording_evaluations(monkeypatch):
+    """``(h, zeta(h), ||grad zeta(h)||)`` of every evaluation of the inner loop
+    from here on, in order, each value as the loop records it."""
+    evaluations = []
+    evaluate = EigenbasisZeta.change_and_grad
+
+    def recorded(zeta, y, h, terms=None):
+        change, g = evaluate(zeta, y, h, terms)
+        evaluations.append((np.array(h), zeta.value0 + change, float(np.linalg.norm(g))))
+        return change, g
+
+    monkeypatch.setattr(EigenbasisZeta, "change_and_grad", recorded)
+    return evaluations
 
 
 class TestBregman:
@@ -300,37 +316,50 @@ class TestBregman:
 
     def test_one_contraction_per_step(self, p3_setup, next_step, monkeypatch):
         _, bundle, budget, config, _ = p3_setup
-        calls = {"apply2": 0, "apply3": 0}
+        calls = {"taylor_terms": 0, "apply3": 0}
 
-        def counting(third, name):
-            original = getattr(third, name)
+        def counting(owner, name):
+            original = getattr(owner, name)
 
             def counted(s):
                 calls[name] += 1
                 return original(s)
             return counted
 
-        for third in (bundle.third, next_step[0].third):
-            for name in calls:
-                monkeypatch.setattr(third, name, counting(third, name))
+        for each in (bundle, next_step[0]):
+            monkeypatch.setattr(each, "taylor_terms", counting(each, "taylor_terms"))
+            monkeypatch.setattr(each.third, "apply3", counting(each.third, "apply3"))
         # one contraction per trial: an accepted trial's serves the next step
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         assert stats.iterations > 0 and stats.rejected
-        assert calls == {"apply2": stats.iterations + len(stats.rejected) + 1, "apply3": 0}
+        assert calls == {"taylor_terms": stats.iterations + len(stats.rejected) + 1,
+                         "apply3": 0}
         # a warm start's one contraction serves its line search and first evaluation
-        calls["apply2"] = 0
+        calls["taylor_terms"] = 0
         _, stats = bregman_minimize_zeta(next_step[0], budget, config, next_step[1])
         assert stats.iterations > 0
-        assert calls == {"apply2": stats.iterations + len(stats.rejected) + 1, "apply3": 0}
+        assert calls == {"taylor_terms": stats.iterations + len(stats.rejected) + 1,
+                         "apply3": 0}
 
-    @pytest.mark.parametrize("sampled, warm", [
-        (False, False), (True, False), (False, True), (True, True)],
-        ids=["exact", "sampled", "exact-warm", "sampled-warm"])
-    def test_records_match_the_direct_model(self, p3_setup, next_step, monkeypatch,
-                                            sampled, warm):
-        # the loop evaluates zeta in the eigenbasis of the Hessian; TaylorModel
-        # evaluates it directly at h, which the loop contracts once per iterate
+    @pytest.mark.parametrize("basis, sampled, warm", [
+        ("own", False, False), ("own", True, False), ("own", False, True),
+        ("own", True, True), ("previous", False, True), ("previous", True, True),
+        ("far", False, False), ("far", True, False)],
+        ids=["exact", "sampled", "exact-warm", "sampled-warm", "previous-exact",
+             "previous-sampled", "far-exact", "far-sampled"])
+    def test_records_match_the_direct_model(self, p3_setup, next_step, far_basis,
+                                            monkeypatch, basis, sampled, warm):
+        # the loop evaluates zeta in an eigenbasis, its own or an earlier
+        # Hessian's, from the bundle's taylor_terms at h, B h and T[h]^2;
+        # TaylorModel evaluates it directly at h. A call on an earlier basis
+        # may raise at the rounding floor of zeta, so every trial it
+        # evaluates is checked, whether the call returns or raises
         prob, bundle, budget, config, _ = p3_setup
+        given = None  # the call factors its own basis
+        if basis == "previous":
+            given = bregman_minimize_zeta(bundle, budget, config)[1].basis
+        elif basis == "far":
+            given = far_basis
         h0 = None
         if warm:
             bundle, h0 = next_step
@@ -338,29 +367,27 @@ class TestBregman:
             # an STM bundle: every order drawn from a part of the 60 rows
             bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
                                    np.random.default_rng(5))
-        iterates = []
-        contract = bundle.third.apply2
-
-        def recording(s):
-            iterates.append(np.array(s))
-            return contract(s)
-
-        monkeypatch.setattr(bundle.third, "apply2", recording)
-        h, stats = bregman_minimize_zeta(bundle, budget, config, h0)
+        evaluations = recording_evaluations(monkeypatch)
+        try:
+            h, stats = bregman_minimize_zeta(bundle, budget, config, h0, given)
+        except SubsolverError as err:
+            assert basis != "own" and "descent test failed" in str(err)
+            stats = None
         monkeypatch.undo()
-        assert stats.iterations > 0
-        assert len(iterates) == stats.iterations + len(stats.rejected) + 1
-        assert np.array_equal(iterates[-1], h)
-        iterates = [iterates[i] for i in accepted_contractions(stats)]
+        assert len(evaluations) > 1
+        if stats is not None:
+            assert stats.iterations > 0
+            assert len(evaluations) == stats.iterations + len(stats.rejected) + 1
+            assert np.array_equal(evaluations[-1][0], h)
+            accepted = [evaluations[i] for i in accepted_contractions(stats)]
+            assert [value for _, value, _ in accepted] == stats.zeta_values
+            assert [norm for _, _, norm in accepted] == stats.grad_norms
         if warm:
-            # the first contraction is of h0; the first record is at alpha h0,
-            # whose contraction the loop takes as alpha^2 T[h0]^2
-            start = EigenbasisZeta(bundle, budget, config).line_start(h0)[1]
-            assert np.linalg.norm(start) > 0
-            iterates[0] = start
+            # the first evaluation is at alpha h0, from the contraction at h0
+            assert np.linalg.norm(evaluations[0][0]) > 0
         model = TaylorModel(bundle, budget, config)
-        scale = stats.grad_norms[0]
-        for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
+        scale = evaluations[0][2]
+        for s, value, grad_norm in evaluations:
             assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
             # near the stop the gradient is a difference of terms of the size
             # of ||grad f||, which bounds the rounding of either evaluation
@@ -613,41 +640,49 @@ class TestStaleBasis:
         vals = stats.zeta_values
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_records_match_the_direct_model(self, p3_setup, stale, monkeypatch):
-        # B is no longer diagonal in the basis: the loop reads B h and T[h]^2
-        # only through the bundle's taylor_terms, once per iterate
-        _, _, budget, config, _ = p3_setup
-        bundle, h0, basis = stale
-        iterates = []
-        terms = bundle.taylor_terms
-
-        def recording(s):
-            iterates.append(np.array(s))
-            return terms(s)
-
-        monkeypatch.setattr(bundle, "taylor_terms", recording)
-        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
-        monkeypatch.undo()
-        assert len(iterates) == stats.iterations + len(stats.rejected) + 1
-        iterates = [iterates[i] for i in accepted_contractions(stats)]
-        if h0 is not None:
-            iterates[0] = EigenbasisZeta(bundle, budget, config, basis).line_start(h0)[1]
-        model = TaylorModel(bundle, budget, config)
-        scale = stats.grad_norms[0]
-        for s, value, grad_norm in zip(iterates, stats.zeta_values, stats.grad_norms):
-            assert value == pytest.approx(model.zeta(s), rel=1e-12, abs=0.0)
-            assert abs(grad_norm - np.linalg.norm(model.zeta_grad(s))) <= 1e-12 * scale
-
     def test_every_accepted_step_is_tested(self, p3_setup, stale, monkeypatch):
         # k(tau) is proved on the basis of B alone, so a stale call accepts
-        # only on the descent test, at any constant
+        # only on the descent test, at any constant, and tests every trial it
+        # evaluates; at the rounding floor of zeta the test fails up to the
+        # cap, and the call raises there
         _, _, budget, config, _ = p3_setup
         bundle, h0, basis = stale
+        evaluations = recording_evaluations(monkeypatch)
         tests = recording_descents(monkeypatch)
-        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        try:
+            _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
+        except SubsolverError:
+            stats = None
+        assert len(tests) == len(evaluations) - 1 > 0
+        if stats is None:
+            cap = subsolvers.STALE_CAP * relative_smoothness_constant(config.tau)
+            assert tests[-1] == (cap, False)
+            return
         passed = [const for const, ok in tests if ok]
         assert passed == stats.constants and stats.iterations > 0
         assert [const for const, ok in tests if not ok] == [c for _, c in stats.rejected]
+
+    @pytest.mark.parametrize("sampled, warm", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["exact", "sampled", "exact-warm", "sampled-warm"])
+    def test_own_basis_replays_the_fresh_call(self, p3_setup, next_step, sampled, warm):
+        # one evaluation path for every basis: a call given the basis a fresh
+        # call factored takes the fresh call's trials bitwise. It tests each
+        # of them, and a fresh call tests every trial below k(tau), so the
+        # two agree whenever the fresh call took no step at k(tau)
+        prob, bundle, budget, config, _ = p3_setup
+        h0 = None
+        if warm:
+            bundle, h0 = next_step
+        if sampled:
+            bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
+                                   np.random.default_rng(5))
+        h_fresh, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
+        assert max(fresh.constants) < relative_smoothness_constant(config.tau)
+        h, stats = bregman_minimize_zeta(bundle, budget, config, h0, fresh.basis)
+        assert np.array_equal(h, h_fresh)
+        for name in ("zeta_values", "grad_norms", "constants", "rejected"):
+            assert getattr(stats, name) == getattr(fresh, name), name
 
     def test_far_basis_near_the_minimizer_needs_constants_above_k_tau(
             self, p3_setup, far_basis, monkeypatch):
