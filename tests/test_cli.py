@@ -1,7 +1,9 @@
 """Exit-code contract of the command-line harness: bad input exits 1, never a traceback."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import warnings
@@ -146,19 +148,56 @@ class TestExitCodes:
                             x0_offset=offset, out=str(tmp_path / "out"))
         return ["run", "--config", path]
 
-    def test_far_start_exhausting_the_inner_loop_exits_two(self, tmp_path, capsys):
-        assert cli.main(self.far_start_args(tmp_path, 1e100)) == 2
-        assert capsys.readouterr().err.startswith("error: inner loop exhausted")
-
-    @pytest.mark.parametrize("fields", [
+    #: Configs whose model gradient stalls far above the absolute inner
+    #: tolerance, but not above the relative one.
+    STALLING = [
         {"x0_offset": 1e100},
         {"method": "itm", "kappa": "exact", "problem": {
             "kind": "logistic-synthetic", "n": 8, "m": 300, "row_scale": 1e76}},
+    ]
+
+    @pytest.mark.parametrize("fields, status, steps", [
+        (STALLING[0], "max-iter", 2), (STALLING[1], "step-floor", 1),
     ], ids=["far-start", "row-scale"])
+    def test_far_model_steps_meet_the_relative_stop_and_exit_zero(
+            self, tmp_path, capsys, fields, status, steps):
+        # INNER_REL_TOL ||grad f|| is reached in a few inner steps, so every
+        # outer step completes: the records are finite and f never rises
+        out = tmp_path / "out"
+        path = write_config(tmp_path, **{
+            "problem": {"kind": "logistic-synthetic", "n": 4, "m": 50}, **fields,
+            "out": str(out)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "trace_eps1e-06_seed0.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["cells"][0]["status"] == status
+        assert len(rows) == steps + 1
+        assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+        gaps = [float(row["f_gap"]) for row in rows]
+        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+        assert all(float(row["step_norm"]) > 0 for row in rows[:-1])
+
+    def test_far_start_exhausting_the_inner_loop_exits_two(self, tmp_path, capsys, monkeypatch):
+        # without the relative stop, the far start's inner loop reaches a
+        # step cap below the step at which it would repeat itself
+        monkeypatch.setattr(subsolvers, "INNER_REL_TOL", 0.0)
+        monkeypatch.setattr(subsolvers, "MAX_INNER_STEPS", 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(self.far_start_args(tmp_path, 1e100)) == 2
+        assert capsys.readouterr().err.startswith("error: inner loop exhausted 20 steps, residual ")
+
+    @pytest.mark.parametrize("fields", STALLING, ids=["far-start", "row-scale"])
     def test_stalled_inner_loop_exits_two_early_without_warnings(
-            self, tmp_path, capsys, fields):
-        # the model gradient stalls far above the inner tolerance; the loop
-        # ends at its first repeated step, and numpy warns of nothing
+            self, tmp_path, capsys, monkeypatch, fields):
+        # without the relative stop, the model gradient stalls far above the
+        # inner tolerance; the loop ends at its first repeated step, and numpy
+        # warns of nothing
+        monkeypatch.setattr(subsolvers, "INNER_REL_TOL", 0.0)
         path = write_config(tmp_path, **{
             "problem": {"kind": "logistic-synthetic", "n": 4, "m": 50}, **fields})
         with warnings.catch_warnings():

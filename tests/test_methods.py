@@ -166,6 +166,26 @@ class TestGoldenTraces:
         assert min(slacks) >= 0.0
         assert stale and max(stale) <= subsolvers.STALE_CAP / 2
 
+    @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
+    def test_no_model_solve_raises_or_rejects_a_trial(self, monkeypatch, name):
+        # the relative inner stop ends every call before the rounding floor
+        # of zeta, where a stale call's descent test raised and trials were
+        # rejected on rounding alone; so no step is redone and none backtracks
+        solve, calls = methods.bregman_minimize_zeta, []
+
+        def checked(bundle, budget, config, h0=None, basis=None):
+            try:
+                h, stats = solve(bundle, budget, config, h0, basis)
+            except SubsolverError as err:
+                calls.append(err)
+                raise
+            calls.append(stats.rejected)
+            return h, stats
+
+        monkeypatch.setattr(methods, "bregman_minimize_zeta", checked)
+        run_experiment(golden_config(name))
+        assert calls and all(rejected == [] for rejected in calls)
+
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")
 
@@ -375,7 +395,7 @@ class TestSharedLadder:
         assert stm.status == itm.status == "max-iter"
 
     @pytest.mark.parametrize("p, status, records",
-                             [(2, "max-iter", 31), (3, "step-floor", 19)], ids=["2", "3"])
+                             [(2, "max-iter", 31), (3, "step-floor", 20)], ids=["2", "3"])
     def test_exact_itm_is_monotone(self, logistic, p, status, records):
         # at p=3 the run reaches the optimum and its steps fall to the floor
         problem, x0 = logistic

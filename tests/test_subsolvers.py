@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,13 @@ class TestRegularizedQuartic:
                 solve_regularized_quartic(np.zeros(2), np.ones(2), b)
 
 
+@pytest.fixture
+def tight_stop(monkeypatch):
+    """The inner loop without its relative stop: every call runs to the
+    absolute ``INNER_GRAD_TOL``, the tight solve that minimizers are compared at."""
+    monkeypatch.setattr(subsolvers, "INNER_REL_TOL", 0.0)
+
+
 @pytest.fixture(scope="module")
 def p3_setup():
     prob = make_logistic(n=7, m=60, seed=31, mu=1e-2)
@@ -240,6 +248,16 @@ def p3_setup():
     budget = InexactnessBudget(1e-2, (0.3, 0.6, 1.0))
     config = ModelConfig.coupled(profile.lip(3), budget.kappa(3), tau=4.0)
     return prob, bundle, budget, config, profile
+
+
+@pytest.fixture(scope="module")
+def minimizer(p3_setup):
+    """The minimizer of ``p3_setup``'s objective, by 30 Newton steps from its point."""
+    prob, bundle, _, _, _ = p3_setup
+    x = bundle.x.copy()
+    for _ in range(30):
+        x -= np.linalg.solve(prob.hessian(x), prob.gradient(x))
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +295,7 @@ def recording_evaluations(monkeypatch):
 
 
 class TestBregman:
-    def test_quadratic_matches_single_quartic_solve(self, rng):
+    def test_quadratic_matches_single_quartic_solve(self, rng, tight_stop):
         prob = make_quadratic(5, seed=32)
         x = rng.standard_normal(5)
         bundle = exact_bundle(prob, x, 3)
@@ -296,7 +314,7 @@ class TestBregman:
         h, stats = bregman_minimize_zeta(flat, budget, config)
         assert np.all(h == 0) and stats.iterations == 0
 
-    def test_reaches_tight_gradient_norm_monotonically(self, p3_setup):
+    def test_reaches_tight_gradient_norm_monotonically(self, p3_setup, tight_stop):
         _, bundle, budget, config, _ = p3_setup
         h, stats = bregman_minimize_zeta(bundle, budget, config)
         assert stats.grad_norms[-1] <= 1e-9
@@ -314,7 +332,7 @@ class TestBregman:
         ratios = gaps[1:] / gaps[:-1]
         assert np.median(ratios) < 1.0
 
-    def test_one_contraction_per_step(self, p3_setup, next_step, monkeypatch):
+    def test_one_contraction_per_step(self, p3_setup, next_step, monkeypatch, tight_stop):
         _, bundle, budget, config, _ = p3_setup
         calls = {"taylor_terms": 0, "apply3": 0}
 
@@ -329,7 +347,8 @@ class TestBregman:
         for each in (bundle, next_step[0]):
             monkeypatch.setattr(each, "taylor_terms", counting(each, "taylor_terms"))
             monkeypatch.setattr(each.third, "apply3", counting(each.third, "apply3"))
-        # one contraction per trial: an accepted trial's serves the next step
+        # one contraction per trial: an accepted trial's serves the next step.
+        # Run to the absolute stop, the call rejects trials near its end
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         assert stats.iterations > 0 and stats.rejected
         assert calls == {"taylor_terms": stats.iterations + len(stats.rejected) + 1,
@@ -456,7 +475,9 @@ class TestBregman:
 @pytest.fixture(scope="module", params=["exact", "sampled"])
 def backtracked(request, p3_setup):
     """``(bundle, stats, iterates)`` of one cold call on an exact bundle and on
-    an STM bundle, with ``iterates`` the start and each accepted step."""
+    an STM bundle, with ``iterates`` the start and each accepted step. The
+    calls run to the absolute stop (``tight_stop``): the relative stop ends
+    them before any trial is rejected."""
     prob, bundle, budget, config, _ = p3_setup
     if request.param == "sampled":
         bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
@@ -472,7 +493,9 @@ def backtracked(request, p3_setup):
     third.apply2 = recording
     recorded = DerivativeBundle(x=bundle.x, value=bundle.value, grad=bundle.grad,
                                 hess=bundle.hess, third=third)
-    h, stats = bregman_minimize_zeta(recorded, budget, config)
+    with pytest.MonkeyPatch.context() as scoped:
+        scoped.setattr(subsolvers, "INNER_REL_TOL", 0.0)
+        h, stats = bregman_minimize_zeta(recorded, budget, config)
     assert len(contracted) == stats.iterations + len(stats.rejected) + 1
     assert np.array_equal(contracted[-1], h)
     return bundle, stats, [contracted[i] for i in accepted_contractions(stats)]
@@ -506,7 +529,7 @@ class TestBacktracking:
         assert stats.rejected
         assert all(1.0 <= const < ktau for _, const in stats.rejected)
 
-    def test_failed_tests_fall_back_to_k_tau(self, p3_setup, monkeypatch):
+    def test_failed_tests_fall_back_to_k_tau(self, p3_setup, monkeypatch, tight_stop):
         # with every test failing, the first step grows its trial to k(tau), and
         # from there each step is the fixed loop's
         _, bundle, budget, config, _ = p3_setup
@@ -519,7 +542,8 @@ class TestBacktracking:
         assert stats.grad_norms[-1] <= subsolvers.INNER_GRAD_TOL
         assert np.linalg.norm(h - h_adaptive) <= 1e-7 * np.linalg.norm(h_adaptive)
 
-    def test_no_shrink_is_the_fixed_loop(self, p3_setup, backtracked, monkeypatch):
+    def test_no_shrink_is_the_fixed_loop(self, p3_setup, backtracked, monkeypatch,
+                                         tight_stop):
         # SHRINK = 1 tries k(tau) first at every step, which needs no test
         _, _, budget, config, _ = p3_setup
         bundle, adaptive, _ = backtracked
@@ -554,14 +578,14 @@ class TestWarmStart:
         h, stats = bregman_minimize_zeta(flat, budget, config, np.ones(7))
         assert np.all(h == 0) and stats.iterations == 0
 
-    def test_start_at_the_minimizer_takes_at_most_one_step(self, p3_setup):
+    def test_start_at_the_minimizer_takes_at_most_one_step(self, p3_setup, tight_stop):
         _, bundle, budget, config, _ = p3_setup
         h_star, _ = bregman_minimize_zeta(bundle, budget, config)
         h, stats = bregman_minimize_zeta(bundle, budget, config, h_star)
         assert stats.iterations <= 1
         assert np.linalg.norm(h - h_star) <= 1e-7 * np.linalg.norm(h_star)
 
-    def test_warm_and_cold_minimizers_agree(self, p3_setup, next_step):
+    def test_warm_and_cold_minimizers_agree(self, p3_setup, next_step, tight_stop):
         _, _, budget, config, _ = p3_setup
         bundle, h_prev = next_step
         h_cold, cold = bregman_minimize_zeta(bundle, budget, config)
@@ -583,6 +607,16 @@ class TestWarmStart:
         (-1.0, math.inf, 0.0, 1.0)], ids=["convex", "no-quartic", "nan", "inf"])
     def test_line_minimizer_falls_back_to_zero(self, coeffs):
         assert _quartic_line_minimizer(*coeffs) == 0.0
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1.0, 1.0, -1e200, 1e-200), (-1.0, 0.0, 0.0, 1e-310)], ids=["cubic", "subnormal"])
+    def test_line_minimizer_with_an_overflowing_monic_cubic_gives_the_cold_start(
+            self, coeffs):
+        # finite coefficients whose derivative, made monic, overflows: np.roots
+        # would take inf into its eigenvalue solver and raise LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _quartic_line_minimizer(*coeffs) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -626,7 +660,7 @@ class TestStaleBasis:
         lam, vecs = np.linalg.eigh(0.5 * (bundle.hess + bundle.hess.T))
         assert np.array_equal(stats.basis[0], lam) and np.array_equal(stats.basis[1], vecs)
 
-    def test_converges_to_the_fresh_minimizer_or_raises(self, p3_setup, stale):
+    def test_converges_to_the_fresh_minimizer_or_raises(self, p3_setup, stale, tight_stop):
         _, _, budget, config, _ = p3_setup
         bundle, h0, basis = stale
         h_fresh, _ = bregman_minimize_zeta(bundle, budget, config, h0)
@@ -685,17 +719,14 @@ class TestStaleBasis:
             assert getattr(stats, name) == getattr(fresh, name), name
 
     def test_far_basis_near_the_minimizer_needs_constants_above_k_tau(
-            self, p3_setup, far_basis, monkeypatch):
+            self, p3_setup, minimizer, far_basis, monkeypatch):
         # near the minimizer of f the steps are short, so rho's quadratic part
         # must bound B alone, and on the far basis it holds only the ridge:
         # the call takes a step above k(tau) after a test that failed on a
         # model change far above the rounding of zeta
         prob, bundle, budget, config, _ = p3_setup
         ktau = relative_smoothness_constant(config.tau)
-        x = bundle.x.copy()
-        for _ in range(30):
-            x -= np.linalg.solve(prob.hessian(x), prob.gradient(x))
-        near = exact_bundle(prob, x + 0.01 * (bundle.x - x), 3)
+        near = exact_bundle(prob, minimizer + 0.01 * (bundle.x - minimizer), 3)
         tests = []
         test = subsolvers._descends
 
@@ -755,7 +786,7 @@ class TestStaleBasis:
         assert_raises_at_the_stale_cap(monkeypatch, budget, config, stats.basis, *next_step,
                                        subsolvers.INNER_GRAD_TOL)
 
-    def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch):
+    def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch, tight_stop):
         # started at its own minimizer with the stop rule off, a stale call's
         # trials change zeta only at its rounding: the floor has no cap of its
         # own, so a test that fails there raises at the same STALE_CAP k(tau)
@@ -782,6 +813,57 @@ def assert_raises_at_the_stale_cap(monkeypatch, budget, config, basis, bundle, h
     assert err.value.best is not None and err.value.residual > 0
     _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
     assert fresh.constants == [ktau] * fresh.iterations
+
+def stop_tolerance(bundle):
+    """The inner stop of a call on ``bundle``: ``max(INNER_GRAD_TOL,
+    INNER_REL_TOL ||grad f(x)||)``."""
+    return max(subsolvers.INNER_GRAD_TOL,
+               subsolvers.INNER_REL_TOL * float(np.linalg.norm(bundle.grad)))
+
+
+class TestStopRule:
+    """The inner loop stops at a model gradient relative to ``||grad f(x)||``,
+    with the absolute ``INNER_GRAD_TOL`` as its floor."""
+
+    @pytest.mark.parametrize("basis, sampled, warm", [
+        ("own", False, False), ("own", True, False), ("own", False, True),
+        ("own", True, True), ("previous", False, True), ("far", False, False)],
+        ids=["exact", "sampled", "exact-warm", "sampled-warm", "previous", "far"])
+    def test_returned_call_stops_at_the_first_norm_below_the_rule(
+            self, p3_setup, next_step, far_basis, basis, sampled, warm):
+        prob, bundle, budget, config, _ = p3_setup
+        given = None
+        if basis == "previous":
+            given = bregman_minimize_zeta(bundle, budget, config)[1].basis
+        elif basis == "far":
+            given = far_basis
+        h0 = None
+        if warm:
+            bundle, h0 = next_step
+        if sampled:
+            bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
+                                   np.random.default_rng(5))
+        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, given)
+        tol = stop_tolerance(bundle)
+        # far from the minimizer the relative term is the stop
+        assert tol > subsolvers.INNER_GRAD_TOL
+        assert stats.iterations > 0
+        assert stats.grad_norms[-1] <= tol < min(stats.grad_norms[:-1])
+
+    def test_small_gradient_stops_at_the_floor(self, p3_setup, minimizer, monkeypatch):
+        # 1e-6 of the way from the minimizer, INNER_REL_TOL ||grad f|| is below
+        # INNER_GRAD_TOL: the call is the one without a relative stop, bitwise
+        prob, bundle, budget, config, _ = p3_setup
+        near = exact_bundle(prob, minimizer + 1e-6 * (bundle.x - minimizer), 3)
+        grad_norm = float(np.linalg.norm(near.grad))
+        assert subsolvers.INNER_REL_TOL * grad_norm < subsolvers.INNER_GRAD_TOL < grad_norm
+        h, stats = bregman_minimize_zeta(near, budget, config)
+        assert stats.iterations > 0
+        assert stats.grad_norms[-1] <= subsolvers.INNER_GRAD_TOL < min(stats.grad_norms[:-1])
+        monkeypatch.setattr(subsolvers, "INNER_REL_TOL", 0.0)
+        h_tight, tight = bregman_minimize_zeta(near, budget, config)
+        assert np.array_equal(h, h_tight) and stats.grad_norms == tight.grad_norms
+
 
 def pole_data(lam):
     """The pole ``mu_lo = max(0, -lam_min)`` of ``lam``: ``(lam + mu_lo, mu_lo)``."""
