@@ -171,20 +171,20 @@ class TestGoldenTraces:
         # the relative inner stop ends every call before the rounding floor
         # of zeta, where a stale call's descent test raised and trials were
         # rejected on rounding alone; so no step is redone and none backtracks
-        solve, calls = methods.bregman_minimize_zeta, []
+        solve, raised, rejected = methods.bregman_minimize_zeta, [], []
 
         def checked(bundle, budget, config, h0=None, basis=None):
             try:
                 h, stats = solve(bundle, budget, config, h0, basis)
             except SubsolverError as err:
-                calls.append(err)
+                raised.append(err)
                 raise
-            calls.append(stats.rejected)
+            rejected.append(stats.rejected)
             return h, stats
 
         monkeypatch.setattr(methods, "bregman_minimize_zeta", checked)
         run_experiment(golden_config(name))
-        assert calls and all(rejected == [] for rejected in calls)
+        assert raised == [] and rejected and not any(rejected)
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")

@@ -294,6 +294,35 @@ def recording_evaluations(monkeypatch):
     return evaluations
 
 
+#: The model calls of ``call_inputs``: on the basis the call factors, on the
+#: previous outer step's or on ``far_basis``; on an exact or an STM bundle;
+#: cold, or warm from ``next_step``.
+MODEL_CALLS = pytest.mark.parametrize("basis, sampled, warm", [
+    ("own", False, False), ("own", True, False), ("own", False, True),
+    ("own", True, True), ("previous", False, True), ("previous", True, True),
+    ("far", False, False), ("far", True, False)],
+    ids=["exact", "sampled", "exact-warm", "sampled-warm", "previous-exact",
+         "previous-sampled", "far-exact", "far-sampled"])
+
+
+def call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm):
+    """``(bundle, h0, basis)`` of one ``MODEL_CALLS`` case."""
+    prob, bundle, budget, config, _ = p3_setup
+    given = None  # the call factors its own basis
+    if basis == "previous":
+        given = bregman_minimize_zeta(bundle, budget, config)[1].basis
+    elif basis == "far":
+        given = far_basis
+    h0 = None
+    if warm:
+        bundle, h0 = next_step
+    if sampled:
+        # an STM bundle: every order drawn from a part of the 60 rows
+        bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
+                               np.random.default_rng(5))
+    return bundle, h0, given
+
+
 class TestBregman:
     def test_quadratic_matches_single_quartic_solve(self, rng, tight_stop):
         prob = make_quadratic(5, seed=32)
@@ -348,7 +377,7 @@ class TestBregman:
             monkeypatch.setattr(each, "taylor_terms", counting(each, "taylor_terms"))
             monkeypatch.setattr(each.third, "apply3", counting(each.third, "apply3"))
         # one contraction per trial: an accepted trial's serves the next step.
-        # Run to the absolute stop, the call rejects trials near its end
+        # Only a call run to the absolute stop rejects trials, near its end
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         assert stats.iterations > 0 and stats.rejected
         assert calls == {"taylor_terms": stats.iterations + len(stats.rejected) + 1,
@@ -360,12 +389,7 @@ class TestBregman:
         assert calls == {"taylor_terms": stats.iterations + len(stats.rejected) + 1,
                          "apply3": 0}
 
-    @pytest.mark.parametrize("basis, sampled, warm", [
-        ("own", False, False), ("own", True, False), ("own", False, True),
-        ("own", True, True), ("previous", False, True), ("previous", True, True),
-        ("far", False, False), ("far", True, False)],
-        ids=["exact", "sampled", "exact-warm", "sampled-warm", "previous-exact",
-             "previous-sampled", "far-exact", "far-sampled"])
+    @MODEL_CALLS
     def test_records_match_the_direct_model(self, p3_setup, next_step, far_basis,
                                             monkeypatch, basis, sampled, warm):
         # the loop evaluates zeta in an eigenbasis, its own or an earlier
@@ -373,19 +397,8 @@ class TestBregman:
         # TaylorModel evaluates it directly at h. A call on an earlier basis
         # may raise at the rounding floor of zeta, so every trial it
         # evaluates is checked, whether the call returns or raises
-        prob, bundle, budget, config, _ = p3_setup
-        given = None  # the call factors its own basis
-        if basis == "previous":
-            given = bregman_minimize_zeta(bundle, budget, config)[1].basis
-        elif basis == "far":
-            given = far_basis
-        h0 = None
-        if warm:
-            bundle, h0 = next_step
-        if sampled:
-            # an STM bundle: every order drawn from a part of the 60 rows
-            bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
-                                   np.random.default_rng(5))
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, given = call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm)
         evaluations = recording_evaluations(monkeypatch)
         try:
             h, stats = bregman_minimize_zeta(bundle, budget, config, h0, given)
@@ -814,37 +827,18 @@ def assert_raises_at_the_stale_cap(monkeypatch, budget, config, basis, bundle, h
     _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
     assert fresh.constants == [ktau] * fresh.iterations
 
-def stop_tolerance(bundle):
-    """The inner stop of a call on ``bundle``: ``max(INNER_GRAD_TOL,
-    INNER_REL_TOL ||grad f(x)||)``."""
-    return max(subsolvers.INNER_GRAD_TOL,
-               subsolvers.INNER_REL_TOL * float(np.linalg.norm(bundle.grad)))
-
-
 class TestStopRule:
     """The inner loop stops at a model gradient relative to ``||grad f(x)||``,
     with the absolute ``INNER_GRAD_TOL`` as its floor."""
 
-    @pytest.mark.parametrize("basis, sampled, warm", [
-        ("own", False, False), ("own", True, False), ("own", False, True),
-        ("own", True, True), ("previous", False, True), ("far", False, False)],
-        ids=["exact", "sampled", "exact-warm", "sampled-warm", "previous", "far"])
+    @MODEL_CALLS
     def test_returned_call_stops_at_the_first_norm_below_the_rule(
             self, p3_setup, next_step, far_basis, basis, sampled, warm):
-        prob, bundle, budget, config, _ = p3_setup
-        given = None
-        if basis == "previous":
-            given = bregman_minimize_zeta(bundle, budget, config)[1].basis
-        elif basis == "far":
-            given = far_basis
-        h0 = None
-        if warm:
-            bundle, h0 = next_step
-        if sampled:
-            bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
-                                   np.random.default_rng(5))
+        _, _, budget, config, _ = p3_setup
+        bundle, h0, given = call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm)
         _, stats = bregman_minimize_zeta(bundle, budget, config, h0, given)
-        tol = stop_tolerance(bundle)
+        tol = max(subsolvers.INNER_GRAD_TOL,
+                  subsolvers.INNER_REL_TOL * float(np.linalg.norm(bundle.grad)))
         # far from the minimizer the relative term is the stop
         assert tol > subsolvers.INNER_GRAD_TOL
         assert stats.iterations > 0
