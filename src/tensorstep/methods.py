@@ -19,11 +19,13 @@ not finite before anything else is computed at ``x0``, then the certified
 constants there. ITM and STM take their budget and sigma from
 ``resolve_model`` and share one model step: ``solve_model_p2`` at p=2 (one
 inner iteration), ``bregman_minimize_zeta`` at p=3, warm-started from the
-previous outer step. At p=3 the model is exact at every step, but its
-Bregman reference is built on the eigenbasis of the last Hessian the step
-factored, whose ``eigh`` dominates a wide step. The step factors again only
-when a call on that stale basis raises, and then redoes the step on the
-fresh basis, which later steps keep. Every call evaluates the model the
+previous outer step and from the last relative-smoothness constant its inner
+loop accepted, the first constant the next call tries. At p=3 the model is
+exact at every step, but its Bregman reference is built on the eigenbasis of
+the last Hessian the step factored, whose ``eigh`` dominates a wide step. The
+step factors again only when a call on that stale basis raises, and then
+redoes the step on the fresh basis, which later steps keep; the redo starts
+from the same carried constant. Every call evaluates the model the
 same way, through the bundle's ``taylor_terms``; a stale call differs only
 in testing every constant it tries (``subsolvers``). A step's
 ``inner_iters`` counts the call whose step it took. A bundle builds its
@@ -310,21 +312,26 @@ def _model_method(problem, x0, config: RunConfig):
     budget, mconfig = resolve_model(config, profile)
     last = None  # the previous step
     basis = None  # the eigenbasis rho was last built on
+    const = None  # the last relative-smoothness constant an inner step accepted
 
     def step(x, bundle):
-        nonlocal last, basis
+        nonlocal last, basis, const
         if bundle.p == 2:
             h, inner_iters = solve_model_p2(bundle, budget, mconfig), 1
         else:
             stats = None
             if basis is not None:
                 try:
-                    h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last, basis)
+                    h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last, basis,
+                                                     const0=const)
                 except SubsolverError:
                     pass  # the step is redone on a fresh factorization
             if stats is None:
-                h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last)
+                h, stats = bregman_minimize_zeta(bundle, budget, mconfig, last,
+                                                 const0=const)
             basis, inner_iters = stats.basis, stats.iterations
+            if stats.constants:
+                const = stats.constants[-1]
         last = h
         return x + h, float(np.linalg.norm(h)), inner_iters
 

@@ -33,8 +33,9 @@ Nesterov, arXiv:1610.05708). That constant is the worst case: at
 rho's, and at ``k(tau) = 3`` each step shrinks the model gradient by a
 factor near ``1 - 1.2/3 = 0.6``. So ``L_k`` is
 found by backtracking in ``[1, k(tau)]``. Each step first tries
-``max(1, SHRINK L_{k-1})``, from ``L_{-1} = k(tau)``, and accepts the trial
-``h+`` at constant ``L`` when
+``max(1, SHRINK L_{k-1})``, a call's first step ``L_{-1}`` (see below) when
+``1 <= L_{-1} < k(tau)`` and ``max(1, SHRINK k(tau))`` otherwise, and
+accepts the trial ``h+`` at constant ``L`` when
 
     zeta(h+) <= zeta(h_k) + <grad zeta(h_k), h+ - h_k> + L breg_rho(h+, h_k),
 
@@ -46,6 +47,20 @@ floor of ``zeta`` is rounding deciding it. A trial below ``k(tau)`` that
 does not move the iterate is rejected and retried at ``k(tau)``. All of this
 holds on the eigenbasis of ``B`` itself; a stale basis tests every trial
 (see below).
+
+``L_{-1}`` is the last constant the previous outer step's call accepted,
+which the model step carries to the next call with its step and its basis.
+The models of consecutive outer steps are nearly equal, and so are the
+constants that pass their tests, which stay well below ``k(tau)`` (at most
+0.71 ``k(tau)`` on the calls that ``STALE_CAP`` counts), so a call that
+starts again from ``SHRINK k(tau)`` spends its first steps at constants that
+its model does not need. A carried constant the next model does not pass is
+rejected and grown as any trial is. Carrying ``k(tau)`` itself would keep
+every later call there, so a constant at or above it, and a first call,
+start from ``SHRINK k(tau)``. Only the first trial changes: a trial below
+``k(tau)`` is still accepted on the descent test alone, a fresh call still
+takes ``k(tau)`` untested, and the stop is the same, so a call that starts
+from a carried constant keeps every property of a cold one stated here.
 
 The loop stops once
 
@@ -176,7 +191,8 @@ SECULAR_TOL = 1e-14
 MAX_INNER_STEPS = 200
 
 #: An inner step first tries this multiple of the last accepted
-#: relative-smoothness constant, and at least 1.
+#: relative-smoothness constant, and at least 1; a call's first step tries the
+#: constant its caller carried from the previous call, or this multiple of k(tau).
 SHRINK = 0.9
 
 #: A rejected trial's constant times this, and at most k(tau) (``STALE_CAP``
@@ -186,9 +202,11 @@ GROW = 1.2
 #: On a stale eigenbasis a trial's constant may grow to this multiple of
 #: k(tau), and a call raises when the descent test fails there. Over the 673
 #: stale calls of the itm-p3 and stm-p3 golden configs and of the three
-#: order-3 benchmark workloads at seeds 1 to 10, every trial passed the test
-#: at its first constant, at most SHRINK k(tau), and no call raised. A call
-#: that runs on to the floor INNER_GRAD_TOL can fail the test at every
+#: order-3 benchmark workloads at seeds 1 to 10, no call raised and every
+#: accepted constant was at most 0.71 k(tau). 89 trials were rejected, each
+#: below k(tau) in a step that then accepted a larger constant; 33 of them
+#: were a call's first trial, the constant carried from the previous call. A
+#: call that runs on to the floor INNER_GRAD_TOL can fail the test at every
 #: constant, its model change at the rounding of zeta(0), and raises here.
 STALE_CAP = 10.0
 
@@ -207,7 +225,8 @@ class InnerStats:
     step. ``rejected`` holds ``(step, constant)`` for each rejected trial,
     in order, where ``step`` counts the steps accepted before it. ``basis``
     is the ``(lam, vecs)`` that ``rho`` was built on, which the model step
-    passes to its next call.
+    passes to its next call, with the last of ``constants`` as its
+    ``const0``.
     """
 
     iterations: int = 0
@@ -432,7 +451,7 @@ def _quartic_line_minimizer(a1: float, a2: float, a3: float, a4: float) -> float
 
 @np.errstate(over="ignore")
 def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
-                          config: ModelConfig, h0=None, basis=None):
+                          config: ModelConfig, h0=None, basis=None, const0=None):
     """Minimize the order-3 smooth model by Bregman proximal gradient.
 
     Preconditions: ``p = 3``; ``sigma``, ``kappa_3`` and ``tau`` satisfy the
@@ -466,6 +485,13 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``k + r + 1`` times, one less for each rejected trial that did not move
     the iterate, and ``zeta`` at the start is at most ``zeta(0)``.
 
+    ``const0``, the last constant the previous call accepted, is the first
+    step's first trial when ``1 <= const0 < k(tau)``; otherwise, and when it
+    is not given, that trial is ``max(1, SHRINK k(tau))``, so a call given
+    ``k(tau)`` or more is the cold call bitwise. It changes only where the
+    backtracking starts: the descent test, the trials accepted untested and
+    the stop are those of a call without it.
+
     Stops once ``||grad zeta(h)|| <= max(INNER_GRAD_TOL, INNER_REL_TOL
     ||grad f(x)||)``, the inexact tensor step of Grapiglia & Nesterov
     (arXiv:1907.13023) with the gradient at ``x`` standing in for theirs at
@@ -498,7 +524,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                                   else np.asarray(h0, dtype=float))
     change, g = zeta.change_and_grad(y, h, terms)
     const, mu = ktau, None  # the last accepted constant and its secular shift
-    start = max(1.0, SHRINK * ktau)  # the next step's first trial
+    # the next step's first trial; carrying k(tau) would keep it for the whole call
+    carried = const0 is not None and 1.0 <= const0 < ktau
+    start = const0 if carried else max(1.0, SHRINK * ktau)
     tol = max(INNER_GRAD_TOL, INNER_REL_TOL * float(np.linalg.norm(zeta.gt)))
     while True:
         r2 = float(y @ y)

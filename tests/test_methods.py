@@ -129,16 +129,26 @@ class TestGoldenTraces:
         warm = golden_run("itm-p3")[0]
         solve = methods.bregman_minimize_zeta
         monkeypatch.setattr(methods, "bregman_minimize_zeta",
-                            lambda bundle, budget, config, h0=None, basis=None:
-                            solve(bundle, budget, config, basis=basis))
+                            lambda bundle, budget, config, h0=None, basis=None, const0=None:
+                            solve(bundle, budget, config, basis=basis, const0=const0))
         assert_only_fewer_inner_steps(warm, run_experiment(golden_config("itm-p3")))
+
+    @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
+    def test_carried_constant_only_cuts_inner_steps(self, golden_run, monkeypatch, name):
+        # the config again, every model solve's first trial the cold SHRINK k(tau)
+        carried, solve = golden_run(name)[0], methods.bregman_minimize_zeta
+        monkeypatch.setattr(methods, "bregman_minimize_zeta",
+                            lambda bundle, budget, config, h0=None, basis=None, const0=None:
+                            solve(bundle, budget, config, h0, basis))
+        assert_only_fewer_inner_steps(carried, run_experiment(golden_config(name)))
 
     @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
     def test_adaptive_constant_only_cuts_inner_steps(self, golden_run, monkeypatch, name):
         # the config again with every inner step taken at the fixed k(tau):
         # SHRINK = 1 makes k(tau) each step's first trial
+        adaptive = golden_run(name)[0]
         monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
-        assert_only_fewer_inner_steps(golden_run(name)[0], run_experiment(golden_config(name)))
+        assert_only_fewer_inner_steps(adaptive, run_experiment(golden_config(name)))
 
     @pytest.mark.parametrize("name, steps", [("itm-p3", 54), ("stm-p3", 157)])
     def test_every_step_majorizes(self, monkeypatch, name, steps):
@@ -150,8 +160,8 @@ class TestGoldenTraces:
         solve = methods.bregman_minimize_zeta
         slacks, stale = [], []
 
-        def checked(bundle, budget, config, h0=None, basis=None):
-            h, stats = solve(bundle, budget, config, h0, basis)
+        def checked(bundle, budget, config, h0=None, basis=None, const0=None):
+            h, stats = solve(bundle, budget, config, h0, basis, const0)
             f = problem.value(bundle.x + h)
             slacks.append(TaylorModel(bundle, budget, config).zeta(h) - f
                           + 1e-12 * max(1.0, abs(f)))
@@ -167,24 +177,30 @@ class TestGoldenTraces:
         assert stale and max(stale) <= subsolvers.STALE_CAP / 2
 
     @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
-    def test_no_model_solve_raises_or_rejects_a_trial(self, monkeypatch, name):
+    def test_no_model_solve_raises_and_each_rejection_backtracks(self, monkeypatch, name):
         # the relative inner stop ends every call before the rounding floor
         # of zeta, where a stale call's descent test raised and trials were
-        # rejected on rounding alone; so no step is redone and none backtracks
-        solve, raised, rejected = methods.bregman_minimize_zeta, [], []
+        # rejected on rounding alone; so no step is redone. A call's first
+        # trial is the constant the previous call accepted, which the next
+        # model may not pass: such a trial is rejected below k(tau), and its
+        # step accepts a larger constant, at most k(tau)
+        solve, raised, calls = methods.bregman_minimize_zeta, [], []
 
-        def checked(bundle, budget, config, h0=None, basis=None):
+        def checked(bundle, budget, config, h0=None, basis=None, const0=None):
             try:
-                h, stats = solve(bundle, budget, config, h0, basis)
+                h, stats = solve(bundle, budget, config, h0, basis, const0)
             except SubsolverError as err:
                 raised.append(err)
                 raise
-            rejected.append(stats.rejected)
+            calls.append((subsolvers.relative_smoothness_constant(config.tau), stats))
             return h, stats
 
         monkeypatch.setattr(methods, "bregman_minimize_zeta", checked)
         run_experiment(golden_config(name))
-        assert raised == [] and rejected and not any(rejected)
+        assert raised == [] and calls
+        for ktau, stats in calls:
+            for step, const in stats.rejected:
+                assert 1.0 <= const < stats.constants[step] <= ktau
 
     def test_interrupted_summary_keeps_the_old_one(self, tmp_path, monkeypatch):
         (tmp_path / "summary.json").write_text("old")
@@ -231,12 +247,12 @@ def logged_model_calls(monkeypatch, basis_for=None):
     replaces each stale basis the step passes."""
     solve, log = methods.bregman_minimize_zeta, []
 
-    def logged(bundle, budget, config, h0=None, basis=None):
+    def logged(bundle, budget, config, h0=None, basis=None, const0=None):
         fresh = basis is None
         if not fresh and basis_for is not None:
             basis = basis_for(basis)
         try:
-            h, stats = solve(bundle, budget, config, h0, basis)
+            h, stats = solve(bundle, budget, config, h0, basis, const0)
         except SubsolverError:
             log.append((fresh, None))
             raise
@@ -307,8 +323,8 @@ class TestStaleEigenbasis:
         problem, x0 = logistic
         solve = methods.bregman_minimize_zeta
 
-        def slow(bundle, budget, config, h0=None, basis=None):
-            h, stats = solve(bundle, budget, config, h0, basis)
+        def slow(bundle, budget, config, h0=None, basis=None, const0=None):
+            h, stats = solve(bundle, budget, config, h0, basis, const0)
             stats.iterations += 0 if basis is None else 100
             return h, stats
 
@@ -333,8 +349,8 @@ class TestStaleEigenbasis:
         assert all(iterations is None for fresh, iterations in log if not fresh)
         assert_refresh_rule(log)
         monkeypatch.setattr(methods, "bregman_minimize_zeta",
-                            lambda bundle, budget, config, h0=None, basis=None:
-                            solve(bundle, budget, config, h0))
+                            lambda bundle, budget, config, h0=None, basis=None, const0=None:
+                            solve(bundle, budget, config, h0, const0=const0))
         assert itm_run(problem, x0, config).records == trace.records
 
 

@@ -859,6 +859,49 @@ class TestStopRule:
         assert np.array_equal(h, h_tight) and stats.grad_norms == tight.grad_norms
 
 
+def first_trial(stats):
+    """The constant a call tried first: its first rejected trial when that
+    came before its first accepted step, else that step's constant."""
+    if stats.rejected and stats.rejected[0][0] == 0:
+        return stats.rejected[0][1]
+    return stats.constants[0]
+
+
+class TestCarriedConstant:
+    """``const0``, the constant the previous call accepted last, is a call's
+    first trial when it lies in ``[1, k(tau))``."""
+
+    @MODEL_CALLS
+    @pytest.mark.parametrize("const0", [1.0, 1.5, 2.9])
+    def test_carried_constant_is_the_first_trial(
+            self, p3_setup, next_step, far_basis, basis, sampled, warm, const0):
+        _, _, budget, config, _ = p3_setup
+        assert const0 < relative_smoothness_constant(config.tau)
+        bundle, h0, given = call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm)
+        _, stats = bregman_minimize_zeta(bundle, budget, config, h0, given, const0)
+        assert stats.iterations > 0 and first_trial(stats) == const0
+
+    @MODEL_CALLS
+    @pytest.mark.parametrize("scale", [None, 0.5, 1.0, 10.0],
+                             ids=["none", "below-one", "k-tau", "above-k-tau"])
+    def test_constant_outside_the_range_gives_the_cold_call(
+            self, p3_setup, next_step, far_basis, basis, sampled, warm, scale):
+        # below 1 no constant is tried; from k(tau) up the cold first trial
+        # SHRINK k(tau) is the smaller one, and carrying k(tau) itself would
+        # keep every step of the call there
+        _, _, budget, config, _ = p3_setup
+        ktau = relative_smoothness_constant(config.tau)
+        const0 = None if scale is None else (scale if scale < 1.0 else scale * ktau)
+        bundle, h0, given = call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm)
+        h_cold, cold = bregman_minimize_zeta(bundle, budget, config, h0, given)
+        h, stats = bregman_minimize_zeta(bundle, budget, config, h0, given, const0)
+        assert np.array_equal(h, h_cold)
+        for name in ("iterations", "zeta_values", "grad_norms", "constants", "rejected"):
+            assert getattr(stats, name) == getattr(cold, name), name
+        assert all(np.array_equal(a, b) for a, b in zip(stats.basis, cold.basis))
+        assert first_trial(cold) == subsolvers.SHRINK * ktau
+
+
 def pole_data(lam):
     """The pole ``mu_lo = max(0, -lam_min)`` of ``lam``: ``(lam + mu_lo, mu_lo)``."""
     lam = np.asarray(lam, float)
