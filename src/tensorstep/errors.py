@@ -22,6 +22,8 @@ class SubsolverError(TensorStepError):
     """A model subproblem could not be solved.
 
     Raised when an inner solver exhausts its iteration budget, when the
+    order-3 inner loop rejects a trial at its largest constant (the descent
+    test fails there, or the trial does not move the iterate), when the
     smooth model is not finite at a trial step, when the secular root cannot
     be bracketed or does not converge (only non-finite or overflowing data
     reach these), when a quartic solution misses its stationarity tolerance,

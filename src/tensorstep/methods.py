@@ -25,10 +25,10 @@ exact at every step, but its Bregman reference is built on the eigenbasis of
 the last Hessian the step factored, whose ``eigh`` dominates a wide step. The
 step factors again only when a call on that stale basis raises, and then
 redoes the step on the fresh basis, which later steps keep; the redo starts
-from the same carried constant. Every call evaluates the model the
-same way, through the bundle's ``taylor_terms``; a stale call differs only
-in testing every constant it tries (``subsolvers``). A step's
-``inner_iters`` counts the call whose step it took. A bundle builds its
+from the same carried constant. Every call evaluates the model the same
+way, through the bundle's ``taylor_terms``, and backtracks its constant by
+the same rule (``subsolvers``): a stale call differs only in its basis. A
+step's ``inner_iters`` counts the call whose step it took. A bundle builds its
 dense Hessian only when something reads it (``models.DerivativeBundle``),
 which on an exact bundle at p=3 only the factorization does: an exact run
 builds one Hessian per ``eigh``, at p=2 one per step, and none for an

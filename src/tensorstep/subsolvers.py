@@ -32,35 +32,33 @@ Nesterov, arXiv:1610.05708). That constant is the worst case: at
 ``tau = 4`` and ``kappa = 0`` the model's quartic weight is only 1.2 times
 rho's, and at ``k(tau) = 3`` each step shrinks the model gradient by a
 factor near ``1 - 1.2/3 = 0.6``. So ``L_k`` is
-found by backtracking in ``[1, k(tau)]``. Each step first tries
-``max(1, SHRINK L_{k-1})``, a call's first step ``L_{-1}`` (see below) when
-``1 <= L_{-1} < k(tau)`` and ``max(1, SHRINK k(tau))`` otherwise, and
-accepts the trial ``h+`` at constant ``L`` when
+found by backtracking. Each step first tries ``max(1, SHRINK L_{k-1})``, a
+call's first step ``L_{-1}`` (see below) when ``1 <= L_{-1} <= CONSTANT_CAP
+k(tau)`` and ``max(1, SHRINK k(tau))`` otherwise, and accepts the trial
+``h+`` at constant ``L`` when
 
     zeta(h+) <= zeta(h_k) + <grad zeta(h_k), h+ - h_k> + L breg_rho(h+, h_k),
 
-the descent inequality the rate proof uses; otherwise it retries at
-``min(k(tau), GROW L)``. A trial at ``k(tau)`` is accepted without the test,
-which the sandwich proves, and once a step is taken there the call keeps
-``k(tau)``: no smaller constant passed the test, which near the rounding
-floor of ``zeta`` is rounding deciding it. A trial below ``k(tau)`` that
-does not move the iterate is rejected and retried at ``k(tau)``. All of this
-holds on the eigenbasis of ``B`` itself; a stale basis tests every trial
-(see below).
+the descent inequality the rate proof uses. Every trial takes that test, at
+``k(tau)`` too, where the sandwich proves it in exact arithmetic. A trial that
+fails it, or does not move the iterate, is rejected and retried at
+``min(CONSTANT_CAP k(tau), GROW L)``, and a trial rejected at that cap
+raises ``SubsolverError``. That one rule holds on every eigenbasis the loop
+is given (see below).
 
 ``L_{-1}`` is the last constant the previous outer step's call accepted,
 which the model step carries to the next call with its step and its basis.
 The models of consecutive outer steps are nearly equal, and so are the
-constants that pass their tests, which stay well below ``k(tau)`` (at most
-0.71 ``k(tau)`` on the calls that ``STALE_CAP`` counts), so a call that
-starts again from ``SHRINK k(tau)`` spends its first steps at constants that
-its model does not need. A carried constant the next model does not pass is
-rejected and grown as any trial is. Carrying ``k(tau)`` itself would keep
-every later call there, so a constant at or above it, and a first call,
-start from ``SHRINK k(tau)``. Only the first trial changes: a trial below
-``k(tau)`` is still accepted on the descent test alone, a fresh call still
-takes ``k(tau)`` untested, and the stop is the same, so a call that starts
-from a carried constant keeps every property of a cold one stated here.
+constants that pass their tests, which stay below ``k(tau)`` (on the calls
+that ``CONSTANT_CAP`` counts, at most 0.9 ``k(tau)``, the cold first trial,
+and at most 0.71 ``k(tau)`` on a stale basis), so a call that starts again
+from ``SHRINK k(tau)`` spends its first steps at constants that its model
+does not need. A carried constant the next
+model does not pass is rejected and grown as any trial is; one outside
+``[1, CONSTANT_CAP k(tau)]``, and a first call, start from ``SHRINK k(tau)``.
+Only the first trial changes: the test and the stop are the same, so a call
+that starts from a carried constant keeps every property of a cold one
+stated here.
 
 The loop stops once
 
@@ -120,10 +118,7 @@ cubic derivative, or 0 (the cold start) when none goes below 0. The start is
 no worse than 0, so the accepted step still has ``zeta(h) <= zeta(0)``. The
 first evaluation of the loop scales the rows at ``h0`` to its start, ``B h``
 by ``alpha`` and ``T[h]^2`` by ``alpha^2``, so a warm-started call costs no
-more passes than a cold one, which is the same path with ``h0 = 0``. At
-``k(tau)`` the map from one step's ``(y, mu)`` to the next is deterministic,
-so a step there that repeats the previous pair bitwise ends the loop at once:
-it would repeat it until the step cap.
+more passes than a cold one, which is the same path with ``h0 = 0``.
 
 The loop also runs on a stale eigenbasis: ``rho`` built on ``vecs diag(lam)
 vecs^T``, the last Hessian the run factored, while ``zeta`` keeps this
@@ -131,30 +126,28 @@ step's exact gradient, ``B`` and third derivative and is evaluated as above,
 in whatever orthonormal basis ``vecs`` is. Relative smoothness survives a
 reference that is spectrally close to ``B`` (Lu, Freund & Nesterov), but
 ``k(tau)`` is then no longer proved, and ``rho``'s curvature stays ``beta_B
-lam + a`` on the stale eigenvalues. A step on a stale basis factors nothing
-and, on an exact logistic bundle, builds no Hessian at all: the
+lam + a`` on the stale eigenvalues: a step may need a constant above
+``k(tau)``, which the cap leaves room for. A step on a stale basis factors
+nothing and, on an exact logistic bundle, builds no Hessian at all: the
 factorization and the dense Hessian, both paid only when the basis is
 refreshed, are the cost of an outer step at large n (Doikov, Chayti & Jaggi,
 "Second-order optimization with lazy Hessians", arXiv:2212.00781).
 
-So every stale trial takes the descent test, at ``k(tau)`` too, and no
-stale trial is accepted untested; a failed test grows the constant by
-``GROW`` up to ``STALE_CAP k(tau)``, and a test that fails there raises
-``SubsolverError``. That one rule also ends a call at the rounding floor of
-``zeta``, where the test can fail at every constant: the model change it
-compares is rounding, and a larger constant only shrinks the decrease it
-predicts. A call reaches that floor only when its stop is the absolute
-``INNER_GRAD_TOL``, near a minimizer of ``f``; the relative stop ends calls
-farther out, where a step's predicted decrease is well above the rounding of
-``zeta(0)``. The basis is all that tells the two kinds of call apart: a call
-given the basis it would factor itself tests the trials a fresh call takes
-untested, and takes the fresh call's trials bitwise when the fresh call
-takes no step at ``k(tau)``. An accepted step still lowers ``zeta``, and the
-stop rule is the same, because ``vecs`` is orthogonal and ``||vecs^T grad
-zeta|| = ||grad zeta||`` and ``||gt|| = ||grad f(x)||``: a stale call that
-converges returns a step as valid as a fresh call's. Which basis a call gets
-is the model step's choice (``methods._model_method``), which redoes a
-raised step on a fresh factorization.
+The basis is all that tells a stale call from a fresh one: the rule for the
+constant, the evaluation and the stop are the same, and a call given the
+basis it would factor itself takes the fresh call's trials bitwise. The cap
+also ends a call at the rounding floor of ``zeta``, on any basis, where the
+test can fail at every constant: the model change it compares is rounding,
+and a larger constant only shrinks the decrease it predicts. A call reaches
+that floor only when its stop is the absolute ``INNER_GRAD_TOL``, near a
+minimizer of ``f``; the relative stop ends calls farther out, where a step's
+predicted decrease is well above the rounding of ``zeta(0)``. An accepted
+step lowers ``zeta`` on any basis, and the stop rule is the same, because
+``vecs`` is orthogonal and ``||vecs^T grad zeta|| = ||grad zeta||`` and
+``||gt|| = ||grad f(x)||``: a stale call that converges returns a step as
+valid as a fresh call's. Which basis a call gets is the model step's choice
+(``methods._model_method``), which redoes a step whose stale call raised on
+a fresh factorization.
 
 ``solve_model_p2`` reduces the even-power order-2 model to a single quartic
 solve on the same factorization. The Hessian of the reference function and
@@ -195,20 +188,22 @@ MAX_INNER_STEPS = 200
 #: constant its caller carried from the previous call, or this multiple of k(tau).
 SHRINK = 0.9
 
-#: A rejected trial's constant times this, and at most k(tau) (``STALE_CAP``
-#: times k(tau) on a stale eigenbasis), is the next trial's.
+#: A rejected trial's constant times this, and at most CONSTANT_CAP times
+#: k(tau), is the next trial's.
 GROW = 1.2
 
-#: On a stale eigenbasis a trial's constant may grow to this multiple of
-#: k(tau), and a call raises when the descent test fails there. Over the 673
-#: stale calls of the itm-p3 and stm-p3 golden configs and of the three
-#: order-3 benchmark workloads at seeds 1 to 10, no call raised and every
-#: accepted constant was at most 0.71 k(tau). 89 trials were rejected, each
-#: below k(tau) in a step that then accepted a larger constant; 33 of them
-#: were a call's first trial, the constant carried from the previous call. A
-#: call that runs on to the floor INNER_GRAD_TOL can fail the test at every
-#: constant, its model change at the rounding of zeta(0), and raises here.
-STALE_CAP = 10.0
+#: A trial's constant may grow to this multiple of k(tau), on any
+#: eigenbasis, and a call raises when a trial is rejected there. Over the 711
+#: calls, 38 fresh and 673 stale, of the itm-p3 and stm-p3 golden configs and
+#: of the three order-3 benchmark workloads at seeds 1 to 10, no call raised
+#: and every accepted constant was at most 0.9 k(tau), the cold first trial
+#: SHRINK k(tau) (0.71 k(tau) on the stale calls). 89 trials were rejected,
+#: each below k(tau) in a step that then accepted a larger constant; 33 of
+#: them were a call's first trial, the constant carried from the previous
+#: call. A call that runs on to the floor INNER_GRAD_TOL can fail the test at
+#: every constant, its model change at the rounding of zeta(0), and raises
+#: here.
+CONSTANT_CAP = 10.0
 
 #: The inner loop stops once ||grad zeta(h)|| is at most this multiple of
 #: ||grad f(x)||, the gradient at the outer iterate, or INNER_GRAD_TOL.
@@ -459,22 +454,19 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     ``ModelConfig.coupled``). Each inner argmin is a regularized quartic in
     a multiple of ``B``, so ``EigenbasisZeta`` factors ``B`` itself once,
     and the iterate is kept as its coefficients ``y`` in that eigenbasis.
-    Each step backtracks its relative-smoothness constant in ``[1, k(tau)]``
-    (see the module docstring): a trial costs one ``taylor_terms(h)``, the
-    rows ``B h`` and ``T[h]^2`` (one pass over the rows on an exact logistic
-    bundle, no Hessian built), four n-by-n matrix-vector products (``h =
-    vecs y``, ``vecs^T`` of each row and ``vecs^T (B h + T[h]^2 / 2)``) and
-    one secular solve, warm-started from the previous step's ``mu``;
-    ``rho``, the Bregman linearization and the descent test are elementwise
-    in the eigenvalues.
+    Each step backtracks its relative-smoothness constant in ``[1,
+    CONSTANT_CAP k(tau)]`` (see the module docstring): a trial costs one
+    ``taylor_terms(h)``, the rows ``B h`` and ``T[h]^2`` (one pass over the
+    rows on an exact logistic bundle, no Hessian built), four n-by-n
+    matrix-vector products (``h = vecs y``, ``vecs^T`` of each row and
+    ``vecs^T (B h + T[h]^2 / 2)``) and one secular solve, warm-started from
+    the previous step's ``mu``; ``rho``, the Bregman linearization and the
+    descent test are elementwise in the eigenvalues.
 
     ``basis``, the ``InnerStats.basis`` of an earlier call, replaces the
     factorization: ``rho`` is built on that stale eigenbasis and the Hessian
-    is not factored; the model, its evaluation, its minimizer and the stop
-    rule are those of a fresh call. The one difference is the rule for the
-    constant: ``k(tau)`` is not proved on a given basis, so every trial
-    takes the descent test, none is accepted untested, and a failed test
-    grows the constant by ``GROW`` up to ``STALE_CAP k(tau)``.
+    is not factored; the model, its evaluation, its minimizer, the descent
+    test every trial takes and the stop rule are those of a fresh call.
 
     The loop starts at ``alpha h0``, the minimizer of ``zeta`` on the line
     through 0 and the guess ``h0`` (the previous outer step; 0 when not
@@ -486,11 +478,11 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     the iterate, and ``zeta`` at the start is at most ``zeta(0)``.
 
     ``const0``, the last constant the previous call accepted, is the first
-    step's first trial when ``1 <= const0 < k(tau)``; otherwise, and when it
-    is not given, that trial is ``max(1, SHRINK k(tau))``, so a call given
-    ``k(tau)`` or more is the cold call bitwise. It changes only where the
-    backtracking starts: the descent test, the trials accepted untested and
-    the stop are those of a call without it.
+    step's first trial when ``1 <= const0 <= CONSTANT_CAP k(tau)``;
+    otherwise, and when it is not given, that trial is ``max(1, SHRINK
+    k(tau))``, so a call given a constant outside that range is the cold
+    call bitwise. It changes only where the backtracking starts: the descent
+    test and the stop are those of a call without it.
 
     Stops once ``||grad zeta(h)|| <= max(INNER_GRAD_TOL, INNER_REL_TOL
     ||grad f(x)||)``, the inexact tensor step of Grapiglia & Nesterov
@@ -500,10 +492,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
     worse than ``zeta(0)``, so where ``zeta`` majorizes ``f`` any returned
     ``h`` has ``f(x + h) <= zeta(h) <= zeta(0)``, whichever stop ended the
     loop. Raises ``SubsolverError`` carrying the last iterate
-    and its residual when that takes more than ``MAX_INNER_STEPS`` steps, as
-    soon as a step at ``k(tau)`` returns the previous step's ``(y, mu)``
-    bitwise, which the deterministic map would repeat up to the cap, or when
-    a stale basis's descent test fails at ``STALE_CAP k(tau)``; and
+    and its residual when that takes more than ``MAX_INNER_STEPS`` steps, or
+    when a step rejects its trial at ``CONSTANT_CAP k(tau)``, which at the
+    rounding floor of ``zeta`` can happen on any basis; and
     ``SubsolverError`` when the model is not finite, which is then the only
     report of an overflow: numpy's overflow warnings are off for the call.
     """
@@ -511,11 +502,9 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
         raise ValueError("the Bregman path is the p = 3 solver")
 
     ktau = relative_smoothness_constant(config.tau)
+    cap = CONSTANT_CAP * ktau
     beta_b, a_coef, Q = rho_reference_coefficients(budget, config)
     zeta = EigenbasisZeta(bundle, budget, config, basis)
-    # k(tau) is proved on the basis of B only: on a stale one every trial is tested
-    stale = basis is not None
-    top = STALE_CAP * ktau if stale else ktau
     # the quadratic part of rho in eigen coordinates: grad rho(h) is (curv + Q r^2) y
     curv = beta_b * zeta.lam + a_coef
     stats = InnerStats(basis=(zeta.lam, zeta.vecs))
@@ -524,9 +513,8 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
                                   else np.asarray(h0, dtype=float))
     change, g = zeta.change_and_grad(y, h, terms)
     const, mu = ktau, None  # the last accepted constant and its secular shift
-    # the next step's first trial; carrying k(tau) would keep it for the whole call
-    carried = const0 is not None and 1.0 <= const0 < ktau
-    start = const0 if carried else max(1.0, SHRINK * ktau)
+    carried = const0 is not None and 1.0 <= const0 <= cap
+    start = const0 if carried else max(1.0, SHRINK * ktau)  # the next step's first trial
     tol = max(INNER_GRAD_TOL, INNER_REL_TOL * float(np.linalg.norm(zeta.gt)))
     while True:
         r2 = float(y @ y)
@@ -552,41 +540,25 @@ def bregman_minimize_zeta(bundle: DerivativeBundle, budget: InexactnessBudget,
             # trial grad rho(h) is (lam_q + b_q r^2) y, so this is vecs^T c
             y_next, mu_next = solve_regularized_quartic(
                 g - (lam_q + b_q * r2) * y, lam_q, b_q, guess)
-            if np.array_equal(y_next, y):
-                if trial < ktau:
-                    # a step that does not move proves nothing: retry at k(tau)
-                    stats.rejected.append((stats.iterations, trial))
-                    trial = ktau
-                    continue
-                if mu_next == guess:
-                    raise SubsolverError(
-                        f"inner loop exhausted at step {stats.iterations + 1} of "
-                        f"{MAX_INNER_STEPS}: it repeats the previous step, "
-                        f"residual {g_norm:.3e}",
-                        best=h, residual=g_norm,
-                    )
-            h_next = zeta.vecs @ y_next
-            change_next, g_next = zeta.change_and_grad(y_next, h_next)
-            dval = change_next - change
-            if (trial == ktau and not stale) or _descends(
-                    dval, g, y, y_next - y, curv, Q, trial):
-                break
+            dval = 0.0  # a trial that does not move the iterate proves nothing
+            if not np.array_equal(y_next, y):
+                h_next = zeta.vecs @ y_next
+                change_next, g_next = zeta.change_and_grad(y_next, h_next)
+                dval = change_next - change
+                if _descends(dval, g, y, y_next - y, curv, Q, trial):
+                    break
             stats.rejected.append((stats.iterations, trial))
-            # a fresh call takes its top, k(tau), untested: only a stale call raises
-            if trial == top:
+            if trial == cap:
                 raise SubsolverError(
-                    f"descent test failed at constant {trial:.3e} on a stale eigenbasis "
-                    f"(model change {dval:.1e}), step {stats.iterations + 1}, "
-                    f"residual {g_norm:.3e}",
+                    f"descent test failed at constant {trial:.3e} (model change "
+                    f"{dval:.1e}), step {stats.iterations + 1}, residual {g_norm:.3e}",
                     best=h, residual=g_norm,
                 )
-            trial = min(top, GROW * trial)
+            trial = min(cap, GROW * trial)
         stats.iterations += 1
         stats.constants.append(trial)
-        # no smaller constant passed the test: the loop keeps k(tau) from here on
-        start = trial if trial == ktau else max(1.0, SHRINK * trial)
+        start = max(1.0, SHRINK * trial)
         y, h, change, g, const, mu = y_next, h_next, change_next, g_next, trial, mu_next
-
 
 def _descends(dval, g, y, d, curv, Q, const) -> bool:
     """Whether ``zeta(h + d) - zeta(h) = dval`` is at most

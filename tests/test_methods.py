@@ -155,31 +155,30 @@ class TestGoldenTraces:
         # f(x + h) <= zeta(h) at every accepted model step pins the model's
         # assembly (z0, z2, z4, the kappa terms, a bundle taken at x); the
         # eigenbasis the inner loop runs on changes only its path to the step.
-        # The stale constants it accepts keep half the cap as headroom
+        # The constants it accepts, fresh or stale, keep half the cap as headroom
         problem = build_problem(GOLDEN_PROBLEM)
         solve = methods.bregman_minimize_zeta
-        slacks, stale = [], []
+        slacks, scaled = [], []
 
         def checked(bundle, budget, config, h0=None, basis=None, const0=None):
             h, stats = solve(bundle, budget, config, h0, basis, const0)
             f = problem.value(bundle.x + h)
             slacks.append(TaylorModel(bundle, budget, config).zeta(h) - f
                           + 1e-12 * max(1.0, abs(f)))
-            if basis is not None:
-                ktau = subsolvers.relative_smoothness_constant(config.tau)
-                stale.extend(const / ktau for const in stats.constants)
+            ktau = subsolvers.relative_smoothness_constant(config.tau)
+            scaled.extend(const / ktau for const in stats.constants)
             return h, stats
 
         monkeypatch.setattr(methods, "bregman_minimize_zeta", checked)
         run_experiment(golden_config(name))
         assert len(slacks) == steps
         assert min(slacks) >= 0.0
-        assert stale and max(stale) <= subsolvers.STALE_CAP / 2
+        assert scaled and max(scaled) <= subsolvers.CONSTANT_CAP / 2
 
     @pytest.mark.parametrize("name", ["itm-p3", "stm-p3"])
     def test_no_model_solve_raises_and_each_rejection_backtracks(self, monkeypatch, name):
         # the relative inner stop ends every call before the rounding floor
-        # of zeta, where a stale call's descent test raised and trials were
+        # of zeta, where the descent test raised and trials were
         # rejected on rounding alone; so no step is redone. A call's first
         # trial is the constant the previous call accepted, which the next
         # model may not pass: such a trial is rejected below k(tau), and its
@@ -336,13 +335,18 @@ class TestStaleEigenbasis:
         assert_refresh_rule(log)
 
     def test_failed_stale_call_is_redone_fresh(self, logistic, monkeypatch):
-        # with every descent test failing, each stale call raises at its cap
-        # and the step is redone on a fresh factorization: the run is that of
-        # a fresh factorization at every step
+        # every stale call raises and the step is redone on a fresh
+        # factorization: the run is that of a fresh factorization at every step
         problem, x0 = logistic
         config = RunConfig(p=3, max_iter=4)
-        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
         solve = methods.bregman_minimize_zeta
+
+        def failing(bundle, budget, config, h0=None, basis=None, const0=None):
+            if basis is not None:
+                raise SubsolverError("descent test failed")
+            return solve(bundle, budget, config, h0, const0=const0)
+
+        monkeypatch.setattr(methods, "bregman_minimize_zeta", failing)
         log = logged_model_calls(monkeypatch)
         trace = itm_run(problem, x0, config)
         assert [fresh for fresh, _ in log] == [True] + [False, True] * 3

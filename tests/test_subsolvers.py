@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -294,6 +295,19 @@ def recording_evaluations(monkeypatch):
     return evaluations
 
 
+def recording_descents(monkeypatch):
+    """``(constant, result)`` of every ``_descends`` call from here on, in order."""
+    results = []
+    test = subsolvers._descends
+
+    def recorded(*args):
+        results.append((args[-1], test(*args)))
+        return results[-1][1]
+
+    monkeypatch.setattr(subsolvers, "_descends", recorded)
+    return results
+
+
 #: The model calls of ``call_inputs``: on the basis the call factors, on the
 #: previous outer step's or on ``far_basis``; on an exact or an STM bundle;
 #: cold, or warm from ``next_step``.
@@ -443,9 +457,9 @@ class TestBregman:
 
     def test_repeated_step_ends_the_loop(self, p3_setup, monkeypatch):
         # from the third quartic on, the map returns the second one's (y, mu),
-        # the second step's. The third step's first trial does not move, so it
-        # is retried at k(tau) and taken there; the fourth step, at k(tau) with
-        # that mu as its warm start, repeats it
+        # the second step's. No trial of the third step moves the iterate, so
+        # each is rejected without a test or an evaluation and grown, and the
+        # call raises at the cap
         _, bundle, budget, config, _ = p3_setup
         solve = subsolvers.solve_regularized_quartic
         steps = []
@@ -455,10 +469,14 @@ class TestBregman:
             return steps[-1]
 
         monkeypatch.setattr(subsolvers, "solve_regularized_quartic", stalling)
-        with pytest.raises(SubsolverError,
-                           match="exhausted at step 4 of 200: it repeats") as err:
+        evaluations = recording_evaluations(monkeypatch)
+        tests = recording_descents(monkeypatch)
+        cap = subsolvers.CONSTANT_CAP * relative_smoothness_constant(config.tau)
+        message = f"descent test failed at constant {cap:.3e} (model change 0.0e+00), step 3,"
+        with pytest.raises(SubsolverError, match=re.escape(message)) as err:
             bregman_minimize_zeta(bundle, budget, config)
-        assert len(steps) == 5
+        assert [ok for _, ok in tests] == [True, True] and len(evaluations) == 3
+        assert len(steps) > 3
         assert err.value.best is not None and err.value.residual > 0
 
     def test_relative_smoothness_sandwich(self, p3_setup, rng):
@@ -542,30 +560,26 @@ class TestBacktracking:
         assert stats.rejected
         assert all(1.0 <= const < ktau for _, const in stats.rejected)
 
-    def test_failed_tests_fall_back_to_k_tau(self, p3_setup, monkeypatch, tight_stop):
-        # with every test failing, the first step grows its trial to k(tau), and
-        # from there each step is the fixed loop's
-        _, bundle, budget, config, _ = p3_setup
-        ktau = relative_smoothness_constant(config.tau)
-        h_adaptive, _ = bregman_minimize_zeta(bundle, budget, config)
-        monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
-        h, stats = bregman_minimize_zeta(bundle, budget, config)
-        assert stats.constants == [ktau] * stats.iterations
-        assert stats.rejected == [(0, subsolvers.SHRINK * ktau)]
-        assert stats.grad_norms[-1] <= subsolvers.INNER_GRAD_TOL
-        assert np.linalg.norm(h - h_adaptive) <= 1e-7 * np.linalg.norm(h_adaptive)
-
     def test_no_shrink_is_the_fixed_loop(self, p3_setup, backtracked, monkeypatch,
                                          tight_stop):
-        # SHRINK = 1 tries k(tau) first at every step, which needs no test
+        # SHRINK = 1 tries k(tau) first at every step and tests it as any
+        # trial: the steps it takes there are the fixed loop's, more than the
+        # adaptive loop spends, until at the rounding floor of zeta the test
+        # may fail up to the cap
         _, _, budget, config, _ = p3_setup
         bundle, adaptive, _ = backtracked
-        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
-        monkeypatch.setattr(subsolvers, "_descends", None)
-        _, fixed = bregman_minimize_zeta(bundle, budget, config)
         ktau = relative_smoothness_constant(config.tau)
-        assert fixed.constants == [ktau] * fixed.iterations and not fixed.rejected
-        assert fixed.iterations > adaptive.iterations + len(adaptive.rejected)
+        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
+        tests = recording_descents(monkeypatch)
+        try:
+            _, fixed = bregman_minimize_zeta(bundle, budget, config)
+        except SubsolverError:
+            fixed = None
+        passed = [const for const, ok in tests if ok]
+        assert all(const >= ktau for const, _ in tests)
+        if fixed is not None:
+            assert passed == fixed.constants
+        assert passed.count(ktau) > adaptive.iterations + len(adaptive.rejected)
 
 
 class TestWarmStart:
@@ -641,29 +655,20 @@ def far_basis(p3_setup):
     return np.linalg.eigh(0.5 * (hess + hess.T))
 
 
-def recording_descents(monkeypatch):
-    """``(constant, result)`` of every ``_descends`` call from here on, in order."""
-    results = []
-    test = subsolvers._descends
-
-    def recorded(*args):
-        results.append((args[-1], test(*args)))
-        return results[-1][1]
-
-    monkeypatch.setattr(subsolvers, "_descends", recorded)
-    return results
-
-
 class TestStaleBasis:
-    """The inner loop on the eigenbasis of an earlier Hessian."""
+    """The inner loop on the eigenbasis of an earlier Hessian, under the rule
+    that a call on its own basis follows."""
 
     @pytest.fixture(params=["previous", "far"])
     def stale(self, request, p3_setup, next_step, far_basis):
         """``(bundle, h0, basis)``: the next outer step's solve on the basis of
-        this step's Hessian, or on ``far_basis``."""
+        this step's Hessian, or on ``far_basis``; with the param ``fresh``,
+        given no basis, on the one it factors itself."""
         _, bundle, budget, config, _ = p3_setup
         if request.param == "far":
             return bundle, None, far_basis
+        if request.param == "fresh":
+            return next_step[0], next_step[1], None
         _, stats = bregman_minimize_zeta(bundle, budget, config)
         return next_step[0], next_step[1], stats.basis
 
@@ -687,13 +692,19 @@ class TestStaleBasis:
         vals = stats.zeta_values
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_every_accepted_step_is_tested(self, p3_setup, stale, monkeypatch):
-        # k(tau) is proved on the basis of B alone, so a stale call accepts
-        # only on the descent test, at any constant, and tests every trial it
+    @pytest.mark.parametrize("shrink", [None, 1.0], ids=["adaptive", "no-shrink"])
+    @pytest.mark.parametrize("stale", ["fresh", "previous", "far"], indirect=True)
+    def test_every_accepted_step_is_tested(self, p3_setup, stale, monkeypatch, shrink):
+        # one rule on every basis: a call accepts only on the descent test,
+        # at any constant, k(tau) included, and tests every trial it
         # evaluates; at the rounding floor of zeta the test fails up to the
-        # cap, and the call raises there
+        # cap, and the call raises there. SHRINK = 1 tries k(tau) first at
+        # every step, so each step is taken at k(tau) or above
         _, _, budget, config, _ = p3_setup
         bundle, h0, basis = stale
+        ktau = relative_smoothness_constant(config.tau)
+        if shrink is not None:
+            monkeypatch.setattr(subsolvers, "SHRINK", shrink)
         evaluations = recording_evaluations(monkeypatch)
         tests = recording_descents(monkeypatch)
         try:
@@ -701,22 +712,23 @@ class TestStaleBasis:
         except SubsolverError:
             stats = None
         assert len(tests) == len(evaluations) - 1 > 0
+        if shrink is not None:
+            assert all(const >= ktau for const, _ in tests)
         if stats is None:
-            cap = subsolvers.STALE_CAP * relative_smoothness_constant(config.tau)
-            assert tests[-1] == (cap, False)
+            assert tests[-1] == (subsolvers.CONSTANT_CAP * ktau, False)
             return
         passed = [const for const, ok in tests if ok]
         assert passed == stats.constants and stats.iterations > 0
         assert [const for const, ok in tests if not ok] == [c for _, c in stats.rejected]
+        if shrink is not None:
+            assert ktau in stats.constants
 
     @pytest.mark.parametrize("sampled, warm", [
         (False, False), (True, False), (False, True), (True, True)],
         ids=["exact", "sampled", "exact-warm", "sampled-warm"])
     def test_own_basis_replays_the_fresh_call(self, p3_setup, next_step, sampled, warm):
-        # one evaluation path for every basis: a call given the basis a fresh
-        # call factored takes the fresh call's trials bitwise. It tests each
-        # of them, and a fresh call tests every trial below k(tau), so the
-        # two agree whenever the fresh call took no step at k(tau)
+        # one evaluation path and one rule for every basis: a call given the
+        # basis a fresh call factored takes the fresh call's trials bitwise
         prob, bundle, budget, config, _ = p3_setup
         h0 = None
         if warm:
@@ -725,7 +737,6 @@ class TestStaleBasis:
             bundle = sample_bundle(prob, bundle.x, BatchPlan((40, 30, 20)),
                                    np.random.default_rng(5))
         h_fresh, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
-        assert max(fresh.constants) < relative_smoothness_constant(config.tau)
         h, stats = bregman_minimize_zeta(bundle, budget, config, h0, fresh.basis)
         assert np.array_equal(h, h_fresh)
         for name in ("zeta_values", "grad_norms", "constants", "rejected"):
@@ -757,8 +768,9 @@ class TestStaleBasis:
 
     def test_steps_above_k_tau_are_taken_on_the_test(self, p3_setup, far_basis, monkeypatch):
         # on a basis where no constant up to k(tau) passes, a stale call
-        # takes its steps above k(tau), where a fresh call never goes; at the
-        # rounding floor of zeta it then raises, as the test no longer passes
+        # takes its steps above k(tau), which the sandwich spares a fresh
+        # call; at the rounding floor of zeta it then raises, as the test no
+        # longer passes
         _, bundle, budget, config, _ = p3_setup
         ktau = relative_smoothness_constant(config.tau)
         test = subsolvers._descends
@@ -772,48 +784,28 @@ class TestStaleBasis:
         passed = [const for const, ok in tests if ok]
         assert len(passed) > 10 and min(passed) > ktau
 
-    def test_trials_at_k_tau_are_tested(self, p3_setup, stale, monkeypatch):
-        # with SHRINK = 1 every step tries k(tau) first: a fresh call takes it
-        # untested, a stale call tests it and every constant above it. Near
-        # the rounding floor of zeta the test may fail up to the cap, which
-        # raises; the steps accepted before that were tested all the same
-        _, _, budget, config, _ = p3_setup
-        bundle, h0, basis = stale
-        ktau = relative_smoothness_constant(config.tau)
-        monkeypatch.setattr(subsolvers, "SHRINK", 1.0)
-        tests = recording_descents(monkeypatch)
-        _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
-        assert fresh.constants == [ktau] * fresh.iterations and not tests
-        try:
-            _, stats = bregman_minimize_zeta(bundle, budget, config, h0, basis)
-        except SubsolverError:
-            stats = None
-        assert tests and all(const >= ktau for const, _ in tests)
-        if stats is not None:
-            assert [const for const, ok in tests if ok] == stats.constants
-
     def test_descent_that_never_holds_raises_at_the_cap(self, p3_setup, next_step, monkeypatch):
-        # a stale call whose test never passes raises at STALE_CAP k(tau)
+        # a call whose test never passes raises at CONSTANT_CAP k(tau), on a
+        # given basis as on the one it factors itself
         _, bundle, budget, config, _ = p3_setup
         _, stats = bregman_minimize_zeta(bundle, budget, config)
-        assert_raises_at_the_stale_cap(monkeypatch, budget, config, stats.basis, *next_step,
-                                       subsolvers.INNER_GRAD_TOL)
+        for basis in (stats.basis, None):
+            assert_raises_at_the_cap(monkeypatch, budget, config, basis, *next_step,
+                                     subsolvers.INNER_GRAD_TOL)
 
     def test_rounding_floor_raises_at_the_floor_cap(self, p3_setup, monkeypatch, tight_stop):
         # started at its own minimizer with the stop rule off, a stale call's
         # trials change zeta only at its rounding: the floor has no cap of its
-        # own, so a test that fails there raises at the same STALE_CAP k(tau)
+        # own, so a test that fails there raises at the same CONSTANT_CAP k(tau)
         _, bundle, budget, config, _ = p3_setup
         h_star, stats = bregman_minimize_zeta(bundle, budget, config)
-        assert_raises_at_the_stale_cap(monkeypatch, budget, config, stats.basis, bundle, h_star,
-                                       0.0)
+        assert_raises_at_the_cap(monkeypatch, budget, config, stats.basis, bundle, h_star, 0.0)
 
 
-def assert_raises_at_the_stale_cap(monkeypatch, budget, config, basis, bundle, h0, grad_tol):
-    """A stale call from ``h0`` whose descent test never holds raises at exactly
-    STALE_CAP k(tau); the fresh call on the same bundle falls back to the proved k(tau)."""
-    ktau = relative_smoothness_constant(config.tau)
-    cap = subsolvers.STALE_CAP * ktau
+def assert_raises_at_the_cap(monkeypatch, budget, config, basis, bundle, h0, grad_tol):
+    """A call from ``h0`` whose descent test never holds raises at exactly
+    CONSTANT_CAP k(tau)."""
+    cap = subsolvers.CONSTANT_CAP * relative_smoothness_constant(config.tau)
     monkeypatch.setattr(subsolvers, "_descends", lambda *args: False)
     with monkeypatch.context() as scoped:
         scoped.setattr(subsolvers, "INNER_GRAD_TOL", grad_tol)
@@ -824,8 +816,7 @@ def assert_raises_at_the_stale_cap(monkeypatch, budget, config, basis, bundle, h
     assert constants[-2] < cap == constants[-1]
     assert f"{cap:.3e}" in str(err.value)
     assert err.value.best is not None and err.value.residual > 0
-    _, fresh = bregman_minimize_zeta(bundle, budget, config, h0)
-    assert fresh.constants == [ktau] * fresh.iterations
+
 
 class TestStopRule:
     """The inner loop stops at a model gradient relative to ``||grad f(x)||``,
@@ -869,26 +860,26 @@ def first_trial(stats):
 
 class TestCarriedConstant:
     """``const0``, the constant the previous call accepted last, is a call's
-    first trial when it lies in ``[1, k(tau))``."""
+    first trial when it lies in ``[1, CONSTANT_CAP k(tau)]``."""
 
     @MODEL_CALLS
-    @pytest.mark.parametrize("const0", [1.0, 2.9])
+    @pytest.mark.parametrize("const0", [1.0, 2.9, 3.0, 30.0])
     def test_carried_constant_is_the_first_trial(
             self, p3_setup, next_step, far_basis, basis, sampled, warm, const0):
+        # k(tau) = 3 here, and 30 is the cap
         _, _, budget, config, _ = p3_setup
-        assert const0 < relative_smoothness_constant(config.tau)
+        assert const0 <= subsolvers.CONSTANT_CAP * relative_smoothness_constant(config.tau)
         bundle, h0, given = call_inputs(p3_setup, next_step, far_basis, basis, sampled, warm)
         _, stats = bregman_minimize_zeta(bundle, budget, config, h0, given, const0)
         assert stats.iterations > 0 and first_trial(stats) == const0
 
     @MODEL_CALLS
-    @pytest.mark.parametrize("scale", [0.5, 1.0, 10.0],
-                             ids=["below-one", "k-tau", "above-k-tau"])
+    @pytest.mark.parametrize("scale", [0.5, subsolvers.GROW * subsolvers.CONSTANT_CAP],
+                             ids=["below-one", "above-the-cap"])
     def test_constant_outside_the_range_gives_the_cold_call(
             self, p3_setup, next_step, far_basis, basis, sampled, warm, scale):
-        # below 1 no constant is tried; from k(tau) up the cold first trial
-        # SHRINK k(tau) is the smaller one, and carrying k(tau) itself would
-        # keep every step of the call there
+        # below 1 no constant is tried, and above the cap no constant is
+        # allowed: the first trial is the cold SHRINK k(tau)
         _, _, budget, config, _ = p3_setup
         ktau = relative_smoothness_constant(config.tau)
         const0 = scale if scale < 1.0 else scale * ktau
